@@ -25,6 +25,7 @@ from .quantum import (
     BOREL,
     QClass,
     format_qclass,
+    format_terms,
     gw_invariant,
     quantum_product,
     star,
@@ -250,30 +251,9 @@ def cmd_table(args):
             f"basis: {len(basis)}  entries: {len(entries)}"
         )
         for entry in entries:
-            rendered = _render_terms(entry["terms"])
+            rendered = format_terms((t["w"], t["q"], t["c"]) for t in entry["terms"])
             print(f"sigma[{entry['u']}] * sigma[{entry['v']}] = {rendered}")
     return 0
-
-
-def _render_terms(term_dicts):
-    if not term_dicts:
-        return "0"
-    bits = []
-    for term in term_dicts:
-        parts = []
-        if term["c"] != 1:
-            parts.append(str(term["c"]))
-        qpart = "*".join(
-            f"q{t + 1}" if e == 1 else f"q{t + 1}^{e}"
-            for t, e in enumerate(term["q"])
-            if e
-        )
-        if qpart:
-            parts.append(qpart)
-        if term["w"] != "e" or not parts:
-            parts.append(f"sigma[{term['w']}]")
-        bits.append(" * ".join(parts))
-    return " + ".join(bits)
 
 
 def _table_matches_basis(entries, basis):

@@ -1,19 +1,31 @@
 """Gromov-Witten invariants and quantum products of G/P through the Borel
 engine.
 
-A G/P invariant at an effective degree equals a Borel invariant: lift the
-degree into the alcove, lift each coset to its minimal representative, and
-multiply the last one by the longest element of the derived parabolic.  All
-G/P products are assembled from those invariants.
+Peterson's comparison formula: for an effective degree d of G/P with
+alcove-reduced lift lambda_d, derived parabolic P' and longest element w'_d
+of its Levi Weyl group,
+
+    <sigma_u, sigma_v, sigma_w>_d (G/P) = <sigma_u, sigma_v, sigma_{w w'_d}>_{lambda_d} (G/B)
+
+for minimal coset representatives u, v, w.  So the G/P product
+sigma_u * sigma_v is a coefficient readout of the single Borel product
+sigma_u * sigma_v: its coefficient at q^d sigma_{dual(w)}, where
+dual(w) = min_coset_rep(w_o w), is the Borel coefficient at
+q^{lambda_d} sigma_{w_o w w'_d}.
+
+Everything that depends only on (root system, parabolic) and the degree is
+built once, in a memoized context.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import permutations, product as iter_product
 
 from .degrees import (
     CurveClass,
+    _c1_pairing,
     derived_parabolic,
     flag_dimension,
     is_effective,
@@ -39,19 +51,77 @@ class ComparisonData:
             raise RuntimeError("derived parabolic escaped the original one")
 
 
+class _Context:
+    """The data of one G/P that no Schubert class depends on.
+
+    The coset basis is enumerated on first use only, so degree lifts still
+    work on types whose Weyl group is too large to enumerate.
+    """
+
+    def __init__(self, rs: RootSystem, parabolic: ParabolicSubset):
+        self.rs = rs
+        self.parabolic = parabolic
+        self.flag_dimension = flag_dimension(rs, parabolic)
+        self.w_o = longest_element(rs, ParabolicSubset.full(rs.rank))
+        self._degrees = {}
+
+    @cached_property
+    def basis(self):
+        return enumerate_min_reps(self.rs, self.parabolic)
+
+    @cached_property
+    def by_length(self):
+        by_len = {}
+        for w in self.basis:
+            by_len.setdefault(w.length, []).append(w)
+        return by_len
+
+    @cached_property
+    def dual(self):
+        """Poincare duality on the basis: w -> min_coset_rep(w_o w)."""
+        return {w: min_coset_rep(self.w_o * w, self.parabolic) for w in self.basis}
+
+    @cached_property
+    def weights(self):
+        """Anticanonical pairing of each unit degree."""
+        r = len(self.parabolic.free_nodes(self.rs.rank))
+        weights = tuple(
+            self.degree(tuple(int(s == t) for s in range(r)))[1] for t in range(r)
+        )
+        if any(wt < 1 for wt in weights):
+            raise RuntimeError("anticanonical weight must be positive")
+        return weights
+
+    def degree(self, degree):
+        """(ComparisonData, anticanonical pairing) of a degree, memoized."""
+        key = tuple(int(x) for x in degree)
+        got = self._degrees.get(key)
+        if got is None:
+            rs, parabolic = self.rs, self.parabolic
+            lift = peterson_lift(rs, parabolic, key)
+            jp = derived_parabolic(rs, parabolic, lift.lam)
+            cd = ComparisonData(
+                d_B=lift,
+                j_prime=jp,
+                w_prime=longest_element(rs, jp),
+                d_pprime=push_degree(rs, jp, lift.lam),
+            )
+            got = (cd, _c1_pairing(rs, parabolic, lift.lam))
+            self._degrees[key] = got
+        return got
+
+
+@cache
+def _context(rs: RootSystem, parabolic: ParabolicSubset) -> _Context:
+    return _Context(rs, parabolic)
+
+
 def comparison_data(rs: RootSystem, parabolic: ParabolicSubset, degree) -> ComparisonData:
     """Lift a degree and package the derived parabolic, its longest element
     and the pushed degree."""
     if not is_effective(rs, parabolic, degree):
         raise ValueError(f"degree {tuple(degree)} is not effective")
-    lift = peterson_lift(rs, parabolic, degree)
-    jp = derived_parabolic(rs, parabolic, lift.lam)
-    return ComparisonData(
-        d_B=lift,
-        j_prime=jp,
-        w_prime=longest_element(rs, jp),
-        d_pprime=push_degree(rs, jp, lift.lam),
-    )
+    return _context(rs, parabolic).degree(degree)[0]
 
 
 def class_lift(rs: RootSystem, parabolic: ParabolicSubset, w: WeylElement) -> WeylElement:
@@ -69,19 +139,9 @@ def class_pushforward(rs: RootSystem, parabolic: ParabolicSubset, w: WeylElement
     return None
 
 
-def _c1_pairing(rs, parabolic, lam):
-    inside = set(rs.parabolic_root_indices(parabolic))
-    return sum(
-        rs.pairing(alpha, lam)
-        for g, alpha in enumerate(rs.positive_roots)
-        if g not in inside
-    )
-
-
 def anticanonical_pairing(rs: RootSystem, parabolic: ParabolicSubset, degree) -> int:
     """(c_1(G/P), d), evaluated through the alcove-reduced lift."""
-    lam = peterson_lift(rs, parabolic, degree).lam
-    return _c1_pairing(rs, parabolic, lam)
+    return _context(rs, parabolic).degree(degree)[1]
 
 
 def parabolic_gw_invariant(rs: RootSystem, parabolic: ParabolicSubset, classes, degree) -> int:
@@ -96,80 +156,39 @@ def parabolic_gw_invariant(rs: RootSystem, parabolic: ParabolicSubset, classes, 
         raise ValueError("an invariant needs at least three classes")
     if not is_effective(rs, parabolic, degree):
         return 0
-    cd = comparison_data(rs, parabolic, degree)
-    lam = cd.d_B.lam
-    if any(x < 0 for x in lam):
-        raise RuntimeError(f"lift of effective degree {tuple(degree)} is not effective")
-    if sum(w.length for w in classes) != flag_dimension(rs, parabolic) + _c1_pairing(
-        rs, parabolic, lam
-    ):
+    ctx = _context(rs, parabolic)
+    cd, c1 = ctx.degree(degree)
+    if sum(w.length for w in classes) != ctx.flag_dimension + c1:
         return 0
     lifted = classes[:-1] + [classes[-1] * cd.w_prime]
-    return gw_invariant(rs, lifted, lam)
+    return gw_invariant(rs, lifted, cd.d_B.lam)
 
 
 def parabolic_quantum_product(
     rs: RootSystem, parabolic: ParabolicSubset, u: WeylElement, v: WeylElement
 ) -> QClass:
-    """Quantum product of two G/P Schubert classes in the coset basis.
+    """Quantum product of two G/P Schubert classes in the coset basis, read
+    off the Borel product of their minimal representatives.
 
     The degree sum is finite: only effective degrees whose anticanonical
     pairing is at most l(u) + l(v) can contribute, by the grading.
     """
-    rs.check_parabolic(parabolic)
-    free = parabolic.free_nodes(rs.rank)
-    if not free:
+    ctx = _context(rs, parabolic)
+    if not parabolic.free_nodes(rs.rank):
         raise ValueError("the full parabolic has no quantum parameters")
     u = min_coset_rep(u, parabolic)
     v = min_coset_rep(v, parabolic)
-    basis = enumerate_min_reps(rs, parabolic)
-    by_len = {}
-    for w in basis:
-        by_len.setdefault(w.length, []).append(w)
-    dim = flag_dimension(rs, parabolic)
+    by_length = ctx.by_length
+    borel = quantum_product(rs, u, v)
     bound = u.length + v.length
-    w_o = longest_element(rs, ParabolicSubset.full(rs.rank))
-    r = len(free)
-    weights = []
-    for t in range(r):
-        unit = tuple(1 if s == t else 0 for s in range(r))
-        wt = anticanonical_pairing(rs, parabolic, unit)
-        if wt < 1:
-            raise RuntimeError("anticanonical weight must be positive")
-        weights.append(wt)
     terms = {}
-    for d in iter_product(*(range(bound // wt + 1) for wt in weights)):
-        c1d = anticanonical_pairing(rs, parabolic, d)
-        if c1d > bound:
-            continue
-        target = dim + c1d - bound
-        if target < 0 or target > dim:
-            continue
-        cd = comparison_data(rs, parabolic, d)
-        lam = cd.d_B.lam
-        for w in by_len.get(target, ()):
-            val = gw_invariant(rs, [u, v, w * cd.w_prime], lam)
-            if val:
-                if val < 0:
-                    raise RuntimeError("negative Gromov-Witten invariant")
-                dual = min_coset_rep(w_o * w, parabolic)
-                key = (dual, d)
-                terms[key] = terms.get(key, 0) + val
+    for d in iter_product(*(range(bound // wt + 1) for wt in ctx.weights)):
+        cd, c1d = ctx.degree(d)
+        for w in by_length.get(ctx.flag_dimension + c1d - bound, ()):
+            c = borel.coefficient(ctx.w_o * w * cd.w_prime, cd.d_B.lam)
+            if c:
+                terms[(ctx.dual[w], d)] = c
     return QClass(rs, parabolic, terms)
-
-
-def parabolic_star(a: QClass, b: QClass) -> QClass:
-    """Bilinear extension of the coset-basis product."""
-    a._compatible(b)
-    rs = a.rs
-    out = QClass.zero(rs, a.parabolic)
-    for (x, dx), cx in a.terms.items():
-        for (y, dy), cy in b.terms.items():
-            piece = parabolic_quantum_product(rs, a.parabolic, x, y).shift(
-                tuple(p + q for p, q in zip(dx, dy))
-            )
-            out = out + piece.scale(cx * cy)
-    return out
 
 
 def classical_parabolic_invariant(rs: RootSystem, parabolic: ParabolicSubset, classes) -> int:
@@ -231,9 +250,10 @@ def check_comparison_consistency(
     if not is_effective(rs, parabolic, degree):
         return ConsistencyReport(())
     degree = tuple(int(x) for x in degree)
-    cd = comparison_data(rs, parabolic, degree)
-    basis = enumerate_min_reps(rs, parabolic)
-    target = flag_dimension(rs, parabolic) + _c1_pairing(rs, parabolic, cd.d_B.lam)
+    ctx = _context(rs, parabolic)
+    cd, c1 = ctx.degree(degree)
+    basis = ctx.basis
+    target = ctx.flag_dimension + c1
     triples = [
         (a, b, c)
         for a in basis
@@ -259,11 +279,8 @@ def check_comparison_consistency(
         )
     )
 
-    relift = peterson_lift(rs, cd.j_prime, cd.d_pprime)
-    stable = (
-        relift.lam == cd.d_B.lam
-        and derived_parabolic(rs, cd.j_prime, relift.lam) == cd.j_prime
-    )
+    relift = _context(rs, cd.j_prime).degree(cd.d_pprime)[0]
+    stable = relift.d_B.lam == cd.d_B.lam and relift.j_prime == cd.j_prime
     bad = 0
     for trip in triples:
         at_p = parabolic_gw_invariant(rs, parabolic, trip, degree)

@@ -184,6 +184,16 @@ def flag_dimension(rs: RootSystem, parabolic: ParabolicSubset) -> int:
     return rs.npos - len(rs.parabolic_root_indices(parabolic))
 
 
+def _c1_pairing(rs: RootSystem, parabolic: ParabolicSubset, lam) -> int:
+    """(c_1(G/P), lam): the sum of <alpha, lam> over positive roots off the Levi."""
+    inside = set(rs.parabolic_root_indices(parabolic))
+    return sum(
+        rs.pairing(alpha, lam)
+        for g, alpha in enumerate(rs.positive_roots)
+        if g not in inside
+    )
+
+
 def hom_dimension(rs: RootSystem, parabolic: ParabolicSubset, degree) -> int:
     """Dimension of the space of degree-d maps P^1 -> G/P: dim G/P plus the
     anticanonical pairing, evaluated through the alcove-reduced lift."""
@@ -192,14 +202,7 @@ def hom_dimension(rs: RootSystem, parabolic: ParabolicSubset, degree) -> int:
     if any(x < 0 for x in degree):
         raise ValueError(f"degree {degree} is not effective")
     lam = peterson_lift(rs, parabolic, degree).lam
-    inside = set(rs.parabolic_root_indices(parabolic))
-    dim = 0
-    total = 0
-    for g, alpha in enumerate(rs.positive_roots):
-        if g not in inside:
-            dim += 1
-            total += rs.pairing(alpha, lam)
-    return dim + total
+    return flag_dimension(rs, parabolic) + _c1_pairing(rs, parabolic, lam)
 
 
 def is_generic_levi_semistable(rs: RootSystem, parabolic: ParabolicSubset, degree) -> bool:

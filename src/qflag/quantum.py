@@ -7,14 +7,17 @@ length-k classes with a fixed right factor satisfy one linear equation per
 and the system has full column rank because divisors generate the cohomology.
 Everything is integer or Fraction arithmetic; no floats anywhere.
 
-Products are memoized per right factor.  The caches are not locked: confine
-an engine to one thread or give each thread its own root system.
+Products are memoized per right factor, in one engine per root system.  The
+caches live as long as the root system, and `build_root_system` interns one
+per Cartan type, so memory is bounded by the number of types used.  The
+caches are not locked: confine an engine to one thread, or give a thread a
+private engine by constructing its own `RootSystem(...)` directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from weakref import WeakKeyDictionary
+from functools import cache, partial
 
 from .root_system import ParabolicSubset, RootSystem
 from .weyl import (
@@ -129,10 +132,16 @@ class QClass:
 
 def format_qclass(qc: QClass) -> str:
     """Deterministic human form: terms ordered by q-degree then word."""
-    if qc.is_zero():
-        return "0"
+    return format_terms(
+        (format_word(w.word), d, c) for (w, d), c in qc.sorted_terms()
+    )
+
+
+def format_terms(rows) -> str:
+    """Render (word, q-degree, coefficient) rows, in the order given, as
+    `coeff * q1^a*q2^b * sigma[word]` with unit factors dropped."""
     bits = []
-    for (w, d), c in qc.sorted_terms():
+    for word, d, c in rows:
         parts = []
         if c != 1:
             parts.append(str(c))
@@ -141,10 +150,10 @@ def format_qclass(qc: QClass) -> str:
         )
         if qpart:
             parts.append(qpart)
-        if w.length > 0 or not parts:
-            parts.append(f"sigma[{format_word(w.word)}]")
+        if word != "e" or not parts:
+            parts.append(f"sigma[{word}]")
         bits.append(" * ".join(parts))
-    return " + ".join(bits)
+    return " + ".join(bits) or "0"
 
 
 class _Engine:
@@ -163,15 +172,9 @@ class _Engine:
         self.tables = {}
 
 
-_engines = WeakKeyDictionary()
-
-
+@cache
 def _engine(rs) -> _Engine:
-    eng = _engines.get(rs)
-    if eng is None:
-        eng = _Engine(rs)
-        _engines[rs] = eng
-    return eng
+    return _Engine(rs)
 
 
 def _moves(eng, w):
@@ -257,7 +260,7 @@ def _finalized(qc, grade):
     return QClass(qc.rs, qc.parabolic, terms)
 
 
-def _solve_full_column_rank(rows, rhs, ncols, zero):
+def _solve_full_column_rank(rows, rhs, ncols):
     """Exact Gauss-Jordan for an overdetermined consistent system whose
     right-hand sides are QClass-valued.  Raises on rank deficiency or on an
     inconsistent leftover row; both would mean an engine bug."""
@@ -323,9 +326,7 @@ def _products(rs, v, upto, quantum):
                                     bvec = bvec - by[ws].shift(cor).scale(c)
                         rows.append(row)
                         rhs.append(bvec)
-                sol = _solve_full_column_rank(
-                    rows, rhs, len(level), QClass.zero(rs, BOREL)
-                )
+                sol = _solve_full_column_rank(rows, rhs, len(level))
                 for w, qc in zip(level, sol):
                     by[w] = _finalized(qc, k + v.length)
         slot["upto"] = k
@@ -346,17 +347,20 @@ def classical_product(rs: RootSystem, u: WeylElement, v: WeylElement) -> QClass:
 
 
 def star(a: QClass, b: QClass) -> QClass:
-    """Bilinear extension of the basis quantum product to arbitrary classes."""
+    """Bilinear extension of the basis quantum product to arbitrary classes,
+    in the ring of the full flag variety or of a G/P alike."""
     a._compatible(b)
-    if len(a.parabolic):
-        raise ValueError("star multiplies full-flag classes; use parabolic_star")
-    rs = a.rs
-    out = QClass.zero(rs, BOREL)
+    rs, parabolic = a.rs, a.parabolic
+    if len(parabolic):
+        from .compare import parabolic_quantum_product  # compare imports this module
+
+        product = partial(parabolic_quantum_product, rs, parabolic)
+    else:
+        product = partial(quantum_product, rs)
+    out = QClass.zero(rs, parabolic)
     for (x, dx), cx in a.terms.items():
         for (y, dy), cy in b.terms.items():
-            piece = quantum_product(rs, x, y).shift(
-                tuple(p + q for p, q in zip(dx, dy))
-            )
+            piece = product(x, y).shift(tuple(p + q for p, q in zip(dx, dy)))
             out = out + piece.scale(cx * cy)
     return out
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial, gcd
 
 # min/max admissible rank per series (max None = unbounded)
@@ -414,9 +415,19 @@ class RootSystem:
 
 
 def build_root_system(cartan_type) -> RootSystem:
-    """Construct the root system for a CartanType (or a string like 'A2')."""
+    """The root system of a CartanType (or a string like 'A2').
+
+    Every call with the same type returns the same interned instance, so the
+    memo tables keyed on it (engines, longest elements, G/P contexts) are
+    shared and live as long as the process, one set per type.
+    """
     if isinstance(cartan_type, str):
         cartan_type = CartanType.parse(cartan_type)
+    return _interned(cartan_type)
+
+
+@cache
+def _interned(cartan_type: CartanType) -> RootSystem:
     return RootSystem(cartan_type)
 
 

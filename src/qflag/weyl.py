@@ -9,7 +9,7 @@ right descent, so the stored word never depends on how an element was built.
 from __future__ import annotations
 
 import re
-from weakref import WeakKeyDictionary
+from functools import cache
 
 from .root_system import ParabolicSubset, RootSystem
 
@@ -163,25 +163,16 @@ def min_coset_rep(w: WeylElement, parabolic: ParabolicSubset) -> WeylElement:
         w = w * simple_reflection(rs, j)
 
 
-_longest_cache = WeakKeyDictionary()
-
-
+@cache
 def longest_element(rs: RootSystem, parabolic: ParabolicSubset) -> WeylElement:
     """Longest element of the standard parabolic subgroup, by greedy ascent."""
     rs.check_parabolic(parabolic)
-    per_rs = _longest_cache.setdefault(rs, {})
-    w = per_rs.get(parabolic.indices)
-    if w is None:
-        w = identity(rs)
-        while True:
-            j = next(
-                (j for j in parabolic.indices if not w.is_right_descent(j)), None
-            )
-            if j is None:
-                break
-            w = w * simple_reflection(rs, j)
-        per_rs[parabolic.indices] = w
-    return w
+    w = identity(rs)
+    while True:
+        j = next((j for j in parabolic.indices if not w.is_right_descent(j)), None)
+        if j is None:
+            return w
+        w = w * simple_reflection(rs, j)
 
 
 def _check_enumerable(rs, max_order):
@@ -194,6 +185,29 @@ def _check_enumerable(rs, max_order):
         )
 
 
+def _graded_levels(rs, generators, parabolic=ParabolicSubset()):
+    """BFS by left multiplication with the given simple reflections, one
+    length level at a time (sorted by word), keeping only elements without a
+    right descent in the parabolic."""
+    level = [identity(rs)]
+    seen = {level[0].perm}
+    while level:
+        yield level
+        nxt = []
+        for u in level:
+            lu = u.length
+            for i in generators:
+                v = simple_reflection(rs, i) * u
+                if v.perm in seen or v.length != lu + 1:
+                    continue
+                if any(v.is_right_descent(j) for j in parabolic.indices):
+                    continue
+                seen.add(v.perm)
+                nxt.append(v)
+        nxt.sort(key=lambda w: w.word)
+        level = nxt
+
+
 def enumerate_min_reps(rs: RootSystem, parabolic: ParabolicSubset, max_order=None):
     """All minimal coset representatives for W/W_J, graded by length.
 
@@ -203,52 +217,19 @@ def enumerate_min_reps(rs: RootSystem, parabolic: ParabolicSubset, max_order=Non
     """
     rs.check_parabolic(parabolic)
     _check_enumerable(rs, max_order)
-    inside = parabolic.indices
-    e = identity(rs)
-    out = [e]
-    level = [e]
-    seen = {e.perm}
-    while level:
-        nxt = []
-        for u in level:
-            lu = u.length
-            for i in range(1, rs.rank + 1):
-                v = simple_reflection(rs, i) * u
-                if v.perm in seen or v.length != lu + 1:
-                    continue
-                if any(v.is_right_descent(j) for j in inside):
-                    continue
-                seen.add(v.perm)
-                nxt.append(v)
-        nxt.sort(key=lambda w: w.word)
-        out.extend(nxt)
-        level = nxt
-    return out
+    generators = range(1, rs.rank + 1)
+    return [w for level in _graded_levels(rs, generators, parabolic) for w in level]
 
 
 def enumerate_subgroup(rs: RootSystem, parabolic: ParabolicSubset, max_order=None):
     """All elements of the standard parabolic subgroup W_J, graded by length."""
     rs.check_parabolic(parabolic)
     bound = DEFAULT_MAX_WEYL_ORDER if max_order is None else max_order
-    e = identity(rs)
-    out = [e]
-    level = [e]
-    seen = {e.perm}
-    while level:
-        nxt = []
-        for u in level:
-            lu = u.length
-            for j in parabolic.indices:
-                v = simple_reflection(rs, j) * u
-                if v.perm in seen or v.length != lu + 1:
-                    continue
-                seen.add(v.perm)
-                nxt.append(v)
-        if len(seen) > bound:
+    out = []
+    for level in _graded_levels(rs, parabolic.indices):
+        out.extend(level)
+        if len(out) > bound:
             raise EnumerationBoundError(
                 f"W_J for J={parabolic} exceeds the enumeration bound {bound}"
             )
-        nxt.sort(key=lambda w: w.word)
-        out.extend(nxt)
-        level = nxt
     return out

@@ -28,7 +28,6 @@ from qflag import (
     longest_element,
     parabolic_gw_invariant,
     parabolic_quantum_product,
-    parabolic_star,
     peterson_lift,
     push_degree,
     quantum_product,
@@ -99,7 +98,7 @@ def test_criterion_4_projective_space_presentations():
         h = basis[1]
         power = QClass.unit(rs, J, h)
         for _ in range(n):
-            power = parabolic_star(QClass.unit(rs, J, h), power)
+            power = star(QClass.unit(rs, J, h), power)
         assert power == QClass(rs, J, {(basis[0], (1,)): 1}), f"P^{n}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

@@ -1,8 +1,10 @@
+import gc
 import json
 
 import pytest
 
 from qflag.cli import main
+from qflag.quantum import _Engine
 
 
 def run(capsys, *argv):
@@ -236,3 +238,19 @@ def test_argparse_rejects_missing_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lift", "--type", "A2"])
     assert exc.value.code == 2
+
+
+def test_repeated_commands_share_one_engine(capsys):
+    for _ in range(3):
+        code, out, _ = run(
+            capsys, "mul", "--type", "B4", "--parabolic", "", "--u", "s1", "--v", "s2"
+        )
+        assert code == 0
+        assert out == "s1 * s2 = sigma[s1s2] + sigma[s2s1]\n"
+    gc.collect()
+    engines = [
+        obj
+        for obj in gc.get_objects()
+        if isinstance(obj, _Engine) and str(obj.rs.cartan_type) == "B4"
+    ]
+    assert len(engines) == 1

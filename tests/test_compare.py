@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product as iproduct
 
 import pytest
 
@@ -6,6 +6,7 @@ from qflag import (
     BOREL,
     ParabolicSubset,
     QClass,
+    anticanonical_pairing,
     build_root_system,
     check_comparison_consistency,
     class_lift,
@@ -13,6 +14,7 @@ from qflag import (
     classical_parabolic_invariant,
     comparison_data,
     enumerate_min_reps,
+    flag_dimension,
     format_word,
     from_word,
     gw_invariant,
@@ -21,8 +23,8 @@ from qflag import (
     min_coset_rep,
     parabolic_gw_invariant,
     parabolic_quantum_product,
-    parabolic_star,
     simple_reflection,
+    star,
 )
 
 P2 = ParabolicSubset.of([2])
@@ -152,8 +154,8 @@ def test_parabolic_star_bilinearity():
     basis = enumerate_min_reps(rs, P2)
     h = QClass.unit(rs, P2, basis[1])
     pt = QClass.unit(rs, P2, basis[2])
-    mixed = parabolic_star(h + pt, h)
-    split = parabolic_star(h, h) + parabolic_star(pt, h)
+    mixed = star(h + pt, h)
+    split = star(h, h) + star(pt, h)
     assert mixed == split
 
 
@@ -236,3 +238,30 @@ def test_comparison_data_word_formatting():
     rs = build_root_system("A2")
     cd = comparison_data(rs, P2, (1,))
     assert format_word(cd.w_prime.word) == "e"
+
+
+@pytest.mark.parametrize("name,j_nodes", [("A3", [2]), ("B2", [1]), ("G2", [1])])
+def test_product_readout_matches_invariants(name, j_nodes):
+    # the product is read off one Borel product; its coefficient at
+    # q^d sigma[dual(w)] must equal the invariant <u, v, w>_d
+    rs = build_root_system(name)
+    J = ParabolicSubset.of(j_nodes)
+    basis = enumerate_min_reps(rs, J)
+    dim = flag_dimension(rs, J)
+    w_o = longest_element(rs, ParabolicSubset.full(rs.rank))
+    r = len(J.free_nodes(rs.rank))
+    # three classes have total length <= 3 dim = dim + c_1(d)
+    degrees = [
+        d
+        for d in iproduct(range(2 * dim + 1), repeat=r)
+        if anticanonical_pairing(rs, J, d) <= 2 * dim
+    ]
+    for u in basis:
+        for v in basis:
+            expected = {}
+            for w in basis:
+                for d in degrees:
+                    c = parabolic_gw_invariant(rs, J, [u, v, w], d)
+                    if c:
+                        expected[(min_coset_rep(w_o * w, J), d)] = c
+            assert parabolic_quantum_product(rs, J, u, v).terms == expected

@@ -128,3 +128,9 @@ def test_parabolic_subset_basics():
     rs = build_root_system("A2")
     with pytest.raises(ValueError):
         rs.check_parabolic(ParabolicSubset.of([3]))
+
+
+def test_root_systems_are_interned_per_type():
+    assert build_root_system("B2") is build_root_system("B2")
+    assert build_root_system("B2") is build_root_system(CartanType("B", 2))
+    assert build_root_system("B2") is not build_root_system("C2")
