@@ -11,6 +11,8 @@ import json
 import os
 import tempfile
 
+from .root_system import CartanType
+
 TABLE_FORMAT_VERSION = 1
 
 
@@ -42,14 +44,27 @@ def _well_formed(doc, type_name, parabolic):
     entries = doc.get("entries")
     if not isinstance(entries, list):
         return "entries is not a list"
+    free = CartanType.parse(type_name).rank - len(parabolic)
     for entry in entries:
-        if not isinstance(entry, dict) or not {"u", "v", "terms"} <= set(entry):
+        if not (
+            isinstance(entry, dict)
+            and {"u", "v", "terms"} <= set(entry)
+            and type(entry["u"]) is type(entry["v"]) is str
+            and type(entry["terms"]) is list
+        ):
             return "malformed entry"
         for term in entry["terms"]:
             if not isinstance(term, dict) or not {"w", "q", "c"} <= set(term):
                 return "malformed term"
-            if not isinstance(term["c"], int) or not isinstance(term["q"], list):
+            q = term["q"]
+            if (
+                type(term["w"]) is not str or type(term["c"]) is not int
+                or type(q) is not list or len(q) != free
+            ):
                 return "malformed term payload"
+            for x in q:  # a loop, not all(...): this runs once per cached term
+                if type(x) is not int:
+                    return "malformed term payload"
     return None
 
 

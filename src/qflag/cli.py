@@ -19,17 +19,10 @@ from .compare import (
     comparison_data,
     parabolic_gw_invariant,
     parabolic_quantum_product,
-)
-from .degrees import enumerate_alcove_lifts, is_effective, peterson_lift
-from .quantum import (
-    BOREL,
-    QClass,
-    format_qclass,
-    format_terms,
-    gw_invariant,
-    quantum_product,
     star,
 )
+from .degrees import enumerate_alcove_lifts, is_effective, peterson_lift
+from .quantum import BOREL, QClass, format_qclass, format_terms, quantum_product
 from .root_system import CartanType, ParabolicSubset, build_root_system
 from .weyl import (
     EnumerationBoundError,
@@ -145,23 +138,14 @@ def cmd_gw(args):
     if len(elements) < 3:
         raise ValueError("need at least three classes")
     degree = _parse_degree(args.degree, len(parabolic.free_nodes(rs.rank)))
-    warnings = []
+    elements, warnings = _normalize_classes(rs, parabolic, elements)
     note = None
-    if len(parabolic):
-        elements, warnings = _normalize_classes(rs, parabolic, elements)
-        if is_effective(rs, parabolic, degree):
-            value = parabolic_gw_invariant(rs, parabolic, elements, degree)
-            d_b = list(comparison_data(rs, parabolic, degree).d_B.lam)
-        else:
-            value, d_b, note = 0, None, "non-effective degree"
-        route = "comparison"
+    if is_effective(rs, parabolic, degree):
+        value = parabolic_gw_invariant(rs, parabolic, elements, degree)
+        d_b = list(comparison_data(rs, parabolic, degree).d_B.lam)
     else:
-        route = "borel"
-        if all(x >= 0 for x in degree):
-            value = gw_invariant(rs, elements, degree)
-            d_b = list(degree)
-        else:
-            value, d_b, note = 0, None, "non-effective degree"
+        value, d_b, note = 0, None, "non-effective degree"
+    route = "comparison" if len(parabolic) else "borel"
     payload = {
         "type": str(rs.cartan_type),
         "parabolic": list(parabolic.indices),
@@ -175,8 +159,7 @@ def cmd_gw(args):
         payload["note"] = note
     if warnings:
         payload["warnings"] = warnings
-    lines = [f"invariant: {value}"]
-    lines.append(f"route: {route}  dB: {d_b}")
+    lines = [f"invariant: {value}", f"route: {route}  dB: {d_b}"]
     if note:
         lines.append(f"note: {note}")
     lines.extend(f"note: {w}" for w in warnings)
@@ -188,12 +171,8 @@ def cmd_mul(args):
     rs, parabolic = _context(args)
     u = _parse_classes(rs, args.u)[0]
     v = _parse_classes(rs, args.v)[0]
-    warnings = []
-    if len(parabolic):
-        (u, v), warnings = _normalize_classes(rs, parabolic, [u, v])
-        qc = parabolic_quantum_product(rs, parabolic, u, v)
-    else:
-        qc = quantum_product(rs, u, v)
+    (u, v), warnings = _normalize_classes(rs, parabolic, [u, v])
+    qc = parabolic_quantum_product(rs, parabolic, u, v)
     payload = {
         "type": str(rs.cartan_type),
         "parabolic": list(parabolic.indices),
@@ -223,26 +202,20 @@ def cmd_table(args):
         entries = None
     if entries is not None:
         print(f"cache hit: {path}", file=sys.stderr)
+        doc = cache_io.make_document(str(rs.cartan_type), parabolic, entries)
     else:
-        entries = []
-        for u in basis:
-            for v in basis:
-                if len(parabolic):
-                    qc = parabolic_quantum_product(rs, parabolic, u, v)
-                else:
-                    qc = quantum_product(rs, u, v)
-                entries.append(
-                    {
-                        "u": format_word(u.word),
-                        "v": format_word(v.word),
-                        "terms": _term_dicts(qc),
-                    }
-                )
-        cache_io.store_document(
-            path, cache_io.make_document(str(rs.cartan_type), parabolic, entries)
-        )
+        entries = [
+            {
+                "u": format_word(u.word),
+                "v": format_word(v.word),
+                "terms": _term_dicts(parabolic_quantum_product(rs, parabolic, u, v)),
+            }
+            for u in basis
+            for v in basis
+        ]
+        doc = cache_io.make_document(str(rs.cartan_type), parabolic, entries)
+        cache_io.store_document(path, doc)
         print(f"cache write: {path}", file=sys.stderr)
-    doc = cache_io.make_document(str(rs.cartan_type), parabolic, entries)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -305,9 +278,7 @@ def _suite_comparison(args):
     rs, parabolic = _context(args)
     results = []
     for degree in _effective_degrees(rs, parabolic, args.max_degree):
-        report = check_comparison_consistency(rs, parabolic, degree)
-        for entry in report.as_dicts():
-            entry = dict(entry)
+        for entry in check_comparison_consistency(rs, parabolic, degree).as_dicts():
             entry["name"] = f"d={list(degree)}: {entry['name']}"
             results.append(entry)
     return results
@@ -340,6 +311,11 @@ _SUITES = {
 def cmd_check(args):
     if args.suite not in _SUITES:
         raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}")
+    bounds = (("--max-degree", args.max_degree, 0), ("--samples", args.samples, 1),
+              ("--window", args.window, 0))
+    for option, value, least in bounds:
+        if value is not None and value < least:
+            raise ValueError(f"{option} must be at least {least}, got {value}")
     results = _SUITES[args.suite](args)
     ok = all(r["passed"] for r in results)
     payload = {"suite": args.suite, "passed": ok, "checks": results}
@@ -380,7 +356,10 @@ def build_parser():
 
     p = sub.add_parser("gw", help="Gromov-Witten invariant")
     common(p)
-    p.add_argument("--classes", required=True, help="comma list of >= 3 Weyl words")
+    p.add_argument("--classes", required=True, help=(
+        "comma list of >= 3 Weyl words; with four or more, the value is the coefficient "
+        "of the iterated product on the dual of the last class, checked with the "
+        "three-point grading, not the n-point invariant"))
     p.add_argument("--degree", required=True, help="comma list of integers")
     p.set_defaults(func=cmd_gw)
 

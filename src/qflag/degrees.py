@@ -14,11 +14,6 @@ from itertools import product as iter_product
 
 from .root_system import ParabolicSubset, RootSystem
 
-# Largest Weyl group order at each rank (E-series at 6..8), used only for the
-# runaway guard on the alcove walk.
-_MAX_ORDER_AT_RANK = {1: 2, 2: 12, 3: 48, 4: 1152, 5: 3840, 6: 51840,
-                      7: 2903040, 8: 696729600}
-
 
 @dataclass(frozen=True)
 class CurveClass:
@@ -106,12 +101,12 @@ def is_effective(rs: RootSystem, parabolic: ParabolicSubset, degree) -> bool:
     return all(x >= 0 for x in _as_degree(degree, free))
 
 
-def _step_ceiling(rs, parabolic, degree):
-    order = 1
-    for comp in rs.parabolic_components(parabolic):
-        order *= _MAX_ORDER_AT_RANK.get(len(comp), 2 ** len(comp) * 10**6)
-    height = 1 + max((sum(r) for r in rs.positive_roots), default=1)
-    return order * (1 + sum(abs(x) for x in degree) * height)
+def _walk_length(rs, parabolic, lam):
+    """Number of Levi-root hyperplanes <alpha, .> = k (k an integer) that
+    separate lam from the fundamental domain.  Each step of the alcove walk
+    crosses exactly one of them, so this is the walk's exact length."""
+    levi = (rs.positive_roots[g] for g in rs.parabolic_root_indices(parabolic))
+    return sum(max(m, -1 - m) for m in (rs.pairing(alpha, lam) for alpha in levi))
 
 
 def peterson_lift(rs: RootSystem, parabolic: ParabolicSubset, degree) -> CurveClass:
@@ -128,7 +123,7 @@ def peterson_lift(rs: RootSystem, parabolic: ParabolicSubset, degree) -> CurveCl
         lam[i - 1] = d
     if any(degree):
         alcove = AlcoveSpec.for_parabolic(rs, parabolic)
-        ceiling = _step_ceiling(rs, parabolic, degree)
+        ceiling = _walk_length(rs, parabolic, lam)
         steps = 0
         while (hit := alcove.first_violation(lam)) is not None:
             steps += 1

@@ -17,7 +17,7 @@ private engine by constructing its own `RootSystem(...)` directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 from .root_system import ParabolicSubset, RootSystem
 from .weyl import (
@@ -25,7 +25,6 @@ from .weyl import (
     enumerate_min_reps,
     format_word,
     identity,
-    longest_element,
 )
 
 BOREL = ParabolicSubset()
@@ -166,7 +165,6 @@ class _Engine:
         self.reflections = tuple(
             WeylElement(rs, rs.reflection_perm(g)) for g in range(rs.npos)
         )
-        self.w_o = longest_element(rs, ParabolicSubset.full(rs.rank))
         self.moves = {}
         self.chev = {}
         self.tables = {}
@@ -344,46 +342,3 @@ def classical_product(rs: RootSystem, u: WeylElement, v: WeylElement) -> QClass:
     positive-degree term discarded throughout."""
     by = _products(rs, v, u.length, False)
     return by[u]
-
-
-def star(a: QClass, b: QClass) -> QClass:
-    """Bilinear extension of the basis quantum product to arbitrary classes,
-    in the ring of the full flag variety or of a G/P alike."""
-    a._compatible(b)
-    rs, parabolic = a.rs, a.parabolic
-    if len(parabolic):
-        from .compare import parabolic_quantum_product  # compare imports this module
-
-        product = partial(parabolic_quantum_product, rs, parabolic)
-    else:
-        product = partial(quantum_product, rs)
-    out = QClass.zero(rs, parabolic)
-    for (x, dx), cx in a.terms.items():
-        for (y, dy), cy in b.terms.items():
-            piece = product(x, y).shift(tuple(p + q for p, q in zip(dx, dy)))
-            out = out + piece.scale(cx * cy)
-    return out
-
-
-def gw_invariant(rs: RootSystem, classes, degree) -> int:
-    """Genus-zero small invariant of the full flag variety: the coefficient
-    of q^degree on the dual of the last class in the product of the others.
-
-    Returns 0 for a non-effective degree and when the grading
-    sum(l(u_i)) = dim G/B + 2 sum(d_i) fails.
-    """
-    classes = list(classes)
-    if len(classes) < 3:
-        raise ValueError("an invariant needs at least three classes")
-    degree = tuple(int(x) for x in degree)
-    if len(degree) != rs.rank:
-        raise ValueError(f"degree vector must have {rs.rank} coordinates")
-    if any(x < 0 for x in degree):
-        return 0
-    if sum(w.length for w in classes) != rs.npos + 2 * sum(degree):
-        return 0
-    eng = _engine(rs)
-    prod = quantum_product(rs, classes[0], classes[1])
-    for w in classes[2:-1]:
-        prod = star(prod, QClass.unit(rs, BOREL, w))
-    return prod.coefficient(eng.w_o * classes[-1], degree)

@@ -254,3 +254,48 @@ def test_repeated_commands_share_one_engine(capsys):
         if isinstance(obj, _Engine) and str(obj.rs.cartan_type) == "B4"
     ]
     assert len(engines) == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("terms", 5),
+        ("u", 7),
+        ("v", None),
+        ("w", 7),
+        ("c", True),
+        ("q", ["x"]),
+        ("q", [0, 0]),
+        ("q", [True]),
+        ("q", 0),
+    ],
+)
+def test_table_rejects_mistyped_cache_fields(tmp_path, capsys, field, value):
+    args = ("table", "--type", "A2", "--parabolic", "2", "--cache-dir", str(tmp_path))
+    code, first, _ = run(capsys, *args)
+    path = tmp_path / "A2-2.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    entry = doc["entries"][1]
+    if field in ("terms", "u", "v"):
+        entry[field] = value
+    else:
+        entry["terms"][0][field] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, second, err = run(capsys, *args)
+    assert code == 0
+    assert "ignoring cache" in err and "cache write" in err
+    assert second == first
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--max-degree", "-1"), ("--samples", "0"), ("--samples", "-3"), ("--window", "-1")],
+)
+def test_check_rejects_vacuous_options(capsys, option, value):
+    code, out, err = run(
+        capsys, "check", "--suite", "comparison", "--type", "A2", "--parabolic", "2",
+        option, value,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and option in err

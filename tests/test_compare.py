@@ -265,3 +265,28 @@ def test_product_readout_matches_invariants(name, j_nodes):
                     if c:
                         expected[(min_coset_rep(w_o * w, J), d)] = c
             assert parabolic_quantum_product(rs, J, u, v).terms == expected
+
+
+@pytest.mark.parametrize(
+    "name,j_nodes", [("A2", [2]), ("B2", [1]), ("B2", [2]), ("G2", [1]), ("A3", [1, 3])]
+)
+def test_four_class_invariant_is_iterated_product_coefficient(name, j_nodes):
+    # with four classes the invariant is the coefficient of q^d on the dual
+    # of the last class in the G/P product of the other three
+    rs = build_root_system(name)
+    J = ParabolicSubset.of(j_nodes)
+    basis = enumerate_min_reps(rs, J)
+    w_o = longest_element(rs, ParabolicSubset.full(rs.rank))
+    degrees = list(iproduct(range(2), repeat=len(J.free_nodes(rs.rank))))
+    nonzero = 0
+    for a, b, c in iproduct(basis, repeat=3):
+        prod = star(
+            star(QClass.unit(rs, J, a), QClass.unit(rs, J, b)), QClass.unit(rs, J, c)
+        )
+        for e in basis:
+            dual = min_coset_rep(w_o * e, J)
+            for d in degrees:
+                value = parabolic_gw_invariant(rs, J, [a, b, c, e], d)
+                assert value == prod.coefficient(dual, d)
+                nonzero += value != 0
+    assert nonzero

@@ -1,8 +1,10 @@
 import random
+from itertools import combinations, product as iproduct
 
 import pytest
 
 from qflag import (
+    AlcoveSpec,
     ParabolicSubset,
     build_root_system,
     derived_parabolic,
@@ -188,3 +190,37 @@ def test_dimension_chain():
             fiber = len(rs.parabolic_root_indices(jp))
             assert borel == at_jp + fiber
             assert at_jp == hom_dimension(rs, J, degree)
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "D4", "F4"])
+def test_alcove_walk_length_is_exact(name, monkeypatch):
+    """The walk takes exactly one step per Levi-root hyperplane separating the
+    starting coweight from the fundamental domain, on every proper J at
+    degrees with coordinates <= 2."""
+    rs = build_root_system(name)
+    checks = 0
+    first_violation = AlcoveSpec.first_violation
+
+    def counted(self, lam):
+        nonlocal checks
+        checks += 1
+        return first_violation(self, lam)
+
+    monkeypatch.setattr(AlcoveSpec, "first_violation", counted)
+    for k in range(rs.rank):
+        for nodes in combinations(range(1, rs.rank + 1), k):
+            J = ParabolicSubset.of(nodes)
+            free = J.free_nodes(rs.rank)
+            for degree in iproduct(range(3), repeat=len(free)):
+                start = [0] * rs.rank
+                for i, d in zip(free, degree):
+                    start[i - 1] = d
+                separating = 0
+                for g in rs.parabolic_root_indices(J):
+                    m = pairing(rs, rs.positive_roots[g], start)
+                    separating += m if m > 0 else max(0, -1 - m)
+                checks = 0
+                lam = peterson_lift(rs, J, degree).lam
+                assert max(checks - 1, 0) == separating
+                assert AlcoveSpec.for_parabolic(rs, J).contains(lam)
+                assert push_degree(rs, J, lam) == degree
