@@ -5,7 +5,13 @@ of length k >= 2 is recovered from the divisor rule: the products of all
 length-k classes with a fixed right factor satisfy one linear equation per
 (divisor, length-(k-1) class) pair, with right-hand sides known by induction,
 and the system has full column rank because divisors generate the cohomology.
-Everything is integer or Fraction arithmetic; no floats anywhere.
+Its matrix of classical Chevalley coefficients depends only on the root system
+and k, so it is factored once per (root system, length): an exact sparse left
+inverse, each column stored as integers over one common denominator.  For each
+right factor the inverse is applied to the right-hand sides, the result is
+divided exactly (a remainder is an error), and every row of the system is
+checked.  Everything is integer arithmetic, with Fractions only inside the
+factorization; no floats anywhere.
 
 Products are memoized per right factor, in one engine per root system.  The
 caches live as long as the root system, and `build_root_system` interns one
@@ -18,6 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
+from operator import add
 
 from .root_system import ParabolicSubset, RootSystem
 from .weyl import (
@@ -33,8 +41,8 @@ BOREL = ParabolicSubset()
 class QClass:
     """Finitely supported Z[q]-combination of Schubert classes.
 
-    Terms map (schubert element, degree vector) to a coefficient.  Finalized
-    classes carry integers; Fractions appear only inside the recursion solver.
+    Terms map (schubert element, degree vector) to an integer coefficient;
+    zero coefficients are dropped.
     """
 
     __slots__ = ("rs", "parabolic", "terms")
@@ -42,13 +50,7 @@ class QClass:
     def __init__(self, rs, parabolic, terms):
         self.rs = rs
         self.parabolic = parabolic
-        clean = {}
-        for key, c in terms.items():
-            if isinstance(c, Fraction) and c.denominator == 1:
-                c = int(c)
-            if c != 0:
-                clean[key] = c
-        self.terms = clean
+        self.terms = {key: c for key, c in terms.items() if c}
 
     @classmethod
     def zero(cls, rs, parabolic=BOREL):
@@ -159,6 +161,9 @@ class _Engine:
     def __init__(self, rs):
         self.rs = rs
         elements = enumerate_min_reps(rs, BOREL)
+        # one instance per element, so that dict keys built from moves
+        # compare by identity
+        self.canonical = {w: w for w in elements}
         self.by_length = {}
         for w in elements:
             self.by_length.setdefault(w.length, []).append(w)
@@ -168,6 +173,7 @@ class _Engine:
         self.moves = {}
         self.chev = {}
         self.tables = {}
+        self.levels = {}
 
 
 @cache
@@ -187,9 +193,9 @@ def _moves(eng, w):
             ws = w * eng.reflections[g]
             lws = ws.length
             if lws == lw + 1:
-                classical.append((cor, ws))
+                classical.append((cor, eng.canonical[ws]))
             elif lws == lw + 1 - 2 * sum(cor):
-                quantum.append((cor, ws))
+                quantum.append((cor, eng.canonical[ws]))
         m = (tuple(classical), tuple(quantum))
         eng.moves[w] = m
     return m
@@ -228,23 +234,9 @@ def chevalley_multiply(rs: RootSystem, i: int, w: WeylElement, quantum=True) -> 
     return got
 
 
-def _divisor_times(rs, i, qc, quantum):
-    out = {}
-    for (x, d), c in qc.terms.items():
-        for (y, d2), c2 in chevalley_multiply(rs, i, x, quantum).terms.items():
-            key = (y, tuple(a + b for a, b in zip(d, d2)))
-            out[key] = out.get(key, 0) + c * c2
-    return QClass(rs, BOREL, out)
-
-
-def _finalized(qc, grade):
-    """Check integrality, positivity and the grading, and cast to int."""
-    terms = {}
-    for (w, d), c in qc.terms.items():
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise RuntimeError(f"non-integer structure constant {c} at {w}")
-            c = int(c)
+def _finalized(rs, terms, grade):
+    """Check positivity and the grading of integer terms, as a QClass."""
+    for (w, d), c in terms.items():
         if c < 0:
             raise RuntimeError(f"negative structure constant {c} at {w}")
         if any(x < 0 for x in d):
@@ -254,35 +246,128 @@ def _finalized(qc, grade):
                 f"grading violation: term ({format_word(w.word)}, {d}) in a "
                 f"degree-{grade} product"
             )
-        terms[(w, d)] = c
-    return QClass(qc.rs, qc.parabolic, terms)
+    return QClass(rs, BOREL, terms)
 
 
-def _solve_full_column_rank(rows, rhs, ncols):
-    """Exact Gauss-Jordan for an overdetermined consistent system whose
-    right-hand sides are QClass-valued.  Raises on rank deficiency or on an
-    inconsistent leftover row; both would mean an engine bug."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    b = list(rhs)
-    nrows = len(m)
+def _axpy(y, f, x):
+    """y += f * x on sparse dicts, dropping the entries that cancel."""
+    for key, a in x.items():
+        c = y.get(key, 0) + f * a
+        if c:
+            y[key] = c
+        else:
+            y.pop(key, None)
+
+
+def _left_inverse(rows, ncols):
+    """Exact left inverse of a full-column-rank integer matrix.
+
+    `rows` gives each row as sparse (column, int) pairs.  Gauss-Jordan over
+    dict rows, pivoting on the first remaining row with a nonzero entry in
+    the column, tracks each row as a combination of the input rows.  Returns,
+    per column, a common denominator `den` and integer (row, coefficient)
+    pairs with den * x[column] = sum coefficient * b[row] whenever A x = b.
+    """
+    m = [{col: Fraction(a) for col, a in row} for row in rows]
+    comb = [{r: Fraction(1)} for r in range(len(rows))]
     for col in range(ncols):
-        piv = next((r for r in range(col, nrows) if m[r][col] != 0), None)
+        piv = next((r for r in range(col, len(m)) if col in m[r]), None)
         if piv is None:
             raise RuntimeError("recursion system is rank deficient")
         m[col], m[piv] = m[piv], m[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        b[col] = b[col].scale(inv)
-        for r in range(nrows):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                b[r] = b[r] - b[col].scale(f)
-    for r in range(ncols, nrows):
-        if not b[r].is_zero():
-            raise RuntimeError("recursion system is inconsistent on a discarded row")
-    return b[:ncols]
+        comb[col], comb[piv] = comb[piv], comb[col]
+        inv = 1 / m[col][col]
+        pivot = m[col] = {c: a * inv for c, a in m[col].items()}
+        pcomb = comb[col] = {r: a * inv for r, a in comb[col].items()}
+        for r, row in enumerate(m):
+            f = row.get(col)
+            if f and r != col:
+                _axpy(row, -f, pivot)
+                _axpy(comb[r], -f, pcomb)
+    inverse = []
+    for terms in comb[:ncols]:
+        den = lcm(*(a.denominator for a in terms.values()))
+        inverse.append((den, tuple((r, int(a * den)) for r, a in sorted(terms.items()))))
+    return tuple(inverse)
+
+
+def _level(eng, k):
+    """The length-k system shared by every right factor, quantum or not:
+    one row per (w' of length k-1, divisor i) holding the classical Chevalley
+    coefficients of sigma_{s_i} * sigma_{w'} as sparse (column, int) pairs
+    over the length-k elements, and its exact left inverse."""
+    got = eng.levels.get(k)
+    if got is None:
+        pos = {w: t for t, w in enumerate(eng.by_length[k])}
+        rows = tuple(
+            tuple((pos[ws], cor[i]) for cor, ws in _moves(eng, wp)[0] if cor[i])
+            for wp in eng.by_length[k - 1]
+            for i in range(eng.rs.rank)
+        )
+        got = (rows, _left_inverse(rows, len(pos)))
+        eng.levels[k] = got
+    return got
+
+
+def _right_hand_sides(eng, by, prev, quantum):
+    """Per row (w', i) of the level system: sigma_{s_i} * (sigma_{w'} *
+    sigma_v) minus the quantum moves of w', as plain dicts."""
+    rs = eng.rs
+    rhs = []
+    for wp in prev:
+        known = by[wp].terms.items()
+        qmoves = _moves(eng, wp)[1] if quantum else ()
+        for i in range(1, rs.rank + 1):
+            b = {}
+            for (x, d), c in known:
+                for (y, d2), c2 in chevalley_multiply(rs, i, x, quantum).terms.items():
+                    key = (y, tuple(map(add, d, d2)))
+                    b[key] = b.get(key, 0) + c * c2
+            for cor, ws in qmoves:
+                a = cor[i - 1]
+                if a:
+                    for (y, d), c in by[ws].terms.items():
+                        key = (y, tuple(map(add, d, cor)))
+                        b[key] = b.get(key, 0) - a * c
+            rhs.append(b)
+    return rhs
+
+
+def _solve_level(eng, by, k, quantum):
+    """sigma_w * sigma_v for every w of length k: the level's left inverse
+    applied to the right-hand sides, divided exactly, then checked against
+    every row of the system."""
+    level, prev = eng.by_length[k], eng.by_length[k - 1]
+    rows, inverse = _level(eng, k)
+    rhs = _right_hand_sides(eng, by, prev, quantum)
+    sol = []
+    for w, (den, comb) in zip(level, inverse):
+        acc = {}
+        for r, a in comb:
+            for key, c in rhs[r].items():
+                acc[key] = acc.get(key, 0) + a * c
+        x = {}
+        for key, c in acc.items():
+            q, rem = divmod(c, den)
+            if rem:
+                raise RuntimeError(
+                    f"non-integer structure constant {Fraction(c, den)} at {w}"
+                )
+            if q:
+                x[key] = q
+        sol.append(x)
+    for r, (row, b) in enumerate(zip(rows, rhs)):
+        residual = dict(b)
+        for col, a in row:
+            for key, c in sol[col].items():
+                residual[key] = residual.get(key, 0) - a * c
+        if any(residual.values()):
+            wp, i = prev[r // eng.rs.rank], r % eng.rs.rank + 1
+            raise RuntimeError(
+                f"recursion system is inconsistent on row "
+                f"({format_word(wp.word)}, {i})"
+            )
+    return zip(level, sol)
 
 
 def _products(rs, v, upto, quantum):
@@ -299,34 +384,11 @@ def _products(rs, v, upto, quantum):
         elif k == 1:
             for w in eng.by_length.get(1, ()):
                 by[w] = _finalized(
-                    chevalley_multiply(rs, w.word[0], v, quantum), 1 + v.length
+                    rs, chevalley_multiply(rs, w.word[0], v, quantum).terms, 1 + v.length
                 )
-        else:
-            level = eng.by_length.get(k, [])
-            if level:
-                prev = eng.by_length[k - 1]
-                pos = {w: t for t, w in enumerate(level)}
-                rows, rhs = [], []
-                for wp in prev:
-                    known = by[wp]
-                    cmoves, qmoves = _moves(eng, wp)
-                    for i in range(1, rs.rank + 1):
-                        row = [0] * len(level)
-                        for cor, ws in cmoves:
-                            c = cor[i - 1]
-                            if c:
-                                row[pos[ws]] += c
-                        bvec = _divisor_times(rs, i, known, quantum)
-                        if quantum:
-                            for cor, ws in qmoves:
-                                c = cor[i - 1]
-                                if c:
-                                    bvec = bvec - by[ws].shift(cor).scale(c)
-                        rows.append(row)
-                        rhs.append(bvec)
-                sol = _solve_full_column_rank(rows, rhs, len(level))
-                for w, qc in zip(level, sol):
-                    by[w] = _finalized(qc, k + v.length)
+        elif k in eng.by_length:
+            for w, terms in _solve_level(eng, by, k, quantum):
+                by[w] = _finalized(rs, terms, k + v.length)
         slot["upto"] = k
     return by
 

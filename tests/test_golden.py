@@ -51,6 +51,13 @@ GOLDEN = [
     (("gw", "--type", "A2", "--parabolic", "", "--classes", "s1,s1,s2,s2s1",
       "--degree", "1,0"),
      "e488acd288bd0b066b8785dfebee1d4b4a86d5dbc94bd0ede409f81830bb29d0"),
+    # Levels whose exact left inverse has a denominator above 1 (B3: 4,
+    # D4: 2); hashes taken at commit d5da30e05a1aca345e487266d21094aad6cbae03.
+    (("table", "--type", "B3", "--parabolic", "", "--json"),
+     "807c58c36cc67f6cc93ef391ab770439ca6efc50dafc03f016d549510e4c250d"),
+    (("mul", "--type", "D4", "--parabolic", "", "--u", "s4s2s3s1s2s4s1s2s3s1s2s1",
+      "--v", "s4s2s3s1s2s4s1s2s3s1s2s1", "--json"),
+     "09acff506990d444b5ec0cc2bb3490037127790b77bca7828cca7282e2495ad6"),
 ]
 
 

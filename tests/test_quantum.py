@@ -19,6 +19,9 @@ from qflag import (
     simple_reflection,
     star,
 )
+from qflag.cli import main
+from qflag.quantum import _engine, _left_inverse, _level
+from qflag.root_system import CartanType, RootSystem
 
 
 def _unit(rs, w, degree=None):
@@ -209,3 +212,83 @@ def test_qclass_arithmetic_helpers():
     assert a.shift((2, 0)).coefficient(s1, (2, 0)) == 1
     assert a.scale(3).coefficient(s1, (0, 0)) == 3
     assert (a - a).is_zero()
+
+
+def _level_systems(eng):
+    return {k: _level(eng, k) for k in sorted(eng.by_length) if k >= 2}
+
+
+@pytest.mark.parametrize("name", ["A3", "B2", "G2", "B3", "C3", "D4"])
+def test_level_inverse_is_exact(name):
+    eng = _engine(build_root_system(name))
+    for k, (rows, inverse) in _level_systems(eng).items():
+        ncols = len(eng.by_length[k])
+        assert len(inverse) == ncols
+        for j, (den, comb) in enumerate(inverse):
+            assert isinstance(den, int) and den >= 1
+            product = [0] * ncols
+            for r, a in comb:
+                assert isinstance(a, int)
+                for col, entry in rows[r]:
+                    product[col] += a * entry
+            assert product == [den if col == j else 0 for col in range(ncols)]
+
+
+def test_left_inverse_rejects_rank_deficient_matrix():
+    rows = [((0, 1), (1, 2)), ((0, 2), (1, 4)), ((0, -3), (1, -6))]
+    with pytest.raises(RuntimeError, match="rank deficient"):
+        _left_inverse(rows, 2)
+
+
+def _private_engine(name):
+    rs = RootSystem(CartanType.parse(name))
+    return rs, _engine(rs)
+
+
+def _corrupt_chevalley(rs, eng, i, w):
+    """Add 1 to one classical coefficient of the memoized sigma_{s_i} * sigma_w."""
+    qc = chevalley_multiply(rs, i, w)
+    key = next(key for key in qc.terms if not any(key[1]))
+    terms = dict(qc.terms)
+    terms[key] += 1
+    eng.chev[(i, w, True)] = QClass(rs, BOREL, terms)
+
+
+def test_corrupted_chevalley_coefficient_breaks_consistency():
+    rs, eng = _private_engine("A3")
+    assert all(den == 1 for _, inv in _level_systems(eng).values() for den, _ in inv)
+    w = eng.by_length[2][0]
+    _corrupt_chevalley(rs, eng, 1, w)
+    with pytest.raises(RuntimeError, match="inconsistent"):
+        quantum_product(rs, eng.by_length[3][0], identity(rs))
+
+
+def test_corrupted_chevalley_coefficient_breaks_integrality():
+    rs, eng = _private_engine("B3")
+    # a column of the level inverse and a row it uses with a coefficient
+    # that its denominator does not divide
+    k, j, r = next(
+        (k, j, r)
+        for k, (rows, inverse) in _level_systems(eng).items()
+        for j, (den, comb) in enumerate(inverse)
+        for r, a in comb
+        if a % den
+    )
+    prev = eng.by_length[k - 1]
+    _corrupt_chevalley(rs, eng, r % rs.rank + 1, prev[r // rs.rank])
+    with pytest.raises(RuntimeError, match="non-integer structure constant"):
+        quantum_product(rs, eng.by_length[k][j], identity(rs))
+
+
+def test_levels_are_shared_by_every_product(tmp_path, capsys):
+    assert main(["table", "--type", "B3", "--parabolic", "", "--json",
+                 "--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rs = build_root_system("B3")
+    eng = _engine(rs)
+    levels = dict(eng.levels)
+    assert sorted(levels) == [k for k in sorted(eng.by_length) if k >= 2]
+    w_o = longest_element(rs, ParabolicSubset.full(rs.rank))
+    classical_product(rs, w_o, w_o)
+    assert eng.levels == levels
+    assert all(eng.levels[k] is levels[k] for k in levels)
