@@ -9,11 +9,13 @@ of its Levi Weyl group,
 
 for minimal coset representatives u, v, w.  The right side is the
 coefficient of q^{lambda_d} sigma_{w_o w w'_d} in the Borel product
-sigma_u * sigma_v, so every product, invariant and audit value here is one
-readout: `_Context.borel_key` names that coefficient and
-`_Context.invariant` reads it.  The Borel ring is the case J = {} of the
-same readout (lambda_d = d, w'_d = e), so `gw_invariant` and `star` need no
-route of their own.
+sigma_u * sigma_v.  That readout is injective, so it is run backwards: a
+Borel term q^lambda sigma_x is a G/P term exactly when lambda is the lift of
+its restriction d to the free nodes and y = x w'_d w_J is a minimal
+representative, and then it is the term q^d sigma_y (w_o w = y w_J for
+y = dual(w)).  `_Context.product` maps every term of one Borel product this
+way, and every G/P product, invariant and audit value is read off it.  The
+Borel ring is the case J = {} of the same map (lambda_d = d, w'_d = w_J = e).
 
 Everything that depends only on (root system, parabolic) and the degree is
 built once, in a memoized context.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import permutations, product as iter_product
+from itertools import permutations
 
 from .degrees import (
     CurveClass,
@@ -65,37 +67,28 @@ class _Context:
         self.parabolic = parabolic
         self.flag_dimension = flag_dimension(rs, parabolic)
         self.w_o = longest_element(rs, ParabolicSubset.full(rs.rank))
+        self.w_J = longest_element(rs, parabolic)
+        self.free = parabolic.free_nodes(rs.rank)
         self._degrees = {}
+        self._products = {}
 
     @cached_property
     def basis(self):
         return enumerate_min_reps(self.rs, self.parabolic)
 
     @cached_property
-    def by_length(self):
-        by_len = {}
-        for w in self.basis:
-            by_len.setdefault(w.length, []).append(w)
-        return by_len
+    def canonical(self):
+        """Each basis element keyed by itself: a lookup tests minimality and
+        returns the basis instance."""
+        return {w: w for w in self.basis}
 
     @cached_property
     def dual(self):
         """Poincare duality on the basis: w -> min_coset_rep(w_o w)."""
         return {w: min_coset_rep(self.w_o * w, self.parabolic) for w in self.basis}
 
-    @cached_property
-    def weights(self):
-        """Anticanonical pairing of each unit degree."""
-        r = len(self.parabolic.free_nodes(self.rs.rank))
-        weights = tuple(
-            self.degree(tuple(int(s == t) for s in range(r)))[1] for t in range(r)
-        )
-        if any(wt < 1 for wt in weights):
-            raise RuntimeError("anticanonical weight must be positive")
-        return weights
-
     def degree(self, degree):
-        """(ComparisonData, anticanonical pairing) of a degree, memoized."""
+        """(ComparisonData, anticanonical pairing, w'_d w_J) of a degree, memoized."""
         key = tuple(int(x) for x in degree)
         got = self._degrees.get(key)
         if got is None:
@@ -108,27 +101,42 @@ class _Context:
                 w_prime=longest_element(rs, jp),
                 d_pprime=push_degree(rs, jp, lift.lam),
             )
-            got = (cd, _c1_pairing(rs, parabolic, lift.lam))
+            got = (cd, _c1_pairing(rs, parabolic, lift.lam), cd.w_prime * self.w_J)
             self._degrees[key] = got
         return got
 
-    def borel_key(self, w, degree):
-        """Where Peterson's formula reads the class of w at a degree: the
-        Borel element w_o w w'_d and the coweight lambda_d."""
-        cd = self.degree(degree)[0]
-        return self.w_o * w * cd.w_prime, cd.d_B.lam
+    def product(self, u, v) -> QClass:
+        """G/P product of two minimal representatives, memoized: each term
+        q^lambda sigma_x of the Borel product sigma_u * sigma_v whose lambda
+        is the lift of its restriction d, and whose x w'_d w_J is a minimal
+        representative y, becomes q^d sigma_y."""
+        got = self._products.get((u, v))
+        if got is None:
+            grade = u.length + v.length
+            terms = {}
+            for (x, lam), c in quantum_product(self.rs, u, v).terms.items():
+                d = tuple(lam[i - 1] for i in self.free)
+                cd, c1, shift = self.degree(d)
+                y = self.canonical.get(x * shift) if lam == cd.d_B.lam else None
+                if y is None:
+                    continue
+                if y.length + c1 != grade:
+                    raise RuntimeError(f"G/P term {y!r} q^{d} breaks the grading")
+                terms[(y, d)] = c
+            got = QClass(self.rs, self.parabolic, terms)
+            self._products[(u, v)] = got
+        return got
 
     def invariant(self, classes, degree) -> int:
         """Invariant of minimal representatives at an effective degree: 0 off
-        the grading sum(l(w_i)) = dim G/P + c_1(d), else the coefficient at
-        the Borel key of the last class in the Borel product of the others."""
+        the grading sum(l(w_i)) = dim G/P + c_1(d), else the coefficient of
+        q^d on the dual of the last class in the G/P product of the others."""
         if sum(w.length for w in classes) != self.flag_dimension + self.degree(degree)[1]:
             return 0
-        rs = self.rs
-        prod = quantum_product(rs, classes[0], classes[1])
+        prod = self.product(classes[0], classes[1])
         for w in classes[2:-1]:
-            prod = star(prod, QClass.unit(rs, BOREL, w))
-        return prod.coefficient(*self.borel_key(classes[-1], degree))
+            prod = star(prod, QClass.unit(self.rs, self.parabolic, w))
+        return prod.coefficient(self.dual[classes[-1]], degree)
 
 
 @cache
@@ -197,29 +205,13 @@ def parabolic_quantum_product(
 ) -> QClass:
     """Quantum product of two G/P Schubert classes in the coset basis, read
     off the Borel product of their minimal representatives.  At J = {} it is
-    the Borel product itself.
-
-    The degree sum is finite: only effective degrees whose anticanonical
-    pairing is at most l(u) + l(v) can contribute, by the grading.
-    """
+    the Borel product itself."""
     if not len(parabolic):
         return quantum_product(rs, u, v)
-    ctx = _context(rs, parabolic)
     if not parabolic.free_nodes(rs.rank):
         raise ValueError("the full parabolic has no quantum parameters")
-    u = min_coset_rep(u, parabolic)
-    v = min_coset_rep(v, parabolic)
-    by_length = ctx.by_length
-    borel = quantum_product(rs, u, v)
-    bound = u.length + v.length
-    terms = {}
-    for d in iter_product(*(range(bound // wt + 1) for wt in ctx.weights)):
-        c1d = ctx.degree(d)[1]
-        for w in by_length.get(ctx.flag_dimension + c1d - bound, ()):
-            c = borel.coefficient(*ctx.borel_key(w, d))
-            if c:
-                terms[(ctx.dual[w], d)] = c
-    return QClass(rs, parabolic, terms)
+    ctx = _context(rs, parabolic)
+    return ctx.product(min_coset_rep(u, parabolic), min_coset_rep(v, parabolic))
 
 
 def star(a: QClass, b: QClass) -> QClass:
@@ -293,7 +285,7 @@ def check_comparison_consistency(
     if not is_effective(rs, parabolic, degree):
         return ConsistencyReport(())
     ctx = _context(rs, parabolic)
-    cd, c1 = ctx.degree(degree)
+    cd, c1, _ = ctx.degree(degree)
     basis = ctx.basis
     target = ctx.flag_dimension + c1
     triples = [

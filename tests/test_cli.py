@@ -192,6 +192,20 @@ def test_table_ignores_corrupt_cache(tmp_path, capsys):
     assert first == third
 
 
+def test_associativity_suite_audits_the_named_ring(capsys):
+    # P^2 = A2/{2} has three classes, so the audit covers all 27 triples of
+    # its own ring, not the 216 of the full flag variety
+    code, out, _ = run(
+        capsys, "check", "--suite", "associativity", "--type", "A2", "--parabolic", "2"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS associativity (all 27 triples)",
+        "PASS commutativity (all 27 triples)",
+        "suite associativity: PASS",
+    ]
+
+
 def test_table_bound_exceeded(tmp_path, capsys):
     code, _, err = run(
         capsys, "table", "--type", "E7", "--parabolic", "", "--cache-dir", str(tmp_path)

@@ -4,8 +4,10 @@ import pytest
 
 from qflag import (
     BOREL,
+    CartanType,
     ParabolicSubset,
     QClass,
+    RootSystem,
     anticanonical_pairing,
     build_root_system,
     check_comparison_consistency,
@@ -23,9 +25,11 @@ from qflag import (
     min_coset_rep,
     parabolic_gw_invariant,
     parabolic_quantum_product,
+    quantum_product,
     simple_reflection,
     star,
 )
+from qflag.compare import _context
 
 P2 = ParabolicSubset.of([2])
 
@@ -290,3 +294,89 @@ def test_four_class_invariant_is_iterated_product_coefficient(name, j_nodes):
                 assert value == prod.coefficient(dual, d)
                 nonzero += value != 0
     assert nonzero
+
+
+@pytest.mark.parametrize(
+    "name,j_nodes",
+    [
+        ("A3", [2]),
+        ("A3", [1, 3]),
+        ("B3", [1]),
+        ("C3", [3]),
+        ("G2", [1]),
+        ("A4", [1, 4]),
+        ("D4", [1, 3, 4]),
+    ],
+)
+def test_product_matches_forward_readout(name, j_nodes):
+    # Peterson's formula run forwards, from public API only: the coefficient
+    # of q^d sigma[dual(w)] is the Borel coefficient at (w_o w w'_d, lambda_d)
+    rs = build_root_system(name)
+    J = ParabolicSubset.of(j_nodes)
+    basis = enumerate_min_reps(rs, J)
+    w_o = longest_element(rs, ParabolicSubset.full(rs.rank))
+    top = 2 * flag_dimension(rs, J)
+    r = len(J.free_nodes(rs.rank))
+    # l(u) + l(v) <= 2 dim bounds c_1(d) of every term, and a unit degree
+    # pairs to at least 1 with c_1, so this box holds every degree
+    readout = {}
+    for d in iproduct(range(top + 1), repeat=r):
+        if anticanonical_pairing(rs, J, d) <= top:
+            cd = comparison_data(rs, J, d)
+            for w in basis:
+                key = (w_o * w * cd.w_prime, cd.d_B.lam)
+                readout[(min_coset_rep(w_o * w, J), d)] = key
+    for u in basis:
+        for v in basis:
+            borel = quantum_product(rs, u, v)
+            expected = {}
+            for term, key in readout.items():
+                c = borel.coefficient(*key)
+                if c:
+                    expected[term] = c
+            assert parabolic_quantum_product(rs, J, u, v).terms == expected
+
+
+def test_product_refuses_a_term_off_the_grading():
+    # a private root system has a context of its own; raise the anticanonical
+    # pairing memoized for degree 0 by one, and h * h = sigma[s2s1] on P^2
+    # breaks l(y) + c_1(d) = l(u) + l(v)
+    rs = RootSystem(CartanType.parse("A2"))
+    h = simple_reflection(rs, 1)
+    ctx = _context(rs, P2)
+    cd, c1, shift = ctx.degree((0,))
+    ctx._degrees[(0,)] = (cd, c1 + 1, shift)
+    with pytest.raises(RuntimeError, match="grading"):
+        parabolic_quantum_product(rs, P2, h, h)
+
+
+@pytest.mark.parametrize(
+    "name,j_nodes",
+    [
+        ("A3", []),
+        ("B3", []),
+        ("C3", []),
+        ("G2", []),
+        ("A3", [2]),
+        ("A4", [1, 2, 4]),
+        ("B3", [1]),
+        ("B3", [2]),
+        ("C3", [3]),
+        ("G2", [1]),
+    ],
+)
+def test_every_product_has_a_unique_minimal_q_degree(name, j_nodes):
+    # Postnikov: the q-degrees of sigma_u * sigma_v have a single minimum in
+    # the componentwise order
+    rs = build_root_system(name)
+    J = ParabolicSubset.of(j_nodes)
+    basis = enumerate_min_reps(rs, J)
+    for u in basis:
+        for v in basis:
+            degrees = {d for _, d in parabolic_quantum_product(rs, J, u, v).terms}
+            minimal = [
+                d
+                for d in degrees
+                if not any(e != d and all(map(int.__le__, e, d)) for e in degrees)
+            ]
+            assert len(minimal) == 1, (u, v, sorted(degrees))
