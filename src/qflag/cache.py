@@ -84,13 +84,14 @@ def load_document(path, type_name, parabolic):
     return doc["entries"], None
 
 
-def store_document(path, doc):
+def store_document(path, encoded):
+    """Write an encoded document and a final newline atomically."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qflag-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
+            handle.write(encoded)
             handle.write("\n")
         os.replace(tmp, path)
     except BaseException:

@@ -16,7 +16,6 @@ from functools import partial
 from . import cache as cache_io
 from .compare import (
     check_comparison_consistency,
-    classical_parabolic_invariant,
     comparison_data,
     parabolic_gw_invariant,
     parabolic_quantum_product,
@@ -201,10 +200,8 @@ def cmd_table(args):
     if entries is not None and not _table_matches_basis(entries, basis):
         print(f"warning: ignoring cache {path}: basis mismatch", file=sys.stderr)
         entries = None
-    if entries is not None:
-        print(f"cache hit: {path}", file=sys.stderr)
-        doc = cache_io.make_document(str(rs.cartan_type), parabolic, entries)
-    else:
+    fresh = entries is None
+    if fresh:
         entries = [
             {
                 "u": format_word(u.word),
@@ -214,11 +211,17 @@ def cmd_table(args):
             for u in basis
             for v in basis
         ]
-        doc = cache_io.make_document(str(rs.cartan_type), parabolic, entries)
-        cache_io.store_document(path, doc)
+    else:
+        print(f"cache hit: {path}", file=sys.stderr)
+    doc = cache_io.make_document(str(rs.cartan_type), parabolic, entries)
+    if fresh or args.json:
+        # one encoding serves both the cache file and stdout
+        encoded = json.dumps(doc, indent=2, sort_keys=True)
+    if fresh:
+        cache_io.store_document(path, encoded)
         print(f"cache write: {path}", file=sys.stderr)
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(encoded)
     else:
         print(
             f"type: {doc['type']}  parabolic: {doc['parabolic']}  "

@@ -36,7 +36,8 @@ from .degrees import (
     peterson_lift,
     push_degree,
 )
-from .quantum import BOREL, QClass, classical_product, quantum_product
+from .classical import classical_parabolic_invariant
+from .quantum import BOREL, QClass, quantum_product
 from .root_system import ParabolicSubset, RootSystem
 from .weyl import WeylElement, enumerate_min_reps, longest_element, min_coset_rep
 
@@ -152,11 +153,6 @@ def comparison_data(rs: RootSystem, parabolic: ParabolicSubset, degree) -> Compa
     return _context(rs, parabolic).degree(degree)[0]
 
 
-def class_lift(rs: RootSystem, parabolic: ParabolicSubset, w: WeylElement) -> WeylElement:
-    """Index map of the Schubert-class pullback: the minimal representative."""
-    return min_coset_rep(w, parabolic)
-
-
 def class_pushforward(rs: RootSystem, parabolic: ParabolicSubset, w: WeylElement):
     """Index map of the Schubert-class pushforward: the coset representative
     when w factors as (minimal rep) * (longest Levi element), else None."""
@@ -227,30 +223,6 @@ def star(a: QClass, b: QClass) -> QClass:
     return out
 
 
-def classical_parabolic_invariant(rs: RootSystem, parabolic: ParabolicSubset, classes) -> int:
-    """Degree-zero triple intersection number of G/P, by an independent route:
-    classical Borel products followed by the coset pushforward."""
-    if len(classes) != 3:
-        raise ValueError("the classical oracle takes exactly three classes")
-    u, v, w = (min_coset_rep(x, parabolic) for x in classes)
-    w_p = longest_element(rs, parabolic)
-
-    def times(qc, y):
-        out = QClass.zero(rs, BOREL)
-        for (x, d), c in qc.terms.items():
-            out = out + classical_product(rs, x, y).shift(d).scale(c)
-        return out
-
-    total = times(times(classical_product(rs, u, v), w), w_p)
-    pushed = {}
-    for (x, _), c in total.terms.items():
-        img = class_pushforward(rs, parabolic, x)
-        if img is not None:
-            pushed[img] = pushed.get(img, 0) + c
-    point = min_coset_rep(longest_element(rs, ParabolicSubset.full(rs.rank)), parabolic)
-    return pushed.get(point, 0)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -278,7 +250,7 @@ def check_comparison_consistency(
 ) -> ConsistencyReport:
     """Self-consistency audit at one degree: permutation symmetry of the
     invariants, factorization through the derived parabolic, and (at degree
-    zero) agreement with the classical intersection oracle.
+    zero) agreement with the localization oracle.
 
     Non-effective degrees yield an empty, trivially passing report.
     """

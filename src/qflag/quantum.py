@@ -11,7 +11,9 @@ inverse, each column stored as integers over one common denominator.  For each
 right factor the inverse is applied to the right-hand sides, the result is
 divided exactly (a remainder is an error), and every row of the system is
 checked.  Everything is integer arithmetic, with Fractions only inside the
-factorization; no floats anywhere.
+factorization; no floats anywhere.  The recursion has one mode, the quantum
+one: the cup product is computed apart from it, by localization, in
+`classical.py`.
 
 Products are memoized per right factor, in one engine per root system.  The
 caches live as long as the root system, and `build_root_system` interns one
@@ -201,7 +203,7 @@ def _moves(eng, w):
     return m
 
 
-def chevalley_multiply(rs: RootSystem, i: int, w: WeylElement, quantum=True) -> QClass:
+def chevalley_multiply(rs: RootSystem, i: int, w: WeylElement) -> QClass:
     """Quantum Chevalley rule: the i-th divisor class times the class of w.
 
     sigma_{s_i} * sigma_w
@@ -209,12 +211,12 @@ def chevalley_multiply(rs: RootSystem, i: int, w: WeylElement, quantum=True) -> 
         + sum_{alpha: l(w s_a) = l(w)+1-<2rho, alpha^v>}
               <omega_i, alpha^v> q^{alpha^v} sigma_{w s_a}
 
-    over positive roots alpha.  With quantum=False only the first sum is kept.
+    over positive roots alpha.
     """
     if not 1 <= i <= rs.rank:
         raise ValueError(f"divisor index {i} out of range for {rs.cartan_type}")
     eng = _engine(rs)
-    key = (i, w, quantum)
+    key = (i, w)
     got = eng.chev.get(key)
     if got is None:
         zero = (0,) * rs.rank
@@ -224,11 +226,10 @@ def chevalley_multiply(rs: RootSystem, i: int, w: WeylElement, quantum=True) -> 
             c = cor[i - 1]
             if c:
                 terms[(ws, zero)] = terms.get((ws, zero), 0) + c
-        if quantum:
-            for cor, ws in qmoves:
-                c = cor[i - 1]
-                if c:
-                    terms[(ws, cor)] = terms.get((ws, cor), 0) + c
+        for cor, ws in qmoves:
+            c = cor[i - 1]
+            if c:
+                terms[(ws, cor)] = terms.get((ws, cor), 0) + c
         got = QClass(rs, BOREL, terms)
         eng.chev[key] = got
     return got
@@ -292,10 +293,10 @@ def _left_inverse(rows, ncols):
 
 
 def _level(eng, k):
-    """The length-k system shared by every right factor, quantum or not:
-    one row per (w' of length k-1, divisor i) holding the classical Chevalley
-    coefficients of sigma_{s_i} * sigma_{w'} as sparse (column, int) pairs
-    over the length-k elements, and its exact left inverse."""
+    """The length-k system shared by every right factor: one row per (w' of
+    length k-1, divisor i) holding the classical Chevalley coefficients of
+    sigma_{s_i} * sigma_{w'} as sparse (column, int) pairs over the length-k
+    elements, and its exact left inverse."""
     got = eng.levels.get(k)
     if got is None:
         pos = {w: t for t, w in enumerate(eng.by_length[k])}
@@ -309,18 +310,18 @@ def _level(eng, k):
     return got
 
 
-def _right_hand_sides(eng, by, prev, quantum):
+def _right_hand_sides(eng, by, prev):
     """Per row (w', i) of the level system: sigma_{s_i} * (sigma_{w'} *
     sigma_v) minus the quantum moves of w', as plain dicts."""
     rs = eng.rs
     rhs = []
     for wp in prev:
         known = by[wp].terms.items()
-        qmoves = _moves(eng, wp)[1] if quantum else ()
+        qmoves = _moves(eng, wp)[1]
         for i in range(1, rs.rank + 1):
             b = {}
             for (x, d), c in known:
-                for (y, d2), c2 in chevalley_multiply(rs, i, x, quantum).terms.items():
+                for (y, d2), c2 in chevalley_multiply(rs, i, x).terms.items():
                     key = (y, tuple(map(add, d, d2)))
                     b[key] = b.get(key, 0) + c * c2
             for cor, ws in qmoves:
@@ -333,13 +334,13 @@ def _right_hand_sides(eng, by, prev, quantum):
     return rhs
 
 
-def _solve_level(eng, by, k, quantum):
+def _solve_level(eng, by, k):
     """sigma_w * sigma_v for every w of length k: the level's left inverse
     applied to the right-hand sides, divided exactly, then checked against
     every row of the system."""
     level, prev = eng.by_length[k], eng.by_length[k - 1]
     rows, inverse = _level(eng, k)
-    rhs = _right_hand_sides(eng, by, prev, quantum)
+    rhs = _right_hand_sides(eng, by, prev)
     sol = []
     for w, (den, comb) in zip(level, inverse):
         acc = {}
@@ -370,13 +371,13 @@ def _solve_level(eng, by, k, quantum):
     return zip(level, sol)
 
 
-def _products(rs, v, upto, quantum):
+def _products(rs, v, upto):
     """Fill the per-v cache with sigma_w * sigma_v for all lengths <= upto."""
     eng = _engine(rs)
-    slot = eng.tables.get((v, quantum))
+    slot = eng.tables.get(v)
     if slot is None:
         slot = {"upto": -1, "by": {}}
-        eng.tables[(v, quantum)] = slot
+        eng.tables[v] = slot
     by = slot["by"]
     for k in range(slot["upto"] + 1, upto + 1):
         if k == 0:
@@ -384,10 +385,10 @@ def _products(rs, v, upto, quantum):
         elif k == 1:
             for w in eng.by_length.get(1, ()):
                 by[w] = _finalized(
-                    rs, chevalley_multiply(rs, w.word[0], v, quantum).terms, 1 + v.length
+                    rs, chevalley_multiply(rs, w.word[0], v).terms, 1 + v.length
                 )
         elif k in eng.by_length:
-            for w, terms in _solve_level(eng, by, k, quantum):
+            for w, terms in _solve_level(eng, by, k):
                 by[w] = _finalized(rs, terms, k + v.length)
         slot["upto"] = k
     return by
@@ -395,12 +396,4 @@ def _products(rs, v, upto, quantum):
 
 def quantum_product(rs: RootSystem, u: WeylElement, v: WeylElement) -> QClass:
     """Quantum product of two Schubert classes on the full flag variety."""
-    by = _products(rs, v, u.length, True)
-    return by[u]
-
-
-def classical_product(rs: RootSystem, u: WeylElement, v: WeylElement) -> QClass:
-    """Cup product of two Schubert classes: the same recursion with every
-    positive-degree term discarded throughout."""
-    by = _products(rs, v, u.length, False)
-    return by[u]
+    return _products(rs, v, u.length)[u]

@@ -158,6 +158,7 @@ def test_table_cache_round_trip(tmp_path, capsys):
     assert code == 0
     assert "cache hit" in err2
     assert first == second  # byte-identical payload
+    assert (tmp_path / "A2-2.json").read_bytes() == first.encode()
     doc = json.loads(first)
     assert doc["version"] == 1
     assert doc["type"] == "A2"

@@ -11,7 +11,6 @@ from qflag import (
     anticanonical_pairing,
     build_root_system,
     check_comparison_consistency,
-    class_lift,
     class_pushforward,
     classical_parabolic_invariant,
     comparison_data,
@@ -70,13 +69,6 @@ def test_comparison_data_cases():
 
     with pytest.raises(ValueError):
         comparison_data(rs, P2, (-1,))
-
-
-def test_class_lift_examples():
-    rs = build_root_system("A2")
-    assert class_lift(rs, P2, from_word(rs, (2, 1))) == from_word(rs, (2, 1))
-    assert class_lift(rs, P2, from_word(rs, (1, 2))) == simple_reflection(rs, 1)
-    assert class_lift(rs, P2, identity(rs)) == identity(rs)
 
 
 def test_class_pushforward_examples():

@@ -111,6 +111,7 @@ def test_min_coset_rep_examples():
     J = ParabolicSubset.of([2])
     s2 = simple_reflection(rs, 2)
     assert min_coset_rep(s2, J) == identity(rs)
+    assert min_coset_rep(identity(rs), J) == identity(rs)
     w = from_word(rs, (2, 1))
     assert min_coset_rep(w, J) == w
     assert min_coset_rep(w, ParabolicSubset()) == w
