@@ -6,14 +6,21 @@ length-k classes with a fixed right factor satisfy one linear equation per
 (divisor, length-(k-1) class) pair, with right-hand sides known by induction,
 and the system has full column rank because divisors generate the cohomology.
 Its matrix of classical Chevalley coefficients depends only on the root system
-and k, so it is factored once per (root system, length): an exact sparse left
-inverse, each column stored as integers over one common denominator.  For each
-right factor the inverse is applied to the right-hand sides, the result is
-divided exactly (a remainder is an error), and every row of the system is
-checked.  Everything is integer arithmetic, with Fractions only inside the
-factorization; no floats anywhere.  The recursion has one mode, the quantum
-one: the cup product is computed apart from it, by localization, in
+and k, so it is factored once per (root system, length) by fraction-free
+Gauss-Jordan: an exact sparse left inverse, each column stored as integers
+over its least common denominator.  For each right factor the inverse is
+applied to the right-hand sides, the result is divided exactly (a remainder is
+an error), and every row of the system is checked.  Everything is integer
+arithmetic; no Fractions and no floats.  The recursion has one mode, the
+quantum one: the cup product is computed apart from it, by localization, in
 `classical.py`.
+
+The recursion runs on ints.  Element x is its index in the length-graded
+enumeration of W, and the term q^d sigma_x is the key pd * |W| + x, where pd
+packs the degree d in base npos + 1.  A Chevalley move of x adds a fixed int
+to the key.  In a product of degree l(u) + l(v) <= 2 npos, every term has
+l(x) + 2 sum(d) = l(u) + l(v), so sum(d) <= npos and no coordinate of d
+carries into the next.  Products become `QClass`es only on the way out.
 
 Products are memoized per right factor, in one engine per root system.  The
 caches live as long as the root system, and `build_root_system` interns one
@@ -24,18 +31,13 @@ private engine by constructing its own `RootSystem(...)` directly.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from bisect import bisect_right
 from functools import cache
-from math import lcm
-from operator import add
+from math import gcd
+from operator import itemgetter
 
 from .root_system import ParabolicSubset, RootSystem
-from .weyl import (
-    WeylElement,
-    enumerate_min_reps,
-    format_word,
-    identity,
-)
+from .weyl import WeylElement, enumerate_min_reps, format_word
 
 BOREL = ParabolicSubset()
 
@@ -160,47 +162,76 @@ def format_terms(rows) -> str:
 
 
 class _Engine:
+    """The int tables of one root system: the enumeration, its Chevalley
+    moves, the factored levels and the products per right factor, all keyed
+    as the module docstring describes."""
+
     def __init__(self, rs):
         self.rs = rs
-        elements = enumerate_min_reps(rs, BOREL)
-        # one instance per element, so that dict keys built from moves
-        # compare by identity
-        self.canonical = {w: w for w in elements}
+        self.elements = enumerate_min_reps(rs, BOREL)
+        self.index = {w.perm: x for x, w in enumerate(self.elements)}
+        self.lengths = [w.length for w in self.elements]
         self.by_length = {}
-        for w in elements:
-            self.by_length.setdefault(w.length, []).append(w)
-        self.reflections = tuple(
-            WeylElement(rs, rs.reflection_perm(g)) for g in range(rs.npos)
-        )
-        self.moves = {}
-        self.chev = {}
+        for x, lx in enumerate(self.lengths):
+            self.by_length.setdefault(lx, []).append(x)
+        self.size = len(self.elements)
+        self.base = rs.npos + 1
+        self.shifts = [itemgetter(*rs.reflection_perm(g)) for g in range(rs.npos)]
+        self.chevalley, self.qmoves = [], []
+        self.degrees = {}
         self.tables = {}
         self.levels = {}
+
+    def extend_moves(self, length):
+        """Extend the move tables to every element of length <= `length`.
+        Per element x: per divisor i, the (key delta, coefficient) of each
+        term of sigma_{s_i} * sigma_x; and the quantum moves of x as
+        (coroot, key delta of q^coroot, element index)."""
+        index, lengths, rank = self.index, self.lengths, self.rs.rank
+        for x in range(len(self.chevalley), bisect_right(lengths, length)):
+            perm, lx = self.elements[x].perm, lengths[x]
+            per_divisor = [[] for _ in range(rank)]
+            qmoves = []
+            for shift_by, cor in zip(self.shifts, self.rs.positive_coroots):
+                y = index[shift_by(perm)]
+                if lengths[y] == lx + 1:
+                    delta = y - x
+                elif lengths[y] == lx + 1 - 2 * sum(cor):
+                    pd = sum(a * self.base**t for t, a in enumerate(cor))
+                    shift = pd * self.size
+                    delta = shift + y - x
+                    qmoves.append((cor, shift, y))
+                else:
+                    continue
+                for i, a in enumerate(cor):
+                    if a:
+                        per_divisor[i].append((delta, a))
+            self.chevalley.append(tuple(map(tuple, per_divisor)))
+            self.qmoves.append(tuple(qmoves))
+
+    def qclass(self, terms):
+        """The QClass of int-keyed terms, on the enumeration's instances."""
+        out = {}
+        for key, c in terms.items():
+            pd, x = divmod(key, self.size)
+            out[(self.elements[x], self.degree(pd))] = c
+        return QClass(self.rs, BOREL, out)
+
+    def degree(self, pd):
+        """The degree vector packed as pd, memoized."""
+        d = self.degrees.get(pd)
+        if d is None:
+            digits, rest = [], pd
+            for _ in range(self.rs.rank):
+                rest, a = divmod(rest, self.base)
+                digits.append(a)
+            d = self.degrees[pd] = tuple(digits)
+        return d
 
 
 @cache
 def _engine(rs) -> _Engine:
     return _Engine(rs)
-
-
-def _moves(eng, w):
-    """Positive roots split by how the reflection changes the length of w:
-    up by one (classical Chevalley moves) or down by <2 rho, coroot> - 1
-    (quantum moves)."""
-    m = eng.moves.get(w)
-    if m is None:
-        classical, quantum = [], []
-        lw = w.length
-        for g, cor in enumerate(eng.rs.positive_coroots):
-            ws = w * eng.reflections[g]
-            lws = ws.length
-            if lws == lw + 1:
-                classical.append((cor, eng.canonical[ws]))
-            elif lws == lw + 1 - 2 * sum(cor):
-                quantum.append((cor, eng.canonical[ws]))
-        m = (tuple(classical), tuple(quantum))
-        eng.moves[w] = m
-    return m
 
 
 def chevalley_multiply(rs: RootSystem, i: int, w: WeylElement) -> QClass:
@@ -216,42 +247,34 @@ def chevalley_multiply(rs: RootSystem, i: int, w: WeylElement) -> QClass:
     if not 1 <= i <= rs.rank:
         raise ValueError(f"divisor index {i} out of range for {rs.cartan_type}")
     eng = _engine(rs)
-    key = (i, w)
-    got = eng.chev.get(key)
-    if got is None:
-        zero = (0,) * rs.rank
-        terms = {}
-        cmoves, qmoves = _moves(eng, w)
-        for cor, ws in cmoves:
-            c = cor[i - 1]
-            if c:
-                terms[(ws, zero)] = terms.get((ws, zero), 0) + c
-        for cor, ws in qmoves:
-            c = cor[i - 1]
-            if c:
-                terms[(ws, cor)] = terms.get((ws, cor), 0) + c
-        got = QClass(rs, BOREL, terms)
-        eng.chev[key] = got
-    return got
+    eng.extend_moves(w.length)
+    x = eng.index[w.perm]
+    return eng.qclass({x + delta: a for delta, a in eng.chevalley[x][i - 1]})
 
 
-def _finalized(rs, terms, grade):
-    """Check positivity and the grading of integer terms, as a QClass."""
-    for (w, d), c in terms.items():
+def _finalized(eng, terms, grade):
+    """Check positivity and the grading of int-keyed terms, and return them.
+    Every q-shift is a positive coroot, so no degree coordinate goes
+    negative; a carry out of a packed coordinate would lower sum(d) by npos
+    and break the grading."""
+    for key, c in terms.items():
+        pd, x = divmod(key, eng.size)
         if c < 0:
-            raise RuntimeError(f"negative structure constant {c} at {w}")
-        if any(x < 0 for x in d):
-            raise RuntimeError(f"negative q-degree {d} at {w}")
-        if w.length + 2 * sum(d) != grade:
+            raise RuntimeError(f"negative structure constant {c} at {eng.elements[x]}")
+        d = eng.degree(pd)
+        if eng.lengths[x] + 2 * sum(d) != grade:
             raise RuntimeError(
-                f"grading violation: term ({format_word(w.word)}, {d}) in a "
-                f"degree-{grade} product"
+                f"grading violation: term ({format_word(eng.elements[x].word)}, "
+                f"{d}) in a degree-{grade} product"
             )
-    return QClass(rs, BOREL, terms)
+    return terms
 
 
-def _axpy(y, f, x):
-    """y += f * x on sparse dicts, dropping the entries that cancel."""
+def _combine(s, y, f, x):
+    """y = s * y + f * x on sparse dicts, dropping the entries that cancel."""
+    if s != 1:
+        for key in y:
+            y[key] *= s
     for key, a in x.items():
         c = y.get(key, 0) + f * a
         if c:
@@ -263,32 +286,40 @@ def _axpy(y, f, x):
 def _left_inverse(rows, ncols):
     """Exact left inverse of a full-column-rank integer matrix.
 
-    `rows` gives each row as sparse (column, int) pairs.  Gauss-Jordan over
-    dict rows, pivoting on the first remaining row with a nonzero entry in
-    the column, tracks each row as a combination of the input rows.  Returns,
-    per column, a common denominator `den` and integer (row, coefficient)
-    pairs with den * x[column] = sum coefficient * b[row] whenever A x = b.
+    `rows` gives each row as sparse (column, int) pairs.  Fraction-free
+    Gauss-Jordan over dict rows, pivoting on the first remaining row with a
+    nonzero entry in the column, tracks each row as an integer combination
+    of the input rows; an elimination step scales a row by the pivot and
+    divides out the gcd of its entries.  Returns, per column, the least
+    denominator `den` and integer (row, coefficient) pairs with
+    den * x[column] = sum coefficient * b[row] whenever A x = b.
     """
-    m = [{col: Fraction(a) for col, a in row} for row in rows]
-    comb = [{r: Fraction(1)} for r in range(len(rows))]
+    m = [dict(row) for row in rows]
+    comb = [{r: 1} for r in range(len(rows))]
     for col in range(ncols):
         piv = next((r for r in range(col, len(m)) if col in m[r]), None)
         if piv is None:
             raise RuntimeError("recursion system is rank deficient")
         m[col], m[piv] = m[piv], m[col]
         comb[col], comb[piv] = comb[piv], comb[col]
-        inv = 1 / m[col][col]
-        pivot = m[col] = {c: a * inv for c, a in m[col].items()}
-        pcomb = comb[col] = {r: a * inv for r, a in comb[col].items()}
+        pivot, pcomb = m[col], comb[col]
+        p = pivot[col]
         for r, row in enumerate(m):
             f = row.get(col)
             if f and r != col:
-                _axpy(row, -f, pivot)
-                _axpy(comb[r], -f, pcomb)
+                g = gcd(p, f)
+                _combine(p // g, row, -f // g, pivot)
+                _combine(p // g, comb[r], -f // g, pcomb)
+                g = gcd(*row.values(), *comb[r].values())
+                if g != 1:
+                    for vec in (row, comb[r]):
+                        for key in vec:
+                            vec[key] //= g
     inverse = []
-    for terms in comb[:ncols]:
-        den = lcm(*(a.denominator for a in terms.values()))
-        inverse.append((den, tuple((r, int(a * den)) for r, a in sorted(terms.items()))))
+    for col in range(ncols):
+        den, terms = m[col][col], comb[col]
+        g = gcd(den, *terms.values()) * (1 if den > 0 else -1)
+        inverse.append((den // g, tuple((r, a // g) for r, a in sorted(terms.items()))))
     return tuple(inverse)
 
 
@@ -299,101 +330,105 @@ def _level(eng, k):
     elements, and its exact left inverse."""
     got = eng.levels.get(k)
     if got is None:
-        pos = {w: t for t, w in enumerate(eng.by_length[k])}
+        eng.extend_moves(k - 1)
+        first = eng.by_length[k][0]
+        # a classical move keeps the key below |W|: its degree part is zero
         rows = tuple(
-            tuple((pos[ws], cor[i]) for cor, ws in _moves(eng, wp)[0] if cor[i])
-            for wp in eng.by_length[k - 1]
-            for i in range(eng.rs.rank)
+            tuple((x + delta - first, a) for delta, a in moves if x + delta < eng.size)
+            for x in eng.by_length[k - 1]
+            for moves in eng.chevalley[x]
         )
-        got = (rows, _left_inverse(rows, len(pos)))
+        got = (rows, _left_inverse(rows, len(eng.by_length[k])))
         eng.levels[k] = got
     return got
 
 
-def _right_hand_sides(eng, by, prev):
-    """Per row (w', i) of the level system: sigma_{s_i} * (sigma_{w'} *
-    sigma_v) minus the quantum moves of w', as plain dicts."""
-    rs = eng.rs
+def _right_hand_sides(eng, by, k):
+    """Per row (w', i) of the length-k system: sigma_{s_i} * (sigma_{w'} *
+    sigma_v) minus the quantum moves of w', as int-keyed dicts."""
+    size, chevalley = eng.size, eng.chevalley
     rhs = []
-    for wp in prev:
-        known = by[wp].terms.items()
-        qmoves = _moves(eng, wp)[1]
-        for i in range(1, rs.rank + 1):
-            b = {}
-            for (x, d), c in known:
-                for (y, d2), c2 in chevalley_multiply(rs, i, x).terms.items():
-                    key = (y, tuple(map(add, d, d2)))
-                    b[key] = b.get(key, 0) + c * c2
-            for cor, ws in qmoves:
-                a = cor[i - 1]
+    for wp in eng.by_length[k - 1]:
+        rows = [{} for _ in range(eng.rs.rank)]
+        for key, c in by[wp].items():
+            for b, moves in zip(rows, chevalley[key % size]):
+                for delta, a in moves:
+                    y = key + delta
+                    b[y] = b.get(y, 0) + c * a
+        for cor, shift, ws in eng.qmoves[wp]:
+            for b, a in zip(rows, cor):
                 if a:
-                    for (y, d), c in by[ws].terms.items():
-                        key = (y, tuple(map(add, d, cor)))
-                        b[key] = b.get(key, 0) - a * c
-            rhs.append(b)
+                    for key, c in by[ws].items():
+                        y = key + shift
+                        b[y] = b.get(y, 0) - a * c
+        rhs.extend(rows)
     return rhs
 
 
 def _solve_level(eng, by, k):
-    """sigma_w * sigma_v for every w of length k: the level's left inverse
-    applied to the right-hand sides, divided exactly, then checked against
-    every row of the system."""
-    level, prev = eng.by_length[k], eng.by_length[k - 1]
+    """sigma_w * sigma_v for every w of length k, in index order: the level's
+    left inverse applied to the right-hand sides, divided exactly, then
+    checked against every row of the system."""
     rows, inverse = _level(eng, k)
-    rhs = _right_hand_sides(eng, by, prev)
+    rhs = _right_hand_sides(eng, by, k)
     sol = []
-    for w, (den, comb) in zip(level, inverse):
+    for x, (den, comb) in zip(eng.by_length[k], inverse):
         acc = {}
         for r, a in comb:
             for key, c in rhs[r].items():
                 acc[key] = acc.get(key, 0) + a * c
-        x = {}
+        terms = {}
         for key, c in acc.items():
             q, rem = divmod(c, den)
             if rem:
+                g = gcd(c, den)
                 raise RuntimeError(
-                    f"non-integer structure constant {Fraction(c, den)} at {w}"
+                    f"non-integer structure constant {c // g}/{den // g} "
+                    f"at {eng.elements[x]}"
                 )
             if q:
-                x[key] = q
-        sol.append(x)
+                terms[key] = q
+        sol.append(terms)
     for r, (row, b) in enumerate(zip(rows, rhs)):
         residual = dict(b)
         for col, a in row:
             for key, c in sol[col].items():
                 residual[key] = residual.get(key, 0) - a * c
         if any(residual.values()):
-            wp, i = prev[r // eng.rs.rank], r % eng.rs.rank + 1
+            wp = eng.elements[eng.by_length[k - 1][r // eng.rs.rank]]
             raise RuntimeError(
                 f"recursion system is inconsistent on row "
-                f"({format_word(wp.word)}, {i})"
+                f"({format_word(wp.word)}, {r % eng.rs.rank + 1})"
             )
-    return zip(level, sol)
+    return sol
 
 
-def _products(rs, v, upto):
-    """Fill the per-v cache with sigma_w * sigma_v for all lengths <= upto."""
-    eng = _engine(rs)
-    slot = eng.tables.get(v)
-    if slot is None:
-        slot = {"upto": -1, "by": {}}
-        eng.tables[v] = slot
-    by = slot["by"]
-    for k in range(slot["upto"] + 1, upto + 1):
+def _products(eng, v, upto):
+    """sigma_w * sigma_v as int-keyed terms, per element index w, for every w
+    of length <= upto; the list grows by whole length levels and is kept per
+    right factor v (an element index)."""
+    by = eng.tables.setdefault(v, [])
+    lv = eng.lengths[v]
+    # level k reads the moves of the terms of sigma_w * sigma_v with
+    # l(w) = k - 1, which have length at most k - 1 + l(v)
+    eng.extend_moves(upto - 1 + lv)
+    for k in range(eng.lengths[len(by) - 1] + 1 if by else 0, upto + 1):
         if k == 0:
-            by[identity(rs)] = QClass.unit(rs, BOREL, v)
+            by.append({v: 1})
         elif k == 1:
-            for w in eng.by_length.get(1, ()):
-                by[w] = _finalized(
-                    rs, chevalley_multiply(rs, w.word[0], v).terms, 1 + v.length
-                )
-        elif k in eng.by_length:
-            for w, terms in _solve_level(eng, by, k):
-                by[w] = _finalized(rs, terms, k + v.length)
-        slot["upto"] = k
+            for x in eng.by_length[1]:
+                moves = eng.chevalley[v][eng.elements[x].word[0] - 1]
+                terms = {v + delta: a for delta, a in moves}
+                by.append(_finalized(eng, terms, 1 + lv))
+        else:
+            by.extend(
+                _finalized(eng, terms, k + lv) for terms in _solve_level(eng, by, k)
+            )
     return by
 
 
 def quantum_product(rs: RootSystem, u: WeylElement, v: WeylElement) -> QClass:
     """Quantum product of two Schubert classes on the full flag variety."""
-    return _products(rs, v, u.length)[u]
+    eng = _engine(rs)
+    by = _products(eng, eng.index[v.perm], u.length)
+    return eng.qclass(by[eng.index[u.perm]])

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -11,6 +12,7 @@ from qflag import (
     classical_product,
     enumerate_min_reps,
     format_qclass,
+    format_word,
     from_word,
     gw_invariant,
     identity,
@@ -217,20 +219,31 @@ def _level_systems(eng):
     return {k: _level(eng, k) for k in sorted(eng.by_length) if k >= 2}
 
 
-@pytest.mark.parametrize("name", ["A3", "B2", "G2", "B3", "C3", "D4"])
+# the largest denominator of each type's level inverses, as the Fraction
+# factorization gave them
+_LARGEST_DENOMINATOR = {
+    "A3": 1, "B2": 2, "G2": 2, "B3": 4, "C3": 1, "D4": 2, "B4": 8, "F4": 48,
+}
+
+
+@pytest.mark.parametrize("name", list(_LARGEST_DENOMINATOR))
 def test_level_inverse_is_exact(name):
     eng = _engine(build_root_system(name))
+    dens = []
     for k, (rows, inverse) in _level_systems(eng).items():
         ncols = len(eng.by_length[k])
         assert len(inverse) == ncols
         for j, (den, comb) in enumerate(inverse):
             assert isinstance(den, int) and den >= 1
+            assert gcd(den, *(a for _, a in comb)) == 1
             product = [0] * ncols
             for r, a in comb:
                 assert isinstance(a, int)
                 for col, entry in rows[r]:
                     product[col] += a * entry
             assert product == [den if col == j else 0 for col in range(ncols)]
+            dens.append(den)
+    assert max(dens) == _LARGEST_DENOMINATOR[name]
 
 
 def test_left_inverse_rejects_rank_deficient_matrix():
@@ -244,22 +257,24 @@ def _private_engine(name):
     return rs, _engine(rs)
 
 
-def _corrupt_chevalley(rs, eng, i, w):
-    """Add 1 to one classical coefficient of the memoized sigma_{s_i} * sigma_w."""
-    qc = chevalley_multiply(rs, i, w)
-    key = next(key for key in qc.terms if not any(key[1]))
-    terms = dict(qc.terms)
-    terms[key] += 1
-    eng.chev[(i, w)] = QClass(rs, BOREL, terms)
+def _corrupt_chevalley(eng, i, x):
+    """Add 1 to one classical coefficient of sigma_{s_i} * sigma_x in the
+    integer move table that the right-hand sides read; the level systems,
+    already factored, keep the true coefficient."""
+    moves = list(eng.chevalley[x][i - 1])
+    t = next(t for t, (delta, _) in enumerate(moves) if x + delta < eng.size)
+    moves[t] = (moves[t][0], moves[t][1] + 1)
+    per_divisor = list(eng.chevalley[x])
+    per_divisor[i - 1] = tuple(moves)
+    eng.chevalley[x] = tuple(per_divisor)
 
 
 def test_corrupted_chevalley_coefficient_breaks_consistency():
     rs, eng = _private_engine("A3")
     assert all(den == 1 for _, inv in _level_systems(eng).values() for den, _ in inv)
-    w = eng.by_length[2][0]
-    _corrupt_chevalley(rs, eng, 1, w)
+    _corrupt_chevalley(eng, 1, eng.by_length[2][0])
     with pytest.raises(RuntimeError, match="inconsistent"):
-        quantum_product(rs, eng.by_length[3][0], identity(rs))
+        quantum_product(rs, eng.elements[eng.by_length[3][0]], identity(rs))
 
 
 def test_corrupted_chevalley_coefficient_breaks_integrality():
@@ -273,21 +288,27 @@ def test_corrupted_chevalley_coefficient_breaks_integrality():
         for r, a in comb
         if a % den
     )
-    prev = eng.by_length[k - 1]
-    _corrupt_chevalley(rs, eng, r % rs.rank + 1, prev[r // rs.rank])
+    _corrupt_chevalley(eng, r % rs.rank + 1, eng.by_length[k - 1][r // rs.rank])
     with pytest.raises(RuntimeError, match="non-integer structure constant"):
-        quantum_product(rs, eng.by_length[k][j], identity(rs))
+        quantum_product(rs, eng.elements[eng.by_length[k][j]], identity(rs))
 
 
 def test_levels_are_shared_by_every_product(tmp_path, capsys):
     assert main(["table", "--type", "B3", "--parabolic", "", "--json",
                  "--cache-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
     rs = build_root_system("B3")
     eng = _engine(rs)
     levels = dict(eng.levels)
     assert sorted(levels) == [k for k in sorted(eng.by_length) if k >= 2]
+    # drop the per-right-factor products, so that the commands below solve
+    # their level systems again
+    eng.tables.clear()
     w_o = longest_element(rs, ParabolicSubset.full(rs.rank))
-    classical_product(rs, w_o, w_o)
+    word = format_word(w_o.word)
+    assert main(["table", "--type", "B3", "--parabolic", "1", "--json",
+                 "--cache-dir", str(tmp_path)]) == 0
+    assert main(["mul", "--type", "B3", "--u", word, "--v", word]) == 0
+    capsys.readouterr()
+    assert eng.index[w_o.perm] in eng.tables
     assert eng.levels == levels
     assert all(eng.levels[k] is levels[k] for k in levels)
