@@ -34,7 +34,9 @@ def make_document(type_name, parabolic, entries) -> dict:
     }
 
 
-def _well_formed(doc, type_name, parabolic):
+def _well_formed(doc, type_name, parabolic, words):
+    """The header, then one entry per (u, v) pair of basis words in order,
+    each term a basis word, integer degrees and a positive coefficient."""
     if not isinstance(doc, dict):
         return "not a JSON object"
     if doc.get("version") != TABLE_FORMAT_VERSION:
@@ -44,33 +46,43 @@ def _well_formed(doc, type_name, parabolic):
     entries = doc.get("entries")
     if not isinstance(entries, list):
         return "entries is not a list"
+    if len(entries) != len(words) ** 2:
+        return "basis mismatch"
+    basis = set(words)
+    pairs = ((u, v) for u in words for v in words)
     free = CartanType.parse(type_name).rank - len(parabolic)
-    for entry in entries:
+    for entry, pair in zip(entries, pairs):
         if not (
             isinstance(entry, dict)
             and {"u", "v", "terms"} <= set(entry)
-            and type(entry["u"]) is type(entry["v"]) is str
             and type(entry["terms"]) is list
         ):
             return "malformed entry"
+        if (entry["u"], entry["v"]) != pair:
+            return "basis mismatch"
         for term in entry["terms"]:
             if not isinstance(term, dict) or not {"w", "q", "c"} <= set(term):
                 return "malformed term"
-            q = term["q"]
+            w, q, c = term["w"], term["q"], term["c"]
             if (
-                type(term["w"]) is not str or type(term["c"]) is not int
+                type(w) is not str or type(c) is not int
                 or type(q) is not list or len(q) != free
             ):
                 return "malformed term payload"
+            if w not in basis:
+                return f"term word {w!r} is not a basis word"
+            if c < 1:
+                return f"non-positive coefficient {c}"
             for x in q:  # a loop, not all(...): this runs once per cached term
                 if type(x) is not int:
                     return "malformed term payload"
     return None
 
 
-def load_document(path, type_name, parabolic):
+def load_document(path, type_name, parabolic, words):
     """Return (entries, problem).  entries is None unless the file exists and
-    passes every structural check; problem describes why it was rejected."""
+    passes every check, against `words`, the basis words in order; problem
+    describes why it was rejected."""
     if not os.path.exists(path):
         return None, None
     try:
@@ -78,7 +90,7 @@ def load_document(path, type_name, parabolic):
             doc = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         return None, f"unreadable cache {path}: {exc}"
-    problem = _well_formed(doc, type_name, parabolic)
+    problem = _well_formed(doc, type_name, parabolic, words)
     if problem:
         return None, f"ignoring cache {path}: {problem}"
     return doc["entries"], None

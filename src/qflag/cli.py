@@ -111,7 +111,6 @@ def cmd_lift(args):
         "type": str(rs.cartan_type),
         "parabolic": list(parabolic.indices),
         "degree": list(degree),
-        "lambdaB": list(cd.d_B.lam),
         "dB": list(cd.d_B.lam),
         "Pprime": list(cd.j_prime.indices),
         "wPrime": format_word(cd.w_prime.word),
@@ -122,7 +121,7 @@ def cmd_lift(args):
         payload,
         [
             f"type: {payload['type']}  parabolic: {payload['parabolic']}  degree: {payload['degree']}",
-            f"lambda_B: {payload['lambdaB']}",
+            f"lambda_B: {payload['dB']}",
             f"d_B: {payload['dB']}",
             f"P_prime: {payload['Pprime']}",
             f"w_prime: {payload['wPrime']}",
@@ -194,22 +193,22 @@ def cmd_table(args):
     basis = enumerate_min_reps(rs, parabolic)
     cache_dir = args.cache_dir or cache_io.default_cache_dir()
     path = cache_io.table_path(cache_dir, str(rs.cartan_type), parabolic)
-    entries, problem = cache_io.load_document(path, str(rs.cartan_type), parabolic)
+    words = [format_word(w.word) for w in basis]
+    entries, problem = cache_io.load_document(
+        path, str(rs.cartan_type), parabolic, words
+    )
     if problem:
         print(f"warning: {problem}", file=sys.stderr)
-    if entries is not None and not _table_matches_basis(entries, basis):
-        print(f"warning: ignoring cache {path}: basis mismatch", file=sys.stderr)
-        entries = None
     fresh = entries is None
     if fresh:
         entries = [
             {
-                "u": format_word(u.word),
-                "v": format_word(v.word),
+                "u": uw,
+                "v": vw,
                 "terms": _term_dicts(parabolic_quantum_product(rs, parabolic, u, v)),
             }
-            for u in basis
-            for v in basis
+            for u, uw in zip(basis, words)
+            for v, vw in zip(basis, words)
         ]
     else:
         print(f"cache hit: {path}", file=sys.stderr)
@@ -231,14 +230,6 @@ def cmd_table(args):
             rendered = format_terms((t["w"], t["q"], t["c"]) for t in entry["terms"])
             print(f"sigma[{entry['u']}] * sigma[{entry['v']}] = {rendered}")
     return 0
-
-
-def _table_matches_basis(entries, basis):
-    words = [format_word(w.word) for w in basis]
-    if len(entries) != len(words) ** 2:
-        return False
-    expected = [(u, v) for u in words for v in words]
-    return [(e["u"], e["v"]) for e in entries] == expected
 
 
 def _suite_associativity(args):

@@ -30,9 +30,7 @@ class CurveClass:
 
     @property
     def degree(self) -> tuple:
-        return tuple(
-            self.lam[i - 1] for i in self.parabolic.free_nodes(self.rs.rank)
-        )
+        return push_degree(self.rs, self.parabolic, self.lam)
 
 
 @dataclass(frozen=True)
@@ -202,16 +200,13 @@ def hom_dimension(rs: RootSystem, parabolic: ParabolicSubset, degree) -> int:
 
 def is_generic_levi_semistable(rs: RootSystem, parabolic: ParabolicSubset, degree) -> bool:
     """Whether a generic degree-d map pulls the Levi bundle back to a
-    semistable bundle: the lift must pair to zero with every parabolic node."""
+    semistable bundle: the lift's derived parabolic must be all of J."""
     free = _require_degree_context(rs, parabolic)
     degree = _as_degree(degree, free)
     if any(x < 0 for x in degree):
         raise ValueError(f"degree {degree} is not effective")
     lam = peterson_lift(rs, parabolic, degree).lam
-    return all(
-        rs.pairing(rs.positive_roots[rs._simple_global[j - 1]], lam) == 0
-        for j in parabolic.indices
-    )
+    return derived_parabolic(rs, parabolic, lam) == parabolic
 
 
 def enumerate_alcove_lifts(rs, parabolic, degree, window=6):

@@ -1,7 +1,7 @@
 """Small quantum cohomology of the full flag variety in the Schubert basis.
 
 Divisor classes multiply by the quantum Chevalley rule.  A product by a class
-of length k >= 2 is recovered from the divisor rule: the products of all
+of length k >= 1 is recovered from the divisor rule: the products of all
 length-k classes with a fixed right factor satisfy one linear equation per
 (divisor, length-(k-1) class) pair, with right-hand sides known by induction,
 and the system has full column rank because divisors generate the cohomology.
@@ -10,7 +10,9 @@ and k, so it is factored once per (root system, length) by fraction-free
 Gauss-Jordan: an exact sparse left inverse, each column stored as integers
 over its least common denominator.  For each right factor the inverse is
 applied to the right-hand sides, the result is divided exactly (a remainder is
-an error), and every row of the system is checked.  Everything is integer
+an error), and every row of the system is checked.  Level 1 is the identity
+system, one row (e, i) with the single entry 1 at s_i, so the same solve reads
+the divisor products off its right-hand sides.  Everything is integer
 arithmetic; no Fractions and no floats.  The recursion has one mode, the
 quantum one: the cup product is computed apart from it, by localization, in
 `classical.py`.
@@ -407,23 +409,13 @@ def _products(eng, v, upto):
     """sigma_w * sigma_v as int-keyed terms, per element index w, for every w
     of length <= upto; the list grows by whole length levels and is kept per
     right factor v (an element index)."""
-    by = eng.tables.setdefault(v, [])
+    by = eng.tables.setdefault(v, [{v: 1}])
     lv = eng.lengths[v]
     # level k reads the moves of the terms of sigma_w * sigma_v with
     # l(w) = k - 1, which have length at most k - 1 + l(v)
     eng.extend_moves(upto - 1 + lv)
-    for k in range(eng.lengths[len(by) - 1] + 1 if by else 0, upto + 1):
-        if k == 0:
-            by.append({v: 1})
-        elif k == 1:
-            for x in eng.by_length[1]:
-                moves = eng.chevalley[v][eng.elements[x].word[0] - 1]
-                terms = {v + delta: a for delta, a in moves}
-                by.append(_finalized(eng, terms, 1 + lv))
-        else:
-            by.extend(
-                _finalized(eng, terms, k + lv) for terms in _solve_level(eng, by, k)
-            )
+    for k in range(eng.lengths[len(by) - 1] + 1, upto + 1):
+        by.extend(_finalized(eng, terms, k + lv) for terms in _solve_level(eng, by, k))
     return by
 
 

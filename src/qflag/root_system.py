@@ -317,9 +317,6 @@ class RootSystem:
             raise ValueError(f"{tuple(alpha)} is not a positive root of {self.cartan_type}")
         return g
 
-    def coroot(self, alpha):
-        return self.positive_coroots[self.positive_index(alpha)]
-
     def reflection_perm(self, g):
         """Permutation of the full root list induced by the reflection in the
         g-th positive root."""
@@ -398,16 +395,12 @@ class RootSystem:
     def highest_root_in(self, component):
         """Root of maximal height supported on a connected node set, with its
         coroot.  Uniqueness of the maximum is asserted."""
-        comp = set(component)
-        best = []
-        best_h = -1
-        for g, r in enumerate(self.positive_roots):
-            if all(r[j] == 0 or (j + 1) in comp for j in range(self.rank)):
-                h = sum(r)
-                if h > best_h:
-                    best, best_h = [g], h
-                elif h == best_h:
-                    best.append(g)
+        heights = {
+            g: sum(self.positive_roots[g])
+            for g in self.parabolic_root_indices(ParabolicSubset.of(component))
+        }
+        top = max(heights.values(), default=-1)
+        best = [g for g, h in heights.items() if h == top]
         if len(best) != 1:
             raise RuntimeError(f"highest root of component {component} is not unique")
         g = best[0]

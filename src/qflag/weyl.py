@@ -97,9 +97,6 @@ class WeylElement:
         g = self.rs._simple_global[i - 1]
         return self.perm[g] >= self.rs.npos
 
-    def is_identity(self) -> bool:
-        return self.perm == self.rs.identity_perm
-
     def __eq__(self, other):
         return (
             isinstance(other, WeylElement)

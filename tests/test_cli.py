@@ -283,6 +283,12 @@ def test_repeated_commands_share_one_engine(capsys):
         ("q", [0, 0]),
         ("q", [True]),
         ("q", 0),
+        ("w", "banana"),
+        ("w", "s2"),  # reduced, but not a minimal representative of A2/{2}
+        ("w", [1]),
+        ("c", 0),
+        ("c", -1),
+        ("u", "s2s1"),  # a basis word at the wrong (u, v) position
     ],
 )
 def test_table_rejects_mistyped_cache_fields(tmp_path, capsys, field, value):

@@ -216,7 +216,7 @@ def test_qclass_arithmetic_helpers():
 
 
 def _level_systems(eng):
-    return {k: _level(eng, k) for k in sorted(eng.by_length) if k >= 2}
+    return {k: _level(eng, k) for k in sorted(eng.by_length) if k >= 1}
 
 
 # the largest denominator of each type's level inverses, as the Fraction
@@ -299,7 +299,7 @@ def test_levels_are_shared_by_every_product(tmp_path, capsys):
     rs = build_root_system("B3")
     eng = _engine(rs)
     levels = dict(eng.levels)
-    assert sorted(levels) == [k for k in sorted(eng.by_length) if k >= 2]
+    assert sorted(levels) == [k for k in sorted(eng.by_length) if k >= 1]
     # drop the per-right-factor products, so that the commands below solve
     # their level systems again
     eng.tables.clear()
