@@ -1,7 +1,17 @@
-"""Persistence for structure-constant tables.
+"""Persistence and encoding of structure-constant tables.
 
-One JSON document per (type, parabolic).  Documents carry a format version
-and echo their type and parabolic; anything corrupted or mismatched is
+One JSON document per (type, parabolic), format version 1.  The cache file
+is byte for byte the stdout of `table --json` (plus a final newline): both
+are the one string of `encode_document`, the schema writer, which gives the
+bytes of json.dumps(doc, indent=2, sort_keys=True) without running json's
+pure-Python indent encoder.
+
+A cached document is trusted only after one pass over all of it: the format
+version, the type/parabolic header, one entry per (u, v) pair of basis words
+in the basis order, exactly the keys {u, v, terms} on an entry and
+{w, q, c} on a term, every term word a basis word, non-negative int
+q-degrees with one coordinate per free node, positive int coefficients, and
+the grading l(w) + c_1(q) = l(u) + l(v) on every term.  Anything else is
 reported back and never trusted.  Writes are whole-file atomic.
 """
 
@@ -10,8 +20,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from functools import cache
 
-from .root_system import CartanType
+from .compare import anticanonical_pairing
+from .root_system import build_root_system
+from .weyl import parse_word
 
 TABLE_FORMAT_VERSION = 1
 
@@ -34,9 +47,47 @@ def make_document(type_name, parabolic, entries) -> dict:
     }
 
 
+def _int_list(values, pad):
+    """A list of ints as json's indent=2 encoder writes it at indent `pad`."""
+    if not values:
+        return "[]"
+    inner = f",\n{pad}  ".join(json.dumps(x) for x in values)
+    return f"[\n{pad}  {inner}\n{pad}]"
+
+
+def encode_document(doc) -> str:
+    """The string json.dumps(doc, indent=2, sort_keys=True) gives for a table
+    document (str words, int degrees and coefficients), built with f-strings.
+    Each distinct word and q vector is encoded once, through json.dumps."""
+    words = cache(json.dumps)
+    degrees = cache(lambda q: _int_list(q, " " * 10))
+    entries = []
+    for entry in doc["entries"]:
+        terms = ",\n".join(
+            f'        {{\n          "c": {t["c"]},\n'
+            f'          "q": {degrees(tuple(t["q"]))},\n'
+            f'          "w": {words(t["w"])}\n        }}'
+            for t in entry["terms"]
+        )
+        terms = f"[\n{terms}\n      ]" if terms else "[]"
+        entries.append(
+            f'    {{\n      "terms": {terms},\n      "u": {words(entry["u"])},\n'
+            f'      "v": {words(entry["v"])}\n    }}'
+        )
+    body = ",\n".join(entries)
+    body = f"[\n{body}\n  ]" if entries else "[]"
+    return (
+        f'{{\n  "entries": {body},\n'
+        f'  "parabolic": {_int_list(doc["parabolic"], "  ")},\n'
+        f'  "type": {json.dumps(doc["type"])},\n'
+        f'  "version": {json.dumps(doc["version"])}\n}}'
+    )
+
+
 def _well_formed(doc, type_name, parabolic, words):
     """The header, then one entry per (u, v) pair of basis words in order,
-    each term a basis word, integer degrees and a positive coefficient."""
+    with exact key sets, each term a basis word, non-negative integer
+    degrees, a positive coefficient and the grading of G/P."""
     if not isinstance(doc, dict):
         return "not a JSON object"
     if doc.get("version") != TABLE_FORMAT_VERSION:
@@ -48,34 +99,53 @@ def _well_formed(doc, type_name, parabolic, words):
         return "entries is not a list"
     if len(entries) != len(words) ** 2:
         return "basis mismatch"
-    basis = set(words)
+    rs = build_root_system(type_name)
+    length = {w: len(parse_word(w)) for w in words}
     pairs = ((u, v) for u in words for v in words)
-    free = CartanType.parse(type_name).rank - len(parabolic)
+    free = rs.rank - len(parabolic)
+    c1 = {}  # c_1(q) per distinct degree
     for entry, pair in zip(entries, pairs):
-        if not (
-            isinstance(entry, dict)
-            and {"u", "v", "terms"} <= set(entry)
-            and type(entry["terms"]) is list
-        ):
+        # exactly the keys u, v, terms: all three present, and no other
+        try:
+            u, v, terms = entry["u"], entry["v"], entry["terms"]
+        except (KeyError, TypeError):  # a key missing, or not an object
             return "malformed entry"
-        if (entry["u"], entry["v"]) != pair:
+        if len(entry) != 3 or type(terms) is not list:
+            return "malformed entry"
+        if (u, v) != pair:
             return "basis mismatch"
-        for term in entry["terms"]:
-            if not isinstance(term, dict) or not {"w", "q", "c"} <= set(term):
+        grade = length[u] + length[v]
+        for term in terms:
+            try:  # likewise exactly w, q, c
+                w, q, c = term["w"], term["q"], term["c"]
+            except (KeyError, TypeError):
                 return "malformed term"
-            w, q, c = term["w"], term["q"], term["c"]
+            if len(term) != 3:
+                return "malformed term"
             if (
                 type(w) is not str or type(c) is not int
                 or type(q) is not list or len(q) != free
             ):
                 return "malformed term payload"
-            if w not in basis:
+            lw = length.get(w)
+            if lw is None:
                 return f"term word {w!r} is not a basis word"
             if c < 1:
                 return f"non-positive coefficient {c}"
             for x in q:  # a loop, not all(...): this runs once per cached term
                 if type(x) is not int:
                     return "malformed term payload"
+            key = tuple(q)
+            degree = c1.get(key)
+            if degree is None:
+                if min(key, default=0) < 0:
+                    return f"negative q-degree {q}"
+                # c_1 pairs to at least 2 with each free coroot, so a larger
+                # degree is off the grading; it is never lifted
+                if sum(key) <= grade:
+                    degree = c1[key] = anticanonical_pairing(rs, parabolic, key)
+            if degree is None or lw + degree != grade:
+                return f"term {w!r} q^{q} of {pair} breaks the grading"
     return None
 
 

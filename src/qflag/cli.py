@@ -215,7 +215,7 @@ def cmd_table(args):
     doc = cache_io.make_document(str(rs.cartan_type), parabolic, entries)
     if fresh or args.json:
         # one encoding serves both the cache file and stdout
-        encoded = json.dumps(doc, indent=2, sort_keys=True)
+        encoded = cache_io.encode_document(doc)
     if fresh:
         cache_io.store_document(path, encoded)
         print(f"cache write: {path}", file=sys.stderr)

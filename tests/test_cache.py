@@ -1,0 +1,68 @@
+"""The table schema writer gives the bytes of json's indent encoder."""
+
+import json
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from qflag.cache import encode_document
+from qflag.cli import main
+
+
+def reference(doc):
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+# basis-like words, and words that need JSON escapes: quote, backslash,
+# control and non-ASCII characters
+words = st.one_of(
+    st.sampled_from(["e", "s1", "s2s1", "s10s3", '"', "\\", "sé", "σ", "\n\t"]),
+    st.text(max_size=6),
+)
+terms = st.fixed_dictionaries(
+    {
+        "w": words,
+        "q": st.lists(st.integers(min_value=0, max_value=10**6), max_size=4),
+        "c": st.integers(min_value=1, max_value=10**30),
+    }
+)
+entries = st.fixed_dictionaries(
+    {"u": words, "v": words, "terms": st.lists(terms, max_size=4)}
+)
+documents = st.fixed_dictionaries(
+    {
+        "version": st.just(1),
+        "type": st.sampled_from(["A2", "B3", "G2", "D4"]),
+        "parabolic": st.lists(st.integers(min_value=1, max_value=8), max_size=4),
+        "entries": st.lists(entries, max_size=5),
+    }
+)
+
+
+@settings(deadline=None)  # a timing limit would make a slow machine fail it
+@given(documents)
+@example({"version": 1, "type": "A2", "parabolic": [], "entries": []})
+@example(
+    {"version": 1, "type": "A2", "parabolic": [2],
+     "entries": [{"u": "e", "v": "e", "terms": []}]}
+)
+def test_writer_matches_json_indent_encoder(doc):
+    assert encode_document(doc) == reference(doc)
+
+
+@pytest.mark.parametrize(
+    "type_name, parabolic, name",
+    [("B3", "", "B3-borel.json"), ("A3", "1,3", "A3-1-3.json"),
+     ("D4", "1,3,4", "D4-1-3-4.json")],
+)
+def test_cache_file_is_the_writer_output_on_real_tables(
+    tmp_path, capsys, type_name, parabolic, name
+):
+    argv = ["table", "--type", type_name, "--parabolic", parabolic,
+            "--cache-dir", str(tmp_path), "--json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    text = (tmp_path / name).read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert encode_document(doc) == reference(doc)
+    assert text == out == reference(doc) + "\n"

@@ -289,6 +289,11 @@ def test_repeated_commands_share_one_engine(capsys):
         ("c", 0),
         ("c", -1),
         ("u", "s2s1"),  # a basis word at the wrong (u, v) position
+        ("note", "x"),  # a key outside {u, v, terms} on an entry
+        ("extra", 1),  # a key outside {w, q, c} on a term
+        ("q", [-1]),
+        ("q", [1]),  # sigma[e] * sigma[s1] = q1 * sigma[s1] is off the grading
+        ("q", [10**9]),
     ],
 )
 def test_table_rejects_mistyped_cache_fields(tmp_path, capsys, field, value):
@@ -297,7 +302,7 @@ def test_table_rejects_mistyped_cache_fields(tmp_path, capsys, field, value):
     path = tmp_path / "A2-2.json"
     doc = json.loads(path.read_text(encoding="utf-8"))
     entry = doc["entries"][1]
-    if field in ("terms", "u", "v"):
+    if field in ("terms", "u", "v", "note"):
         entry[field] = value
     else:
         entry["terms"][0][field] = value
