@@ -12,14 +12,14 @@ in the basis order, exactly the keys {u, v, terms} on an entry and
 {w, q, c} on a term, every term word a basis word, non-negative int
 q-degrees with one coordinate per free node, positive int coefficients, and
 the grading l(w) + c_1(q) = l(u) + l(v) on every term.  Anything else is
-reported back and never trusted.  Writes are whole-file atomic.
+reported back and never trusted.  Writes are whole-file atomic, and a cache
+file gets mode 0666 less the umask.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from functools import cache
 
 from .compare import anticanonical_pairing
@@ -170,7 +170,9 @@ def store_document(path, encoded):
     """Write an encoded document and a final newline atomically."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qflag-", suffix=".tmp")
+    tmp = os.path.join(directory, f".qflag-{os.urandom(8).hex()}.tmp")
+    # mode 0666 less the umask, like any other file the user writes
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(encoded)

@@ -22,7 +22,7 @@ from .compare import (
     star,
 )
 from .degrees import enumerate_alcove_lifts, is_effective, peterson_lift
-from .quantum import QClass, format_qclass, format_terms
+from .quantum import QClass, _oriented_product, format_qclass, format_terms
 from .root_system import CartanType, ParabolicSubset, build_root_system
 from .weyl import (
     EnumerationBoundError,
@@ -201,14 +201,15 @@ def cmd_table(args):
         print(f"warning: {problem}", file=sys.stderr)
     fresh = entries is None
     if fresh:
+        # the ring is commutative: entry (j, i) reuses the terms of (i, j)
+        rows = [
+            [_term_dicts(parabolic_quantum_product(rs, parabolic, u, v)) for v in basis[i:]]
+            for i, u in enumerate(basis)
+        ]
         entries = [
-            {
-                "u": uw,
-                "v": vw,
-                "terms": _term_dicts(parabolic_quantum_product(rs, parabolic, u, v)),
-            }
-            for u, uw in zip(basis, words)
-            for v, vw in zip(basis, words)
+            {"u": uw, "v": vw, "terms": rows[min(i, j)][abs(j - i)]}
+            for i, uw in enumerate(words)
+            for j, vw in enumerate(words)
         ]
     else:
         print(f"cache hit: {path}", file=sys.stderr)
@@ -254,7 +255,10 @@ def _suite_associativity(args):
     for a, b, c in triples:
         if star(product(a, b), unit(c)) != star(unit(a), product(b, c)):
             bad_assoc += 1
-        if product(a, b) != product(b, a):
+        # both orders of `product` read one Borel table, so compare the two
+        # recursions instead; the G/P product is a function of that Borel
+        # product, so this is the stronger check
+        if _oriented_product(rs, a, b) != _oriented_product(rs, b, a):
             bad_comm += 1
     return [
         {"name": "associativity", "passed": bad_assoc == 0, "detail": how},

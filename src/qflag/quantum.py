@@ -24,11 +24,16 @@ to the key.  In a product of degree l(u) + l(v) <= 2 npos, every term has
 l(x) + 2 sum(d) = l(u) + l(v), so sum(d) <= npos and no coordinate of d
 carries into the next.  Products become `QClass`es only on the way out.
 
-Products are memoized per right factor, in one engine per root system.  The
-caches live as long as the root system, and `build_root_system` interns one
-per Cartan type, so memory is bounded by the number of types used.  The
-caches are not locked: confine an engine to one thread, or give a thread a
-private engine by constructing its own `RootSystem(...)` directly.
+Products are memoized per longer factor, in one engine per root system:
+sigma_u * sigma_v is read off the table of whichever of u, v comes later in
+the enumeration, and that table recurses only to the length of the other, the
+shorter factor.  So the two orders of a pair share one table, and the table of
+an element z reaches at most level l(z) unless the commutativity audit asks
+for more.  The caches live as long as the root system, and
+`build_root_system` interns one per Cartan type, so memory is bounded by the
+number of types used.  The caches are not locked: confine an engine to one
+thread, or give a thread a private engine by constructing its own
+`RootSystem(...)` directly.
 """
 
 from __future__ import annotations
@@ -408,7 +413,7 @@ def _solve_level(eng, by, k):
 def _products(eng, v, upto):
     """sigma_w * sigma_v as int-keyed terms, per element index w, for every w
     of length <= upto; the list grows by whole length levels and is kept per
-    right factor v (an element index)."""
+    factor v (an element index)."""
     by = eng.tables.setdefault(v, [{v: 1}])
     lv = eng.lengths[v]
     # level k reads the moves of the terms of sigma_w * sigma_v with
@@ -419,8 +424,20 @@ def _products(eng, v, upto):
     return by
 
 
-def quantum_product(rs: RootSystem, u: WeylElement, v: WeylElement) -> QClass:
-    """Quantum product of two Schubert classes on the full flag variety."""
+def _oriented_product(rs, u, v) -> QClass:
+    """sigma_u * sigma_v read off v's own table, which recurses to l(u).
+    `quantum_product` calls it with its factors ordered; the commutativity
+    audit calls it both ways round, so that it compares two recursions."""
     eng = _engine(rs)
-    by = _products(eng, eng.index[v.perm], u.length)
-    return eng.qclass(by[eng.index[u.perm]])
+    return eng.qclass(_products(eng, eng.index[v.perm], u.length)[eng.index[u.perm]])
+
+
+def quantum_product(rs: RootSystem, u: WeylElement, v: WeylElement) -> QClass:
+    """Quantum product of two Schubert classes on the full flag variety.  The
+    ring is commutative, so both orders read the product off the table of the
+    factor later in the length-graded enumeration: that factor is never the
+    shorter one, and its table recurses only to the shorter length."""
+    index = _engine(rs).index
+    if index[u.perm] > index[v.perm]:
+        u, v = v, u
+    return _oriented_product(rs, u, v)

@@ -1,6 +1,8 @@
 """The table schema writer gives the bytes of json's indent encoder."""
 
 import json
+import os
+import stat
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -66,3 +68,14 @@ def test_cache_file_is_the_writer_output_on_real_tables(
     doc = json.loads(text)
     assert encode_document(doc) == reference(doc)
     assert text == out == reference(doc) + "\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_cache_file_mode_follows_the_umask(tmp_path, capsys, umask):
+    old = os.umask(umask)
+    try:
+        assert main(["table", "--type", "A2", "--parabolic", "2",
+                     "--cache-dir", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "A2-2.json").stat().st_mode) == 0o666 & ~umask

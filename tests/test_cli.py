@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+from qflag import cli
 from qflag.cli import main
-from qflag.quantum import _Engine
+from qflag.quantum import _Engine, _engine, _oriented_product
+from qflag.root_system import CartanType, RootSystem
+from qflag.weyl import from_word, parse_word
 
 
 def run(capsys, *argv):
@@ -204,6 +207,31 @@ def test_associativity_suite_audits_the_named_ring(capsys):
         "PASS associativity (all 27 triples)",
         "PASS commutativity (all 27 triples)",
         "suite associativity: PASS",
+    ]
+
+
+@pytest.mark.parametrize("parabolic, triples", [("", 216), ("2", 27)])
+def test_commutativity_audit_compares_two_recursions(capsys, monkeypatch, parabolic, triples):
+    # a private engine, so that the corruption stays in this test
+    rs = RootSystem(CartanType.parse("A2"))
+    monkeypatch.setattr(cli, "build_root_system", lambda ctype: rs)
+    eng = _engine(rs)
+    s1, s2s1, w_o = (
+        eng.index[from_word(rs, parse_word(w)).perm] for w in ("s1", "s2s1", "s1s2s1")
+    )
+    # run s1's own table to the top level, then corrupt sigma_{s2s1} *
+    # sigma_{s1} in it: products in their usual order read s2s1's table
+    _oriented_product(rs, eng.elements[w_o], eng.elements[s1])
+    corrupted = eng.tables[s1][s2s1]
+    corrupted[next(iter(corrupted))] += 1
+    code, out, _ = run(
+        capsys, "check", "--suite", "associativity", "--type", "A2", "--parabolic", parabolic
+    )
+    assert code == 1
+    assert out.splitlines() == [
+        f"PASS associativity (all {triples} triples)",
+        f"FAIL commutativity (all {triples} triples)",
+        "suite associativity: FAIL",
     ]
 
 

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from math import gcd
 
 import pytest
@@ -22,7 +23,7 @@ from qflag import (
     star,
 )
 from qflag.cli import main
-from qflag.quantum import _engine, _left_inverse, _level
+from qflag.quantum import _engine, _left_inverse, _level, _oriented_product
 from qflag.root_system import CartanType, RootSystem
 
 
@@ -113,7 +114,8 @@ def test_associativity_and_commutativity_exhaustive_a2():
     elements = enumerate_min_reps(rs, BOREL)
     for a in elements:
         for b in elements:
-            assert quantum_product(rs, a, b) == quantum_product(rs, b, a)
+            # both orders of quantum_product read one table: compare the two recursions
+            assert _oriented_product(rs, a, b) == _oriented_product(rs, b, a)
             for c in elements:
                 left = star(quantum_product(rs, a, b), _unit(rs, c))
                 right = star(_unit(rs, a), quantum_product(rs, b, c))
@@ -272,9 +274,12 @@ def _corrupt_chevalley(eng, i, x):
 def test_corrupted_chevalley_coefficient_breaks_consistency():
     rs, eng = _private_engine("A3")
     assert all(den == 1 for _, inv in _level_systems(eng).values() for den, _ in inv)
-    _corrupt_chevalley(eng, 1, eng.by_length[2][0])
+    x = eng.by_length[2][0]
+    _corrupt_chevalley(eng, 1, x)
+    # level 1 of x's own table reads the corrupted move, and the identity
+    # system passes it on; level 2 checks every one of its rows
     with pytest.raises(RuntimeError, match="inconsistent"):
-        quantum_product(rs, eng.elements[eng.by_length[3][0]], identity(rs))
+        quantum_product(rs, eng.elements[x], eng.elements[x])
 
 
 def test_corrupted_chevalley_coefficient_breaks_integrality():
@@ -289,8 +294,11 @@ def test_corrupted_chevalley_coefficient_breaks_integrality():
         if a % den
     )
     _corrupt_chevalley(eng, r % rs.rank + 1, eng.by_length[k - 1][r // rs.rank])
+    # sigma_w' * sigma_e = sigma_w', so in the identity's own table row r of
+    # level k reads the corrupted move and nothing else does; the public
+    # product never extends that table, so read it off the table directly
     with pytest.raises(RuntimeError, match="non-integer structure constant"):
-        quantum_product(rs, eng.elements[eng.by_length[k][j]], identity(rs))
+        _oriented_product(rs, eng.elements[eng.by_length[k][j]], identity(rs))
 
 
 def test_levels_are_shared_by_every_product(tmp_path, capsys):
@@ -312,3 +320,20 @@ def test_levels_are_shared_by_every_product(tmp_path, capsys):
     assert eng.index[w_o.perm] in eng.tables
     assert eng.levels == levels
     assert all(eng.levels[k] is levels[k] for k in levels)
+
+
+def test_each_table_recurses_to_its_own_length(tmp_path, capsys):
+    rs = build_root_system("B3")
+    eng = _engine(rs)
+    eng.tables.clear()
+    assert main(["table", "--type", "B3", "--json", "--cache-dir", str(tmp_path)]) == 0
+    # every pair is read off the table of its later factor, up to the length
+    # of the earlier one; the pair (z, z) takes z's table to level l(z)
+    assert sorted(eng.tables) == list(range(eng.size))
+    for z, by in eng.tables.items():
+        assert len(by) == bisect_right(eng.lengths, eng.lengths[z])
+    eng.tables.clear()
+    w_o = longest_element(rs, ParabolicSubset.full(rs.rank))
+    assert main(["mul", "--type", "B3", "--u", format_word(w_o.word), "--v", "s1"]) == 0
+    capsys.readouterr()
+    assert len(eng.tables[eng.index[w_o.perm]]) <= bisect_right(eng.lengths, 1)
