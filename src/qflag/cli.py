@@ -72,6 +72,13 @@ def _parse_classes(rs, text):
     return elements
 
 
+def _parse_class(rs, text):
+    elements = _parse_classes(rs, text)
+    if len(elements) != 1:
+        raise ValueError(f"expected one Weyl word, got {text!r}")
+    return elements[0]
+
+
 def _emit(args, payload, text_lines):
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -168,8 +175,7 @@ def cmd_gw(args):
 
 def cmd_mul(args):
     rs, parabolic = _context(args)
-    u = _parse_classes(rs, args.u)[0]
-    v = _parse_classes(rs, args.v)[0]
+    u, v = (_parse_class(rs, text) for text in (args.u, args.v))
     (u, v), warnings = _normalize_classes(rs, parabolic, [u, v])
     qc = parabolic_quantum_product(rs, parabolic, u, v)
     payload = {

@@ -212,15 +212,18 @@ def parabolic_quantum_product(
 
 def star(a: QClass, b: QClass) -> QClass:
     """Bilinear extension of the basis quantum product to arbitrary classes,
-    in the ring of the full flag variety or of a G/P alike."""
+    in the ring of the full flag variety or of a G/P alike: each term
+    c cx cy q^(d + dx + dy) sigma_w of a product of two terms is added into
+    one dict."""
     a._compatible(b)
     rs, parabolic = a.rs, a.parabolic
-    out = QClass.zero(rs, parabolic)
+    out = {}
     for (x, dx), cx in a.terms.items():
         for (y, dy), cy in b.terms.items():
-            piece = parabolic_quantum_product(rs, parabolic, x, y)
-            out = out + piece.shift(tuple(p + q for p, q in zip(dx, dy))).scale(cx * cy)
-    return out
+            for (w, d), c in parabolic_quantum_product(rs, parabolic, x, y).terms.items():
+                key = (w, tuple(map(sum, zip(d, dx, dy))))
+                out[key] = out.get(key, 0) + c * cx * cy
+    return QClass(rs, parabolic, out)
 
 
 @dataclass(frozen=True)

@@ -64,10 +64,6 @@ class QClass:
         self.terms = {key: c for key, c in terms.items() if c}
 
     @classmethod
-    def zero(cls, rs, parabolic=BOREL):
-        return cls(rs, parabolic, {})
-
-    @classmethod
     def unit(cls, rs, parabolic, w, degree=None):
         r = rs.rank - len(parabolic)
         d = (0,) * r if degree is None else tuple(degree)
@@ -77,46 +73,8 @@ class QClass:
         if self.parabolic != other.parabolic or self.rs.cartan != other.rs.cartan:
             raise ValueError("classes live in different rings")
 
-    def __add__(self, other):
-        self._compatible(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return QClass(self.rs, self.parabolic, out)
-
-    def __sub__(self, other):
-        self._compatible(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) - c
-        return QClass(self.rs, self.parabolic, out)
-
-    def scale(self, c):
-        return QClass(self.rs, self.parabolic, {k: c * v for k, v in self.terms.items()})
-
-    def shift(self, delta):
-        """Multiply by the q-monomial with the given degree vector."""
-        return QClass(
-            self.rs,
-            self.parabolic,
-            {
-                (w, tuple(a + b for a, b in zip(d, delta))): c
-                for (w, d), c in self.terms.items()
-            },
-        )
-
-    def classical_part(self):
-        return QClass(
-            self.rs,
-            self.parabolic,
-            {(w, d): c for (w, d), c in self.terms.items() if not any(d)},
-        )
-
     def coefficient(self, w, degree) -> int:
         return self.terms.get((w, tuple(degree)), 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def sorted_terms(self):
         return sorted(

@@ -13,7 +13,7 @@ from functools import cache
 
 from .root_system import ParabolicSubset, RootSystem
 
-# Default cap on |W| for full enumeration: covers the classical types up to
+# The cap on |W| for full enumeration: covers the classical types up to
 # rank 6 plus F4, G2 and E6.  E7 and E8 are refused with a clear message.
 DEFAULT_MAX_WEYL_ORDER = 60_000
 
@@ -172,16 +172,6 @@ def longest_element(rs: RootSystem, parabolic: ParabolicSubset) -> WeylElement:
         w = w * simple_reflection(rs, j)
 
 
-def _check_enumerable(rs, max_order):
-    bound = DEFAULT_MAX_WEYL_ORDER if max_order is None else max_order
-    order = rs.cartan_type.weyl_order()
-    if order > bound:
-        raise EnumerationBoundError(
-            f"|W({rs.cartan_type})| = {order} exceeds the enumeration bound {bound}; "
-            f"pass a larger max_order to force it"
-        )
-
-
 def _graded_levels(rs, generators, parabolic=ParabolicSubset()):
     """BFS by left multiplication with the given simple reflections, one
     length level at a time (sorted by word), keeping only elements without a
@@ -205,7 +195,7 @@ def _graded_levels(rs, generators, parabolic=ParabolicSubset()):
         level = nxt
 
 
-def enumerate_min_reps(rs: RootSystem, parabolic: ParabolicSubset, max_order=None):
+def enumerate_min_reps(rs: RootSystem, parabolic: ParabolicSubset):
     """All minimal coset representatives for W/W_J, graded by length.
 
     With the empty parabolic this enumerates the whole Weyl group.  Minimal
@@ -213,20 +203,24 @@ def enumerate_min_reps(rs: RootSystem, parabolic: ParabolicSubset, max_order=Non
     left multiplication that keeps only representatives finds all of them.
     """
     rs.check_parabolic(parabolic)
-    _check_enumerable(rs, max_order)
+    order = rs.cartan_type.weyl_order()
+    if order > DEFAULT_MAX_WEYL_ORDER:
+        raise EnumerationBoundError(
+            f"|W({rs.cartan_type})| = {order} exceeds the enumeration bound "
+            f"{DEFAULT_MAX_WEYL_ORDER}"
+        )
     generators = range(1, rs.rank + 1)
     return [w for level in _graded_levels(rs, generators, parabolic) for w in level]
 
 
-def enumerate_subgroup(rs: RootSystem, parabolic: ParabolicSubset, max_order=None):
+def enumerate_subgroup(rs: RootSystem, parabolic: ParabolicSubset):
     """All elements of the standard parabolic subgroup W_J, graded by length."""
     rs.check_parabolic(parabolic)
-    bound = DEFAULT_MAX_WEYL_ORDER if max_order is None else max_order
     out = []
     for level in _graded_levels(rs, parabolic.indices):
         out.extend(level)
-        if len(out) > bound:
+        if len(out) > DEFAULT_MAX_WEYL_ORDER:
             raise EnumerationBoundError(
-                f"W_J for J={parabolic} exceeds the enumeration bound {bound}"
+                f"W_J for J={parabolic} exceeds the enumeration bound {DEFAULT_MAX_WEYL_ORDER}"
             )
     return out

@@ -141,6 +141,13 @@ def test_mul_text_examples(capsys):
     assert "q1 * sigma[s1]" in out
 
 
+@pytest.mark.parametrize("u, v", [("s1,s2", "s1"), ("s1", "s1,e"), ("s1,s1", "s2,s2")])
+def test_mul_takes_one_word_per_factor(capsys, u, v):
+    code, out, err = run(capsys, "mul", "--type", "A2", "--u", u, "--v", v)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "one Weyl word" in err
+
+
 def test_mul_json_terms(capsys):
     code, out, _ = run(
         capsys, "mul", "--type", "A2", "--parabolic", "", "--u", "s1", "--v", "s1", "--json"

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations, product as iproduct
 
 import pytest
@@ -24,6 +25,7 @@ from qflag import (
     min_coset_rep,
     parabolic_gw_invariant,
     parabolic_quantum_product,
+    parse_word,
     quantum_product,
     simple_reflection,
     star,
@@ -150,9 +152,65 @@ def test_parabolic_star_bilinearity():
     basis = enumerate_min_reps(rs, P2)
     h = QClass.unit(rs, P2, basis[1])
     pt = QClass.unit(rs, P2, basis[2])
-    mixed = star(h + pt, h)
-    split = star(h, h) + star(pt, h)
-    assert mixed == split
+    mixed = star(QClass(rs, P2, {**h.terms, **pt.terms}), h)
+    split = dict(star(h, h).terms)
+    for key, c in star(pt, h).terms.items():
+        split[key] = split.get(key, 0) + c
+    assert mixed == QClass(rs, P2, split)
+
+
+def _qclass(rs, J, rows):
+    return QClass(rs, J, {(from_word(rs, parse_word(w)), d): c for w, d, c in rows})
+
+
+def _expand(rs, J, a, b):
+    """The product of two term dicts, summed term pair by term pair."""
+    total = Counter()
+    for ((x, dx), cx), ((y, dy), cy) in iproduct(a.items(), b.items()):
+        for (w, d), c in parabolic_quantum_product(rs, J, x, y).terms.items():
+            degree = tuple(d[i] + dx[i] + dy[i] for i in range(len(d)))
+            total[(w, degree)] += cx * cy * c
+    return {key: c for key, c in total.items() if c}
+
+
+@pytest.mark.parametrize(
+    "name, nodes, a_rows, b_rows",
+    [
+        ("A2", [2], [("s1", (0,), 2), ("s2s1", (1,), 3)], [("e", (0,), 3), ("s1", (1,), 2)]),
+        (
+            "B2",
+            [],
+            [("s1", (0, 0), 2), ("s2s1", (1, 0), 3), ("e", (0, 1), 1)],
+            [("s2", (0, 0), 3), ("s1", (0, 1), 2), ("s1s2", (1, 1), 1)],
+        ),
+    ],
+    ids=["A2-P2", "B2-borel"],
+)
+def test_star_extends_bilinearly_over_q(name, nodes, a_rows, b_rows):
+    rs = build_root_system(name)
+    J = ParabolicSubset.of(nodes)
+    a, b = _qclass(rs, J, a_rows), _qclass(rs, J, b_rows)
+    product = star(a, b)
+    assert product.terms == _expand(rs, J, a.terms, b.terms)
+    assert product == star(b, a)
+
+
+def test_star_on_the_projective_plane():
+    # (2h + 3q pt)(3 + 2q h) = 6h + 13q pt + 6q^3, as pt = h^2 and h^3 = q
+    rs = build_root_system("A2")
+    a = _qclass(rs, P2, [("s1", (0,), 2), ("s2s1", (1,), 3)])
+    b = _qclass(rs, P2, [("e", (0,), 3), ("s1", (1,), 2)])
+    expected = _qclass(rs, P2, [("s1", (0,), 6), ("s2s1", (1,), 13), ("e", (3,), 6)])
+    assert star(a, b) == expected
+
+
+def test_star_refuses_classes_of_different_rings():
+    a2, b2 = build_root_system("A2"), build_root_system("B2")
+    s1 = simple_reflection(a2, 1)
+    with pytest.raises(ValueError):
+        star(QClass.unit(a2, P2, s1), QClass.unit(a2, BOREL, s1))
+    with pytest.raises(ValueError):
+        star(QClass.unit(a2, BOREL, s1), QClass.unit(b2, BOREL, simple_reflection(b2, 1)))
 
 
 def test_borel_case_degenerates_to_flag_engine():

@@ -31,6 +31,10 @@ def _unit(rs, w, degree=None):
     return QClass.unit(rs, BOREL, w, degree)
 
 
+def _classical_part(qc):
+    return QClass(qc.rs, qc.parabolic, {(w, d): c for (w, d), c in qc.terms.items() if not any(d)})
+
+
 def test_projective_line_relation():
     # independent oracle: QH(P^1) = Z[h,q]/(h^2 - q)
     rs = build_root_system("A1")
@@ -69,7 +73,7 @@ def test_chevalley_classical_flag_drops_q_terms():
     rs = build_root_system("A2")
     s1 = simple_reflection(rs, 1)
     full = chevalley_multiply(rs, 1, s1)
-    assert full.classical_part() == classical_product(rs, s1, s1)
+    assert _classical_part(full) == classical_product(rs, s1, s1)
     with pytest.raises(ValueError):
         chevalley_multiply(rs, 3, s1)
 
@@ -92,9 +96,7 @@ def test_classical_limit_matches_classical_engine(name):
     elements = enumerate_min_reps(rs, BOREL)
     for u in elements:
         for v in elements:
-            assert quantum_product(rs, u, v).classical_part() == classical_product(
-                rs, u, v
-            )
+            assert _classical_part(quantum_product(rs, u, v)) == classical_product(rs, u, v)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3"])
@@ -199,22 +201,8 @@ def test_qclass_formatting():
     s2s1 = from_word(rs, (2, 1))
     assert format_qclass(quantum_product(rs, s1, s1)) == "sigma[s2s1] + q1"
     assert format_qclass(quantum_product(rs, s1, s2s1)) == "q1 * sigma[s2]"
-    assert format_qclass(QClass.zero(rs, BOREL)) == "0"
+    assert format_qclass(QClass(rs, BOREL, {})) == "0"
     assert format_qclass(_unit(rs, identity(rs))) == "sigma[e]"
-
-
-def test_qclass_arithmetic_helpers():
-    rs = build_root_system("A2")
-    s1 = simple_reflection(rs, 1)
-    a = _unit(rs, s1)
-    b = _unit(rs, s1, (1, 0))
-    total = a + b
-    assert total.coefficient(s1, (0, 0)) == 1
-    assert total.coefficient(s1, (1, 0)) == 1
-    assert (total - a) == b
-    assert a.shift((2, 0)).coefficient(s1, (2, 0)) == 1
-    assert a.scale(3).coefficient(s1, (0, 0)) == 3
-    assert (a - a).is_zero()
 
 
 def _level_systems(eng):

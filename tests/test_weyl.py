@@ -18,6 +18,7 @@ from qflag import (
     reflection,
     simple_reflection,
 )
+from qflag import weyl
 
 # Poincaré polynomials from the exponent product formula, frozen:
 # A2: (1+t)(1+t+t^2), A3: (1+t)(1+t+t^2)(1+t+t^2+t^3), B2: (1+t)(1+t+t^2+t^3)
@@ -189,7 +190,15 @@ def test_enumeration_bound_refuses_e7():
         enumerate_min_reps(rs, ParabolicSubset())
 
 
-def test_enumeration_bound_override():
-    rs = build_root_system("A2")
-    with pytest.raises(EnumerationBoundError):
-        enumerate_min_reps(rs, ParabolicSubset(), max_order=5)
+@pytest.mark.parametrize(
+    "enumerator, parabolic",
+    [(enumerate_min_reps, ParabolicSubset()), (enumerate_subgroup, ParabolicSubset.full(2))],
+    ids=["min_reps", "subgroup"],
+)
+def test_enumeration_bound_is_the_module_constant(monkeypatch, enumerator, parabolic):
+    rs = build_root_system("A2")  # |W| = 6
+    monkeypatch.setattr(weyl, "DEFAULT_MAX_WEYL_ORDER", 6)
+    assert len(enumerator(rs, parabolic)) == 6
+    monkeypatch.setattr(weyl, "DEFAULT_MAX_WEYL_ORDER", 5)
+    with pytest.raises(EnumerationBoundError, match="enumeration bound 5"):
+        enumerator(rs, parabolic)
