@@ -101,9 +101,11 @@ def _normalize_classes(rs, parabolic, elements):
     return normalized, warnings
 
 
-def _term_dicts(qc: QClass):
+def _term_dicts(qc: QClass, words=None):
+    """The terms of a class as dicts; `words` maps the basis to word strings
+    already formatted, so that the terms share them."""
     return [
-        {"w": format_word(w.word), "q": list(d), "c": c}
+        {"w": words[w] if words else format_word(w.word), "q": list(d), "c": c}
         for (w, d), c in qc.sorted_terms()
     ]
 
@@ -208,8 +210,12 @@ def cmd_table(args):
     fresh = entries is None
     if fresh:
         # the ring is commutative: entry (j, i) reuses the terms of (i, j)
+        word_of = dict(zip(basis, words))
         rows = [
-            [_term_dicts(parabolic_quantum_product(rs, parabolic, u, v)) for v in basis[i:]]
+            [
+                _term_dicts(parabolic_quantum_product(rs, parabolic, u, v), word_of)
+                for v in basis[i:]
+            ]
             for i, u in enumerate(basis)
         ]
         entries = [

@@ -56,6 +56,11 @@ class ComparisonData:
             raise RuntimeError("derived parabolic escaped the original one")
 
 
+def _degree_key(degree) -> tuple:
+    """A degree as the int tuple that keys memos and product terms."""
+    return tuple(int(x) for x in degree)
+
+
 class _Context:
     """The data of one G/P that no Schubert class depends on.
 
@@ -90,7 +95,7 @@ class _Context:
 
     def degree(self, degree):
         """(ComparisonData, anticanonical pairing, w'_d w_J) of a degree, memoized."""
-        key = tuple(int(x) for x in degree)
+        key = _degree_key(degree)
         got = self._degrees.get(key)
         if got is None:
             rs, parabolic = self.rs, self.parabolic
@@ -255,44 +260,65 @@ def check_comparison_consistency(
     invariants, factorization through the derived parabolic, and (at degree
     zero) agreement with the localization oracle.
 
+    Every ordered triple (a, b, c) whose lengths add up to dim G/P + c_1(d)
+    is audited.  Its value is the coefficient of q^d sigma_{dual(c)} in the
+    product sigma_a * sigma_b, so each ordered product is read once per
+    degree, and each permutation of a triple is read off its own ordered
+    product.  The value at the derived parabolic P' is read the same way
+    off the product at P', when d'' is graded there.
+
     Non-effective degrees yield an empty, trivially passing report.
     """
     if not is_effective(rs, parabolic, degree):
         return ConsistencyReport(())
+    degree = _degree_key(degree)
     ctx = _context(rs, parabolic)
     cd, c1, _ = ctx.degree(degree)
-    basis = ctx.basis
     target = ctx.flag_dimension + c1
-    triples = [
-        (a, b, c)
-        for a in basis
-        for b in basis
-        for c in basis
-        if a.length + b.length + c.length == target
-    ]
     at_pprime = _context(rs, cd.j_prime)
-    relift = at_pprime.degree(cd.d_pprime)[0]
+    relift, c1_pprime, _ = at_pprime.degree(cd.d_pprime)
     stable = relift.d_B.lam == cd.d_B.lam and relift.j_prime == cd.j_prime
+    # every triple has length sum `target`, so the grading at P' is one test;
+    # off it every value at P' is 0
+    graded_pprime = target == at_pprime.flag_dimension + c1_pprime
+    # triples are keyed by basis positions: int tuples hash in C
+    basis = ctx.basis
+    by_length = {}
+    for k, c in enumerate(basis):
+        by_length.setdefault(c.length, []).append((k, c))
+    values = {}
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            thirds = by_length.get(target - a.length - b.length)
+            if not thirds:
+                continue
+            at_p = ctx.product(a, b).terms
+            at_pp = at_pprime.product(a, b).terms if graded_pprime else {}
+            for k, c in thirds:
+                value = at_p.get((ctx.dual[c], degree), 0)
+                if graded_pprime:
+                    values[i, j, k] = (value, at_pp.get((at_pprime.dual[c], cd.d_pprime), 0))
+                else:
+                    values[i, j, k] = (value, 0)
     classical = not any(degree)
     asymmetric = mismatched = off_classical = 0
-    for trip in triples:
-        vals = [ctx.invariant(perm, degree) for perm in permutations(trip)]
-        at_p = vals[0]
-        asymmetric += len(set(vals)) > 1
-        mismatched += at_p != at_pprime.invariant(trip, cd.d_pprime)
+    for ijk, (value, value_pprime) in values.items():
+        asymmetric += any(values[perm][0] != value for perm in permutations(ijk))
+        mismatched += value != value_pprime
         if classical:
-            off_classical += at_p != classical_parabolic_invariant(rs, parabolic, trip)
+            trip = [basis[k] for k in ijk]
+            off_classical += value != classical_parabolic_invariant(rs, parabolic, trip)
 
     entries = [
         CheckResult(
             "permutation-symmetry",
             asymmetric == 0,
-            f"{len(triples)} graded triples, {asymmetric} asymmetric",
+            f"{len(values)} graded triples, {asymmetric} asymmetric",
         ),
         CheckResult(
             "derived-parabolic-factorization",
             stable and mismatched == 0,
-            f"lift stable: {stable}; {len(triples)} triples, {mismatched} mismatched",
+            f"lift stable: {stable}; {len(values)} triples, {mismatched} mismatched",
         ),
     ]
     if classical:
@@ -300,7 +326,7 @@ def check_comparison_consistency(
             CheckResult(
                 "classical-degree-zero",
                 off_classical == 0,
-                f"{len(triples)} triples, {off_classical} mismatched",
+                f"{len(values)} triples, {off_classical} mismatched",
             )
         )
     return ConsistencyReport(tuple(entries))

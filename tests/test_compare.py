@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import permutations, product as iproduct
 
@@ -30,7 +31,7 @@ from qflag import (
     simple_reflection,
     star,
 )
-from qflag.compare import _context
+from qflag.compare import _Context, _context
 
 P2 = ParabolicSubset.of([2])
 
@@ -276,6 +277,77 @@ def test_consistency_report_trivial_for_non_effective():
     report = check_comparison_consistency(rs, P2, (-2,))
     assert report.ok
     assert report.entries == ()
+
+
+@pytest.mark.parametrize("name,j_nodes", [("A3", [1, 3]), ("B2", [1])])
+def test_consistency_report_takes_list_degrees(name, j_nodes):
+    rs = build_root_system(name)
+    J = ParabolicSubset.of(j_nodes)
+    for degree in iproduct(range(3), repeat=len(J.free_nodes(rs.rank))):
+        assert check_comparison_consistency(
+            rs, J, list(degree)
+        ) == check_comparison_consistency(rs, J, degree)
+
+
+@pytest.mark.parametrize("name,j_nodes", [("A3", [2]), ("B2", [1]), ("G2", [1])])
+def test_consistency_report_counts_every_graded_triple(name, j_nodes):
+    rs = build_root_system(name)
+    J = ParabolicSubset.of(j_nodes)
+    basis = enumerate_min_reps(rs, J)
+    for degree in iproduct(range(3), repeat=len(J.free_nodes(rs.rank))):
+        target = flag_dimension(rs, J) + anticanonical_pairing(rs, J, degree)
+        graded = sum(
+            a.length + b.length + c.length == target
+            for a, b, c in iproduct(basis, repeat=3)
+        )
+        for entry in check_comparison_consistency(rs, J, degree).entries:
+            counted = re.search(r"(\d+) (?:graded )?triples", entry.detail)
+            assert int(counted.group(1)) == graded, (degree, entry)
+
+
+def _raise_one_coefficient(monkeypatch, parabolic, pair, key):
+    """Serve the product of one ordered pair in one ring with the
+    coefficient at `key` raised by 1; the memo keeps the true product."""
+    true_product = _Context.product
+
+    def product(self, u, v):
+        got = true_product(self, u, v)
+        if self.parabolic == parabolic and (u, v) == pair:
+            terms = dict(got.terms)
+            terms[key] = terms.get(key, 0) + 1
+            got = QClass(got.rs, got.parabolic, terms)
+        return got
+
+    monkeypatch.setattr(_Context, "product", product)
+
+
+@pytest.mark.parametrize("ring", ["P", "P'"])
+def test_consistency_report_catches_one_bad_value(monkeypatch, ring):
+    # on Gr(2, 4) at degree (0, 1) the derived parabolic is the Borel one;
+    # one graded coefficient of one ordered product (a, b), a != b, is off
+    # by one, at P itself or only at P'
+    rs = build_root_system("A3")
+    degree = (0, 1)
+    cd = comparison_data(rs, P2, degree)
+    assert cd.j_prime != P2
+    assert check_comparison_consistency(rs, P2, degree).ok
+    at_p, at_pprime = _context(rs, P2), _context(rs, cd.j_prime)
+    target = flag_dimension(rs, P2) + anticanonical_pairing(rs, P2, degree)
+    a, b, c = next(
+        (a, b, c)
+        for a, b, c in iproduct(at_p.basis, repeat=3)
+        if a != b and a.length + b.length + c.length == target
+    )
+    if ring == "P":
+        _raise_one_coefficient(monkeypatch, P2, (a, b), (at_p.dual[c], degree))
+    else:
+        key = (at_pprime.dual[c], cd.d_pprime)
+        _raise_one_coefficient(monkeypatch, cd.j_prime, (a, b), key)
+    report = check_comparison_consistency(rs, P2, degree)
+    assert {e.name: e.passed for e in report.entries} == {
+        "permutation-symmetry": ring == "P'",
+        "derived-parabolic-factorization": False,
+    }
 
 
 def test_min_rep_preserved_through_dual_map():
