@@ -11,10 +11,13 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import asdict, replace
 from functools import partial
+from itertools import product as iter_product
 
 from . import cache as cache_io
 from .compare import (
+    CheckResult,
     check_comparison_consistency,
     comparison_data,
     parabolic_gw_invariant,
@@ -273,41 +276,38 @@ def _suite_associativity(args):
         if _oriented_product(rs, a, b) != _oriented_product(rs, b, a):
             bad_comm += 1
     return [
-        {"name": "associativity", "passed": bad_assoc == 0, "detail": how},
-        {"name": "commutativity", "passed": bad_comm == 0, "detail": how},
+        CheckResult("associativity", bad_assoc == 0, how),
+        CheckResult("commutativity", bad_comm == 0, how),
     ]
 
 
-def _effective_degrees(rs, parabolic, max_degree):
-    from itertools import product as iter_product
-
+def _degree_box(rs, parabolic, max_degree):
+    """Every degree with coordinates in [0, max_degree]."""
     r = len(parabolic.free_nodes(rs.rank))
-    return list(iter_product(range(max_degree + 1), repeat=r))
+    return iter_product(range(max_degree + 1), repeat=r)
 
 
 def _suite_comparison(args):
     rs, parabolic = _context(args)
-    results = []
-    for degree in _effective_degrees(rs, parabolic, args.max_degree):
-        for entry in check_comparison_consistency(rs, parabolic, degree).as_dicts():
-            entry["name"] = f"d={list(degree)}: {entry['name']}"
-            results.append(entry)
-    return results
+    return [
+        replace(result, name=f"d={list(degree)}: {result.name}")
+        for degree in _degree_box(rs, parabolic, args.max_degree)
+        for result in check_comparison_consistency(rs, parabolic, degree)
+    ]
 
 
 def _suite_lift_oracle(args):
     rs, parabolic = _context(args)
     results = []
-    for degree in _effective_degrees(rs, parabolic, args.max_degree):
+    for degree in _degree_box(rs, parabolic, args.max_degree):
         hits = enumerate_alcove_lifts(rs, parabolic, degree, window=args.window)
         lam = peterson_lift(rs, parabolic, degree).lam
-        passed = hits == [lam]
         results.append(
-            {
-                "name": f"d={list(degree)}: lift-uniqueness",
-                "passed": passed,
-                "detail": f"{len(hits)} lattice points in window {args.window}",
-            }
+            CheckResult(
+                f"d={list(degree)}: lift-uniqueness",
+                hits == [lam],
+                f"{len(hits)} lattice points in window {args.window}",
+            )
         )
     return results
 
@@ -328,12 +328,9 @@ def cmd_check(args):
         if value is not None and value < least:
             raise ValueError(f"{option} must be at least {least}, got {value}")
     results = _SUITES[args.suite](args)
-    ok = all(r["passed"] for r in results)
-    payload = {"suite": args.suite, "passed": ok, "checks": results}
-    lines = [
-        f"{'PASS' if r['passed'] else 'FAIL'} {r['name']} ({r['detail']})"
-        for r in results
-    ]
+    ok = all(r.passed for r in results)
+    payload = {"suite": args.suite, "passed": ok, "checks": [asdict(r) for r in results]}
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.detail})" for r in results]
     lines.append(f"suite {args.suite}: {'PASS' if ok else 'FAIL'}")
     _emit(args, payload, lines)
     return 0 if ok else 1

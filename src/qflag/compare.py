@@ -18,7 +18,8 @@ way, and every G/P product, invariant and audit value is read off it.  The
 Borel ring is the case J = {} of the same map (lambda_d = d, w'_d = w_J = e).
 
 Everything that depends only on (root system, parabolic) and the degree is
-built once, in a memoized context.
+built once, in a memoized context, as one `ComparisonData` record per
+degree; the readout, the degree helpers and the audit all read it.
 """
 
 from __future__ import annotations
@@ -44,12 +45,17 @@ from .weyl import WeylElement, enumerate_min_reps, longest_element, min_coset_re
 
 @dataclass(frozen=True)
 class ComparisonData:
-    """Everything needed to move one degree's invariants to the Borel level."""
+    """Everything needed to move one degree's invariants to the Borel level:
+    the lift, the derived parabolic P', its longest element w'_d, the pushed
+    degree d'', the anticanonical pairing c_1(d) and the readout shift
+    w'_d w_J."""
 
     d_B: CurveClass
     j_prime: ParabolicSubset
     w_prime: WeylElement
     d_pprime: tuple
+    c1: int
+    shift: WeylElement
 
     def __post_init__(self):
         if not set(self.j_prime.indices) <= set(self.d_B.parabolic.indices):
@@ -93,21 +99,23 @@ class _Context:
         """Poincare duality on the basis: w -> min_coset_rep(w_o w)."""
         return {w: min_coset_rep(self.w_o * w, self.parabolic) for w in self.basis}
 
-    def degree(self, degree):
-        """(ComparisonData, anticanonical pairing, w'_d w_J) of a degree, memoized."""
+    def degree(self, degree) -> ComparisonData:
+        """The comparison data of a degree, memoized."""
         key = _degree_key(degree)
         got = self._degrees.get(key)
         if got is None:
             rs, parabolic = self.rs, self.parabolic
             lift = peterson_lift(rs, parabolic, key)
             jp = derived_parabolic(rs, parabolic, lift.lam)
-            cd = ComparisonData(
+            w_prime = longest_element(rs, jp)
+            got = ComparisonData(
                 d_B=lift,
                 j_prime=jp,
-                w_prime=longest_element(rs, jp),
+                w_prime=w_prime,
                 d_pprime=push_degree(rs, jp, lift.lam),
+                c1=_c1_pairing(rs, parabolic, lift.lam),
+                shift=w_prime * self.w_J,
             )
-            got = (cd, _c1_pairing(rs, parabolic, lift.lam), cd.w_prime * self.w_J)
             self._degrees[key] = got
         return got
 
@@ -122,11 +130,11 @@ class _Context:
             terms = {}
             for (x, lam), c in quantum_product(self.rs, u, v).terms.items():
                 d = tuple(lam[i - 1] for i in self.free)
-                cd, c1, shift = self.degree(d)
-                y = self.canonical.get(x * shift) if lam == cd.d_B.lam else None
+                cd = self.degree(d)
+                y = self.canonical.get(x * cd.shift) if lam == cd.d_B.lam else None
                 if y is None:
                     continue
-                if y.length + c1 != grade:
+                if y.length + cd.c1 != grade:
                     raise RuntimeError(f"G/P term {y!r} q^{d} breaks the grading")
                 terms[(y, d)] = c
             got = QClass(self.rs, self.parabolic, terms)
@@ -137,7 +145,7 @@ class _Context:
         """Invariant of minimal representatives at an effective degree: 0 off
         the grading sum(l(w_i)) = dim G/P + c_1(d), else the coefficient of
         q^d on the dual of the last class in the G/P product of the others."""
-        if sum(w.length for w in classes) != self.flag_dimension + self.degree(degree)[1]:
+        if sum(w.length for w in classes) != self.flag_dimension + self.degree(degree).c1:
             return 0
         prod = self.product(classes[0], classes[1])
         for w in classes[2:-1]:
@@ -151,11 +159,11 @@ def _context(rs: RootSystem, parabolic: ParabolicSubset) -> _Context:
 
 
 def comparison_data(rs: RootSystem, parabolic: ParabolicSubset, degree) -> ComparisonData:
-    """Lift a degree and package the derived parabolic, its longest element
-    and the pushed degree."""
+    """Lift a degree and package the derived parabolic, its longest element,
+    the pushed degree, the anticanonical pairing and the readout shift."""
     if not is_effective(rs, parabolic, degree):
-        raise ValueError(f"degree {tuple(degree)} is not effective")
-    return _context(rs, parabolic).degree(degree)[0]
+        raise ValueError(f"degree {_degree_key(degree)} is not effective")
+    return _context(rs, parabolic).degree(degree)
 
 
 def class_pushforward(rs: RootSystem, parabolic: ParabolicSubset, w: WeylElement):
@@ -170,7 +178,19 @@ def class_pushforward(rs: RootSystem, parabolic: ParabolicSubset, w: WeylElement
 
 def anticanonical_pairing(rs: RootSystem, parabolic: ParabolicSubset, degree) -> int:
     """(c_1(G/P), d), evaluated through the alcove-reduced lift."""
-    return _context(rs, parabolic).degree(degree)[1]
+    return _context(rs, parabolic).degree(degree).c1
+
+
+def hom_dimension(rs: RootSystem, parabolic: ParabolicSubset, degree) -> int:
+    """Dimension of the space of degree-d maps P^1 -> G/P: dim G/P plus the
+    anticanonical pairing, evaluated through the alcove-reduced lift."""
+    return flag_dimension(rs, parabolic) + comparison_data(rs, parabolic, degree).c1
+
+
+def is_generic_levi_semistable(rs: RootSystem, parabolic: ParabolicSubset, degree) -> bool:
+    """Whether a generic degree-d map pulls the Levi bundle back to a
+    semistable bundle: the lift's derived parabolic must be all of J."""
+    return comparison_data(rs, parabolic, degree).j_prime == parabolic
 
 
 def parabolic_gw_invariant(rs: RootSystem, parabolic: ParabolicSubset, classes, degree) -> int:
@@ -233,29 +253,16 @@ def star(a: QClass, b: QClass) -> QClass:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One audit outcome, as every `check` suite reports it."""
+
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    entries: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(entry.passed for entry in self.entries)
-
-    def as_dicts(self):
-        return [
-            {"name": e.name, "passed": e.passed, "detail": e.detail}
-            for e in self.entries
-        ]
-
-
 def check_comparison_consistency(
     rs: RootSystem, parabolic: ParabolicSubset, degree
-) -> ConsistencyReport:
+) -> tuple:
     """Self-consistency audit at one degree: permutation symmetry of the
     invariants, factorization through the derived parabolic, and (at degree
     zero) agreement with the localization oracle.
@@ -265,22 +272,23 @@ def check_comparison_consistency(
     product sigma_a * sigma_b, so each ordered product is read once per
     degree, and each permutation of a triple is read off its own ordered
     product.  The value at the derived parabolic P' is read the same way
-    off the product at P', when d'' is graded there.
+    off the product at P', when d'' is graded there.  The localization
+    oracle is symmetric in its classes, so it runs once per unordered triple.
 
-    Non-effective degrees yield an empty, trivially passing report.
+    Returns a tuple of `CheckResult`s; a non-effective degree yields none.
     """
     if not is_effective(rs, parabolic, degree):
-        return ConsistencyReport(())
+        return ()
     degree = _degree_key(degree)
     ctx = _context(rs, parabolic)
-    cd, c1, _ = ctx.degree(degree)
-    target = ctx.flag_dimension + c1
+    cd = ctx.degree(degree)
+    target = ctx.flag_dimension + cd.c1
     at_pprime = _context(rs, cd.j_prime)
-    relift, c1_pprime, _ = at_pprime.degree(cd.d_pprime)
+    relift = at_pprime.degree(cd.d_pprime)
     stable = relift.d_B.lam == cd.d_B.lam and relift.j_prime == cd.j_prime
     # every triple has length sum `target`, so the grading at P' is one test;
     # off it every value at P' is 0
-    graded_pprime = target == at_pprime.flag_dimension + c1_pprime
+    graded_pprime = target == at_pprime.flag_dimension + relift.c1
     # triples are keyed by basis positions: int tuples hash in C
     basis = ctx.basis
     by_length = {}
@@ -301,13 +309,18 @@ def check_comparison_consistency(
                 else:
                     values[i, j, k] = (value, 0)
     classical = not any(degree)
+    oracle = {}
     asymmetric = mismatched = off_classical = 0
     for ijk, (value, value_pprime) in values.items():
         asymmetric += any(values[perm][0] != value for perm in permutations(ijk))
         mismatched += value != value_pprime
         if classical:
-            trip = [basis[k] for k in ijk]
-            off_classical += value != classical_parabolic_invariant(rs, parabolic, trip)
+            key = tuple(sorted(ijk))
+            expected = oracle.get(key)
+            if expected is None:
+                trip = [basis[k] for k in key]
+                expected = oracle[key] = classical_parabolic_invariant(rs, parabolic, trip)
+            off_classical += value != expected
 
     entries = [
         CheckResult(
@@ -329,4 +342,4 @@ def check_comparison_consistency(
                 f"{len(values)} triples, {off_classical} mismatched",
             )
         )
-    return ConsistencyReport(tuple(entries))
+    return tuple(entries)

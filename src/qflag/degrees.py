@@ -5,6 +5,9 @@ alcove of the affine Weyl group of the Levi.  Orientation convention used
 throughout: effective degrees have nonnegative coordinates, the reduced lift
 has nonnegative coroot coefficients, and the alcove condition is
 <alpha, lam> in {-1, 0} for every positive root alpha of the Levi.
+
+The data derived from a lift, and the helpers `hom_dimension` and
+`is_generic_levi_semistable` that read it, live in `compare`.
 """
 
 from __future__ import annotations
@@ -56,15 +59,20 @@ class AlcoveSpec:
         return cls(rs, parabolic, walls)
 
     def first_violation(self, lam):
-        """First violated simple wall, or None when lam is inside."""
+        """Reflection step across the first violated simple wall, as
+        (c, coroot) with lam - c * coroot the reflected point, or None when
+        lam is inside.  c = <alpha_j, lam> on a linear wall and
+        <theta, lam> + 1 on an affine one."""
         rs = self.rs
         for j in self.parabolic.indices:
-            alpha = rs.positive_roots[rs._simple_global[j - 1]]
-            if rs.pairing(alpha, lam) > 0:
-                return ("linear", j)
-        for k, (theta, _) in enumerate(self.affine_walls):
-            if rs.pairing(theta, lam) < -1:
-                return ("affine", k)
+            g = rs._simple_global[j - 1]
+            c = rs.pairing(rs.positive_roots[g], lam)
+            if c > 0:
+                return c, rs.positive_coroots[g]
+        for theta, coroot in self.affine_walls:
+            c = rs.pairing(theta, lam) + 1
+            if c < 0:
+                return c, coroot
         return None
 
     def contains(self, lam) -> bool:
@@ -123,24 +131,16 @@ def peterson_lift(rs: RootSystem, parabolic: ParabolicSubset, degree) -> CurveCl
         alcove = AlcoveSpec.for_parabolic(rs, parabolic)
         ceiling = _walk_length(rs, parabolic, lam)
         steps = 0
-        while (hit := alcove.first_violation(lam)) is not None:
+        while (step := alcove.first_violation(lam)) is not None:
             steps += 1
             if steps > ceiling:
                 raise RuntimeError(
                     f"alcove walk for {rs.cartan_type}, J={parabolic}, d={degree} "
                     f"exceeded {ceiling} steps"
                 )
-            kind, which = hit
-            if kind == "linear":
-                g = rs._simple_global[which - 1]
-                alpha = rs.positive_roots[g]
-                cov = rs.positive_coroots[g]
-                c = rs.pairing(alpha, lam)
-            else:
-                theta, cov = alcove.affine_walls[which]
-                c = rs.pairing(theta, lam) + 1
+            c, coroot = step
             for k in range(rs.rank):
-                lam[k] -= c * cov[k]
+                lam[k] -= c * coroot[k]
         if not alcove.contains(lam):
             raise RuntimeError("alcove walk terminated outside the domain")
     lam = tuple(lam)
@@ -185,28 +185,6 @@ def _c1_pairing(rs: RootSystem, parabolic: ParabolicSubset, lam) -> int:
         for g, alpha in enumerate(rs.positive_roots)
         if g not in inside
     )
-
-
-def hom_dimension(rs: RootSystem, parabolic: ParabolicSubset, degree) -> int:
-    """Dimension of the space of degree-d maps P^1 -> G/P: dim G/P plus the
-    anticanonical pairing, evaluated through the alcove-reduced lift."""
-    free = _require_degree_context(rs, parabolic)
-    degree = _as_degree(degree, free)
-    if any(x < 0 for x in degree):
-        raise ValueError(f"degree {degree} is not effective")
-    lam = peterson_lift(rs, parabolic, degree).lam
-    return flag_dimension(rs, parabolic) + _c1_pairing(rs, parabolic, lam)
-
-
-def is_generic_levi_semistable(rs: RootSystem, parabolic: ParabolicSubset, degree) -> bool:
-    """Whether a generic degree-d map pulls the Levi bundle back to a
-    semistable bundle: the lift's derived parabolic must be all of J."""
-    free = _require_degree_context(rs, parabolic)
-    degree = _as_degree(degree, free)
-    if any(x < 0 for x in degree):
-        raise ValueError(f"degree {degree} is not effective")
-    lam = peterson_lift(rs, parabolic, degree).lam
-    return derived_parabolic(rs, parabolic, lam) == parabolic
 
 
 def enumerate_alcove_lifts(rs, parabolic, degree, window=6):

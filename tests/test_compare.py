@@ -1,6 +1,8 @@
+import json
 import re
 from collections import Counter
-from itertools import permutations, product as iproduct
+from dataclasses import replace
+from itertools import combinations, permutations, product as iproduct
 
 import pytest
 
@@ -31,7 +33,10 @@ from qflag import (
     simple_reflection,
     star,
 )
+from qflag import compare
+from qflag.cli import main
 from qflag.compare import _Context, _context
+from qflag.degrees import _c1_pairing
 
 P2 = ParabolicSubset.of([2])
 
@@ -266,17 +271,17 @@ def test_degree_zero_matches_classical_oracle():
 def test_consistency_report_projective_plane():
     rs = build_root_system("A2")
     for d in range(3):
-        report = check_comparison_consistency(rs, P2, (d,))
-        assert report.ok, [e for e in report.entries if not e.passed]
-    names = [e.name for e in check_comparison_consistency(rs, P2, (0,)).entries]
+        results = check_comparison_consistency(rs, P2, (d,))
+        assert all(r.passed for r in results), [r for r in results if not r.passed]
+    names = [r.name for r in check_comparison_consistency(rs, P2, (0,))]
     assert "classical-degree-zero" in names
 
 
 def test_consistency_report_trivial_for_non_effective():
     rs = build_root_system("A2")
-    report = check_comparison_consistency(rs, P2, (-2,))
-    assert report.ok
-    assert report.entries == ()
+    results = check_comparison_consistency(rs, P2, (-2,))
+    assert all(r.passed for r in results)
+    assert results == ()
 
 
 @pytest.mark.parametrize("name,j_nodes", [("A3", [1, 3]), ("B2", [1])])
@@ -300,7 +305,7 @@ def test_consistency_report_counts_every_graded_triple(name, j_nodes):
             a.length + b.length + c.length == target
             for a, b, c in iproduct(basis, repeat=3)
         )
-        for entry in check_comparison_consistency(rs, J, degree).entries:
+        for entry in check_comparison_consistency(rs, J, degree):
             counted = re.search(r"(\d+) (?:graded )?triples", entry.detail)
             assert int(counted.group(1)) == graded, (degree, entry)
 
@@ -323,14 +328,14 @@ def _raise_one_coefficient(monkeypatch, parabolic, pair, key):
 
 @pytest.mark.parametrize("ring", ["P", "P'"])
 def test_consistency_report_catches_one_bad_value(monkeypatch, ring):
-    # on Gr(2, 4) at degree (0, 1) the derived parabolic is the Borel one;
+    # on Fl(1, 3; 4) at degree (0, 1) the derived parabolic is the Borel one;
     # one graded coefficient of one ordered product (a, b), a != b, is off
     # by one, at P itself or only at P'
     rs = build_root_system("A3")
     degree = (0, 1)
     cd = comparison_data(rs, P2, degree)
     assert cd.j_prime != P2
-    assert check_comparison_consistency(rs, P2, degree).ok
+    assert all(r.passed for r in check_comparison_consistency(rs, P2, degree))
     at_p, at_pprime = _context(rs, P2), _context(rs, cd.j_prime)
     target = flag_dimension(rs, P2) + anticanonical_pairing(rs, P2, degree)
     a, b, c = next(
@@ -343,11 +348,77 @@ def test_consistency_report_catches_one_bad_value(monkeypatch, ring):
     else:
         key = (at_pprime.dual[c], cd.d_pprime)
         _raise_one_coefficient(monkeypatch, cd.j_prime, (a, b), key)
-    report = check_comparison_consistency(rs, P2, degree)
-    assert {e.name: e.passed for e in report.entries} == {
+    results = check_comparison_consistency(rs, P2, degree)
+    assert {r.name: r.passed for r in results} == {
         "permutation-symmetry": ring == "P'",
         "derived-parabolic-factorization": False,
     }
+
+
+@pytest.mark.parametrize("name,j_nodes", [("A3", [2]), ("B2", [1]), ("G2", [1])])
+def test_classical_oracle_runs_once_per_unordered_triple(monkeypatch, name, j_nodes):
+    # the oracle is symmetric in its classes: at degree 0 the audit calls it
+    # once for each distinct multiset of three graded classes
+    rs = build_root_system(name)
+    J = ParabolicSubset.of(j_nodes)
+    basis = enumerate_min_reps(rs, J)
+    position = {w: k for k, w in enumerate(basis)}
+    calls = Counter()
+    oracle = compare.classical_parabolic_invariant
+
+    def counted(rs, parabolic, classes):
+        calls[tuple(sorted(position[w] for w in classes))] += 1
+        return oracle(rs, parabolic, classes)
+
+    monkeypatch.setattr(compare, "classical_parabolic_invariant", counted)
+    zero = (0,) * len(J.free_nodes(rs.rank))
+    assert all(r.passed for r in check_comparison_consistency(rs, J, zero))
+    dim = flag_dimension(rs, J)
+    graded = {
+        tuple(sorted(position[w] for w in trip))
+        for trip in iproduct(basis, repeat=3)
+        if sum(w.length for w in trip) == dim
+    }
+    assert graded
+    assert set(calls) == graded
+    assert set(calls.values()) == {1}
+
+
+def test_classical_check_counts_every_ordering(monkeypatch, capsys):
+    # an oracle off by one on one unordered triple of three distinct classes
+    # on Gr(2, 4) fails the degree-zero check on each of its six orderings
+    rs = build_root_system("A3")
+    J = ParabolicSubset.of([1, 3])
+    basis = enumerate_min_reps(rs, J)
+    dim = flag_dimension(rs, J)
+    bad = next(
+        set(trip) for trip in combinations(basis, 3) if sum(w.length for w in trip) == dim
+    )
+    oracle = compare.classical_parabolic_invariant
+
+    def off_by_one(rs, parabolic, classes):
+        return oracle(rs, parabolic, classes) + (set(classes) == bad)
+
+    monkeypatch.setattr(compare, "classical_parabolic_invariant", off_by_one)
+    argv = ["check", "--suite", "comparison", "--type", "A3", "--parabolic", "1,3",
+            "--max-degree", "0", "--json"]
+    assert main(argv) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["d=[0]: permutation-symmetry"]["passed"]
+    assert checks["d=[0]: derived-parabolic-factorization"]["passed"]
+    assert not checks["d=[0]: classical-degree-zero"]["passed"]
+    assert checks["d=[0]: classical-degree-zero"]["detail"].endswith(", 6 mismatched")
+
+
+@pytest.mark.parametrize("name,j_nodes", [("A3", [2]), ("B3", [1]), ("G2", [1]), ("B2", [])])
+def test_comparison_data_carries_c1_and_shift(name, j_nodes):
+    rs = build_root_system(name)
+    J = ParabolicSubset.of(j_nodes)
+    w_J = longest_element(rs, J)
+    for degree in iproduct(range(3), repeat=len(J.free_nodes(rs.rank))):
+        cd = comparison_data(rs, J, degree)
+        assert cd.c1 == _c1_pairing(rs, J, cd.d_B.lam)
+        assert cd.shift == cd.w_prime * w_J
 
 
 def test_min_rep_preserved_through_dual_map():
@@ -466,8 +537,8 @@ def test_product_refuses_a_term_off_the_grading():
     rs = RootSystem(CartanType.parse("A2"))
     h = simple_reflection(rs, 1)
     ctx = _context(rs, P2)
-    cd, c1, shift = ctx.degree((0,))
-    ctx._degrees[(0,)] = (cd, c1 + 1, shift)
+    cd = ctx.degree((0,))
+    ctx._degrees[(0,)] = replace(cd, c1=cd.c1 + 1)
     with pytest.raises(RuntimeError, match="grading"):
         parabolic_quantum_product(rs, P2, h, h)
 

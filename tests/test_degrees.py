@@ -17,6 +17,7 @@ from qflag import (
     peterson_lift,
     push_degree,
 )
+from qflag.degrees import _c1_pairing
 
 P2 = ParabolicSubset.of([2])  # A2 with this parabolic is the projective plane
 
@@ -116,6 +117,26 @@ def test_semistability_parity_on_projective_plane():
         assert is_generic_levi_semistable(rs, P2, (d,)) == (d % 2 == 0)
     with pytest.raises(ValueError):
         is_generic_levi_semistable(rs, P2, (-2,))
+
+
+@pytest.mark.parametrize(
+    "name,j_nodes", [("E7", range(1, 7)), ("E7", range(2, 8)), ("E8", range(2, 9))]
+)
+def test_degree_helpers_on_exceptional_types(name, j_nodes):
+    # the Weyl groups of E7 and E8 are too large to enumerate, so the
+    # helpers must lift the degree without enumerating a coset basis
+    rs = build_root_system(name)
+    J = ParabolicSubset.of(j_nodes)
+    dims, stable = [], []
+    for d in range(4):
+        lam = peterson_lift(rs, J, (d,)).lam
+        dims.append(hom_dimension(rs, J, (d,)))
+        stable.append(is_generic_levi_semistable(rs, J, (d,)))
+        assert dims[-1] == flag_dimension(rs, J) + _c1_pairing(rs, J, lam)
+        assert stable[-1] == (derived_parabolic(rs, J, lam) == J)
+    if name == "E8":
+        assert dims == [78, 101, 124, 147]
+        assert stable == [True, False, False, False]
 
 
 def test_semistability_trivial_for_borel():

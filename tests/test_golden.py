@@ -41,6 +41,20 @@ GOLDEN = [
      "5740df469fcc7fa141f7e3e6f03f445ee9bdfd56275e97dcf64b14afac731620"),
     (("check", "--suite", "associativity", "--type", "B2"),
      "dc08208a90f66a2dee87e522e8dcb8b6c010b0dea67246886668fd525b050e12"),
+    # every suite in JSON, and the lift-oracle suite in text; hashes taken
+    # at commit 983df7dd92e42d00b9cfcadf66d710909aaaff03
+    (("check", "--suite", "comparison", "--type", "A2", "--parabolic", "2",
+      "--max-degree", "2", "--json"),
+     "a246294467998b52025c89c6e365feca5da730375d31a890e3e6541193729b82"),
+    (("check", "--suite", "lift-oracle", "--type", "B2", "--parabolic", "1",
+      "--max-degree", "3", "--json"),
+     "2fb411fa93e74a287b0551f4d4d62470c53d8776e0e58f684bab3472c95f45f2"),
+    (("check", "--suite", "lift-oracle", "--type", "B2", "--parabolic", "1",
+      "--max-degree", "3"),
+     "72dc2b1bf611664ae103135a3556e96e6b947956304cce4de9b49559f5691a8b"),
+    (("check", "--suite", "associativity", "--type", "A2", "--parabolic", "2",
+      "--json"),
+     "1a9af6b487c205407563e5e372aa0cfc66ee96386791c919b0d7b4f9d07b690f"),
     (("lift", "--type", "A2", "--parabolic", "2", "--degree", "2"),
      "419e026daf0640e6653d6653335e8ae99c382c8c26bbccc59bec55465b78763b"),
     (("gw", "--type", "A2", "--parabolic", "2", "--classes", "s1,s2s1,s2s1",
