@@ -123,7 +123,7 @@ def cmd_lift(args):
         "type": str(rs.cartan_type),
         "parabolic": list(parabolic.indices),
         "degree": list(degree),
-        "dB": list(cd.d_B.lam),
+        "dB": list(cd.d_B),
         "Pprime": list(cd.j_prime.indices),
         "wPrime": format_word(cd.w_prime.word),
         "dPprime": list(cd.d_pprime),
@@ -153,7 +153,7 @@ def cmd_gw(args):
     note = None
     if is_effective(rs, parabolic, degree):
         value = parabolic_gw_invariant(rs, parabolic, elements, degree)
-        d_b = list(comparison_data(rs, parabolic, degree).d_B.lam)
+        d_b = list(comparison_data(rs, parabolic, degree).d_B)
     else:
         value, d_b, note = 0, None, "non-effective degree"
     route = "comparison" if len(parabolic) else "borel"
@@ -233,8 +233,13 @@ def cmd_table(args):
         # one encoding serves both the cache file and stdout
         encoded = cache_io.encode_document(doc)
     if fresh:
-        cache_io.store_document(path, encoded)
-        print(f"cache write: {path}", file=sys.stderr)
+        # like an unreadable cache, an unwritable one costs only the reuse
+        try:
+            cache_io.store_document(path, encoded)
+        except OSError as exc:
+            print(f"warning: cannot write cache {path}: {exc}", file=sys.stderr)
+        else:
+            print(f"cache write: {path}", file=sys.stderr)
     if args.json:
         print(encoded)
     else:
@@ -301,7 +306,7 @@ def _suite_lift_oracle(args):
     results = []
     for degree in _degree_box(rs, parabolic, args.max_degree):
         hits = enumerate_alcove_lifts(rs, parabolic, degree, window=args.window)
-        lam = peterson_lift(rs, parabolic, degree).lam
+        lam = peterson_lift(rs, parabolic, degree)
         results.append(
             CheckResult(
                 f"d={list(degree)}: lift-uniqueness",

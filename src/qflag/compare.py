@@ -29,11 +29,10 @@ from functools import cache, cached_property
 from itertools import permutations
 
 from .degrees import (
-    CurveClass,
+    _as_degree,
     _c1_pairing,
     derived_parabolic,
     flag_dimension,
-    is_effective,
     peterson_lift,
     push_degree,
 )
@@ -46,25 +45,17 @@ from .weyl import WeylElement, enumerate_min_reps, longest_element, min_coset_re
 @dataclass(frozen=True)
 class ComparisonData:
     """Everything needed to move one degree's invariants to the Borel level:
-    the lift, the derived parabolic P', its longest element w'_d, the pushed
-    degree d'', the anticanonical pairing c_1(d) and the readout shift
+    the lift lambda_d (a coweight, as its tuple of simple-coroot
+    coefficients), the derived parabolic P', its longest element w'_d, the
+    pushed degree d'', the anticanonical pairing c_1(d) and the readout shift
     w'_d w_J."""
 
-    d_B: CurveClass
+    d_B: tuple
     j_prime: ParabolicSubset
     w_prime: WeylElement
     d_pprime: tuple
     c1: int
     shift: WeylElement
-
-    def __post_init__(self):
-        if not set(self.j_prime.indices) <= set(self.d_B.parabolic.indices):
-            raise RuntimeError("derived parabolic escaped the original one")
-
-
-def _degree_key(degree) -> tuple:
-    """A degree as the int tuple that keys memos and product terms."""
-    return tuple(int(x) for x in degree)
 
 
 class _Context:
@@ -99,24 +90,26 @@ class _Context:
         """Poincare duality on the basis: w -> min_coset_rep(w_o w)."""
         return {w: min_coset_rep(self.w_o * w, self.parabolic) for w in self.basis}
 
-    def degree(self, degree) -> ComparisonData:
-        """The comparison data of a degree, memoized."""
-        key = _degree_key(degree)
-        got = self._degrees.get(key)
+    def degree(self, degree: tuple) -> ComparisonData:
+        """The comparison data of a degree, given as the int tuple that
+        `_as_degree` returns, memoized."""
+        got = self._degrees.get(degree)
         if got is None:
             rs, parabolic = self.rs, self.parabolic
-            lift = peterson_lift(rs, parabolic, key)
-            jp = derived_parabolic(rs, parabolic, lift.lam)
+            lift = peterson_lift(rs, parabolic, degree)
+            jp = derived_parabolic(rs, parabolic, lift)
+            if not set(jp.indices) <= set(parabolic.indices):
+                raise RuntimeError("derived parabolic escaped the original one")
             w_prime = longest_element(rs, jp)
             got = ComparisonData(
                 d_B=lift,
                 j_prime=jp,
                 w_prime=w_prime,
-                d_pprime=push_degree(rs, jp, lift.lam),
-                c1=_c1_pairing(rs, parabolic, lift.lam),
+                d_pprime=push_degree(rs, jp, lift),
+                c1=_c1_pairing(rs, parabolic, lift),
                 shift=w_prime * self.w_J,
             )
-            self._degrees[key] = got
+            self._degrees[degree] = got
         return got
 
     def product(self, u, v) -> QClass:
@@ -131,7 +124,7 @@ class _Context:
             for (x, lam), c in quantum_product(self.rs, u, v).terms.items():
                 d = tuple(lam[i - 1] for i in self.free)
                 cd = self.degree(d)
-                y = self.canonical.get(x * cd.shift) if lam == cd.d_B.lam else None
+                y = self.canonical.get(x * cd.shift) if lam == cd.d_B else None
                 if y is None:
                     continue
                 if y.length + cd.c1 != grade:
@@ -161,8 +154,9 @@ def _context(rs: RootSystem, parabolic: ParabolicSubset) -> _Context:
 def comparison_data(rs: RootSystem, parabolic: ParabolicSubset, degree) -> ComparisonData:
     """Lift a degree and package the derived parabolic, its longest element,
     the pushed degree, the anticanonical pairing and the readout shift."""
-    if not is_effective(rs, parabolic, degree):
-        raise ValueError(f"degree {_degree_key(degree)} is not effective")
+    degree = _as_degree(rs, parabolic, degree)
+    if any(x < 0 for x in degree):
+        raise ValueError(f"degree {degree} is not effective")
     return _context(rs, parabolic).degree(degree)
 
 
@@ -178,6 +172,7 @@ def class_pushforward(rs: RootSystem, parabolic: ParabolicSubset, w: WeylElement
 
 def anticanonical_pairing(rs: RootSystem, parabolic: ParabolicSubset, degree) -> int:
     """(c_1(G/P), d), evaluated through the alcove-reduced lift."""
+    degree = _as_degree(rs, parabolic, degree)
     return _context(rs, parabolic).degree(degree).c1
 
 
@@ -206,7 +201,8 @@ def parabolic_gw_invariant(rs: RootSystem, parabolic: ParabolicSubset, classes, 
     classes = [min_coset_rep(w, parabolic) for w in classes]
     if len(classes) < 3:
         raise ValueError("an invariant needs at least three classes")
-    if not is_effective(rs, parabolic, degree):
+    degree = _as_degree(rs, parabolic, degree)
+    if any(x < 0 for x in degree):
         return 0
     return _context(rs, parabolic).invariant(classes, degree)
 
@@ -277,15 +273,15 @@ def check_comparison_consistency(
 
     Returns a tuple of `CheckResult`s; a non-effective degree yields none.
     """
-    if not is_effective(rs, parabolic, degree):
+    degree = _as_degree(rs, parabolic, degree)
+    if any(x < 0 for x in degree):
         return ()
-    degree = _degree_key(degree)
     ctx = _context(rs, parabolic)
     cd = ctx.degree(degree)
     target = ctx.flag_dimension + cd.c1
     at_pprime = _context(rs, cd.j_prime)
     relift = at_pprime.degree(cd.d_pprime)
-    stable = relift.d_B.lam == cd.d_B.lam and relift.j_prime == cd.j_prime
+    stable = relift.d_B == cd.d_B and relift.j_prime == cd.j_prime
     # every triple has length sum `target`, so the grading at P' is one test;
     # off it every value at P' is 0
     graded_pprime = target == at_pprime.flag_dimension + relift.c1

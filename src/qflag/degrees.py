@@ -1,7 +1,10 @@
 """Curve-class lattices for flag varieties.
 
-Degrees on G/P are lifted to the Borel level by reducing into the fundamental
-alcove of the affine Weyl group of the Levi.  Orientation convention used
+A degree of G/P is an int tuple, one coordinate per node outside the
+parabolic; `_as_degree` is the one place that validates and normalizes it.
+Degrees are lifted to the Borel level by reducing into the fundamental
+alcove of the affine Weyl group of the Levi: the lift is a coweight, an int
+tuple of simple-coroot coefficients.  Orientation convention used
 throughout: effective degrees have nonnegative coordinates, the reduced lift
 has nonnegative coroot coefficients, and the alcove condition is
 <alpha, lam> in {-1, 0} for every positive root alpha of the Levi.
@@ -14,26 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+from operator import index
 
 from .root_system import ParabolicSubset, RootSystem
-
-
-@dataclass(frozen=True)
-class CurveClass:
-    """An integer coweight with the parabolic context whose H_2 it refines.
-
-    `lam` holds the simple-coroot coefficients; the degree coordinates of the
-    underlying class of H_2(G/P) are the coefficients at nodes outside the
-    parabolic.
-    """
-
-    rs: RootSystem
-    parabolic: ParabolicSubset
-    lam: tuple
-
-    @property
-    def degree(self) -> tuple:
-        return push_degree(self.rs, self.parabolic, self.lam)
 
 
 @dataclass(frozen=True)
@@ -84,27 +70,30 @@ class AlcoveSpec:
         return True
 
 
-def _require_degree_context(rs, parabolic):
+def _as_degree(rs: RootSystem, parabolic: ParabolicSubset, degree) -> tuple:
+    """A degree of G/P as an int tuple.  Checks, in this order, the
+    parabolic's nodes, that it is not the full parabolic, each coordinate
+    (an integer, not a float or a string) and the number of coordinates."""
     rs.check_parabolic(parabolic)
     free = parabolic.free_nodes(rs.rank)
     if not free:
         raise ValueError("the full parabolic has no curve classes (H_2 = 0)")
-    return free
-
-
-def _as_degree(degree, free):
-    degree = tuple(int(x) for x in degree)
-    if len(degree) != len(free):
+    coords = []
+    for x in degree:
+        try:
+            coords.append(index(x))
+        except TypeError:
+            raise ValueError(f"degree coordinate {x!r} is not an integer") from None
+    if len(coords) != len(free):
         raise ValueError(
-            f"degree vector has {len(degree)} coordinates, expected {len(free)}"
+            f"degree vector has {len(coords)} coordinates, expected {len(free)}"
         )
-    return degree
+    return tuple(coords)
 
 
 def is_effective(rs: RootSystem, parabolic: ParabolicSubset, degree) -> bool:
     """True iff every degree coordinate is nonnegative."""
-    free = _require_degree_context(rs, parabolic)
-    return all(x >= 0 for x in _as_degree(degree, free))
+    return all(x >= 0 for x in _as_degree(rs, parabolic, degree))
 
 
 def _walk_length(rs, parabolic, lam):
@@ -115,15 +104,17 @@ def _walk_length(rs, parabolic, lam):
     return sum(max(m, -1 - m) for m in (rs.pairing(alpha, lam) for alpha in levi))
 
 
-def peterson_lift(rs: RootSystem, parabolic: ParabolicSubset, degree) -> CurveClass:
+def peterson_lift(rs: RootSystem, parabolic: ParabolicSubset, degree) -> tuple:
     """The unique coweight over the given degree with all Levi pairings in
-    {-1, 0}, found by walking into the fundamental alcove.
+    {-1, 0}, found by walking into the fundamental alcove, as its tuple of
+    simple-coroot coefficients.
 
     Every reflection step fixes the coordinates at the free nodes, so the
-    result restricts back to the input degree.
+    result restricts back to the input degree: `push_degree` of the lift is
+    the degree.
     """
-    free = _require_degree_context(rs, parabolic)
-    degree = _as_degree(degree, free)
+    degree = _as_degree(rs, parabolic, degree)
+    free = parabolic.free_nodes(rs.rank)
     lam = [0] * rs.rank
     for i, d in zip(free, degree):
         lam[i - 1] = d
@@ -148,7 +139,7 @@ def peterson_lift(rs: RootSystem, parabolic: ParabolicSubset, degree) -> CurveCl
         raise RuntimeError(
             f"effective degree {degree} lifted to a non-effective coweight {lam}"
         )
-    return CurveClass(rs, parabolic, lam)
+    return lam
 
 
 def derived_parabolic(rs: RootSystem, parabolic: ParabolicSubset, lam) -> ParabolicSubset:
@@ -191,8 +182,8 @@ def enumerate_alcove_lifts(rs, parabolic, degree, window=6):
     """Brute-force search for lattice lifts of a degree satisfying the alcove
     condition, with the parabolic-direction coefficients confined to
     [-window, window].  Independent of the alcove walk; used as its oracle."""
-    free = _require_degree_context(rs, parabolic)
-    degree = _as_degree(degree, free)
+    degree = _as_degree(rs, parabolic, degree)
+    free = parabolic.free_nodes(rs.rank)
     alcove = AlcoveSpec.for_parabolic(rs, parabolic)
     base = [0] * rs.rank
     for i, d in zip(free, degree):

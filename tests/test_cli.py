@@ -203,6 +203,29 @@ def test_table_ignores_corrupt_cache(tmp_path, capsys):
     assert first == third
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("blocker", ["file-above", "directory-at-path"])
+def test_table_survives_an_unwritable_cache(tmp_path, capsys, fmt, blocker):
+    # a cache that cannot be written costs the reuse, not the table; a
+    # regular file above the cache directory blocks the write even for root
+    args = ["table", "--type", "A2", "--parabolic", "2", *fmt]
+    code, expected, _ = run(capsys, *args, "--cache-dir", str(tmp_path / "ok"))
+    assert code == 0
+    blocked = tmp_path / "blocked"
+    if blocker == "file-above":
+        blocked.write_text("", encoding="utf-8")
+        cache_dir = blocked / "sub"
+    else:
+        (blocked / "A2-2.json").mkdir(parents=True)
+        cache_dir = blocked
+    code, out, err = run(capsys, *args, "--cache-dir", str(cache_dir))
+    assert code == 0
+    assert out == expected
+    assert f"warning: cannot write cache {cache_dir / 'A2-2.json'}: " in err
+    assert "cache write" not in err
+    assert not list(tmp_path.rglob(".qflag-*.tmp"))
+
+
 def test_associativity_suite_audits_the_named_ring(capsys):
     # P^2 = A2/{2} has three classes, so the audit covers all 27 triples of
     # its own ring, not the 216 of the full flag variety

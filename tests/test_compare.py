@@ -59,19 +59,19 @@ class ProjectiveOracle:
 def test_comparison_data_cases():
     rs = build_root_system("A2")
     cd = comparison_data(rs, P2, (1,))
-    assert cd.d_B.lam == (1, 0)
+    assert cd.d_B == (1, 0)
     assert cd.j_prime.indices == ()
     assert cd.w_prime == identity(rs)
     assert cd.d_pprime == (1, 0)
 
     cd = comparison_data(rs, P2, (2,))
-    assert cd.d_B.lam == (2, 1)
+    assert cd.d_B == (2, 1)
     assert cd.j_prime.indices == (2,)
     assert cd.w_prime == simple_reflection(rs, 2)
     assert cd.d_pprime == (2,)
 
     cd = comparison_data(rs, P2, (0,))
-    assert cd.d_B.lam == (0, 0)
+    assert cd.d_B == (0, 0)
     assert cd.j_prime == P2
     assert cd.w_prime == longest_element(rs, P2)
 
@@ -417,7 +417,7 @@ def test_comparison_data_carries_c1_and_shift(name, j_nodes):
     w_J = longest_element(rs, J)
     for degree in iproduct(range(3), repeat=len(J.free_nodes(rs.rank))):
         cd = comparison_data(rs, J, degree)
-        assert cd.c1 == _c1_pairing(rs, J, cd.d_B.lam)
+        assert cd.c1 == _c1_pairing(rs, J, cd.d_B)
         assert cd.shift == cd.w_prime * w_J
 
 
@@ -517,7 +517,7 @@ def test_product_matches_forward_readout(name, j_nodes):
         if anticanonical_pairing(rs, J, d) <= top:
             cd = comparison_data(rs, J, d)
             for w in basis:
-                key = (w_o * w * cd.w_prime, cd.d_B.lam)
+                key = (w_o * w * cd.w_prime, cd.d_B)
                 readout[(min_coset_rep(w_o * w, J), d)] = key
     for u in basis:
         for v in basis:

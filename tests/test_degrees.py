@@ -6,14 +6,20 @@ import pytest
 from qflag import (
     AlcoveSpec,
     ParabolicSubset,
+    anticanonical_pairing,
     build_root_system,
+    check_comparison_consistency,
+    comparison_data,
     derived_parabolic,
     enumerate_alcove_lifts,
     flag_dimension,
+    from_word,
+    gw_invariant,
     hom_dimension,
     is_effective,
     is_generic_levi_semistable,
     pairing,
+    parabolic_gw_invariant,
     peterson_lift,
     push_degree,
 )
@@ -24,20 +30,20 @@ P2 = ParabolicSubset.of([2])  # A2 with this parabolic is the projective plane
 
 def test_lift_examples_on_projective_plane():
     rs = build_root_system("A2")
-    assert peterson_lift(rs, P2, (1,)).lam == (1, 0)
-    assert peterson_lift(rs, P2, (2,)).lam == (2, 1)
-    assert peterson_lift(rs, P2, (0,)).lam == (0, 0)
+    assert peterson_lift(rs, P2, (1,)) == (1, 0)
+    assert peterson_lift(rs, P2, (2,)) == (2, 1)
+    assert peterson_lift(rs, P2, (0,)) == (0, 0)
 
 
 def test_lift_second_coordinate_is_floor_half():
     rs = build_root_system("A2")
     for d in range(11):
-        assert peterson_lift(rs, P2, (d,)).lam == (d, d // 2)
+        assert peterson_lift(rs, P2, (d,)) == (d, d // 2)
 
 
 def test_lift_borel_is_identity_map():
     rs = build_root_system("B2")
-    assert peterson_lift(rs, ParabolicSubset(), (3, 5)).lam == (3, 5)
+    assert peterson_lift(rs, ParabolicSubset(), (3, 5)) == (3, 5)
 
 
 def test_lift_restricts_to_input_degree():
@@ -46,7 +52,7 @@ def test_lift_restricts_to_input_degree():
         for d0 in range(4):
             degree = tuple(d0 + k for k in range(len(J.free_nodes(3))))
             lifted = peterson_lift(rs, J, degree)
-            assert lifted.degree == degree
+            assert push_degree(rs, J, lifted) == degree
 
 
 def test_lift_rejects_bad_input():
@@ -55,6 +61,98 @@ def test_lift_rejects_bad_input():
         peterson_lift(rs, P2, (1, 2))
     with pytest.raises(ValueError):
         peterson_lift(rs, ParabolicSubset.full(2), ())
+
+
+def _line_two_points(rs, J, degree):
+    # on the plane A2/{2}: 1 line through a line and two points at degree 1
+    return parabolic_gw_invariant(rs, J, [from_word(rs, w) for w in ((1,), (2, 1), (2, 1))], degree)
+
+
+_DEGREE_ENTRY_POINTS = {
+    "is_effective": is_effective,
+    "peterson_lift": peterson_lift,
+    "comparison_data": comparison_data,
+    "anticanonical_pairing": anticanonical_pairing,
+    "hom_dimension": hom_dimension,
+    "is_generic_levi_semistable": is_generic_levi_semistable,
+    "parabolic_gw_invariant": _line_two_points,
+    "check_comparison_consistency": check_comparison_consistency,
+}
+
+_NOT_EFFECTIVE = ValueError("degree (-1,) is not effective")
+
+# entry point -> its value at degree (1,) and at degree (-1,) of the plane
+_DEGREE_VALUES = {
+    "is_effective": (True, False),
+    "peterson_lift": ((1, 0), (-1, -1)),
+    "comparison_data": (None, _NOT_EFFECTIVE),
+    "anticanonical_pairing": (3, -3),
+    "hom_dimension": (5, _NOT_EFFECTIVE),
+    "is_generic_levi_semistable": (False, _NOT_EFFECTIVE),
+    "parabolic_gw_invariant": (1, 0),
+    "check_comparison_consistency": (None, ()),
+}
+
+# inputs every entry point rejects alike, with the message
+_DEGREE_ERRORS = [
+    ((2,), (1, 2), "degree vector has 2 coordinates, expected 1"),
+    ((2,), (), "degree vector has 0 coordinates, expected 1"),
+    ((1, 2), (), "the full parabolic has no curve classes (H_2 = 0)"),
+    ((1, 2), (1,), "the full parabolic has no curve classes (H_2 = 0)"),
+    ((5,), (1,), "parabolic node 5 out of range for A2"),
+]
+
+
+@pytest.mark.parametrize("name", sorted(_DEGREE_ENTRY_POINTS))
+@pytest.mark.parametrize("nodes, degree, message", _DEGREE_ERRORS)
+def test_degree_validation_messages(name, nodes, degree, message):
+    rs = build_root_system("A2")
+    with pytest.raises(ValueError) as info:
+        _DEGREE_ENTRY_POINTS[name](rs, ParabolicSubset.of(nodes), degree)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(_DEGREE_ENTRY_POINTS))
+def test_degree_validation_values(name):
+    rs = build_root_system("A2")
+    fn = _DEGREE_ENTRY_POINTS[name]
+    at_one, at_minus_one = _DEGREE_VALUES[name]
+    # a list is a degree like the tuple with the same coordinates
+    assert fn(rs, P2, [1]) == fn(rs, P2, (1,))
+    if at_one is not None:
+        assert fn(rs, P2, (1,)) == at_one
+    if isinstance(at_minus_one, ValueError):
+        with pytest.raises(ValueError) as info:
+            fn(rs, P2, (-1,))
+        assert str(info.value) == str(at_minus_one)
+    else:
+        assert fn(rs, P2, (-1,)) == at_minus_one
+
+
+_NON_INTEGERS = [1.5, 2.0, 1.2, 0.7, "2", None]
+
+
+@pytest.mark.parametrize("x", _NON_INTEGERS, ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rs, d: is_effective(rs, P2, d),
+        lambda rs, d: peterson_lift(rs, P2, d),
+        lambda rs, d: comparison_data(rs, P2, d),
+        lambda rs, d: hom_dimension(rs, P2, d),
+        lambda rs, d: _line_two_points(rs, P2, d),
+        lambda rs, d: gw_invariant(rs, [from_word(rs, w) for w in ((1,), (1, 2, 1), (1, 2, 1))], d + (0,)),
+    ],
+    ids=["is_effective", "peterson_lift", "comparison_data", "hom_dimension",
+         "parabolic_gw_invariant", "gw_invariant"],
+)
+def test_degree_coordinates_must_be_integers(call, x):
+    # truncating would read 1.2 as 1 for the grading but as 1.2 for the
+    # coefficient lookup
+    rs = build_root_system("A2")
+    with pytest.raises(ValueError) as info:
+        call(rs, (x,))
+    assert str(info.value) == f"degree coordinate {x!r} is not an integer"
 
 
 def test_derived_parabolic_examples():
@@ -129,7 +227,7 @@ def test_degree_helpers_on_exceptional_types(name, j_nodes):
     J = ParabolicSubset.of(j_nodes)
     dims, stable = [], []
     for d in range(4):
-        lam = peterson_lift(rs, J, (d,)).lam
+        lam = peterson_lift(rs, J, (d,))
         dims.append(hom_dimension(rs, J, (d,)))
         stable.append(is_generic_levi_semistable(rs, J, (d,)))
         assert dims[-1] == flag_dimension(rs, J) + _c1_pairing(rs, J, lam)
@@ -156,7 +254,7 @@ def test_lift_uniqueness_against_brute_force(name, j_nodes):
     degrees = {tuple(rng.randrange(0, 4) for _ in range(r)) for _ in range(6)}
     for degree in degrees:
         hits = enumerate_alcove_lifts(rs, J, degree, window=6)
-        assert hits == [peterson_lift(rs, J, degree).lam]
+        assert hits == [peterson_lift(rs, J, degree)]
 
 
 def test_lift_stability_under_push_and_relift():
@@ -166,10 +264,10 @@ def test_lift_stability_under_push_and_relift():
         r = len(J.free_nodes(rs.rank))
         for total in range(4):
             degree = (total,) * r
-            lam = peterson_lift(rs, J, degree).lam
+            lam = peterson_lift(rs, J, degree)
             jp = derived_parabolic(rs, J, lam)
             pushed = push_degree(rs, jp, lam)
-            assert peterson_lift(rs, jp, pushed).lam == lam
+            assert peterson_lift(rs, jp, pushed) == lam
             assert derived_parabolic(rs, jp, lam) == jp
 
 
@@ -179,7 +277,7 @@ def test_effectivity_transfer():
         J = ParabolicSubset.of(j_nodes)
         r = len(J.free_nodes(rs.rank))
         for d0 in range(5):
-            lam = peterson_lift(rs, J, (d0,) * r).lam
+            lam = peterson_lift(rs, J, (d0,) * r)
             assert all(x >= 0 for x in lam)
 
 
@@ -189,7 +287,7 @@ def test_alcove_condition_holds_on_all_levi_roots():
         J = ParabolicSubset.of(j_nodes)
         r = len(J.free_nodes(rs.rank))
         for d0 in range(4):
-            lam = peterson_lift(rs, J, (d0,) * r).lam
+            lam = peterson_lift(rs, J, (d0,) * r)
             for g in rs.parabolic_root_indices(J):
                 assert pairing(rs, rs.positive_roots[g], lam) in (-1, 0)
 
@@ -203,7 +301,7 @@ def test_dimension_chain():
         r = len(J.free_nodes(rs.rank))
         for d0 in range(4):
             degree = (d0,) * r
-            lam = peterson_lift(rs, J, degree).lam
+            lam = peterson_lift(rs, J, degree)
             jp = derived_parabolic(rs, J, lam)
             pushed = push_degree(rs, jp, lam)
             borel = hom_dimension(rs, ParabolicSubset(), lam)
@@ -241,7 +339,7 @@ def test_alcove_walk_length_is_exact(name, monkeypatch):
                     m = pairing(rs, rs.positive_roots[g], start)
                     separating += m if m > 0 else max(0, -1 - m)
                 checks = 0
-                lam = peterson_lift(rs, J, degree).lam
+                lam = peterson_lift(rs, J, degree)
                 assert max(checks - 1, 0) == separating
                 assert AlcoveSpec.for_parabolic(rs, J).contains(lam)
                 assert push_degree(rs, J, lam) == degree
