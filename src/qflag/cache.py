@@ -1,10 +1,12 @@
 """Persistence and encoding of structure-constant tables.
 
 One JSON document per (type, parabolic), format version 1.  The cache file
-is byte for byte the stdout of `table --json` (plus a final newline): both
-are the one string of `encode_document`, the schema writer, which gives the
-bytes of json.dumps(doc, indent=2, sort_keys=True) without running json's
-pure-Python indent encoder.
+is byte for byte the stdout of `table --json`: `write_document`, the one
+schema writer, streams the bytes of json.dumps(doc, indent=2, sort_keys=True)
+and a final newline entry by entry, without running json's pure-Python
+indent encoder and without holding the document.  A fresh table is streamed
+into a new file in the cache directory, renamed onto the cache file when it
+is complete, and then copied to stdout; a failure removes the new file.
 
 A cached document is trusted only after one pass over all of it: the format
 version, the type/parabolic header, one entry per (u, v) pair of basis words
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from functools import cache
 
 from .compare import anticanonical_pairing
@@ -38,15 +41,6 @@ def table_path(cache_dir, type_name, parabolic) -> str:
     return os.path.join(cache_dir, f"{type_name}-{tag}.json")
 
 
-def make_document(type_name, parabolic, entries) -> dict:
-    return {
-        "version": TABLE_FORMAT_VERSION,
-        "type": type_name,
-        "parabolic": list(parabolic.indices),
-        "entries": entries,
-    }
-
-
 def _int_list(values, pad):
     """A list of ints as json's indent=2 encoder writes it at indent `pad`."""
     if not values:
@@ -55,32 +49,44 @@ def _int_list(values, pad):
     return f"[\n{pad}  {inner}\n{pad}]"
 
 
-def encode_document(doc) -> str:
-    """The string json.dumps(doc, indent=2, sort_keys=True) gives for a table
-    document (str words, int degrees and coefficients), built with f-strings.
-    Each distinct word and q vector is encoded once, through json.dumps."""
+def terms_encoder():
+    """A function that encodes an entry's terms, given as (word, q-degree,
+    coefficient) triples, as json's indent=2 encoder writes the entry's
+    "terms" list.  Each distinct word and degree is encoded once."""
     words = cache(json.dumps)
     degrees = cache(lambda q: _int_list(q, " " * 10))
-    entries = []
-    for entry in doc["entries"]:
-        terms = ",\n".join(
-            f'        {{\n          "c": {t["c"]},\n'
-            f'          "q": {degrees(tuple(t["q"]))},\n'
-            f'          "w": {words(t["w"])}\n        }}'
-            for t in entry["terms"]
+
+    def encode(terms):
+        body = ",\n".join(
+            f'        {{\n          "c": {c},\n'
+            f'          "q": {degrees(tuple(q))},\n'
+            f'          "w": {words(w)}\n        }}'
+            for w, q, c in terms
         )
-        terms = f"[\n{terms}\n      ]" if terms else "[]"
-        entries.append(
-            f'    {{\n      "terms": {terms},\n      "u": {words(entry["u"])},\n'
-            f'      "v": {words(entry["v"])}\n    }}'
+        return f"[\n{body}\n      ]" if body else "[]"
+
+    return encode
+
+
+def write_document(handle, type_name, parabolic, entries):
+    """Write a table document to `handle` as print(json.dumps(doc, indent=2,
+    sort_keys=True)) gives it, one entry at a time.  `entries` yields each
+    entry as (u, v, terms), with the terms encoded by a `terms_encoder`;
+    `parabolic` is the list of parabolic nodes."""
+    words = cache(json.dumps)
+    handle.write('{\n  "entries": ')
+    opening = "[\n"
+    for u, v, terms in entries:
+        handle.write(
+            f'{opening}    {{\n      "terms": {terms},\n      "u": {words(u)},\n'
+            f'      "v": {words(v)}\n    }}'
         )
-    body = ",\n".join(entries)
-    body = f"[\n{body}\n  ]" if entries else "[]"
-    return (
-        f'{{\n  "entries": {body},\n'
-        f'  "parabolic": {_int_list(doc["parabolic"], "  ")},\n'
-        f'  "type": {json.dumps(doc["type"])},\n'
-        f'  "version": {json.dumps(doc["version"])}\n}}'
+        opening = ",\n"
+    handle.write("[]" if opening == "[\n" else "\n  ]")
+    handle.write(
+        f',\n  "parabolic": {_int_list(parabolic, "  ")},\n'
+        f'  "type": {json.dumps(type_name)},\n'
+        f'  "version": {TABLE_FORMAT_VERSION}\n}}\n'
     )
 
 
@@ -166,8 +172,12 @@ def load_document(path, type_name, parabolic, words):
     return doc["entries"], None
 
 
-def store_document(path, encoded):
-    """Write an encoded document and a final newline atomically."""
+@contextmanager
+def new_document(path):
+    """Yield (handle, tmp): a new text file named `tmp` in the cache
+    directory, with mode 0666 less the umask, to stream a table document
+    bound for the cache file at `path` into, for `store_document` to rename
+    onto `path`.  On the way out the file is removed unless it was stored."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".qflag-{os.urandom(8).hex()}.tmp")
@@ -175,10 +185,14 @@ def store_document(path, encoded):
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(encoded)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
+            yield handle, tmp
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+
+
+def store_document(path, handle, tmp):
+    """Make the document streamed into `handle`, the file `tmp` of
+    `new_document`, the cache file at `path`, atomically."""
+    handle.flush()
+    os.replace(tmp, path)

@@ -10,7 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import shutil
 import sys
+import tempfile
+from contextlib import ExitStack
 from dataclasses import asdict, replace
 from functools import partial
 from itertools import product as iter_product
@@ -22,6 +25,7 @@ from .compare import (
     comparison_data,
     parabolic_gw_invariant,
     parabolic_quantum_product,
+    product_table,
     star,
 )
 from .degrees import enumerate_alcove_lifts, is_effective, peterson_lift
@@ -104,15 +108,6 @@ def _normalize_classes(rs, parabolic, elements):
     return normalized, warnings
 
 
-def _term_dicts(qc: QClass, words=None):
-    """The terms of a class as dicts; `words` maps the basis to word strings
-    already formatted, so that the terms share them."""
-    return [
-        {"w": words[w] if words else format_word(w.word), "q": list(d), "c": c}
-        for (w, d), c in qc.sorted_terms()
-    ]
-
-
 def cmd_lift(args):
     rs, parabolic = _context(args)
     degree = _parse_degree(args.degree, len(parabolic.free_nodes(rs.rank)))
@@ -189,7 +184,9 @@ def cmd_mul(args):
         "u": format_word(u.word),
         "v": format_word(v.word),
         "product": format_qclass(qc),
-        "terms": _term_dicts(qc),
+        "terms": [
+            {"w": format_word(w.word), "q": list(d), "c": c} for (w, d), c in qc.sorted_terms()
+        ],
     }
     if warnings:
         payload["warnings"] = warnings
@@ -199,57 +196,101 @@ def cmd_mul(args):
     return 0
 
 
+def _mirrored(n, value):
+    """value(i, j) for every pair of positions below n in row-major order,
+    computed once per unordered pair: the ring is commutative, so entry
+    (j, i) reuses the value of (i, j).  A value is kept only until row j has
+    used it, so at most about a quarter of them are held at once."""
+    upper = [[] for _ in range(n)]  # upper[j]: the values of (i, j), i < j
+    for i in range(n):
+        yield from upper[i]
+        upper[i] = None
+        for j in range(i, n):
+            got = value(i, j)
+            if j > i:
+                upper[j].append(got)
+            yield got
+
+
+def _entry_line(u, v, rendered):
+    return f"sigma[{u}] * sigma[{v}] = {rendered}"
+
+
 def cmd_table(args):
     rs, parabolic = _context(args)
-    basis = enumerate_min_reps(rs, parabolic)
+    type_name = str(rs.cartan_type)
+    basis, rows = product_table(rs, parabolic)
     cache_dir = args.cache_dir or cache_io.default_cache_dir()
-    path = cache_io.table_path(cache_dir, str(rs.cartan_type), parabolic)
+    path = cache_io.table_path(cache_dir, type_name, parabolic)
     words = [format_word(w.word) for w in basis]
-    entries, problem = cache_io.load_document(
-        path, str(rs.cartan_type), parabolic, words
+    n = len(words)
+    header = (
+        f"type: {type_name}  parabolic: {list(parabolic.indices)}  "
+        f"basis: {n}  entries: {n * n}"
     )
+    entries, problem = cache_io.load_document(path, type_name, parabolic, words)
     if problem:
         print(f"warning: {problem}", file=sys.stderr)
-    fresh = entries is None
-    if fresh:
-        # the ring is commutative: entry (j, i) reuses the terms of (i, j)
-        word_of = dict(zip(basis, words))
-        rows = [
-            [
-                _term_dicts(parabolic_quantum_product(rs, parabolic, u, v), word_of)
-                for v in basis[i:]
-            ]
-            for i, u in enumerate(basis)
-        ]
-        entries = [
-            {"u": uw, "v": vw, "terms": rows[min(i, j)][abs(j - i)]}
-            for i, uw in enumerate(words)
-            for j, vw in enumerate(words)
-        ]
-    else:
+    encode = cache_io.terms_encoder()
+    if entries is not None:
         print(f"cache hit: {path}", file=sys.stderr)
-    doc = cache_io.make_document(str(rs.cartan_type), parabolic, entries)
-    if fresh or args.json:
-        # one encoding serves both the cache file and stdout
-        encoded = cache_io.encode_document(doc)
-    if fresh:
-        # like an unreadable cache, an unwritable one costs only the reuse
+        cached = (
+            (e["u"], e["v"], [(t["w"], t["q"], t["c"]) for t in e["terms"]]) for e in entries
+        )
+        if args.json:
+            cache_io.write_document(
+                sys.stdout, type_name, parabolic.indices,
+                ((u, v, encode(terms)) for u, v, terms in cached),
+            )
+        else:
+            print(header)
+            for u, v, terms in cached:
+                print(_entry_line(u, v, format_terms(terms)))
+        return 0
+
+    def entry(i, j):
+        # the JSON terms, and the rendered text line's terms for a text run
+        terms = [(words[y], d, c) for _, d, y, c in rows(i, j)]
+        return encode(terms), None if args.json else format_terms(terms)
+
+    def stream(handle):
+        # the document into `handle`, and a text run's lines into `text`,
+        # each from its start
+        if text is not None:
+            text.seek(0)
+            text.truncate()
+            text.write(header + "\n")
+
+        def streamed():
+            for k, (terms, rendered) in enumerate(_mirrored(n, entry)):
+                u, v = words[k // n], words[k % n]
+                if text is not None:
+                    text.write(_entry_line(u, v, rendered) + "\n")
+                yield u, v, terms
+
+        cache_io.write_document(handle, type_name, parabolic.indices, streamed())
+
+    # stdout gets nothing until the table is complete: the document goes to
+    # the cache file first, and a text run collects its lines in a file
+    with ExitStack() as files:
+        anonymous = partial(tempfile.TemporaryFile, "w+", encoding="utf-8")
+        text = None if args.json else files.enter_context(anonymous())
         try:
-            cache_io.store_document(path, encoded)
+            with cache_io.new_document(path) as (handle, tmp):
+                stream(handle)
+                cache_io.store_document(path, handle, tmp)
+            out = files.enter_context(open(path, encoding="utf-8")) if args.json else text
         except OSError as exc:
+            # like an unreadable cache, an unwritable one costs only the
+            # reuse: the table is streamed again, into an anonymous file
             print(f"warning: cannot write cache {path}: {exc}", file=sys.stderr)
+            handle = files.enter_context(anonymous())
+            stream(handle)
+            out = handle if args.json else text
         else:
             print(f"cache write: {path}", file=sys.stderr)
-    if args.json:
-        print(encoded)
-    else:
-        print(
-            f"type: {doc['type']}  parabolic: {doc['parabolic']}  "
-            f"basis: {len(basis)}  entries: {len(entries)}"
-        )
-        for entry in entries:
-            rendered = format_terms((t["w"], t["q"], t["c"]) for t in entry["terms"])
-            print(f"sigma[{entry['u']}] * sigma[{entry['v']}] = {rendered}")
+        out.seek(0)
+        shutil.copyfileobj(out, sys.stdout)
     return 0
 
 

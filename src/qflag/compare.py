@@ -13,9 +13,15 @@ sigma_u * sigma_v.  That readout is injective, so it is run backwards: a
 Borel term q^lambda sigma_x is a G/P term exactly when lambda is the lift of
 its restriction d to the free nodes and y = x w'_d w_J is a minimal
 representative, and then it is the term q^d sigma_y (w_o w = y w_J for
-y = dual(w)).  `_Context.product` maps every term of one Borel product this
-way, and every G/P product, invariant and audit value is read off it.  The
-Borel ring is the case J = {} of the same map (lambda_d = d, w'_d = w_J = e).
+y = dual(w)).  `_Context.rows` maps every term of one Borel product this
+way, and every G/P product, table entry, invariant and audit value is read
+off it.  The Borel ring is the case J = {} of the same map (lambda_d = d,
+w'_d = w_J = e).
+
+The readout runs on the engine's packed keys (see `quantum.py`): per packed
+Borel degree it memoizes whether lambda is a lift and, if so, d, c_1(d) and
+the basis position of x w'_d w_J per element index x, filled in as elements
+come up, so each term costs a few dict lookups and no Weyl group product.
 
 Everything that depends only on (root system, parabolic) and the degree is
 built once, in a memoized context, as one `ComparisonData` record per
@@ -27,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations
+from operator import itemgetter
 
 from .degrees import (
     _as_degree,
@@ -37,7 +44,7 @@ from .degrees import (
     push_degree,
 )
 from .classical import classical_parabolic_invariant
-from .quantum import BOREL, QClass, quantum_product
+from .quantum import BOREL, QClass, _engine, _int_product, quantum_product
 from .root_system import ParabolicSubset, RootSystem
 from .weyl import WeylElement, enumerate_min_reps, longest_element, min_coset_rep
 
@@ -74,16 +81,34 @@ class _Context:
         self.free = parabolic.free_nodes(rs.rank)
         self._degrees = {}
         self._products = {}
+        # packed Borel degree -> None when it is not a lift, else
+        # (sum(d), d, c_1(d), perm of x -> perm of x w'_d w_J,
+        #  {element index x: basis position of x w'_d w_J, or -1 if not minimal})
+        self._readout = {}
+
+    @cached_property
+    def engine(self):
+        return _engine(self.rs)
 
     @cached_property
     def basis(self):
+        """The minimal representatives by length, then by word; at J = {}
+        the engine's own enumeration."""
+        if not len(self.parabolic):
+            return self.engine.elements
         return enumerate_min_reps(self.rs, self.parabolic)
 
     @cached_property
-    def canonical(self):
-        """Each basis element keyed by itself: a lookup tests minimality and
-        returns the basis instance."""
-        return {w: w for w in self.basis}
+    def position(self):
+        """Basis position of each minimal representative, keyed by its
+        permutation: a lookup tests minimality."""
+        return {w.perm: k for k, w in enumerate(self.basis)}
+
+    @cached_property
+    def borel_index(self):
+        """The engine's element index of each basis element."""
+        index = self.engine.index
+        return [index[w.perm] for w in self.basis]
 
     @cached_property
     def dual(self):
@@ -112,25 +137,54 @@ class _Context:
             self._degrees[degree] = got
         return got
 
+    def _lift_readout(self, pd):
+        """The readout entry of a packed Borel degree, memoized."""
+        lam = self.engine.degree(pd)
+        d = tuple(lam[i - 1] for i in self.free)
+        cd = self.degree(d)
+        got = None
+        if lam == cd.d_B:
+            got = (sum(d), d, cd.c1, itemgetter(*cd.shift.perm), {})
+        self._readout[pd] = got
+        return got
+
+    def rows(self, i, j):
+        """The G/P product of the basis elements at positions i and j, as
+        rows (sum(d), d, y, c) sorted by (sum(d), d, y), one per term
+        c q^d sigma_y with y a basis position: each term q^lambda sigma_x of
+        the Borel product whose lambda is the lift of its restriction d, and
+        whose x w'_d w_J is a minimal representative y.  The basis is
+        ordered by length and then by word, so this is the order of
+        `QClass.sorted_terms`."""
+        eng, readout, position = self.engine, self._readout, self.position
+        elements, lengths, size = eng.elements, eng.lengths, eng.size
+        borel = self.borel_index
+        grade = lengths[borel[i]] + lengths[borel[j]]
+        rows = []
+        for key, c in _int_product(eng, borel[i], borel[j]).items():
+            pd, x = divmod(key, size)
+            got = readout[pd] if pd in readout else self._lift_readout(pd)
+            if got is None:
+                continue
+            s, d, c1, shifted, ys = got
+            y = ys.get(x)
+            if y is None:
+                y = ys[x] = position.get(shifted(elements[x].perm), -1)
+            if y < 0:
+                continue
+            if lengths[borel[y]] + c1 != grade:
+                raise RuntimeError(f"G/P term {self.basis[y]!r} q^{d} breaks the grading")
+            rows.append((s, d, y, c))
+        rows.sort()
+        return rows
+
     def product(self, u, v) -> QClass:
-        """G/P product of two minimal representatives, memoized: each term
-        q^lambda sigma_x of the Borel product sigma_u * sigma_v whose lambda
-        is the lift of its restriction d, and whose x w'_d w_J is a minimal
-        representative y, becomes q^d sigma_y."""
+        """G/P product of two minimal representatives, memoized."""
         got = self._products.get((u, v))
         if got is None:
-            grade = u.length + v.length
-            terms = {}
-            for (x, lam), c in quantum_product(self.rs, u, v).terms.items():
-                d = tuple(lam[i - 1] for i in self.free)
-                cd = self.degree(d)
-                y = self.canonical.get(x * cd.shift) if lam == cd.d_B else None
-                if y is None:
-                    continue
-                if y.length + cd.c1 != grade:
-                    raise RuntimeError(f"G/P term {y!r} q^{d} breaks the grading")
-                terms[(y, d)] = c
-            got = QClass(self.rs, self.parabolic, terms)
+            basis, position = self.basis, self.position
+            rows = self.rows(position[u.perm], position[v.perm])
+            got = QClass(self.rs, self.parabolic, {(basis[y], d): c for _, d, y, c in rows})
             self._products[(u, v)] = got
         return got
 
@@ -217,6 +271,12 @@ def gw_invariant(rs: RootSystem, classes, degree) -> int:
     return parabolic_gw_invariant(rs, BOREL, classes, degree)
 
 
+def _quantum_context(rs: RootSystem, parabolic: ParabolicSubset) -> _Context:
+    if not parabolic.free_nodes(rs.rank):
+        raise ValueError("the full parabolic has no quantum parameters")
+    return _context(rs, parabolic)
+
+
 def parabolic_quantum_product(
     rs: RootSystem, parabolic: ParabolicSubset, u: WeylElement, v: WeylElement
 ) -> QClass:
@@ -225,10 +285,17 @@ def parabolic_quantum_product(
     the Borel product itself."""
     if not len(parabolic):
         return quantum_product(rs, u, v)
-    if not parabolic.free_nodes(rs.rank):
-        raise ValueError("the full parabolic has no quantum parameters")
-    ctx = _context(rs, parabolic)
+    ctx = _quantum_context(rs, parabolic)
     return ctx.product(min_coset_rep(u, parabolic), min_coset_rep(v, parabolic))
+
+
+def product_table(rs: RootSystem, parabolic: ParabolicSubset):
+    """The Schubert basis of G/P (minimal representatives by length, then by
+    word) and a function of two basis positions that returns their product
+    as sorted rows (sum(d), d, basis position, c): the structure constants
+    without any per-term objects, and without memoizing the products."""
+    ctx = _quantum_context(rs, parabolic)
+    return ctx.basis, ctx.rows
 
 
 def star(a: QClass, b: QClass) -> QClass:

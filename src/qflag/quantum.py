@@ -383,19 +383,24 @@ def _products(eng, v, upto):
 
 
 def _oriented_product(rs, u, v) -> QClass:
-    """sigma_u * sigma_v read off v's own table, which recurses to l(u).
-    `quantum_product` calls it with its factors ordered; the commutativity
-    audit calls it both ways round, so that it compares two recursions."""
+    """sigma_u * sigma_v read off v's own table, which recurses to l(u).  The
+    commutativity audit calls it both ways round, so that it compares two
+    recursions."""
     eng = _engine(rs)
     return eng.qclass(_products(eng, eng.index[v.perm], u.length)[eng.index[u.perm]])
 
 
+def _int_product(eng, x, y):
+    """sigma_x * sigma_y for element indices x, y, as the int-keyed terms of
+    the table of the later one.  The ring is commutative, so both orders read
+    that table: the later factor is never the shorter one, and its table
+    recurses only to the shorter length.  The dict is the table's own."""
+    if x > y:
+        x, y = y, x
+    return _products(eng, y, eng.lengths[x])[x]
+
+
 def quantum_product(rs: RootSystem, u: WeylElement, v: WeylElement) -> QClass:
-    """Quantum product of two Schubert classes on the full flag variety.  The
-    ring is commutative, so both orders read the product off the table of the
-    factor later in the length-graded enumeration: that factor is never the
-    shorter one, and its table recurses only to the shorter length."""
-    index = _engine(rs).index
-    if index[u.perm] > index[v.perm]:
-        u, v = v, u
-    return _oriented_product(rs, u, v)
+    """Quantum product of two Schubert classes on the full flag variety."""
+    eng = _engine(rs)
+    return eng.qclass(_int_product(eng, eng.index[u.perm], eng.index[v.perm]))

@@ -1,18 +1,33 @@
 """The table schema writer gives the bytes of json's indent encoder."""
 
+import contextlib
+import io
 import json
 import os
 import stat
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qflag.cache import encode_document
+from qflag.cache import terms_encoder, write_document
 from qflag.cli import main
 
 
 def reference(doc):
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def encode(doc):
+    """The document as the schema writer streams it."""
+    out = io.StringIO()
+    terms = terms_encoder()
+    entries = (
+        (e["u"], e["v"], terms((t["w"], t["q"], t["c"]) for t in e["terms"]))
+        for e in doc["entries"]
+    )
+    write_document(out, doc["type"], doc["parabolic"], entries)
+    return out.getvalue()
 
 
 # basis-like words, and words that need JSON escapes: quote, backslash,
@@ -49,7 +64,7 @@ documents = st.fixed_dictionaries(
      "entries": [{"u": "e", "v": "e", "terms": []}]}
 )
 def test_writer_matches_json_indent_encoder(doc):
-    assert encode_document(doc) == reference(doc)
+    assert encode(doc) == reference(doc)
 
 
 @pytest.mark.parametrize(
@@ -66,8 +81,8 @@ def test_cache_file_is_the_writer_output_on_real_tables(
     out = capsys.readouterr().out
     text = (tmp_path / name).read_text(encoding="utf-8")
     doc = json.loads(text)
-    assert encode_document(doc) == reference(doc)
-    assert text == out == reference(doc) + "\n"
+    assert encode(doc) == reference(doc)
+    assert text == out == reference(doc)
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
@@ -79,3 +94,26 @@ def test_cache_file_mode_follows_the_umask(tmp_path, capsys, umask):
     finally:
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "A2-2.json").stat().st_mode) == 0o666 & ~umask
+
+
+def test_a_fresh_table_is_streamed_not_held(tmp_path):
+    # with the engine warm, a cold-cache table allocates little beyond the
+    # entries a later row still mirrors, about a quarter of its document:
+    # less than half of it, which holding every computed entry exceeds
+    argv = ["table", "--type", "B3", "--json", "--cache-dir"]
+    with open(tmp_path / "warm.json", "w", encoding="utf-8") as out, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv + [str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "cold.json", "w", encoding="utf-8") as out, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv + [str(tmp_path / "cold")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = (tmp_path / "cold.json").read_text(encoding="utf-8")
+    assert text == (tmp_path / "warm.json").read_text(encoding="utf-8")
+    assert text == (tmp_path / "cold" / "B3-borel.json").read_text(encoding="utf-8")
+    assert len(text) == 1_438_033
+    assert peak < len(text) // 2

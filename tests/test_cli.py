@@ -1,3 +1,5 @@
+import contextlib
+import errno
 import gc
 import json
 
@@ -204,8 +206,8 @@ def test_table_ignores_corrupt_cache(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
-@pytest.mark.parametrize("blocker", ["file-above", "directory-at-path"])
-def test_table_survives_an_unwritable_cache(tmp_path, capsys, fmt, blocker):
+@pytest.mark.parametrize("blocker", ["file-above", "directory-at-path", "disk-full-midway"])
+def test_table_survives_an_unwritable_cache(tmp_path, capsys, monkeypatch, fmt, blocker):
     # a cache that cannot be written costs the reuse, not the table; a
     # regular file above the cache directory blocks the write even for root
     args = ["table", "--type", "A2", "--parabolic", "2", *fmt]
@@ -215,15 +217,79 @@ def test_table_survives_an_unwritable_cache(tmp_path, capsys, fmt, blocker):
     if blocker == "file-above":
         blocked.write_text("", encoding="utf-8")
         cache_dir = blocked / "sub"
-    else:
+    elif blocker == "directory-at-path":
         (blocked / "A2-2.json").mkdir(parents=True)
         cache_dir = blocked
+    else:
+        # the cache's file takes three writes, then its disk is full
+        cache_dir = blocked
+        real = cli.cache_io.new_document
+
+        @contextlib.contextmanager
+        def filling_up(path):
+            with real(path) as (handle, tmp):
+                writes, write = iter(range(3)), handle.write
+
+                def write_or_fail(text):
+                    if next(writes, None) is None:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                    return write(text)
+
+                handle.write = write_or_fail
+                yield handle, tmp
+
+        monkeypatch.setattr(cli.cache_io, "new_document", filling_up)
     code, out, err = run(capsys, *args, "--cache-dir", str(cache_dir))
     assert code == 0
     assert out == expected
     assert f"warning: cannot write cache {cache_dir / 'A2-2.json'}: " in err
     assert "cache write" not in err
     assert not list(tmp_path.rglob(".qflag-*.tmp"))
+    assert not (cache_dir / "A2-2.json").is_file()
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_table_refuses_the_full_parabolic_before_opening_a_file(tmp_path, capsys, fmt):
+    cache_dir = tmp_path / "cache"
+    code, out, err = run(
+        capsys, "table", "--type", "A2", "--parabolic", "1,2", *fmt,
+        "--cache-dir", str(cache_dir),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: the full parabolic has no quantum parameters\n"
+    assert not cache_dir.exists()
+    assert not list(tmp_path.rglob(".qflag-*.tmp"))
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_table_failing_midway_prints_nothing_and_leaves_no_file(
+    tmp_path, capsys, monkeypatch, fmt
+):
+    real = cli.product_table
+
+    def failing(rs, parabolic):
+        # the fourth of the six products of A2/{2} fails, after the first
+        # entries were streamed into the cache directory
+        basis, rows = real(rs, parabolic)
+        calls = iter(range(3))
+
+        def rows_or_fail(i, j):
+            if next(calls, None) is None:
+                raise RuntimeError("injected failure")
+            return rows(i, j)
+
+        return basis, rows_or_fail
+
+    monkeypatch.setattr(cli, "product_table", failing)
+    code, out, err = run(
+        capsys, "table", "--type", "A2", "--parabolic", "2", *fmt,
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 1
+    assert out == ""
+    assert "injected failure" in err and "cache write" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_associativity_suite_audits_the_named_ring(capsys):
