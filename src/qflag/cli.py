@@ -2,7 +2,13 @@
 tables and self-check suites.
 
 Exit codes: 0 success, 1 internal assertion or failed check, 2 input
-validation, 3 enumeration bound exceeded.
+validation, 3 enumeration bound exceeded.  The console script also exits
+143 (128 + SIGTERM) when it is terminated, after removing its temporary
+cache file.
+
+`main(argv)` returns the exit code and can be called repeatedly in one
+process: the parser is built on the first call and reused, and argparse
+gives every call a fresh namespace.
 """
 
 from __future__ import annotations
@@ -11,11 +17,12 @@ import argparse
 import json
 import random
 import shutil
+import signal
 import sys
 import tempfile
 from contextlib import ExitStack
 from dataclasses import asdict, replace
-from functools import partial
+from functools import cache, partial
 from itertools import product as iter_product
 
 from . import cache as cache_io
@@ -438,9 +445,15 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    # built on first use, not at import, so that it holds the cmd_*
+    # functions the module has when the first command runs
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -454,7 +467,15 @@ def main(argv=None) -> int:
         return 1
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def entry():
+    # a terminated process unwinds like any other exit, so `table` removes
+    # its temporary cache file; in-process callers of `main` keep their own
+    # signal handling
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     sys.exit(main())
 
 

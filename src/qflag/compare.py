@@ -214,16 +214,6 @@ def comparison_data(rs: RootSystem, parabolic: ParabolicSubset, degree) -> Compa
     return _context(rs, parabolic).degree(degree)
 
 
-def class_pushforward(rs: RootSystem, parabolic: ParabolicSubset, w: WeylElement):
-    """Index map of the Schubert-class pushforward: the coset representative
-    when w factors as (minimal rep) * (longest Levi element), else None."""
-    rs.check_parabolic(parabolic)
-    rep = min_coset_rep(w, parabolic)
-    if w.length == rep.length + longest_element(rs, parabolic).length:
-        return rep
-    return None
-
-
 def anticanonical_pairing(rs: RootSystem, parabolic: ParabolicSubset, degree) -> int:
     """(c_1(G/P), d), evaluated through the alcove-reduced lift."""
     degree = _as_degree(rs, parabolic, degree)

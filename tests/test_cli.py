@@ -1,10 +1,19 @@
+import argparse
 import contextlib
 import errno
 import gc
 import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import qflag
 from qflag import cli
 from qflag.cli import main
 from qflag.quantum import _Engine, _engine, _oriented_product
@@ -449,3 +458,98 @@ def test_check_rejects_vacuous_options(capsys, option, value):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and option in err
+
+
+def _fresh_process(*argv, **kwargs):
+    """Run the console script's entry point in a new interpreter on this
+    checkout's package."""
+    src = str(Path(qflag.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.Popen([sys.executable, "-m", "qflag.cli", *argv], env=env, **kwargs)
+
+
+def test_repeated_in_process_calls_match_fresh_processes(tmp_path, capsys):
+    cache_dir = str(tmp_path / "cache")
+    table = ("table", "--type", "A2", "--parabolic", "2", "--cache-dir", cache_dir)
+    gw = ("gw", "--type", "A4", "--parabolic", "2,3,4", "--classes", "s4s3s2s1,s4s3s2s1,s1",
+          "--degree", "1", "--json")
+    commands = [
+        gw,
+        ("mul", "--type", "B2", "--parabolic", "2", "--u", "s1", "--v", "s1"),
+        ("check", "--suite", "comparison", "--type", "A2", "--parabolic", "2",
+         "--max-degree", "1"),
+        table,  # cold
+        table,  # warm
+        ("lift", "--type", "A2"),  # argparse rejects it: no --degree
+        gw,
+    ]
+    fresh = []
+    for argv in commands:
+        proc = _fresh_process(
+            *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        )
+        out, err = proc.communicate(timeout=60)
+        fresh.append((proc.returncode, out, err))
+    shutil.rmtree(cache_dir)
+
+    in_process = []
+    for argv in commands:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 0, 2, 0]
+    assert "cache write" in in_process[3][2] and "cache hit" in in_process[4][2]
+    assert in_process == fresh
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    argv = ["mul", "--type", "A2", "--u", "s1", "--v", "s1"]
+    assert main(argv) == 0
+    assert len(built) == 6  # the top level and its five subcommands
+    assert main(argv) == 0
+    assert len(built) == 6
+    assert capsys.readouterr().out == "s1 * s1 = sigma[s2s1] + q1\n" * 2
+
+
+@pytest.mark.parametrize("command", [[], ["lift"], ["gw"], ["mul"], ["table"], ["check"]])
+def test_help_of_the_reused_parser_matches_a_fresh_one(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    helps = []
+    for parse in (cli.build_parser().parse_args, main, main):
+        with pytest.raises(SystemExit) as exc:
+            parse([*command, "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0].out.startswith("usage: qflag ") and not helps[0].err
+    assert helps[1] == helps[0] and helps[2] == helps[0]
+
+
+def test_sigterm_removes_the_temporary_cache_file(tmp_path):
+    proc = _fresh_process(
+        "table", "--type", "D4", "--json", "--cache-dir", str(tmp_path),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob(".qflag-*.tmp")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 128 + signal.SIGTERM, err
+    assert list(tmp_path.iterdir()) == []

@@ -15,7 +15,6 @@ from qflag import (
     anticanonical_pairing,
     build_root_system,
     check_comparison_consistency,
-    class_pushforward,
     classical_parabolic_invariant,
     comparison_data,
     enumerate_min_reps,
@@ -77,14 +76,6 @@ def test_comparison_data_cases():
 
     with pytest.raises(ValueError):
         comparison_data(rs, P2, (-1,))
-
-
-def test_class_pushforward_examples():
-    rs = build_root_system("A2")
-    assert class_pushforward(rs, P2, from_word(rs, (1, 2))) == simple_reflection(rs, 1)
-    assert class_pushforward(rs, P2, simple_reflection(rs, 1)) is None
-    w_o = longest_element(rs, ParabolicSubset.full(2))
-    assert class_pushforward(rs, P2, w_o) == from_word(rs, (2, 1))
 
 
 def test_projective_plane_line_through_line_and_two_points():
