@@ -181,9 +181,10 @@ def new_document(path):
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".qflag-{os.urandom(8).hex()}.tmp")
-    # mode 0666 less the umask, like any other file the user writes
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
+        # mode 0666 less the umask, like any other file the user writes; in
+        # the try, so that a signal handled as the file appears removes it
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             yield handle, tmp
     finally:

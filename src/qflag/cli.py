@@ -28,14 +28,12 @@ from itertools import product as iter_product
 from . import cache as cache_io
 from .compare import (
     CheckResult,
+    _quantum_context,
     check_comparison_consistency,
-    comparison_data,
-    parabolic_gw_invariant,
     parabolic_quantum_product,
-    product_table,
     star,
 )
-from .degrees import enumerate_alcove_lifts, is_effective, peterson_lift
+from .degrees import enumerate_alcove_lifts, peterson_lift
 from .quantum import QClass, _oriented_product, format_qclass, format_terms
 from .root_system import CartanType, ParabolicSubset, build_root_system
 from .weyl import (
@@ -51,7 +49,7 @@ from .weyl import (
 def _context(args):
     ctype = CartanType.parse(args.type)
     rs = build_root_system(ctype)
-    parabolic = ParabolicSubset.parse(getattr(args, "parabolic", "") or "")
+    parabolic = ParabolicSubset.parse(args.parabolic)
     rs.check_parabolic(parabolic)
     return rs, parabolic
 
@@ -118,9 +116,9 @@ def _normalize_classes(rs, parabolic, elements):
 def cmd_lift(args):
     rs, parabolic = _context(args)
     degree = _parse_degree(args.degree, len(parabolic.free_nodes(rs.rank)))
-    if not is_effective(rs, parabolic, degree):
+    if any(x < 0 for x in degree):
         raise ValueError(f"degree {list(degree)} is not effective")
-    cd = comparison_data(rs, parabolic, degree)
+    cd = _quantum_context(rs, parabolic).degree(degree)
     payload = {
         "type": str(rs.cartan_type),
         "parabolic": list(parabolic.indices),
@@ -153,9 +151,10 @@ def cmd_gw(args):
     degree = _parse_degree(args.degree, len(parabolic.free_nodes(rs.rank)))
     elements, warnings = _normalize_classes(rs, parabolic, elements)
     note = None
-    if is_effective(rs, parabolic, degree):
-        value = parabolic_gw_invariant(rs, parabolic, elements, degree)
-        d_b = list(comparison_data(rs, parabolic, degree).d_B)
+    if all(x >= 0 for x in degree):
+        ctx = _quantum_context(rs, parabolic)
+        value = ctx.invariant(elements, degree)
+        d_b = list(ctx.degree(degree).d_B)
     else:
         value, d_b, note = 0, None, "non-effective degree"
     route = "comparison" if len(parabolic) else "borel"
@@ -226,10 +225,10 @@ def _entry_line(u, v, rendered):
 def cmd_table(args):
     rs, parabolic = _context(args)
     type_name = str(rs.cartan_type)
-    basis, rows = product_table(rs, parabolic)
+    ctx = _quantum_context(rs, parabolic)
     cache_dir = args.cache_dir or cache_io.default_cache_dir()
     path = cache_io.table_path(cache_dir, type_name, parabolic)
-    words = [format_word(w.word) for w in basis]
+    words = [format_word(w.word) for w in ctx.basis]
     n = len(words)
     header = (
         f"type: {type_name}  parabolic: {list(parabolic.indices)}  "
@@ -257,7 +256,7 @@ def cmd_table(args):
 
     def entry(i, j):
         # the JSON terms, and the rendered text line's terms for a text run
-        terms = [(words[y], d, c) for _, d, y, c in rows(i, j)]
+        terms = [(words[y], d, c) for _, d, y, c in ctx.rows(i, j)]
         return encode(terms), None if args.json else format_terms(terms)
 
     def stream(handle):
@@ -400,14 +399,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, parabolic=True):
+    def common(p):
         p.add_argument("--type", required=True, help="Cartan type, e.g. A2")
-        if parabolic:
-            p.add_argument(
-                "--parabolic",
-                default="",
-                help="comma list of parabolic nodes (empty = Borel)",
-            )
+        p.add_argument(
+            "--parabolic", default="", help="comma list of parabolic nodes (empty = Borel)"
+        )
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("lift", help="lift a degree to the Borel level")

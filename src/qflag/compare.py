@@ -14,18 +14,19 @@ Borel term q^lambda sigma_x is a G/P term exactly when lambda is the lift of
 its restriction d to the free nodes and y = x w'_d w_J is a minimal
 representative, and then it is the term q^d sigma_y (w_o w = y w_J for
 y = dual(w)).  `_Context.rows` maps every term of one Borel product this
-way, and every G/P product, table entry, invariant and audit value is read
-off it.  The Borel ring is the case J = {} of the same map (lambda_d = d,
-w'_d = w_J = e).
+way, on basis positions, and every G/P product, table entry, invariant and
+audit value is read off it.  The Borel ring is the case J = {} of the same
+map (lambda_d = d, w'_d = w_J = e).
 
 The readout runs on the engine's packed keys (see `quantum.py`): per packed
 Borel degree it memoizes whether lambda is a lift and, if so, d, c_1(d) and
 the basis position of x w'_d w_J per element index x, filled in as elements
-come up, so each term costs a few dict lookups and no Weyl group product.
+come up, so each term costs a few dict lookups and no Weyl group product,
+and no G/P product is memoized: the engine's tables are the product cache.
 
 Everything that depends only on (root system, parabolic) and the degree is
 built once, in a memoized context, as one `ComparisonData` record per
-degree; the readout, the degree helpers and the audit all read it.
+degree; the readout, the degree helpers, the CLI and the audit all read it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .degrees import (
     push_degree,
 )
 from .classical import classical_parabolic_invariant
-from .quantum import BOREL, QClass, _engine, _int_product, quantum_product
+from .quantum import BOREL, QClass, _engine, _int_product
 from .root_system import ParabolicSubset, RootSystem
 from .weyl import WeylElement, enumerate_min_reps, longest_element, min_coset_rep
 
@@ -80,7 +81,6 @@ class _Context:
         self.w_J = longest_element(rs, parabolic)
         self.free = parabolic.free_nodes(rs.rank)
         self._degrees = {}
-        self._products = {}
         # packed Borel degree -> None when it is not a lift, else
         # (sum(d), d, c_1(d), perm of x -> perm of x w'_d w_J,
         #  {element index x: basis position of x w'_d w_J, or -1 if not minimal})
@@ -112,8 +112,10 @@ class _Context:
 
     @cached_property
     def dual(self):
-        """Poincare duality on the basis: w -> min_coset_rep(w_o w)."""
-        return {w: min_coset_rep(self.w_o * w, self.parabolic) for w in self.basis}
+        """Poincare duality on basis positions: the position of
+        min_coset_rep(w_o w) per position of w."""
+        position, w_o = self.position, self.w_o
+        return [position[min_coset_rep(w_o * w, self.parabolic).perm] for w in self.basis]
 
     def degree(self, degree: tuple) -> ComparisonData:
         """The comparison data of a degree, given as the int tuple that
@@ -123,8 +125,6 @@ class _Context:
             rs, parabolic = self.rs, self.parabolic
             lift = peterson_lift(rs, parabolic, degree)
             jp = derived_parabolic(rs, parabolic, lift)
-            if not set(jp.indices) <= set(parabolic.indices):
-                raise RuntimeError("derived parabolic escaped the original one")
             w_prime = longest_element(rs, jp)
             got = ComparisonData(
                 d_B=lift,
@@ -178,15 +178,17 @@ class _Context:
         rows.sort()
         return rows
 
-    def product(self, u, v) -> QClass:
-        """G/P product of two minimal representatives, memoized."""
-        got = self._products.get((u, v))
-        if got is None:
-            basis, position = self.basis, self.position
-            rows = self.rows(position[u.perm], position[v.perm])
-            got = QClass(self.rs, self.parabolic, {(basis[y], d): c for _, d, y, c in rows})
-            self._products[(u, v)] = got
-        return got
+    def times(self, a, b) -> dict:
+        """Bilinear extension of `rows` to classes given as dicts
+        {(basis position, degree): c}: each term c ca cb q^(d + da + db)
+        sigma_y of a product of two terms is added into one dict."""
+        out = {}
+        for (i, da), ca in a.items():
+            for (j, db), cb in b.items():
+                for _, d, y, c in self.rows(i, j):
+                    key = (y, tuple(map(sum, zip(d, da, db))))
+                    out[key] = out.get(key, 0) + c * ca * cb
+        return out
 
     def invariant(self, classes, degree) -> int:
         """Invariant of minimal representatives at an effective degree: 0 off
@@ -194,10 +196,12 @@ class _Context:
         q^d on the dual of the last class in the G/P product of the others."""
         if sum(w.length for w in classes) != self.flag_dimension + self.degree(degree).c1:
             return 0
-        prod = self.product(classes[0], classes[1])
-        for w in classes[2:-1]:
-            prod = star(prod, QClass.unit(self.rs, self.parabolic, w))
-        return prod.coefficient(self.dual[classes[-1]], degree)
+        zero = (0,) * len(self.free)
+        first, *middle, last = (self.position[w.perm] for w in classes)
+        prod = {(first, zero): 1}
+        for k in middle:
+            prod = self.times(prod, {(k, zero): 1})
+        return prod.get((self.dual[last], degree), 0)
 
 
 @cache
@@ -271,37 +275,30 @@ def parabolic_quantum_product(
     rs: RootSystem, parabolic: ParabolicSubset, u: WeylElement, v: WeylElement
 ) -> QClass:
     """Quantum product of two G/P Schubert classes in the coset basis, read
-    off the Borel product of their minimal representatives.  At J = {} it is
-    the Borel product itself."""
-    if not len(parabolic):
-        return quantum_product(rs, u, v)
-    ctx = _quantum_context(rs, parabolic)
-    return ctx.product(min_coset_rep(u, parabolic), min_coset_rep(v, parabolic))
-
-
-def product_table(rs: RootSystem, parabolic: ParabolicSubset):
-    """The Schubert basis of G/P (minimal representatives by length, then by
-    word) and a function of two basis positions that returns their product
-    as sorted rows (sum(d), d, basis position, c): the structure constants
-    without any per-term objects, and without memoizing the products."""
-    ctx = _quantum_context(rs, parabolic)
-    return ctx.basis, ctx.rows
+    off the Borel product of their minimal representatives.  At J = {} the
+    readout is the identity, and this is the Borel product."""
+    return star(QClass.unit(rs, parabolic, u), QClass.unit(rs, parabolic, v))
 
 
 def star(a: QClass, b: QClass) -> QClass:
     """Bilinear extension of the basis quantum product to arbitrary classes,
-    in the ring of the full flag variety or of a G/P alike: each term
-    c cx cy q^(d + dx + dy) sigma_w of a product of two terms is added into
-    one dict."""
+    in the ring of the full flag variety or of a G/P alike.  Coset classes
+    may be given by any representatives; each term is moved to the basis
+    position of its minimal one, and `_Context.times` multiplies there."""
     a._compatible(b)
     rs, parabolic = a.rs, a.parabolic
-    out = {}
-    for (x, dx), cx in a.terms.items():
-        for (y, dy), cy in b.terms.items():
-            for (w, d), c in parabolic_quantum_product(rs, parabolic, x, y).terms.items():
-                key = (w, tuple(map(sum, zip(d, dx, dy))))
-                out[key] = out.get(key, 0) + c * cx * cy
-    return QClass(rs, parabolic, out)
+    ctx = _quantum_context(rs, parabolic)
+    basis, position = ctx.basis, ctx.position
+
+    def positions(qc):
+        out = {}
+        for (w, d), c in qc.terms.items():
+            key = (position[min_coset_rep(w, parabolic).perm], d)
+            out[key] = out.get(key, 0) + c
+        return out
+
+    prod = ctx.times(positions(a), positions(b))
+    return QClass(rs, parabolic, {(basis[y], d): c for (y, d), c in prod.items()})
 
 
 @dataclass(frozen=True)
@@ -323,10 +320,12 @@ def check_comparison_consistency(
     Every ordered triple (a, b, c) whose lengths add up to dim G/P + c_1(d)
     is audited.  Its value is the coefficient of q^d sigma_{dual(c)} in the
     product sigma_a * sigma_b, so each ordered product is read once per
-    degree, and each permutation of a triple is read off its own ordered
-    product.  The value at the derived parabolic P' is read the same way
-    off the product at P', when d'' is graded there.  The localization
-    oracle is symmetric in its classes, so it runs once per unordered triple.
+    degree, as the `rows` of two basis positions, and each permutation of a
+    triple is read off its own ordered product.  The value at the derived
+    parabolic P' is read the same way off the rows at P' (a minimal
+    representative mod J is one mod J' too), when d'' is graded there.  The
+    localization oracle is symmetric in its classes, so it runs once per
+    unordered triple.
 
     Returns a tuple of `CheckResult`s; a non-effective degree yields none.
     """
@@ -343,24 +342,27 @@ def check_comparison_consistency(
     # off it every value at P' is 0
     graded_pprime = target == at_pprime.flag_dimension + relift.c1
     # triples are keyed by basis positions: int tuples hash in C
-    basis = ctx.basis
+    basis, dual = ctx.basis, ctx.dual
     by_length = {}
     for k, c in enumerate(basis):
-        by_length.setdefault(c.length, []).append((k, c))
+        by_length.setdefault(c.length, []).append(k)
+    if graded_pprime:
+        to_pprime = [at_pprime.position[w.perm] for w in basis]
+        dual_pprime = [at_pprime.dual[k] for k in to_pprime]
+
     values = {}
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             thirds = by_length.get(target - a.length - b.length)
             if not thirds:
                 continue
-            at_p = ctx.product(a, b).terms
-            at_pp = at_pprime.product(a, b).terms if graded_pprime else {}
-            for k, c in thirds:
-                value = at_p.get((ctx.dual[c], degree), 0)
-                if graded_pprime:
-                    values[i, j, k] = (value, at_pp.get((at_pprime.dual[c], cd.d_pprime), 0))
-                else:
-                    values[i, j, k] = (value, 0)
+            at_p = {y: c for _, d, y, c in ctx.rows(i, j) if d == degree}
+            if graded_pprime:
+                rows = at_pprime.rows(to_pprime[i], to_pprime[j])
+                at_pp = {y: c for _, d, y, c in rows if d == cd.d_pprime}
+            for k in thirds:
+                value_pprime = at_pp.get(dual_pprime[k], 0) if graded_pprime else 0
+                values[i, j, k] = (at_p.get(dual[k], 0), value_pprime)
     classical = not any(degree)
     oracle = {}
     asymmetric = mismatched = off_classical = 0

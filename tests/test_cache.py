@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qflag.cache import terms_encoder, write_document
+from qflag.cache import new_document, terms_encoder, write_document
 from qflag.cli import main
 
 
@@ -117,3 +117,20 @@ def test_a_fresh_table_is_streamed_not_held(tmp_path):
     assert text == (tmp_path / "cold" / "B3-borel.json").read_text(encoding="utf-8")
     assert len(text) == 1_438_033
     assert peak < len(text) // 2
+
+
+def test_a_signal_as_the_temporary_file_appears_removes_it(tmp_path, monkeypatch):
+    # SIGTERM becomes SystemExit in the console script; handled as soon as
+    # os.open has created the file, before the call returns, it must still
+    # remove the file
+    real_open = os.open
+
+    def open_then_terminate(*args):
+        os.close(real_open(*args))
+        raise SystemExit(143)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "open", open_then_terminate)
+        with pytest.raises(SystemExit), new_document(str(tmp_path / "A2-2.json")):
+            pass
+    assert list(tmp_path.iterdir()) == []

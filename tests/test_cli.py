@@ -16,6 +16,7 @@ import pytest
 import qflag
 from qflag import cli
 from qflag.cli import main
+from qflag.compare import _Context
 from qflag.quantum import _Engine, _engine, _oriented_product
 from qflag.root_system import CartanType, RootSystem
 from qflag.weyl import from_word, parse_word
@@ -275,22 +276,17 @@ def test_table_refuses_the_full_parabolic_before_opening_a_file(tmp_path, capsys
 def test_table_failing_midway_prints_nothing_and_leaves_no_file(
     tmp_path, capsys, monkeypatch, fmt
 ):
-    real = cli.product_table
+    real = _Context.rows
+    calls = iter(range(3))
 
-    def failing(rs, parabolic):
+    def rows_or_fail(self, i, j):
         # the fourth of the six products of A2/{2} fails, after the first
         # entries were streamed into the cache directory
-        basis, rows = real(rs, parabolic)
-        calls = iter(range(3))
+        if next(calls, None) is None:
+            raise RuntimeError("injected failure")
+        return real(self, i, j)
 
-        def rows_or_fail(i, j):
-            if next(calls, None) is None:
-                raise RuntimeError("injected failure")
-            return rows(i, j)
-
-        return basis, rows_or_fail
-
-    monkeypatch.setattr(cli, "product_table", failing)
+    monkeypatch.setattr(_Context, "rows", rows_or_fail)
     code, out, err = run(
         capsys, "table", "--type", "A2", "--parabolic", "2", *fmt,
         "--cache-dir", str(tmp_path),
@@ -553,3 +549,36 @@ def test_sigterm_removes_the_temporary_cache_file(tmp_path):
         proc.kill()
     assert proc.returncode == 128 + signal.SIGTERM, err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "classes, degree",
+    [
+        ("s2s1s2,s2s1,s1s2", "1"),
+        ("s1s2,s1,s1,s2s1s2", "1"),
+        ("s2s1s2,s2s1,s2s1,s1s2,s1", "2"),
+    ],
+    ids=["3", "4", "5"],
+)
+def test_gw_normalizes_each_class_once(monkeypatch, capsys, classes, degree):
+    # on P^2 = A2/{2}, with the context warm, the command maps each class to
+    # its minimal representative once, and nothing else does; s1s2 and
+    # s2s1s2 are not minimal
+    argv = ["gw", "--type", "A2", "--parabolic", "2", "--classes", classes,
+            "--degree", degree, "--json"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    calls = []
+    real = qflag.weyl.min_coset_rep
+
+    def counted(w, parabolic):
+        calls.append(w)
+        return real(w, parabolic)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qflag") and getattr(module, "min_coset_rep", None) is real:
+            monkeypatch.setattr(module, "min_coset_rep", counted)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert json.loads(first)["invariant"] == 1
+    assert len(calls) == len(classes.split(","))

@@ -302,19 +302,19 @@ def test_consistency_report_counts_every_graded_triple(name, j_nodes):
 
 
 def _raise_one_coefficient(monkeypatch, parabolic, pair, key):
-    """Serve the product of one ordered pair in one ring with the
-    coefficient at `key` raised by 1; the memo keeps the true product."""
-    true_product = _Context.product
+    """Serve the rows of one ordered pair in one ring with the coefficient
+    at `key`, a (basis position, degree) pair, raised by 1."""
+    true_rows = _Context.rows
 
-    def product(self, u, v):
-        got = true_product(self, u, v)
-        if self.parabolic == parabolic and (u, v) == pair:
-            terms = dict(got.terms)
+    def rows(self, i, j):
+        got = true_rows(self, i, j)
+        if self.parabolic == parabolic and (self.basis[i], self.basis[j]) == pair:
+            terms = {(y, d): c for _, d, y, c in got}
             terms[key] = terms.get(key, 0) + 1
-            got = QClass(got.rs, got.parabolic, terms)
+            got = sorted((sum(d), d, y, c) for (y, d), c in terms.items())
         return got
 
-    monkeypatch.setattr(_Context, "product", product)
+    monkeypatch.setattr(_Context, "rows", rows)
 
 
 @pytest.mark.parametrize("ring", ["P", "P'"])
@@ -335,9 +335,10 @@ def test_consistency_report_catches_one_bad_value(monkeypatch, ring):
         if a != b and a.length + b.length + c.length == target
     )
     if ring == "P":
-        _raise_one_coefficient(monkeypatch, P2, (a, b), (at_p.dual[c], degree))
+        key = (at_p.dual[at_p.position[c.perm]], degree)
+        _raise_one_coefficient(monkeypatch, P2, (a, b), key)
     else:
-        key = (at_pprime.dual[c], cd.d_pprime)
+        key = (at_pprime.dual[at_pprime.position[c.perm]], cd.d_pprime)
         _raise_one_coefficient(monkeypatch, cd.j_prime, (a, b), key)
     results = check_comparison_consistency(rs, P2, degree)
     assert {r.name: r.passed for r in results} == {
@@ -564,3 +565,14 @@ def test_every_product_has_a_unique_minimal_q_degree(name, j_nodes):
                 if not any(e != d and all(map(int.__le__, e, d)) for e in degrees)
             ]
             assert len(minimal) == 1, (u, v, sorted(degrees))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
+def test_borel_readout_is_the_engine_product(name):
+    # the Borel ring is the J = {} case of the readout: lambda_d = d and
+    # w'_d = w_J = e, so every term of the engine's product is kept as it is
+    rs = build_root_system(name)
+    basis = enumerate_min_reps(rs, BOREL)
+    for u in basis:
+        for v in basis:
+            assert parabolic_quantum_product(rs, BOREL, u, v) == quantum_product(rs, u, v)
