@@ -8,24 +8,32 @@ indent encoder and without holding the document.  A fresh table is streamed
 into a new file in the cache directory, renamed onto the cache file when it
 is complete, and then copied to stdout; a failure removes the new file.
 
-A cached document is trusted only after one pass over all of it: the format
-version, the type/parabolic header, one entry per (u, v) pair of basis words
-in the basis order, exactly the keys {u, v, terms} on an entry and
-{w, q, c} on a term, every term word a basis word, non-negative int
-q-degrees with one coordinate per free node, positive int coefficients, and
-the grading l(w) + c_1(q) = l(u) + l(v) on every term.  Anything else is
-reported back and never trusted.  Writes are whole-file atomic, and a cache
-file gets mode 0666 less the umask.
+A cache file is trusted only after one pass over all of it, which checks
+that its bytes are exactly the canonical document the writer gives for its
+content: the format version, the type/parabolic header, one entry per
+(u, v) pair of basis words in the basis order, exactly the keys
+{u, v, terms} on an entry and {w, q, c} on a term, every term word a basis
+word, non-negative int q-degrees with one coordinate per free node,
+positive int coefficients, and the grading l(w) + c_1(q) = l(u) + l(v) on
+every term.  The pass reads the file in chunks, splits them at the fixed
+text between entries and checks each distinct term text once; it never
+decodes the file as JSON.  A hit then copies the checked file out as it
+stands, so no document is held in memory.  Anything else, a file that
+decodes to a valid table in another layout included, is reported back and
+never trusted.  Writes are whole-file atomic, and a cache file gets mode
+0666 less the umask.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from contextlib import contextmanager
 from functools import cache
 
 from .compare import anticanonical_pairing
+from .quantum import format_terms
 from .root_system import build_root_system
 from .weyl import parse_word
 
@@ -83,93 +91,189 @@ def write_document(handle, type_name, parabolic, entries):
         )
         opening = ",\n"
     handle.write("[]" if opening == "[\n" else "\n  ]")
-    handle.write(
+    handle.write(_trailer(type_name, parabolic))
+
+
+def _trailer(type_name, parabolic):
+    """A document's text after its entries list."""
+    return (
         f',\n  "parabolic": {_int_list(parabolic, "  ")},\n'
         f'  "type": {json.dumps(type_name)},\n'
         f'  "version": {TABLE_FORMAT_VERSION}\n}}\n'
     )
 
 
-def _well_formed(doc, type_name, parabolic, words):
-    """The header, then one entry per (u, v) pair of basis words in order,
-    with exact key sets, each term a basis word, non-negative integer
-    degrees, a positive coefficient and the grading of G/P."""
-    if not isinstance(doc, dict):
-        return "not a JSON object"
-    if doc.get("version") != TABLE_FORMAT_VERSION:
-        return f"format version {doc.get('version')!r} != {TABLE_FORMAT_VERSION}"
-    if doc.get("type") != type_name or doc.get("parabolic") != list(parabolic.indices):
-        return "type/parabolic header mismatch"
-    entries = doc.get("entries")
-    if not isinstance(entries, list):
-        return "entries is not a list"
-    if len(entries) != len(words) ** 2:
-        return "basis mismatch"
-    rs = build_root_system(type_name)
-    length = {w: len(parse_word(w)) for w in words}
-    pairs = ((u, v) for u in words for v in words)
-    free = rs.rank - len(parabolic)
-    c1 = {}  # c_1(q) per distinct degree
-    for entry, pair in zip(entries, pairs):
-        # exactly the keys u, v, terms: all three present, and no other
-        try:
-            u, v, terms = entry["u"], entry["v"], entry["terms"]
-        except (KeyError, TypeError):  # a key missing, or not an object
-            return "malformed entry"
-        if len(entry) != 3 or type(terms) is not list:
-            return "malformed entry"
-        if (u, v) != pair:
-            return "basis mismatch"
-        grade = length[u] + length[v]
-        for term in terms:
-            try:  # likewise exactly w, q, c
-                w, q, c = term["w"], term["q"], term["c"]
-            except (KeyError, TypeError):
-                return "malformed term"
-            if len(term) != 3:
-                return "malformed term"
-            if (
-                type(w) is not str or type(c) is not int
-                or type(q) is not list or len(q) != free
-            ):
-                return "malformed term payload"
-            lw = length.get(w)
-            if lw is None:
-                return f"term word {w!r} is not a basis word"
-            if c < 1:
-                return f"non-positive coefficient {c}"
-            for x in q:  # a loop, not all(...): this runs once per cached term
-                if type(x) is not int:
-                    return "malformed term payload"
-            key = tuple(q)
-            degree = c1.get(key)
-            if degree is None:
-                if min(key, default=0) < 0:
-                    return f"negative q-degree {q}"
-                # c_1 pairs to at least 2 with each free coroot, so a larger
-                # degree is off the grading; it is never lifted
-                if sum(key) <= grade:
-                    degree = c1[key] = anticanonical_pairing(rs, parabolic, key)
-            if degree is None or lw + degree != grade:
-                return f"term {w!r} q^{q} of {pair} breaks the grading"
-    return None
+# the fixed text of a canonical document around its entries and terms
+_HEAD = '{\n  "entries": [\n    {\n'
+_ENTRY_SEP = "\n    },\n    {\n"
+_ENTRIES_END = "\n    }\n  ]"
+_TERMS = '      "terms": '
+_TERMS_OPEN, _TERMS_CLOSE = _TERMS + "[\n        {\n", "\n        }\n      ]"
+_TERM_SEP = "\n        },\n        {\n"
+_Q_OPEN, _Q_SEP, _Q_CLOSE = "[\n" + " " * 12, ",\n" + " " * 12, "\n" + " " * 10 + "]"
+# patterns of the rejecting paths, compiled on first use
+_WORD = r'"[^"\\\x00-\x1f]*"'  # a string that needs no escape
+_TRAILER = r',\n  "parabolic": (.*),\n  "type": (.*),\n  "version": (.*)\n\}\n'
+_CHUNK = 1 << 14
+_LAYOUT = "not the canonical layout of table --json"
 
 
-def load_document(path, type_name, parabolic, words):
-    """Return (entries, problem).  entries is None unless the file exists and
-    passes every check, against `words`, the basis words in order; problem
-    describes why it was rejected."""
-    if not os.path.exists(path):
-        return None, None
+def _int(text):
+    """The int that json.dumps writes as `text`, or None."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+        value = int(text)
+    except ValueError:  # not an int, or more digits than int() converts
+        return None
+    return value if str(value) == text else None
+
+
+def _fields(body, pad, keys):
+    """The values of an object body that json's indent=2 encoder wrote at
+    indent `pad`, or None unless its keys are `keys` in order.  A nested
+    value is indented deeper, so only the object's own keys start a line
+    at `pad`."""
+    if not body.startswith(f'{pad}"'):
+        return None
+    fields = [f.partition('": ') for f in body[len(pad) + 1:].split(f',\n{pad}"')]
+    if [name for name, _, _ in fields] != list(keys) or not all(sep for _, sep, _ in fields):
+        return None
+    return [value for _, _, value in fields]
+
+
+def _check(handle, type_name, parabolic, words, served):
+    """The first problem of the cache file open at `handle`, or None; see
+    `load_document`."""
+    rs = build_root_system(type_name)
+    free = rs.rank - len(parabolic)
+    n = len(words)
+    lengths = [len(parse_word(w)) for w in words]
+    quoted = [json.dumps(w) for w in words]
+    length_of = dict(zip(quoted, lengths))  # a basis word's length by its text
+    c1 = {}  # c_1(q) per distinct degree
+    # the term texts checked on each grade l(u) + l(v); a term's grade is
+    # l(w) + c_1(q), so each distinct text is checked once
+    on_grade = [set() for _ in range(2 * max(lengths) + 1)]
+    rendered = {}  # term text -> the term as format_terms renders it
+
+    def term(text, grade, pair):
+        """The problem of a term text on the grading `grade`, or None."""
+        values = _fields(text, " " * 10, "cqw")
+        if values is None:
+            return "malformed term"
+        c, q, w = values
+        if q == "[]":
+            q = []
+        elif q.startswith(_Q_OPEN) and q.endswith(_Q_CLOSE):
+            q = [_int(x) for x in q[len(_Q_OPEN):-len(_Q_CLOSE)].split(_Q_SEP)]
+        else:
+            q = None
+        c = _int(c)
+        if (
+            c is None or q is None or len(q) != free or None in q
+            or (w not in length_of and not re.fullmatch(_WORD, w))
+        ):
+            return "malformed term payload"
+        lw = length_of.get(w)
+        w = w[1:-1]
+        if lw is None:
+            return f"term word {w!r} is not a basis word"
+        if c < 1:
+            return f"non-positive coefficient {c}"
+        if min(q, default=0) < 0:
+            return f"negative q-degree {q}"
+        key = tuple(q)
+        # c_1 pairs to at least 2 with each free coroot, so a larger degree
+        # is off the grading; it is never lifted
+        if sum(key) <= grade and key not in c1:
+            c1[key] = anticanonical_pairing(rs, parabolic, key)
+        if sum(key) > grade or lw + c1[key] != grade:
+            return f"term {w!r} q^{q} of {pair} breaks the grading"
+        if served:
+            rendered[text] = format_terms([(w, q, c)])
+        return None
+
+    def entry(text, k):
+        """The problem of the k-th entry's text, or None."""
+        i, j = divmod(k, n)
+        keys = f',\n      "u": {quoted[i]},\n      "v": {quoted[j]}'
+        if text.startswith(_TERMS_OPEN) and text.endswith(_TERMS_CLOSE + keys):
+            items = text[len(_TERMS_OPEN):-len(_TERMS_CLOSE + keys)].split(_TERM_SEP)
+        elif text == f"{_TERMS}[]{keys}":
+            items = ()
+        elif _fields(text, " " * 6, ("terms", "u", "v")) is None:
+            return "malformed entry"
+        elif not text.endswith(keys):
+            return "basis mismatch"
+        else:  # a terms value other than a list of objects
+            return "malformed term" if text.startswith(f"{_TERMS}[") else "malformed entry"
+        grade = lengths[i] + lengths[j]
+        known = on_grade[grade]
+        if not known.issuperset(items):
+            for item in items:
+                if item not in known:
+                    problem = term(item, grade, (words[i], words[j]))
+                    if problem:
+                        return problem
+                    known.add(item)
+        if served:
+            # as format_terms joins the renderings of its terms
+            served(words[i], words[j], " + ".join(map(rendered.__getitem__, items)) or "0")
+        return None
+
+    if handle.read(len(_HEAD)) != _HEAD:
+        return _LAYOUT
+    k, rest = 0, ""
+    # a read at least as long as the unsplit text keeps an entry longer
+    # than a chunk from being copied once per chunk
+    while chunk := handle.read(max(_CHUNK, len(rest))):
+        *texts, rest = (rest + chunk).split(_ENTRY_SEP)
+        for text in texts:
+            if k == n * n - 1:
+                return "basis mismatch"
+            problem = entry(text, k)
+            if problem:
+                return problem
+            k += 1
+    tail = _ENTRIES_END + _trailer(type_name, parabolic.indices)
+    if not rest.endswith(tail):
+        trailer = re.fullmatch(_TRAILER, rest.rpartition(_ENTRIES_END)[2], re.S)
+        if trailer is None:
+            return _LAYOUT
+        if trailer[3] != str(TABLE_FORMAT_VERSION):
+            return f"format version {trailer[3]} != {TABLE_FORMAT_VERSION}"
+        return "type/parabolic header mismatch"
+    if k != n * n - 1:
+        return "basis mismatch"
+    return entry(rest[:-len(tail)], k)
+
+
+def load_document(path, type_name, parabolic, words, served=None):
+    """Return (handle, problem).  handle is None unless the cache file at
+    `path` exists and passes every check against `words`, the basis words in
+    order; it is then the file, open at its start.  problem says why a file
+    was rejected.  The check is one pass that holds an entry at a time; with
+    `served`, it calls served(u, v, rendered) on each entry as it goes, with
+    the entry's terms rendered as format_terms renders them."""
+    try:
+        handle = open(path, encoding="utf-8", newline="")
+    except FileNotFoundError:
+        return None, None
+    except OSError as exc:
         return None, f"unreadable cache {path}: {exc}"
-    problem = _well_formed(doc, type_name, parabolic, words)
+    try:
+        problem = _check(handle, type_name, parabolic, words, served)
+        if problem:
+            problem = f"ignoring cache {path}: {problem}"
+    except (OSError, UnicodeDecodeError) as exc:
+        problem = f"unreadable cache {path}: {exc}"
+    except BaseException:
+        handle.close()
+        raise
     if problem:
-        return None, f"ignoring cache {path}: {problem}"
-    return doc["entries"], None
+        handle.close()
+        return None, problem
+    handle.seek(0)
+    return handle, None
 
 
 @contextmanager

@@ -234,67 +234,67 @@ def cmd_table(args):
         f"type: {type_name}  parabolic: {list(parabolic.indices)}  "
         f"basis: {n}  entries: {n * n}"
     )
-    entries, problem = cache_io.load_document(path, type_name, parabolic, words)
-    if problem:
-        print(f"warning: {problem}", file=sys.stderr)
     encode = cache_io.terms_encoder()
-    if entries is not None:
-        print(f"cache hit: {path}", file=sys.stderr)
-        cached = (
-            (e["u"], e["v"], [(t["w"], t["q"], t["c"]) for t in e["terms"]]) for e in entries
-        )
-        if args.json:
-            cache_io.write_document(
-                sys.stdout, type_name, parabolic.indices,
-                ((u, v, encode(terms)) for u, v, terms in cached),
-            )
-        else:
-            print(header)
-            for u, v, terms in cached:
-                print(_entry_line(u, v, format_terms(terms)))
-        return 0
 
     def entry(i, j):
         # the JSON terms, and the rendered text line's terms for a text run
         terms = [(words[y], d, c) for _, d, y, c in ctx.rows(i, j)]
         return encode(terms), None if args.json else format_terms(terms)
 
-    def stream(handle):
-        # the document into `handle`, and a text run's lines into `text`,
-        # each from its start
+    def restart():
+        # a text run's lines go to `text`, each time from its start
         if text is not None:
             text.seek(0)
             text.truncate()
             text.write(header + "\n")
 
+    def served(u, v, rendered):
+        text.write(_entry_line(u, v, rendered) + "\n")
+
+    def stream(handle):
+        # the document into `handle`, and a text run's lines into `text`
+        restart()
+
         def streamed():
             for k, (terms, rendered) in enumerate(_mirrored(n, entry)):
                 u, v = words[k // n], words[k % n]
                 if text is not None:
-                    text.write(_entry_line(u, v, rendered) + "\n")
+                    served(u, v, rendered)
                 yield u, v, terms
 
         cache_io.write_document(handle, type_name, parabolic.indices, streamed())
 
-    # stdout gets nothing until the table is complete: the document goes to
-    # the cache file first, and a text run collects its lines in a file
+    # stdout gets nothing until the table is complete and checked: a hit is
+    # the checked cache file itself, a fresh document goes to the cache file
+    # first, and a text run collects its lines in a file
     with ExitStack() as files:
         anonymous = partial(tempfile.TemporaryFile, "w+", encoding="utf-8")
         text = None if args.json else files.enter_context(anonymous())
-        try:
-            with cache_io.new_document(path) as (handle, tmp):
-                stream(handle)
-                cache_io.store_document(path, handle, tmp)
-            out = files.enter_context(open(path, encoding="utf-8")) if args.json else text
-        except OSError as exc:
-            # like an unreadable cache, an unwritable one costs only the
-            # reuse: the table is streamed again, into an anonymous file
-            print(f"warning: cannot write cache {path}: {exc}", file=sys.stderr)
-            handle = files.enter_context(anonymous())
-            stream(handle)
-            out = handle if args.json else text
+        restart()
+        cached, problem = cache_io.load_document(
+            path, type_name, parabolic, words, None if args.json else served
+        )
+        if problem:
+            print(f"warning: {problem}", file=sys.stderr)
+        if cached is not None:
+            print(f"cache hit: {path}", file=sys.stderr)
+            files.enter_context(cached)
+            out = cached if args.json else text
         else:
-            print(f"cache write: {path}", file=sys.stderr)
+            try:
+                with cache_io.new_document(path) as (handle, tmp):
+                    stream(handle)
+                    cache_io.store_document(path, handle, tmp)
+                out = files.enter_context(open(path, encoding="utf-8")) if args.json else text
+            except OSError as exc:
+                # like an unreadable cache, an unwritable one costs only the
+                # reuse: the table is streamed again, into an anonymous file
+                print(f"warning: cannot write cache {path}: {exc}", file=sys.stderr)
+                handle = files.enter_context(anonymous())
+                stream(handle)
+                out = handle if args.json else text
+            else:
+                print(f"cache write: {path}", file=sys.stderr)
         out.seek(0)
         shutil.copyfileobj(out, sys.stdout)
     return 0

@@ -134,3 +134,129 @@ def test_a_signal_as_the_temporary_file_appears_removes_it(tmp_path, monkeypatch
         with pytest.raises(SystemExit), new_document(str(tmp_path / "A2-2.json")):
             pass
     assert list(tmp_path.iterdir()) == []
+
+
+A2 = ["table", "--type", "A2", "--parabolic", "2", "--json", "--cache-dir"]
+
+
+def fill(tmp_path, capsys):
+    """Fill the A2/{2} cache in tmp_path; return the cache file and stdout."""
+    assert main(A2 + [str(tmp_path)]) == 0
+    return tmp_path / "A2-2.json", capsys.readouterr().out
+
+
+def rejected(tmp_path, capsys, path, expected):
+    """Run the A2/{2} table on a cache file it must reject; return the
+    problem it reports."""
+    assert main(A2 + [str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert out == expected
+    warning, write = err.splitlines()
+    assert write == f"cache write: {path}"
+    assert path.read_text(encoding="utf-8") == expected
+    return warning
+
+
+def test_a_cache_file_that_is_not_utf8_is_recomputed(tmp_path, capsys):
+    path, expected = fill(tmp_path, capsys)
+    path.write_bytes(b"\xff\xfe{")
+    warning = rejected(tmp_path, capsys, path, expected)
+    assert warning.startswith(f"warning: unreadable cache {path}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("where", ["document", "term word"])
+def test_a_deeply_nested_cache_file_is_recomputed(tmp_path, capsys, where):
+    # far deeper than the interpreter's recursion limit: the check must
+    # not decode the file recursively
+    path, expected = fill(tmp_path, capsys)
+    nested = "[" * 200_000 + "]" * 200_000
+    if where == "document":
+        path.write_text(nested, encoding="utf-8")
+        problem = "not the canonical layout of table --json"
+    else:
+        path.write_text(expected.replace('"w": "e"', f'"w": {nested}', 1), encoding="utf-8")
+        problem = "malformed term payload"
+    warning = rejected(tmp_path, capsys, path, expected)
+    assert warning == f"warning: ignoring cache {path}: {problem}"
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (_set("version", 99), "format version 99 != 1"),
+        (_set("type", "B2"), "type/parabolic header mismatch"),
+        (_set("parabolic", [1]), "type/parabolic header mismatch"),
+        (lambda doc: doc["entries"].append(doc["entries"][0]), "basis mismatch"),
+        (lambda doc: doc["entries"].pop(), "basis mismatch"),
+        (lambda doc: doc["entries"].pop(4), "basis mismatch"),
+    ],
+    ids=["version", "type", "parabolic", "extra-entry", "last-entry-missing", "entry-missing"],
+)
+def test_a_canonical_cache_with_a_wrong_header_or_basis_is_recomputed(
+    tmp_path, capsys, edit, problem
+):
+    path, expected = fill(tmp_path, capsys)
+    doc = json.loads(expected)
+    edit(doc)
+    path.write_text(reference(doc), encoding="utf-8")
+    warning = rejected(tmp_path, capsys, path, expected)
+    assert warning == f"warning: ignoring cache {path}: {problem}"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text[:-1],
+        lambda text: text + "\n",
+        lambda text: text + "x" * 100_000,
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace('"c": 1', '"c": 01', 1),
+        lambda text: text.replace('"c": 1', '"c": 1' + "0" * 5000, 1),
+        lambda text: text.replace('"u": "e"', '"u": "\\u0065"', 1),
+        lambda text: text.replace(" " * 12 + "0", " " * 12 + "-0", 1),
+        lambda text: text.replace("    },\n    {", "    }, {", 1),
+        lambda text: text[: len(text) // 2],
+    ],
+    ids=["no-final-newline", "extra-newline", "trailing-bytes", "crlf", "leading-zero",
+         "5001-digit-int", "escaped-word", "minus-zero", "joined-entries", "truncated"],
+)
+def test_a_cache_file_other_than_the_canonical_bytes_is_recomputed(tmp_path, capsys, edit):
+    # each of these decodes as JSON to the same table, is cut short, or
+    # holds an int with more digits than int() converts by default
+    path, expected = fill(tmp_path, capsys)
+    text = edit(expected)
+    assert text != expected
+    path.write_bytes(text.encode())
+    warning = rejected(tmp_path, capsys, path, expected)
+    assert warning.startswith(f"warning: ignoring cache {path}: ")
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_a_cache_hit_holds_no_document(tmp_path, fmt):
+    # with the engine warm, serving B3's 1.4 MB document from the cache
+    # allocates a small part of it: the check holds one entry at a time,
+    # and the file is copied out as it stands
+    argv = ["table", "--type", "B3", *fmt, "--cache-dir", str(tmp_path)]
+    outputs = []
+    for traced in (False, True):
+        with open(tmp_path / f"out-{traced}", "w", encoding="utf-8") as out, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+            if traced:
+                tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        outputs.append((tmp_path / f"out-{traced}").read_text(encoding="utf-8"))
+    assert "cache hit" in err.getvalue()
+    assert outputs[0] == outputs[1]
+    size = (tmp_path / "B3-borel.json").stat().st_size
+    assert size == 1_438_033
+    assert peak < size // 4

@@ -442,6 +442,103 @@ def test_table_rejects_mistyped_cache_fields(tmp_path, capsys, field, value):
     assert second == first
 
 
+def canonical(doc):
+    """A document as `table --json` writes it."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("terms", 5, "malformed entry"),
+        ("u", 7, "basis mismatch"),
+        ("v", None, "basis mismatch"),
+        ("w", 7, "malformed term payload"),
+        ("c", True, "malformed term payload"),
+        ("q", ["x"], "malformed term payload"),
+        ("q", [0, 0], "malformed term payload"),
+        ("q", [True], "malformed term payload"),
+        ("q", 0, "malformed term payload"),
+        ("w", "banana", "term word 'banana' is not a basis word"),
+        ("w", "s2", "term word 's2' is not a basis word"),
+        ("w", [1], "malformed term payload"),
+        ("c", 0, "non-positive coefficient 0"),
+        ("c", -1, "non-positive coefficient -1"),
+        ("u", "s2s1", "basis mismatch"),
+        ("note", "x", "malformed entry"),
+        ("extra", 1, "malformed term"),
+        ("q", [-1], "negative q-degree [-1]"),
+        ("q", [1], "term 's1' q^[1] of ('e', 's1') breaks the grading"),
+        ("q", [10**9], "term 's1' q^[1000000000] of ('e', 's1') breaks the grading"),
+    ],
+)
+def test_table_names_the_mistyped_field_of_a_canonical_cache(
+    tmp_path, capsys, field, value, reason
+):
+    # the mutations of test_table_rejects_mistyped_cache_fields, written in
+    # the canonical layout, so that each one reaches its own check
+    args = ("table", "--type", "A2", "--parabolic", "2", "--cache-dir", str(tmp_path))
+    code, first, _ = run(capsys, *args)
+    path = tmp_path / "A2-2.json"
+    good = path.read_text(encoding="utf-8")
+    doc = json.loads(good)
+    assert canonical(doc) == good
+    entry = doc["entries"][1]
+    if field in ("terms", "u", "v", "note"):
+        entry[field] = value
+    else:
+        entry["terms"][0][field] = value
+    path.write_text(canonical(doc), encoding="utf-8")
+    code, second, err = run(capsys, *args)
+    assert code == 0
+    assert err == f"warning: ignoring cache {path}: {reason}\ncache write: {path}\n"
+    assert second == first
+    assert path.read_text(encoding="utf-8") == good
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_table_rewrites_a_valid_compact_cache(tmp_path, capsys, fmt):
+    # the compact document passes every check but the canonical layout, so
+    # it is recomputed, written canonically and then served as it stands
+    args = ("table", "--type", "A2", "--parabolic", "2", *fmt, "--cache-dir", str(tmp_path))
+    code, first, _ = run(capsys, *args)
+    path = tmp_path / "A2-2.json"
+    good = path.read_text(encoding="utf-8")
+    path.write_text(json.dumps(json.loads(good)), encoding="utf-8")
+    code, second, err = run(capsys, *args)
+    assert code == 0 and second == first
+    assert err == (
+        f"warning: ignoring cache {path}: not the canonical layout of table --json\n"
+        f"cache write: {path}\n"
+    )
+    assert path.read_text(encoding="utf-8") == good
+    code, third, err = run(capsys, *args)
+    assert code == 0 and third == first
+    assert err == f"cache hit: {path}\n"
+
+
+@pytest.mark.parametrize(
+    "type_name, parabolic, name",
+    [("A2", "2", "A2-2.json"), ("B3", "", "B3-borel.json"), ("G2", "1", "G2-1.json"),
+     ("A4", "1,4", "A4-1-4.json")],
+)
+def test_a_cache_hit_serves_the_cache_file_as_it_stands(
+    tmp_path, capsys, type_name, parabolic, name
+):
+    table = ("table", "--type", type_name, "--parabolic", parabolic)
+    warm = ("--cache-dir", str(tmp_path / "warm"))
+    code, cold_json, err = run(capsys, *table, "--json", *warm)
+    assert code == 0 and "cache write" in err
+    code, cold_text, err = run(capsys, *table, "--cache-dir", str(tmp_path / "cold"))
+    assert code == 0 and "cache write" in err
+    code, warm_json, err = run(capsys, *table, "--json", *warm)
+    assert code == 0 and "cache hit" in err
+    code, warm_text, err = run(capsys, *table, *warm)
+    assert code == 0 and "cache hit" in err
+    assert warm_json == cold_json == (tmp_path / "warm" / name).read_text(encoding="utf-8")
+    assert warm_text == cold_text
+
+
 @pytest.mark.parametrize(
     "option, value",
     [("--max-degree", "-1"), ("--samples", "0"), ("--samples", "-3"), ("--window", "-1")],
