@@ -5,23 +5,25 @@ is byte for byte the stdout of `table --json`: `write_document`, the one
 schema writer, streams the bytes of json.dumps(doc, indent=2, sort_keys=True)
 and a final newline entry by entry, without running json's pure-Python
 indent encoder and without holding the document.  A fresh table is streamed
-into a new file in the cache directory, renamed onto the cache file when it
-is complete, and then copied to stdout; a failure removes the new file.
+into a new file in the cache directory and renamed onto the cache file when
+it is complete; a failure removes the new file.
 
-A cache file is trusted only after one pass over all of it, which checks
-that its bytes are exactly the canonical document the writer gives for its
-content: the format version, the type/parabolic header, one entry per
-(u, v) pair of basis words in the basis order, exactly the keys
-{u, v, terms} on an entry and {w, q, c} on a term, every term word a basis
-word, non-negative int q-degrees with one coordinate per free node,
-positive int coefficients, and the grading l(w) + c_1(q) = l(u) + l(v) on
-every term.  The pass reads the file in chunks, splits them at the fixed
-text between entries and checks each distinct term text once; it never
-decodes the file as JSON.  A hit then copies the checked file out as it
-stands, so no document is held in memory.  Anything else, a file that
-decodes to a valid table in another layout included, is reported back and
-never trusted.  Writes are whole-file atomic, and a cache file gets mode
-0666 less the umask.
+`check_document`, one pass over a document that reads the basis lengths and
+c_1 off the G/P context, checks that its bytes are exactly the canonical
+document the writer gives for its content: the format version, the
+type/parabolic header, one entry per (u, v) pair of basis words in the basis
+order, exactly the keys {u, v, terms} on an entry and {w, q, c} on a term,
+every term word a basis word, non-negative int q-degrees with one coordinate
+per free node, positive int coefficients, and the grading
+l(w) + c_1(q) = l(u) + l(v) on every term.  It reads the file in chunks,
+splits them at the fixed text between entries and checks each distinct term
+text once; it never decodes the file as JSON.  A cache file is trusted only
+after this pass; anything else, a file that decodes to a valid table in
+another layout included, is reported back.  The pass also renders every
+text table, fresh or cached, line by line.  A table is copied out of the
+file it was checked or written through, from the same handle, so no
+document is held in memory.  Writes are whole-file atomic, and a cache file
+gets mode 0666 less the umask.
 """
 
 from __future__ import annotations
@@ -32,10 +34,7 @@ import re
 from contextlib import contextmanager
 from functools import cache
 
-from .compare import anticanonical_pairing
 from .quantum import format_terms
-from .root_system import build_root_system
-from .weyl import parse_word
 
 TABLE_FORMAT_VERSION = 1
 
@@ -140,16 +139,17 @@ def _fields(body, pad, keys):
     return [value for _, _, value in fields]
 
 
-def _check(handle, type_name, parabolic, words, served):
-    """The first problem of the cache file open at `handle`, or None; see
-    `load_document`."""
-    rs = build_root_system(type_name)
-    free = rs.rank - len(parabolic)
+def check_document(handle, ctx, words, served=None):
+    """The first problem of the table document open at `handle` as a cache
+    file of the G/P context `ctx`, or None.  `words` are the basis words in
+    order.  The check is one pass that holds an entry at a time; with
+    `served`, it calls served(u, v, rendered) on each entry as it goes, with
+    the entry's terms rendered as format_terms renders them."""
+    free = len(ctx.free)
     n = len(words)
-    lengths = [len(parse_word(w)) for w in words]
+    lengths = [w.length for w in ctx.basis]
     quoted = [json.dumps(w) for w in words]
     length_of = dict(zip(quoted, lengths))  # a basis word's length by its text
-    c1 = {}  # c_1(q) per distinct degree
     # the term texts checked on each grade l(u) + l(v); a term's grade is
     # l(w) + c_1(q), so each distinct text is checked once
     on_grade = [set() for _ in range(2 * max(lengths) + 1)]
@@ -181,12 +181,9 @@ def _check(handle, type_name, parabolic, words, served):
             return f"non-positive coefficient {c}"
         if min(q, default=0) < 0:
             return f"negative q-degree {q}"
-        key = tuple(q)
         # c_1 pairs to at least 2 with each free coroot, so a larger degree
         # is off the grading; it is never lifted
-        if sum(key) <= grade and key not in c1:
-            c1[key] = anticanonical_pairing(rs, parabolic, key)
-        if sum(key) > grade or lw + c1[key] != grade:
+        if sum(q) > grade or lw + ctx.degree(tuple(q)).c1 != grade:
             return f"term {w!r} q^{q} of {pair} breaks the grading"
         if served:
             rendered[text] = format_terms([(w, q, c)])
@@ -234,7 +231,7 @@ def _check(handle, type_name, parabolic, words, served):
             if problem:
                 return problem
             k += 1
-    tail = _ENTRIES_END + _trailer(type_name, parabolic.indices)
+    tail = _ENTRIES_END + _trailer(str(ctx.rs.cartan_type), ctx.parabolic.indices)
     if not rest.endswith(tail):
         trailer = re.fullmatch(_TRAILER, rest.rpartition(_ENTRIES_END)[2], re.S)
         if trailer is None:
@@ -247,13 +244,11 @@ def _check(handle, type_name, parabolic, words, served):
     return entry(rest[:-len(tail)], k)
 
 
-def load_document(path, type_name, parabolic, words, served=None):
+def load_document(path, ctx, words, served=None):
     """Return (handle, problem).  handle is None unless the cache file at
-    `path` exists and passes every check against `words`, the basis words in
-    order; it is then the file, open at its start.  problem says why a file
-    was rejected.  The check is one pass that holds an entry at a time; with
-    `served`, it calls served(u, v, rendered) on each entry as it goes, with
-    the entry's terms rendered as format_terms renders them."""
+    `path` exists and passes `check_document`, which gets `ctx`, `words` and
+    `served`; it is then the file, open at its start.  problem says why a
+    file was rejected."""
     try:
         handle = open(path, encoding="utf-8", newline="")
     except FileNotFoundError:
@@ -261,7 +256,7 @@ def load_document(path, type_name, parabolic, words, served=None):
     except OSError as exc:
         return None, f"unreadable cache {path}: {exc}"
     try:
-        problem = _check(handle, type_name, parabolic, words, served)
+        problem = check_document(handle, ctx, words, served)
         if problem:
             problem = f"ignoring cache {path}: {problem}"
     except (OSError, UnicodeDecodeError) as exc:
@@ -279,17 +274,18 @@ def load_document(path, type_name, parabolic, words, served=None):
 @contextmanager
 def new_document(path):
     """Yield (handle, tmp): a new text file named `tmp` in the cache
-    directory, with mode 0666 less the umask, to stream a table document
-    bound for the cache file at `path` into, for `store_document` to rename
-    onto `path`.  On the way out the file is removed unless it was stored."""
+    directory, with mode 0666 less the umask, open for reading and writing
+    with no newline translation, to stream a table document bound for the
+    cache file at `path` into, for `store_document` to rename onto `path`.
+    On the way out the file is closed, and removed unless it was stored."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".qflag-{os.urandom(8).hex()}.tmp")
     try:
         # mode 0666 less the umask, like any other file the user writes; in
         # the try, so that a signal handled as the file appears removes it
-        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o666)
+        with os.fdopen(fd, "w+", encoding="utf-8", newline="") as handle:
             yield handle, tmp
     finally:
         if os.path.exists(tmp):

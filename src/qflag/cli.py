@@ -34,8 +34,8 @@ from .compare import (
     star,
 )
 from .degrees import enumerate_alcove_lifts, peterson_lift
-from .quantum import QClass, _oriented_product, format_qclass, format_terms
-from .root_system import CartanType, ParabolicSubset, build_root_system
+from .quantum import QClass, _oriented_product, format_qclass
+from .root_system import CartanType, ParabolicSubset, _parse_ints, build_root_system
 from .weyl import (
     EnumerationBoundError,
     enumerate_min_reps,
@@ -59,7 +59,7 @@ def _parse_degree(text, expected):
     if not text:
         raise ValueError("missing degree vector")
     try:
-        degree = tuple(int(part) for part in text.split(","))
+        degree = _parse_ints(text)
     except ValueError:
         raise ValueError(f"cannot parse degree {text!r}") from None
     if len(degree) != expected:
@@ -218,10 +218,6 @@ def _mirrored(n, value):
             yield got
 
 
-def _entry_line(u, v, rendered):
-    return f"sigma[{u}] * sigma[{v}] = {rendered}"
-
-
 def cmd_table(args):
     rs, parabolic = _context(args)
     type_name = str(rs.cartan_type)
@@ -230,71 +226,65 @@ def cmd_table(args):
     path = cache_io.table_path(cache_dir, type_name, parabolic)
     words = [format_word(w.word) for w in ctx.basis]
     n = len(words)
-    header = (
-        f"type: {type_name}  parabolic: {list(parabolic.indices)}  "
-        f"basis: {n}  entries: {n * n}"
-    )
     encode = cache_io.terms_encoder()
 
     def entry(i, j):
-        # the JSON terms, and the rendered text line's terms for a text run
-        terms = [(words[y], d, c) for _, d, y, c in ctx.rows(i, j)]
-        return encode(terms), None if args.json else format_terms(terms)
+        return encode([(words[y], d, c) for _, d, y, c in ctx.rows(i, j)])
 
-    def restart():
-        # a text run's lines go to `text`, each time from its start
-        if text is not None:
-            text.seek(0)
-            text.truncate()
-            text.write(header + "\n")
-
-    def served(u, v, rendered):
-        text.write(_entry_line(u, v, rendered) + "\n")
-
-    def stream(handle):
-        # the document into `handle`, and a text run's lines into `text`
-        restart()
-
-        def streamed():
-            for k, (terms, rendered) in enumerate(_mirrored(n, entry)):
-                u, v = words[k // n], words[k % n]
-                if text is not None:
-                    served(u, v, rendered)
-                yield u, v, terms
-
-        cache_io.write_document(handle, type_name, parabolic.indices, streamed())
-
-    # stdout gets nothing until the table is complete and checked: a hit is
-    # the checked cache file itself, a fresh document goes to the cache file
-    # first, and a text run collects its lines in a file
-    with ExitStack() as files:
-        anonymous = partial(tempfile.TemporaryFile, "w+", encoding="utf-8")
-        text = None if args.json else files.enter_context(anonymous())
-        restart()
-        cached, problem = cache_io.load_document(
-            path, type_name, parabolic, words, None if args.json else served
+    def write(handle):
+        entries = enumerate(_mirrored(n, entry))
+        cache_io.write_document(
+            handle, type_name, parabolic.indices,
+            ((words[k // n], words[k % n], terms) for k, terms in entries),
         )
+
+    # stdout gets nothing until the table is complete and checked: a
+    # document is served from the handle it was checked or written through,
+    # and a text run's lines are rendered by the check pass into a file
+    with ExitStack() as files:
+        anonymous = partial(tempfile.TemporaryFile, "w+", encoding="utf-8", newline="")
+
+        def lines():
+            # a new file for a text run's lines, and the check's callback
+            text = files.enter_context(anonymous())
+            text.write(
+                f"type: {type_name}  parabolic: {list(parabolic.indices)}  "
+                f"basis: {n}  entries: {n * n}\n"
+            )
+            return text, lambda u, v, rendered: text.write(
+                f"sigma[{u}] * sigma[{v}] = {rendered}\n"
+            )
+
+        text, served = (None, None) if args.json else lines()
+        doc, problem = cache_io.load_document(path, ctx, words, served)
         if problem:
             print(f"warning: {problem}", file=sys.stderr)
-        if cached is not None:
+        if doc is not None:
             print(f"cache hit: {path}", file=sys.stderr)
-            files.enter_context(cached)
-            out = cached if args.json else text
+            files.enter_context(doc)
         else:
             try:
-                with cache_io.new_document(path) as (handle, tmp):
-                    stream(handle)
-                    cache_io.store_document(path, handle, tmp)
-                out = files.enter_context(open(path, encoding="utf-8")) if args.json else text
+                with ExitStack() as fresh:
+                    doc, tmp = fresh.enter_context(cache_io.new_document(path))
+                    write(doc)
+                    cache_io.store_document(path, doc, tmp)
+                    files.push(fresh.pop_all())  # keep the stored file open
             except OSError as exc:
                 # like an unreadable cache, an unwritable one costs only the
-                # reuse: the table is streamed again, into an anonymous file
+                # reuse: the table is written again, into an anonymous file
                 print(f"warning: cannot write cache {path}: {exc}", file=sys.stderr)
-                handle = files.enter_context(anonymous())
-                stream(handle)
-                out = handle if args.json else text
+                doc = files.enter_context(anonymous())
+                write(doc)
             else:
                 print(f"cache write: {path}", file=sys.stderr)
+            if text is not None:
+                text.close()  # the lines of a rejected cache file, if any
+                text, served = lines()
+                doc.seek(0)
+                problem = cache_io.check_document(doc, ctx, words, served)
+                if problem:
+                    raise RuntimeError(f"a fresh table fails the cache check: {problem}")
+        out = doc if args.json else text
         out.seek(0)
         shutil.copyfileobj(out, sys.stdout)
     return 0

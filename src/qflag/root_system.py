@@ -14,6 +14,17 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, gcd
 
+
+def _parse_ints(text: str) -> tuple:
+    """The ints of a comma list, each an optional sign and ASCII digits with
+    optional spaces around them; int() alone would also take digit
+    separators and non-ASCII digits."""
+    parts = text.split(",")
+    if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", part) for part in parts):
+        raise ValueError(f"not a comma list of integers: {text!r}")
+    return tuple(map(int, parts))
+
+
 # min/max admissible rank per series (max None = unbounded)
 _RANK_RULES = {
     "A": (1, None),
@@ -65,7 +76,7 @@ class CartanType:
 
     @classmethod
     def parse(cls, name: str) -> "CartanType":
-        m = re.fullmatch(r"([A-Ga-g])(\d+)", name.strip())
+        m = re.fullmatch(r"([A-Ga-g])([0-9]+)", name.strip())
         if not m:
             raise ValueError(f"cannot parse Cartan type {name!r} (expected e.g. 'A2')")
         return cls(m.group(1).upper(), int(m.group(2)))
@@ -120,7 +131,7 @@ class ParabolicSubset:
         if not text:
             return cls()
         try:
-            return cls(tuple(int(part) for part in text.split(",")))
+            return cls(_parse_ints(text))
         except ValueError:
             raise ValueError(f"cannot parse parabolic node list {text!r}") from None
 

@@ -140,9 +140,9 @@ def parse_word(text: str) -> tuple:
     text = text.strip()
     if text in ("e", ""):
         return ()
-    if not re.fullmatch(r"(s\d+)+", text):
+    if not re.fullmatch(r"(s[0-9]+)+", text):
         raise ValueError(f"cannot parse Weyl word {text!r} (expected 'e' or e.g. 's1s2')")
-    return tuple(int(m) for m in re.findall(r"s(\d+)", text))
+    return tuple(int(m) for m in re.findall(r"s([0-9]+)", text))
 
 
 def format_word(word) -> str:

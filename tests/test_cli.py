@@ -160,6 +160,35 @@ def test_mul_takes_one_word_per_factor(capsys, u, v):
     assert err.startswith("error: ") and "one Weyl word" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lift", "--parabolic", "2", "--degree", "1_0"], "cannot parse degree '1_0'"),
+        (["lift", "--parabolic", "2", "--degree", "\u0661"], "cannot parse degree"),
+        (["lift", "--parabolic", "1_0", "--degree", "1"], "cannot parse parabolic node list"),
+        (["lift", "--parabolic", "\u0662", "--degree", "1"], "cannot parse parabolic node list"),
+        (["mul", "--u", "s\u0661", "--v", "s1"], "cannot parse Weyl word"),
+        (["mul", "--u", "s1", "--v", "s\uff11"], "cannot parse Weyl word"),
+        (["mul", "--type", "A\u0662", "--u", "s1", "--v", "s1"], "cannot parse Cartan type"),
+    ],
+    ids=["degree-separator", "degree-arabic-indic", "parabolic-separator",
+         "parabolic-arabic-indic", "word-arabic-indic", "word-fullwidth", "type-arabic-indic"],
+)
+def test_numbers_take_ascii_digits_only(capsys, argv, message):
+    # int() also reads "1_0" as 10 and any Unicode decimal digit as a digit;
+    # a later --type overrides the A2 given first
+    code, out, err = run(capsys, argv[0], "--type", "A2", *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_numbers_keep_their_sign_and_spaces(capsys):
+    lift = ("lift", "--type", "A2", "--json")
+    expected = run(capsys, *lift, "--parabolic", "2", "--degree", "1")
+    assert expected[0] == 0
+    assert run(capsys, *lift, "--parabolic", " +2 ", "--degree", " +1 ") == expected
+
+
 def test_mul_json_terms(capsys):
     code, out, _ = run(
         capsys, "mul", "--type", "A2", "--parabolic", "", "--u", "s1", "--v", "s1", "--json"
@@ -295,6 +324,53 @@ def test_table_failing_midway_prints_nothing_and_leaves_no_file(
     assert out == ""
     assert "injected failure" in err and "cache write" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_fresh_text_table_passes_the_cache_check_before_it_is_printed(
+    tmp_path, capsys, monkeypatch
+):
+    real = cli.cache_io.terms_encoder
+
+    def writing_one_01():
+        # the first coefficient 1 of the document is written as 01
+        encode, first = real(), iter([True])
+
+        def encode_with_01(terms):
+            text = encode(terms)
+            if '"c": 1,' in text and next(first, False):
+                text = text.replace('"c": 1,', '"c": 01,', 1)
+            return text
+
+        return encode_with_01
+
+    monkeypatch.setattr(cli.cache_io, "terms_encoder", writing_one_01)
+    code, out, err = run(
+        capsys, "table", "--type", "A2", "--parabolic", "2", "--cache-dir", str(tmp_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert "malformed term payload" in err
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_a_fresh_table_prints_the_bytes_this_command_wrote(tmp_path, capsys, monkeypatch, fmt):
+    args = ["table", "--type", "A2", "--parabolic", "2", *fmt]
+    code, expected, _ = run(capsys, *args, "--cache-dir", str(tmp_path / "reference"))
+    assert code == 0
+    real = cli.cache_io.store_document
+
+    def stored_then_replaced(path, handle, tmp):
+        real(path, handle, tmp)
+        # another process renames its own table onto the cache file
+        other = tmp_path / "other.json"
+        other.write_text('{\n  "entries": []\n}\n', encoding="utf-8")
+        os.replace(other, path)
+
+    monkeypatch.setattr(cli.cache_io, "store_document", stored_then_replaced)
+    code, out, err = run(capsys, *args, "--cache-dir", str(tmp_path / "cache"))
+    assert code == 0
+    assert out == expected
+    assert "cache write" in err
 
 
 def test_associativity_suite_audits_the_named_ring(capsys):

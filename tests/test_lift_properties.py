@@ -44,6 +44,6 @@ def test_lift_is_the_unique_alcove_point_and_stable(space):
     cd = comparison_data(rs, parabolic, degree)
     relift = comparison_data(rs, cd.j_prime, cd.d_pprime)
     assert (relift.d_B, relift.j_prime) == (cd.d_B, cd.j_prime)
-    # c_1 pairs to at least 2 with each free coroot: `cache.load_document`
+    # c_1 pairs to at least 2 with each free coroot: `cache.check_document`
     # skips lifting a degree whose sum exceeds the grade on that account
     assert anticanonical_pairing(rs, parabolic, degree) >= 2 * sum(degree)
