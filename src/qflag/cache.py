@@ -40,7 +40,8 @@ TABLE_FORMAT_VERSION = 1
 
 
 def default_cache_dir() -> str:
-    return os.environ.get("QFLAG_CACHE_DIR", ".qflag-cache")
+    # an empty variable is unset, as an empty --cache-dir is
+    return os.environ.get("QFLAG_CACHE_DIR") or ".qflag-cache"
 
 
 def table_path(cache_dir, type_name, parabolic) -> str:

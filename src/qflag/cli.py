@@ -421,12 +421,18 @@ def build_parser():
     p.add_argument("--cache-dir", default=None, help="cache directory (default: QFLAG_CACHE_DIR or .qflag-cache)")
     p.set_defaults(func=cmd_table)
 
+    def integer(text):
+        # the ASCII rule of the comma lists; type=int would also take digit
+        # separators and non-ASCII digits
+        (value,) = _parse_ints(text)
+        return value
+
     p = sub.add_parser("check", help="run a self-check suite")
     common(p)
     p.add_argument("--suite", required=True, help="|".join(sorted(_SUITES)))
-    p.add_argument("--max-degree", type=int, default=3)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--window", type=int, default=6)
+    p.add_argument("--max-degree", type=integer, default=3)
+    p.add_argument("--samples", type=integer, default=None)
+    p.add_argument("--window", type=integer, default=6)
     p.set_defaults(func=cmd_check)
     return parser
 

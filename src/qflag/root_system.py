@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from math import factorial, gcd
+from math import factorial
 
 
 def _parse_ints(text: str) -> tuple:
@@ -191,46 +190,6 @@ def _cartan_matrix(series, n):
     return tuple(tuple(row) for row in a)
 
 
-def _symmetrizer(a):
-    """Smallest positive integers d with d[i]*a[i][j] symmetric."""
-    n = len(a)
-    d = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if i != j and a[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * Fraction(a[i][j], a[j][i])
-                    stack.append(j)
-    mult = 1
-    for x in d:
-        mult = mult * x.denominator // gcd(mult, x.denominator)
-    ints = [int(x * mult) for x in d]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints)
-
-
-def _check_positive_definite(a, d):
-    """Symmetric Gaussian elimination; all pivots positive iff the
-    symmetrized Cartan matrix is positive definite."""
-    n = len(a)
-    m = [[Fraction(d[i] * a[i][j]) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        if m[k][k] <= 0:
-            raise ValueError("Cartan data does not have a positive definite symmetrization")
-        for r in range(k + 1, n):
-            f = m[r][k] / m[k][k]
-            if f:
-                for c in range(k, n):
-                    m[r][c] -= f * m[k][c]
-
-
 class RootSystem:
     """Positive roots, coroots and reflection tables for a finite Cartan type.
 
@@ -243,16 +202,7 @@ class RootSystem:
         self.cartan_type = cartan_type
         self.rank = cartan_type.rank
         self.cartan = _cartan_matrix(cartan_type.series, cartan_type.rank)
-        self.symmetrizer = _symmetrizer(self.cartan)
-        _check_positive_definite(self.cartan, self.symmetrizer)
-
         self.positive_roots, self.positive_coroots = self._close_roots()
-        expected = cartan_type.positive_root_count()
-        if len(self.positive_roots) != expected:
-            raise RuntimeError(
-                f"root closure for {cartan_type} produced {len(self.positive_roots)} "
-                f"positive roots, expected {expected}"
-            )
         self.npos = len(self.positive_roots)
         self.nroots = 2 * self.npos
         self._index = {}
@@ -275,15 +225,19 @@ class RootSystem:
         return tuple(1 if j == i0 else 0 for j in range(self.rank))
 
     def _close_roots(self):
+        """Positive roots and coroots, closed under the simple reflections.
+        A finite type closes on exactly its number of positive roots; the
+        closure stops once it holds more, as an infinite type never closes."""
         a = self.cartan
         n = self.rank
+        expected = self.cartan_type.positive_root_count()
         found = {}
         frontier = []
         for i0 in range(n):
             r = self._basis(i0)
             found[r] = r  # a simple root is its own coroot in these coordinates
             frontier.append(r)
-        while frontier:
+        while frontier and len(found) <= expected:
             new = []
             for r in frontier:
                 cor = found[r]
@@ -302,6 +256,11 @@ class RootSystem:
                     found[img] = tuple(icor)
                     new.append(img)
             frontier = new
+        if len(found) != expected:
+            raise RuntimeError(
+                f"root closure for {self.cartan_type} produced {len(found)} "
+                f"positive roots, expected {expected}"
+            )
         order = sorted(found, key=lambda root: (sum(root), root))
         roots = tuple(order)
         coroots = tuple(found[r] for r in order)
@@ -433,11 +392,6 @@ def build_root_system(cartan_type) -> RootSystem:
 @cache
 def _interned(cartan_type: CartanType) -> RootSystem:
     return RootSystem(cartan_type)
-
-
-def pairing(rs: RootSystem, root, coweight) -> int:
-    """Pairing of a root-space vector with a coweight-space vector."""
-    return rs.pairing(root, coweight)
 
 
 def reflect_coweight(rs: RootSystem, alpha, lam):

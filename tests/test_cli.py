@@ -141,6 +141,26 @@ def test_gw_rejects_bad_input(capsys):
     assert code == 2 and "out of range" in err
 
 
+def test_empty_degree_and_class_list_are_input_errors(capsys):
+    code, out, err = run(
+        capsys, "gw", "--type", "A2", "--parabolic", "2",
+        "--classes", "s1,s2s1,s2s1", "--degree", "",
+    )
+    assert (code, out, err) == (2, "", "error: missing degree vector\n")
+    code, out, err = run(capsys, "mul", "--type", "A2", "--u", "", "--v", "s1")
+    assert (code, out, err) == (2, "", "error: missing class list\n")
+
+
+def test_mul_json_warns_on_non_minimal_classes(capsys):
+    code, out, _ = run(
+        capsys, "mul", "--type", "A2", "--parabolic", "2", "--u", "s1s2", "--v", "s1", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["u"] == "s1" and payload["product"] == "sigma[s2s1]"
+    assert payload["warnings"] == ["class s1s2 is not a minimal representative; using s1"]
+
+
 def test_mul_text_examples(capsys):
     code, out, _ = run(capsys, "mul", "--type", "A2", "--parabolic", "", "--u", "s1", "--v", "s1")
     assert code == 0
@@ -180,6 +200,18 @@ def test_numbers_take_ascii_digits_only(capsys, argv, message):
     code, out, err = run(capsys, argv[0], "--type", "A2", *argv[1:])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661", "\u0663"])
+@pytest.mark.parametrize("option", ["--max-degree", "--samples", "--window"])
+def test_check_options_take_ascii_digits_only(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "comparison", "--type", "A2", "--parabolic", "2",
+              option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: invalid integer value" in captured.err
 
 
 def test_numbers_keep_their_sign_and_spaces(capsys):
@@ -387,6 +419,18 @@ def test_associativity_suite_audits_the_named_ring(capsys):
     ]
 
 
+@pytest.mark.parametrize("samples, count", [([], 200), (["--samples", "3"], 3)])
+def test_associativity_suite_samples_a_large_ring(capsys, samples, count):
+    # A3 has 24 classes, so 13,824 triples: more than the 1000 audited in full
+    code, out, _ = run(capsys, "check", "--suite", "associativity", "--type", "A3", *samples)
+    assert code == 0
+    assert out.splitlines() == [
+        f"PASS associativity ({count} seeded random triples)",
+        f"PASS commutativity ({count} seeded random triples)",
+        "suite associativity: PASS",
+    ]
+
+
 @pytest.mark.parametrize("parabolic, triples", [("", 216), ("2", 27)])
 def test_commutativity_audit_compares_two_recursions(capsys, monkeypatch, parabolic, triples):
     # a private engine, so that the corruption stays in this test
@@ -440,6 +484,15 @@ def test_cache_dir_env_override(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "table", "--type", "A2", "--parabolic", "2")
     assert code == 0
     assert (tmp_path / "env-cache" / "A2-2.json").exists()
+
+
+def test_empty_cache_dir_env_is_unset(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QFLAG_CACHE_DIR", "")
+    code, _, err = run(capsys, "table", "--type", "A2", "--parabolic", "2")
+    assert code == 0
+    assert (tmp_path / ".qflag-cache" / "A2-2.json").exists()
+    assert not (tmp_path / "A2-2.json").exists()
 
 
 def test_check_unknown_suite(capsys):

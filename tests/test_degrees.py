@@ -18,7 +18,6 @@ from qflag import (
     hom_dimension,
     is_effective,
     is_generic_levi_semistable,
-    pairing,
     parabolic_gw_invariant,
     peterson_lift,
     push_degree,
@@ -289,7 +288,7 @@ def test_alcove_condition_holds_on_all_levi_roots():
         for d0 in range(4):
             lam = peterson_lift(rs, J, (d0,) * r)
             for g in rs.parabolic_root_indices(J):
-                assert pairing(rs, rs.positive_roots[g], lam) in (-1, 0)
+                assert rs.pairing(rs.positive_roots[g], lam) in (-1, 0)
 
 
 def test_dimension_chain():
@@ -336,7 +335,7 @@ def test_alcove_walk_length_is_exact(name, monkeypatch):
                     start[i - 1] = d
                 separating = 0
                 for g in rs.parabolic_root_indices(J):
-                    m = pairing(rs, rs.positive_roots[g], start)
+                    m = rs.pairing(rs.positive_roots[g], start)
                     separating += m if m > 0 else max(0, -1 - m)
                 checks = 0
                 lam = peterson_lift(rs, J, degree)
