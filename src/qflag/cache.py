@@ -14,16 +14,18 @@ document the writer gives for its content: the format version, the
 type/parabolic header, one entry per (u, v) pair of basis words in the basis
 order, exactly the keys {u, v, terms} on an entry and {w, q, c} on a term,
 every term word a basis word, non-negative int q-degrees with one coordinate
-per free node, positive int coefficients, and the grading
-l(w) + c_1(q) = l(u) + l(v) on every term.  It reads the file in chunks,
+per free node, positive int coefficients, the grading
+l(w) + c_1(q) = l(u) + l(v) on every term, and the unit row: the entries
+(e, v) and (v, e) are the single term sigma_v.  It reads the file in chunks,
 splits them at the fixed text between entries and checks each distinct term
-text once; it never decodes the file as JSON.  A cache file is trusted only
-after this pass; anything else, a file that decodes to a valid table in
-another layout included, is reported back.  The pass also renders every
-text table, fresh or cached, line by line.  A table is copied out of the
-file it was checked or written through, from the same handle, so no
-document is held in memory.  Writes are whole-file atomic, and a cache file
-gets mode 0666 less the umask.
+text once; it never decodes the file as JSON, and it rejects the file as
+soon as the text after the last split outgrows the longest entry the basis
+allows.  A cache file is trusted only after this pass; anything else, a file
+that decodes to a valid table in another layout included, is reported back.
+The pass also renders every text table, fresh or cached, line by line.  A
+table is copied out of the file it was checked or written through, from the
+same handle, so no document is held in memory.  Writes are whole-file
+atomic, and a cache file gets mode 0666 less the umask.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from contextlib import contextmanager
 from functools import cache
+from math import comb, inf
 
 from .quantum import format_terms
 
@@ -153,8 +157,19 @@ def check_document(handle, ctx, words, served=None):
     length_of = dict(zip(quoted, lengths))  # a basis word's length by its text
     # the term texts checked on each grade l(u) + l(v); a term's grade is
     # l(w) + c_1(q), so each distinct text is checked once
-    on_grade = [set() for _ in range(2 * max(lengths) + 1)]
+    top = 2 * max(lengths)
+    on_grade = [set() for _ in range(top + 1)]
     rendered = {}  # term text -> the term as format_terms renders it
+    pad = " " * 10
+    # the text of the term sigma_v of a unit-row entry, less the word v
+    unit = f'{pad}"c": 1,\n{pad}"q": {_int_list((0,) * free, pad)},\n{pad}"w": '
+    tail = _ENTRIES_END + _trailer(str(ctx.rs.cartan_type), ctx.parabolic.indices)
+    # the longest pending text: one term per basis word and degree on the top
+    # grade (c_1 >= 2 sum(q)), each at most as long as the longest word and
+    # degree with as many digits as int() converts, one more for the keys
+    longest = (len(unit + _TERM_SEP + _int_list((top,) * free, pad)) + max(map(len, quoted))
+               + (sys.get_int_max_str_digits() or inf))
+    bound = (n * comb(top // 2 + free, free) + 1) * longest + len(tail)
 
     def term(text, grade, pair):
         """The problem of a term text on the grading `grade`, or None."""
@@ -213,6 +228,8 @@ def check_document(handle, ctx, words, served=None):
                     if problem:
                         return problem
                     known.add(item)
+        if 0 in (i, j) and list(items) != [unit + quoted[i + j]]:
+            return f"sigma[{words[i]}] * sigma[{words[j]}] is not sigma[{words[i + j]}]"
         if served:
             # as format_terms joins the renderings of its terms
             served(words[i], words[j], " + ".join(map(rendered.__getitem__, items)) or "0")
@@ -232,7 +249,8 @@ def check_document(handle, ctx, words, served=None):
             if problem:
                 return problem
             k += 1
-    tail = _ENTRIES_END + _trailer(str(ctx.rs.cartan_type), ctx.parabolic.indices)
+        if len(rest) > bound:
+            return "an entry longer than the basis allows"
     if not rest.endswith(tail):
         trailer = re.fullmatch(_TRAILER, rest.rpartition(_ENTRIES_END)[2], re.S)
         if trailer is None:

@@ -4,7 +4,8 @@ tables and self-check suites.
 Exit codes: 0 success, 1 internal assertion or failed check, 2 input
 validation, 3 enumeration bound exceeded.  The console script also exits
 143 (128 + SIGTERM) when it is terminated, after removing its temporary
-cache file.
+cache file, and 141 (128 + SIGPIPE), with nothing on stderr, when the
+reader of its stdout has closed it (`qflag table ... | head -1`).
 
 `main(argv)` returns the exit code and can be called repeatedly in one
 process: the parser is built on the first call and reused, and argparse
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import shutil
 import signal
@@ -26,24 +28,11 @@ from functools import cache, partial
 from itertools import product as iter_product
 
 from . import cache as cache_io
-from .compare import (
-    CheckResult,
-    _quantum_context,
-    check_comparison_consistency,
-    parabolic_quantum_product,
-    star,
-)
+from .compare import CheckResult, _quantum_context, check_comparison_consistency
 from .degrees import enumerate_alcove_lifts, peterson_lift
-from .quantum import QClass, _oriented_product, format_qclass
+from .quantum import _oriented_product, format_terms
 from .root_system import CartanType, ParabolicSubset, _parse_ints, build_root_system
-from .weyl import (
-    EnumerationBoundError,
-    enumerate_min_reps,
-    format_word,
-    from_word,
-    min_coset_rep,
-    parse_word,
-)
+from .weyl import EnumerationBoundError, format_word, from_word, min_coset_rep, parse_word
 
 
 def _context(args):
@@ -183,16 +172,18 @@ def cmd_mul(args):
     rs, parabolic = _context(args)
     u, v = (_parse_class(rs, text) for text in (args.u, args.v))
     (u, v), warnings = _normalize_classes(rs, parabolic, [u, v])
-    qc = parabolic_quantum_product(rs, parabolic, u, v)
+    ctx = _quantum_context(rs, parabolic)
+    terms = [
+        (format_word(ctx.basis[y].word), d, c)
+        for _, d, y, c in ctx.rows(ctx.position[u.perm], ctx.position[v.perm])
+    ]
     payload = {
         "type": str(rs.cartan_type),
         "parabolic": list(parabolic.indices),
         "u": format_word(u.word),
         "v": format_word(v.word),
-        "product": format_qclass(qc),
-        "terms": [
-            {"w": format_word(w.word), "q": list(d), "c": c} for (w, d), c in qc.sorted_terms()
-        ],
+        "product": format_terms(terms),
+        "terms": [{"w": w, "q": list(d), "c": c} for w, d, c in terms],
     }
     if warnings:
         payload["warnings"] = warnings
@@ -291,31 +282,28 @@ def cmd_table(args):
 
 
 def _suite_associativity(args):
-    rs, parabolic = _context(args)
-    elements = enumerate_min_reps(rs, parabolic)
-    order = len(elements)
+    ctx = _quantum_context(*_context(args))
+    order = len(ctx.basis)
     if order**3 <= 1000:
-        triples = [(a, b, c) for a in elements for b in elements for c in elements]
+        triples = list(iter_product(range(order), repeat=3))
         how = f"all {len(triples)} triples"
     else:
         rng = random.Random(0)
         count = args.samples or 200
-        triples = [
-            tuple(elements[rng.randrange(order)] for _ in range(3))
-            for _ in range(count)
-        ]
+        triples = [tuple(rng.randrange(order) for _ in range(3)) for _ in range(count)]
         how = f"{count} seeded random triples"
-    product = partial(parabolic_quantum_product, rs, parabolic)
-    unit = partial(QClass.unit, rs, parabolic)
+    eng, borel, times = ctx.engine, ctx.borel_index, ctx.times
+    unit = [{(k, (0,) * len(ctx.free)): 1} for k in range(order)]
     bad_assoc = 0
     bad_comm = 0
     for a, b, c in triples:
-        if star(product(a, b), unit(c)) != star(unit(a), product(b, c)):
+        if times(times(unit[a], unit[b]), unit[c]) != times(unit[a], times(unit[b], unit[c])):
             bad_assoc += 1
-        # both orders of `product` read one Borel table, so compare the two
+        # both orders of `rows` read one Borel table, so compare the two
         # recursions instead; the G/P product is a function of that Borel
         # product, so this is the stronger check
-        if _oriented_product(rs, a, b) != _oriented_product(rs, b, a):
+        x, y = borel[a], borel[b]
+        if _oriented_product(eng, x, y) != _oriented_product(eng, y, x):
             bad_comm += 1
     return [
         CheckResult("associativity", bad_assoc == 0, how),
@@ -444,10 +432,14 @@ def _parser():
     return build_parser()
 
 
-def main(argv=None) -> int:
+def main(argv=None, *, propagate=()) -> int:
+    """Run one command and return its exit code; an exception of a class in
+    `propagate` is raised instead."""
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except propagate:
+        raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -466,9 +458,16 @@ def _exit_on_sigterm(signum, frame):
 def entry():
     # a terminated process unwinds like any other exit, so `table` removes
     # its temporary cache file; in-process callers of `main` keep their own
-    # signal handling
+    # signal handling, and a broken pipe is an internal error there
     signal.signal(signal.SIGTERM, _exit_on_sigterm)
-    sys.exit(main())
+    try:
+        code = main(propagate=(BrokenPipeError,))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; /dev/null takes the interpreter's last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 128 + signal.SIGPIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

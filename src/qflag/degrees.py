@@ -91,11 +91,6 @@ def _as_degree(rs: RootSystem, parabolic: ParabolicSubset, degree) -> tuple:
     return tuple(coords)
 
 
-def is_effective(rs: RootSystem, parabolic: ParabolicSubset, degree) -> bool:
-    """True iff every degree coordinate is nonnegative."""
-    return all(x >= 0 for x in _as_degree(rs, parabolic, degree))
-
-
 def _walk_length(rs, parabolic, lam):
     """Number of Levi-root hyperplanes <alpha, .> = k (k an integer) that
     separate lam from the fundamental domain.  Each step of the alcove walk

@@ -174,14 +174,6 @@ class _Engine:
             self.chevalley.append(tuple(map(tuple, per_divisor)))
             self.qmoves.append(tuple(qmoves))
 
-    def qclass(self, terms):
-        """The QClass of int-keyed terms, on the enumeration's instances."""
-        out = {}
-        for key, c in terms.items():
-            pd, x = divmod(key, self.size)
-            out[(self.elements[x], self.degree(pd))] = c
-        return QClass(self.rs, BOREL, out)
-
     def degree(self, pd):
         """The degree vector packed as pd, memoized."""
         d = self.degrees.get(pd)
@@ -197,24 +189,6 @@ class _Engine:
 @cache
 def _engine(rs) -> _Engine:
     return _Engine(rs)
-
-
-def chevalley_multiply(rs: RootSystem, i: int, w: WeylElement) -> QClass:
-    """Quantum Chevalley rule: the i-th divisor class times the class of w.
-
-    sigma_{s_i} * sigma_w
-        = sum_{alpha: l(w s_a) = l(w)+1} <omega_i, alpha^v> sigma_{w s_a}
-        + sum_{alpha: l(w s_a) = l(w)+1-<2rho, alpha^v>}
-              <omega_i, alpha^v> q^{alpha^v} sigma_{w s_a}
-
-    over positive roots alpha.
-    """
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"divisor index {i} out of range for {rs.cartan_type}")
-    eng = _engine(rs)
-    eng.extend_moves(w.length)
-    x = eng.index[w.perm]
-    return eng.qclass({x + delta: a for delta, a in eng.chevalley[x][i - 1]})
 
 
 def _finalized(eng, terms, grade):
@@ -382,12 +356,11 @@ def _products(eng, v, upto):
     return by
 
 
-def _oriented_product(rs, u, v) -> QClass:
-    """sigma_u * sigma_v read off v's own table, which recurses to l(u).  The
-    commutativity audit calls it both ways round, so that it compares two
-    recursions."""
-    eng = _engine(rs)
-    return eng.qclass(_products(eng, eng.index[v.perm], u.length)[eng.index[u.perm]])
+def _oriented_product(eng, x, y):
+    """sigma_x * sigma_y for element indices x, y, as int-keyed terms read
+    off y's own table, which recurses to l(x).  The commutativity audit calls
+    it both ways round, so that it compares two recursions."""
+    return _products(eng, y, eng.lengths[x])[x]
 
 
 def _int_product(eng, x, y):
@@ -403,4 +376,8 @@ def _int_product(eng, x, y):
 def quantum_product(rs: RootSystem, u: WeylElement, v: WeylElement) -> QClass:
     """Quantum product of two Schubert classes on the full flag variety."""
     eng = _engine(rs)
-    return eng.qclass(_int_product(eng, eng.index[u.perm], eng.index[v.perm]))
+    terms = _int_product(eng, eng.index[u.perm], eng.index[v.perm])
+    return QClass(rs, BOREL, {
+        (eng.elements[key % eng.size], eng.degree(key // eng.size)): c
+        for key, c in terms.items()
+    })

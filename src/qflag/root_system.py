@@ -276,11 +276,6 @@ class RootSystem:
             return self.positive_roots[g]
         return tuple(-x for x in self.positive_roots[g - self.npos])
 
-    def signed_coroot(self, g):
-        if g < self.npos:
-            return self.positive_coroots[g]
-        return tuple(-x for x in self.positive_coroots[g - self.npos])
-
     def positive_index(self, alpha) -> int:
         g = self._index.get(tuple(alpha))
         if g is None or g >= self.npos:
@@ -393,10 +388,3 @@ def build_root_system(cartan_type) -> RootSystem:
 def _interned(cartan_type: CartanType) -> RootSystem:
     return RootSystem(cartan_type)
 
-
-def reflect_coweight(rs: RootSystem, alpha, lam):
-    """Reflect a coweight in a positive root: lam - <alpha, lam> alpha^v."""
-    g = rs.positive_index(alpha)
-    cov = rs.positive_coroots[g]
-    c = rs.pairing(rs.positive_roots[g], lam)
-    return tuple(lam[k] - c * cov[k] for k in range(rs.rank))

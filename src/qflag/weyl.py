@@ -79,19 +79,6 @@ class WeylElement:
             inv[h] = g
         return WeylElement(self.rs, tuple(inv))
 
-    def act(self, coweight) -> tuple:
-        """Image of a coweight vector; integer in, integer out."""
-        rs = self.rs
-        if len(coweight) != rs.rank:
-            raise ValueError("coweight length must equal the rank")
-        out = [0] * rs.rank
-        for i0, c in enumerate(coweight):
-            if c:
-                cor = rs.signed_coroot(self.perm[rs._simple_global[i0]])
-                for k in range(rs.rank):
-                    out[k] += c * cor[k]
-        return tuple(out)
-
     def is_right_descent(self, i: int) -> bool:
         """True iff multiplying by s_i on the right shortens the element."""
         g = self.rs._simple_global[i - 1]
@@ -172,31 +159,9 @@ def longest_element(rs: RootSystem, parabolic: ParabolicSubset) -> WeylElement:
         w = w * simple_reflection(rs, j)
 
 
-def _graded_levels(rs, generators, parabolic=ParabolicSubset()):
-    """BFS by left multiplication with the given simple reflections, one
-    length level at a time (sorted by word), keeping only elements without a
-    right descent in the parabolic."""
-    level = [identity(rs)]
-    seen = {level[0].perm}
-    while level:
-        yield level
-        nxt = []
-        for u in level:
-            lu = u.length
-            for i in generators:
-                v = simple_reflection(rs, i) * u
-                if v.perm in seen or v.length != lu + 1:
-                    continue
-                if any(v.is_right_descent(j) for j in parabolic.indices):
-                    continue
-                seen.add(v.perm)
-                nxt.append(v)
-        nxt.sort(key=lambda w: w.word)
-        level = nxt
-
-
 def enumerate_min_reps(rs: RootSystem, parabolic: ParabolicSubset):
-    """All minimal coset representatives for W/W_J, graded by length.
+    """All minimal coset representatives for W/W_J, graded by length, and
+    sorted by word within a length.
 
     With the empty parabolic this enumerates the whole Weyl group.  Minimal
     representatives are closed under removing a left descent, so a BFS by
@@ -209,18 +174,22 @@ def enumerate_min_reps(rs: RootSystem, parabolic: ParabolicSubset):
             f"|W({rs.cartan_type})| = {order} exceeds the enumeration bound "
             f"{DEFAULT_MAX_WEYL_ORDER}"
         )
-    generators = range(1, rs.rank + 1)
-    return [w for level in _graded_levels(rs, generators, parabolic) for w in level]
-
-
-def enumerate_subgroup(rs: RootSystem, parabolic: ParabolicSubset):
-    """All elements of the standard parabolic subgroup W_J, graded by length."""
-    rs.check_parabolic(parabolic)
+    level = [identity(rs)]
+    seen = {level[0].perm}
     out = []
-    for level in _graded_levels(rs, parabolic.indices):
+    while level:
         out.extend(level)
-        if len(out) > DEFAULT_MAX_WEYL_ORDER:
-            raise EnumerationBoundError(
-                f"W_J for J={parabolic} exceeds the enumeration bound {DEFAULT_MAX_WEYL_ORDER}"
-            )
+        nxt = []
+        for u in level:
+            lu = u.length
+            for i in range(1, rs.rank + 1):
+                v = simple_reflection(rs, i) * u
+                if v.perm in seen or v.length != lu + 1:
+                    continue
+                if any(v.is_right_descent(j) for j in parabolic.indices):
+                    continue
+                seen.add(v.perm)
+                nxt.append(v)
+        nxt.sort(key=lambda w: w.word)
+        level = nxt
     return out

@@ -35,7 +35,7 @@ from qflag import (
     star,
 )
 from qflag.cli import main as cli_main
-from qflag.quantum import _oriented_product
+from qflag.quantum import _engine, _oriented_product
 
 P2 = ParabolicSubset.of([2])
 
@@ -110,16 +110,19 @@ def test_criterion_5_associativity_commutativity():
     t0 = time.perf_counter()
     for name in ("A2", "B2"):
         rs = build_root_system(name)
+        eng = _engine(rs)
         elements = enumerate_min_reps(rs, BOREL)
         for a in elements:
             for b in elements:
                 # both orders of quantum_product read one table: compare the two recursions
-                assert _oriented_product(rs, a, b) == _oriented_product(rs, b, a)
+                x, y = eng.index[a.perm], eng.index[b.perm]
+                assert _oriented_product(eng, x, y) == _oriented_product(eng, y, x)
                 for c in elements:
                     left = star(quantum_product(rs, a, b), QClass.unit(rs, BOREL, c))
                     right = star(QClass.unit(rs, BOREL, a), quantum_product(rs, b, c))
                     assert left == right
     rs = build_root_system("A3")
+    eng = _engine(rs)
     elements = enumerate_min_reps(rs, BOREL)
     rng = random.Random(0)
     for _ in range(200):
@@ -127,7 +130,8 @@ def test_criterion_5_associativity_commutativity():
         left = star(quantum_product(rs, a, b), QClass.unit(rs, BOREL, c))
         right = star(QClass.unit(rs, BOREL, a), quantum_product(rs, b, c))
         assert left == right
-        assert _oriented_product(rs, a, b) == _oriented_product(rs, b, a)
+        x, y = eng.index[a.perm], eng.index[b.perm]
+        assert _oriented_product(eng, x, y) == _oriented_product(eng, y, x)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     _report(5, "exact associativity/commutativity: A2, B2 exhaustive; A3 x200", t0)

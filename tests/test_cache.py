@@ -10,8 +10,10 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qflag.cache import new_document, terms_encoder, write_document
+from qflag import ParabolicSubset, build_root_system, format_word
+from qflag.cache import check_document, new_document, terms_encoder, write_document
 from qflag.cli import main
+from qflag.compare import _quantum_context
 
 
 def reference(doc):
@@ -169,11 +171,12 @@ def test_a_deeply_nested_cache_file_is_recomputed(tmp_path, capsys, where):
     # far deeper than the interpreter's recursion limit: the check must
     # not decode the file recursively
     path, expected = fill(tmp_path, capsys)
-    nested = "[" * 200_000 + "]" * 200_000
     if where == "document":
-        path.write_text(nested, encoding="utf-8")
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
         problem = "not the canonical layout of table --json"
     else:
+        # short enough for an entry of A2/{2}, so the term check rejects it
+        nested = "[" * 10_000 + "]" * 10_000
         path.write_text(expected.replace('"w": "e"', f'"w": {nested}', 1), encoding="utf-8")
         problem = "malformed term payload"
     warning = rejected(tmp_path, capsys, path, expected)
@@ -235,6 +238,70 @@ def test_a_cache_file_other_than_the_canonical_bytes_is_recomputed(tmp_path, cap
     path.write_bytes(text.encode())
     warning = rejected(tmp_path, capsys, path, expected)
     assert warning.startswith(f"warning: ignoring cache {path}: ")
+
+
+@pytest.mark.parametrize(
+    "k, pair", [(0, "sigma[e] * sigma[e] is not sigma[e]"),
+                (1, "sigma[e] * sigma[s1] is not sigma[s1]"),
+                (3, "sigma[s1] * sigma[e] is not sigma[s1]")],
+    ids=["e-e", "e-v", "v-e"],
+)
+def test_a_cache_file_off_the_unit_row_is_recomputed(tmp_path, capsys, k, pair):
+    # a coefficient edit that keeps the grading and the layout
+    path, expected = fill(tmp_path, capsys)
+    doc = json.loads(expected)
+    doc["entries"][k]["terms"][0]["c"] = 2
+    path.write_text(reference(doc), encoding="utf-8")
+    warning = rejected(tmp_path, capsys, path, expected)
+    assert warning == f"warning: ignoring cache {path}: {pair}"
+
+
+def test_an_edited_unit_coefficient_of_b3_is_recomputed(tmp_path, capsys):
+    argv = ["table", "--type", "B3", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    path = tmp_path / "B3-borel.json"
+    path.write_text(path.read_text(encoding="utf-8").replace('"c": 1,', '"c": 2,', 1),
+                    encoding="utf-8")
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == expected
+    assert "sigma[e] * sigma[e] = sigma[e]\n" in out
+    assert err.splitlines() == [
+        f"warning: ignoring cache {path}: sigma[e] * sigma[e] is not sigma[e]",
+        f"cache write: {path}",
+    ]
+
+
+def test_a_run_on_cache_file_is_rejected_early(tmp_path, capsys):
+    # 30 MiB after the canonical head, with no entry separator: the check
+    # stops as soon as its pending text outgrows the longest entry of the
+    # basis, long before the end of the file
+    path, expected = fill(tmp_path, capsys)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(expected[:expected.index('"c"')])
+        for _ in range(30):
+            handle.write("x" * (1 << 20))
+
+    class Counting:
+        """A handle that counts the characters read through it."""
+
+        def __init__(self, handle):
+            self.handle, self.count = handle, 0
+
+        def read(self, size):
+            text = self.handle.read(size)
+            self.count += len(text)
+            return text
+
+    ctx = _quantum_context(build_root_system("A2"), ParabolicSubset.of([2]))
+    words = [format_word(w.word) for w in ctx.basis]
+    with open(path, encoding="utf-8", newline="") as handle:
+        counting = Counting(handle)
+        assert check_document(counting, ctx, words) == "an entry longer than the basis allows"
+    assert counting.count < 1 << 20
+    warning = rejected(tmp_path, capsys, path, expected)
+    assert warning == f"warning: ignoring cache {path}: an entry longer than the basis allows"
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])

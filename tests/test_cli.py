@@ -442,7 +442,7 @@ def test_commutativity_audit_compares_two_recursions(capsys, monkeypatch, parabo
     )
     # run s1's own table to the top level, then corrupt sigma_{s2s1} *
     # sigma_{s1} in it: products in their usual order read s2s1's table
-    _oriented_product(rs, eng.elements[w_o], eng.elements[s1])
+    _oriented_product(eng, w_o, s1)
     corrupted = eng.tables[s1][s2s1]
     corrupted[next(iter(corrupted))] += 1
     code, out, _ = run(
@@ -775,6 +775,21 @@ def test_sigterm_removes_the_temporary_cache_file(tmp_path):
         proc.kill()
     assert proc.returncode == 128 + signal.SIGTERM, err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_closed_stdout_exits_141_quietly(tmp_path):
+    # the reader stops after one line, as `| head -1` does; the text is
+    # 328 KB, more than a pipe buffer holds, so the pipe breaks while the
+    # table is written out
+    with _fresh_process(
+        "table", "--type", "B3", "--cache-dir", str(tmp_path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        assert proc.stdout.readline() == "type: B3  parabolic: []  basis: 48  entries: 2304\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 128 + signal.SIGPIPE
+    assert err == f"cache write: {tmp_path / 'B3-borel.json'}\n"
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,6 @@ from qflag import (
     from_word,
     gw_invariant,
     hom_dimension,
-    is_effective,
     is_generic_levi_semistable,
     parabolic_gw_invariant,
     peterson_lift,
@@ -68,7 +67,6 @@ def _line_two_points(rs, J, degree):
 
 
 _DEGREE_ENTRY_POINTS = {
-    "is_effective": is_effective,
     "peterson_lift": peterson_lift,
     "comparison_data": comparison_data,
     "anticanonical_pairing": anticanonical_pairing,
@@ -82,7 +80,6 @@ _NOT_EFFECTIVE = ValueError("degree (-1,) is not effective")
 
 # entry point -> its value at degree (1,) and at degree (-1,) of the plane
 _DEGREE_VALUES = {
-    "is_effective": (True, False),
     "peterson_lift": ((1, 0), (-1, -1)),
     "comparison_data": (None, _NOT_EFFECTIVE),
     "anticanonical_pairing": (3, -3),
@@ -135,14 +132,13 @@ _NON_INTEGERS = [1.5, 2.0, 1.2, 0.7, "2", None]
 @pytest.mark.parametrize(
     "call",
     [
-        lambda rs, d: is_effective(rs, P2, d),
         lambda rs, d: peterson_lift(rs, P2, d),
         lambda rs, d: comparison_data(rs, P2, d),
         lambda rs, d: hom_dimension(rs, P2, d),
         lambda rs, d: _line_two_points(rs, P2, d),
         lambda rs, d: gw_invariant(rs, [from_word(rs, w) for w in ((1,), (1, 2, 1), (1, 2, 1))], d + (0,)),
     ],
-    ids=["is_effective", "peterson_lift", "comparison_data", "hom_dimension",
+    ids=["peterson_lift", "comparison_data", "hom_dimension",
          "parabolic_gw_invariant", "gw_invariant"],
 )
 def test_degree_coordinates_must_be_integers(call, x):
@@ -169,14 +165,6 @@ def test_push_degree_examples():
     assert push_degree(rs, ParabolicSubset(), (1, 0)) == (1, 0)
     assert push_degree(rs, P2, (2, 1)) == (2,)
     assert push_degree(rs, P2, (0, 0)) == (0,)
-
-
-def test_is_effective():
-    rs = build_root_system("A2")
-    assert is_effective(rs, P2, (1,))
-    assert is_effective(rs, P2, (0,))
-    assert not is_effective(rs, P2, (-1,))
-    assert is_effective(rs, ParabolicSubset(), (1, 0))
 
 
 def test_hom_dimension_projective_space_closed_form():

@@ -72,6 +72,11 @@ GOLDEN = [
     (("mul", "--type", "D4", "--parabolic", "", "--u", "s4s2s3s1s2s4s1s2s3s1s2s1",
       "--v", "s4s2s3s1s2s4s1s2s3s1s2s1", "--json"),
      "09acff506990d444b5ec0cc2bb3490037127790b77bca7828cca7282e2495ad6"),
+    # a G/P product with a non-minimal class, read off the context's rows;
+    # hash taken at commit 2a4604edd2a878c6bb51e186beada7c96b3bcf24
+    (("mul", "--type", "C3", "--parabolic", "2", "--u", "s2s1s3s2", "--v", "s2s3s2s1",
+      "--json"),
+     "476a415f754772b84b775888a307755067a420f1e5b039e99c6acb0cf0e4dc2b"),
 ]
 
 

@@ -9,7 +9,6 @@ from qflag import (
     ParabolicSubset,
     QClass,
     build_root_system,
-    chevalley_multiply,
     classical_product,
     enumerate_min_reps,
     format_qclass,
@@ -72,10 +71,10 @@ def test_identity_class_is_neutral():
 def test_chevalley_classical_flag_drops_q_terms():
     rs = build_root_system("A2")
     s1 = simple_reflection(rs, 1)
-    full = chevalley_multiply(rs, 1, s1)
+    # sigma_{s_1} * sigma_{s_1}: level 1 of the engine reads the Chevalley moves
+    full = quantum_product(rs, s1, s1)
     assert _classical_part(full) == classical_product(rs, s1, s1)
-    with pytest.raises(ValueError):
-        chevalley_multiply(rs, 3, s1)
+    assert full != _classical_part(full)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2"])
@@ -113,11 +112,13 @@ def test_classical_top_pairing_is_poincare_duality(name):
 
 def test_associativity_and_commutativity_exhaustive_a2():
     rs = build_root_system("A2")
+    eng = _engine(rs)
     elements = enumerate_min_reps(rs, BOREL)
     for a in elements:
         for b in elements:
             # both orders of quantum_product read one table: compare the two recursions
-            assert _oriented_product(rs, a, b) == _oriented_product(rs, b, a)
+            x, y = eng.index[a.perm], eng.index[b.perm]
+            assert _oriented_product(eng, x, y) == _oriented_product(eng, y, x)
             for c in elements:
                 left = star(quantum_product(rs, a, b), _unit(rs, c))
                 right = star(_unit(rs, a), quantum_product(rs, b, c))
@@ -286,7 +287,7 @@ def test_corrupted_chevalley_coefficient_breaks_integrality():
     # level k reads the corrupted move and nothing else does; the public
     # product never extends that table, so read it off the table directly
     with pytest.raises(RuntimeError, match="non-integer structure constant"):
-        _oriented_product(rs, eng.elements[eng.by_length[k][j]], identity(rs))
+        _oriented_product(eng, eng.by_length[k][j], eng.index[identity(rs).perm])
 
 
 def test_levels_are_shared_by_every_product(tmp_path, capsys):

@@ -1,8 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qflag import CartanType, ParabolicSubset, RootSystem, build_root_system, reflect_coweight, root_system
+from qflag import CartanType, ParabolicSubset, RootSystem, build_root_system, root_system
 
 ALL_SMALL = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"]
 
@@ -103,11 +107,22 @@ def test_root_data_is_pinned(name):
     assert hashlib.sha256(repr(data).encode()).hexdigest() == ROOT_DATA_SHA256[name]
 
 
-def test_infinite_type_fails_the_root_closure(monkeypatch):
-    # affine A1: the simple reflections generate infinitely many real roots
-    monkeypatch.setattr(root_system, "_cartan_matrix", lambda series, n: ((2, -2), (-2, 2)))
-    with pytest.raises(RuntimeError, match="root closure for A2 produced 4 positive roots"):
-        RootSystem(CartanType.parse("A2"))
+def test_infinite_type_fails_the_root_closure():
+    # affine A1: the simple reflections generate infinitely many real roots.
+    # The closure runs in a child with a time limit, so that a closure that
+    # never stops fails this test instead of hanging the suite
+    path = [str(Path(root_system.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = (
+        "from qflag import root_system as r\n"
+        "r._cartan_matrix = lambda series, n: ((2, -2), (-2, 2))\n"
+        "r.RootSystem(r.CartanType.parse('A2'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == (
+        "RuntimeError: root closure for A2 produced 4 positive roots, expected 3")
 
 
 def test_pairing_examples():
@@ -118,24 +133,6 @@ def test_pairing_examples():
     assert rs.pairing((0, 1), (2, 1)) == 0
     with pytest.raises(ValueError):
         rs.pairing((1, 0, 0), (1, 0))
-
-
-def test_reflect_coweight_examples():
-    rs = build_root_system("A2")
-    assert reflect_coweight(rs, (1, 0), (1, 0)) == (-1, 0)
-    # s_{a1}(h2) = h2 + h1 since <a1, h2> = -1
-    assert reflect_coweight(rs, (1, 0), (0, 1)) == (1, 1)
-    with pytest.raises(ValueError):
-        reflect_coweight(rs, (2, 0), (1, 0))
-
-
-@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
-def test_reflect_coweight_is_involutive(name):
-    rs = build_root_system(name)
-    samples = [(1, 0), (0, 1), (2, -1), (3, 5)]
-    for alpha in rs.positive_roots:
-        for lam in samples:
-            assert reflect_coweight(rs, alpha, reflect_coweight(rs, alpha, lam)) == lam
 
 
 def test_deterministic_root_order():
