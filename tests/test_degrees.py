@@ -68,6 +68,7 @@ def _line_two_points(rs, J, degree):
 
 _DEGREE_ENTRY_POINTS = {
     "peterson_lift": peterson_lift,
+    "enumerate_alcove_lifts": enumerate_alcove_lifts,
     "comparison_data": comparison_data,
     "anticanonical_pairing": anticanonical_pairing,
     "hom_dimension": hom_dimension,
@@ -81,6 +82,7 @@ _NOT_EFFECTIVE = ValueError("degree (-1,) is not effective")
 # entry point -> its value at degree (1,) and at degree (-1,) of the plane
 _DEGREE_VALUES = {
     "peterson_lift": ((1, 0), (-1, -1)),
+    "enumerate_alcove_lifts": ([(1, 0)], [(-1, -1)]),
     "comparison_data": (None, _NOT_EFFECTIVE),
     "anticanonical_pairing": (3, -3),
     "hom_dimension": (5, _NOT_EFFECTIVE),
@@ -133,12 +135,13 @@ _NON_INTEGERS = [1.5, 2.0, 1.2, 0.7, "2", None]
     "call",
     [
         lambda rs, d: peterson_lift(rs, P2, d),
+        lambda rs, d: enumerate_alcove_lifts(rs, P2, d),
         lambda rs, d: comparison_data(rs, P2, d),
         lambda rs, d: hom_dimension(rs, P2, d),
         lambda rs, d: _line_two_points(rs, P2, d),
         lambda rs, d: gw_invariant(rs, [from_word(rs, w) for w in ((1,), (1, 2, 1), (1, 2, 1))], d + (0,)),
     ],
-    ids=["peterson_lift", "comparison_data", "hom_dimension",
+    ids=["peterson_lift", "enumerate_alcove_lifts", "comparison_data", "hom_dimension",
          "parabolic_gw_invariant", "gw_invariant"],
 )
 def test_degree_coordinates_must_be_integers(call, x):
