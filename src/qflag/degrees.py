@@ -7,7 +7,10 @@ alcove of the affine Weyl group of the Levi: the lift is a coweight, an int
 tuple of simple-coroot coefficients.  Orientation convention used
 throughout: effective degrees have nonnegative coordinates, the reduced lift
 has nonnegative coroot coefficients, and the alcove condition is
-<alpha, lam> in {-1, 0} for every positive root alpha of the Levi.
+<alpha, lam> in {-1, 0} for every positive root alpha of the Levi, which
+`_in_alcove` tests.  The walk into the alcove reads its walls off the Levi
+roots: the simple roots of J, and each root of the Levi that no simple root
+of J raises.
 
 The data derived from a lift, and the helpers `hom_dimension` and
 `is_generic_levi_semistable` that read it, live in `compare`.
@@ -15,65 +18,17 @@ The data derived from a lift, and the helpers `hom_dimension` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
 from operator import index
 
 from .root_system import ParabolicSubset, RootSystem
 
 
-@dataclass(frozen=True)
-class AlcoveSpec:
-    """Simple walls of the fundamental domain for the Levi's affine action.
-
-    Linear walls <alpha_j, .> = 0 for each parabolic node j, and one affine
-    wall <theta, .> = -1 per connected component, theta the component's
-    highest root.  A lattice point lies in the domain iff every pairing with
-    a positive Levi root is -1 or 0, which the simple walls already enforce.
-    """
-
-    rs: RootSystem
-    parabolic: ParabolicSubset
-    affine_walls: tuple  # ((theta, theta_coroot), ...) per component
-
-    @classmethod
-    def for_parabolic(cls, rs: RootSystem, parabolic: ParabolicSubset) -> "AlcoveSpec":
-        rs.check_parabolic(parabolic)
-        walls = tuple(
-            rs.highest_root_in(comp) for comp in rs.parabolic_components(parabolic)
-        )
-        return cls(rs, parabolic, walls)
-
-    def first_violation(self, lam):
-        """Reflection step across the first violated simple wall, as
-        (c, coroot) with lam - c * coroot the reflected point, or None when
-        lam is inside.  c = <alpha_j, lam> on a linear wall and
-        <theta, lam> + 1 on an affine one."""
-        rs = self.rs
-        for j in self.parabolic.indices:
-            g = rs._simple_global[j - 1]
-            c = rs.pairing(rs.positive_roots[g], lam)
-            if c > 0:
-                return c, rs.positive_coroots[g]
-        for theta, coroot in self.affine_walls:
-            c = rs.pairing(theta, lam) + 1
-            if c < 0:
-                return c, coroot
-        return None
-
-    def contains(self, lam) -> bool:
-        """Full membership test over every positive Levi root."""
-        rs = self.rs
-        for g in rs.parabolic_root_indices(self.parabolic):
-            if rs.pairing(rs.positive_roots[g], lam) not in (-1, 0):
-                return False
-        return True
-
-
 def _as_degree(rs: RootSystem, parabolic: ParabolicSubset, degree) -> tuple:
     """A degree of G/P as an int tuple.  Checks, in this order, the
     parabolic's nodes, that it is not the full parabolic, each coordinate
-    (an integer, not a float or a string) and the number of coordinates."""
+    (an integer, not a bool, a float or a string) and the number of
+    coordinates."""
     rs.check_parabolic(parabolic)
     free = parabolic.free_nodes(rs.rank)
     if not free:
@@ -81,6 +36,8 @@ def _as_degree(rs: RootSystem, parabolic: ParabolicSubset, degree) -> tuple:
     coords = []
     for x in degree:
         try:
+            if isinstance(x, bool):
+                raise TypeError
             coords.append(index(x))
         except TypeError:
             raise ValueError(f"degree coordinate {x!r} is not an integer") from None
@@ -89,6 +46,34 @@ def _as_degree(rs: RootSystem, parabolic: ParabolicSubset, degree) -> tuple:
             f"degree vector has {len(coords)} coordinates, expected {len(free)}"
         )
     return tuple(coords)
+
+
+def _in_alcove(rs, parabolic, lam) -> bool:
+    """True iff every positive Levi root pairs with lam to -1 or 0."""
+    return all(
+        rs.pairing(rs.positive_roots[g], lam) in (-1, 0)
+        for g in rs.parabolic_root_indices(parabolic)
+    )
+
+
+def _alcove_walls(rs, parabolic):
+    """Simple walls of the fundamental alcove of the Levi's affine Weyl group,
+    each as (g, s, k): the alcove lies on the side s * <alpha_g, .> <= k.
+
+    The linear walls <alpha_j, .> <= 0, one per parabolic node j, come first.
+    Then <theta, .> >= -1 for the highest root theta of each connected
+    component of J: the one Levi root that no simple Levi root raises
+    (Bourbaki, Lie Groups and Lie Algebras, ch. VI, 1.8)."""
+    walls = [(rs._simple_global[j - 1], 1, 0) for j in parabolic.indices]
+    for g in rs.parabolic_root_indices(parabolic):
+        theta = rs.positive_roots[g]
+        raised = (
+            tuple(x + 1 if i == j - 1 else x for i, x in enumerate(theta))
+            for j in parabolic.indices
+        )
+        if not any(r in rs._index for r in raised):
+            walls.append((g, -1, 1))
+    return walls
 
 
 def _walk_length(rs, parabolic, lam):
@@ -114,20 +99,26 @@ def peterson_lift(rs: RootSystem, parabolic: ParabolicSubset, degree) -> tuple:
     for i, d in zip(free, degree):
         lam[i - 1] = d
     if any(degree):
-        alcove = AlcoveSpec.for_parabolic(rs, parabolic)
+        walls = _alcove_walls(rs, parabolic)
         ceiling = _walk_length(rs, parabolic, lam)
         steps = 0
-        while (step := alcove.first_violation(lam)) is not None:
+        while True:
+            for g, s, k in walls:
+                c = s * rs.pairing(rs.positive_roots[g], lam) - k
+                if c > 0:
+                    break
+            else:
+                break
             steps += 1
             if steps > ceiling:
                 raise RuntimeError(
                     f"alcove walk for {rs.cartan_type}, J={parabolic}, d={degree} "
                     f"exceeded {ceiling} steps"
                 )
-            c, coroot = step
-            for k in range(rs.rank):
-                lam[k] -= c * coroot[k]
-        if not alcove.contains(lam):
+            coroot = rs.positive_coroots[g]
+            for i in range(rs.rank):
+                lam[i] -= s * c * coroot[i]
+        if not _in_alcove(rs, parabolic, lam):
             raise RuntimeError("alcove walk terminated outside the domain")
     lam = tuple(lam)
     if all(x >= 0 for x in degree) and any(x < 0 for x in lam):
@@ -142,7 +133,7 @@ def derived_parabolic(rs: RootSystem, parabolic: ParabolicSubset, lam) -> Parabo
     coweight.  Rejects coweights that are not alcove-reduced."""
     rs.check_parabolic(parabolic)
     lam = tuple(lam)
-    if not AlcoveSpec.for_parabolic(rs, parabolic).contains(lam):
+    if not _in_alcove(rs, parabolic, lam):
         raise ValueError(f"{lam} is not alcove-reduced for J={parabolic}")
     return ParabolicSubset.of(
         j
@@ -179,7 +170,6 @@ def enumerate_alcove_lifts(rs, parabolic, degree, window=6):
     [-window, window].  Independent of the alcove walk; used as its oracle."""
     degree = _as_degree(rs, parabolic, degree)
     free = parabolic.free_nodes(rs.rank)
-    alcove = AlcoveSpec.for_parabolic(rs, parabolic)
     base = [0] * rs.rank
     for i, d in zip(free, degree):
         base[i - 1] = d
@@ -189,6 +179,6 @@ def enumerate_alcove_lifts(rs, parabolic, degree, window=6):
         lam = base[:]
         for j, c in zip(slots, combo):
             lam[j - 1] = c
-        if alcove.contains(lam):
+        if _in_alcove(rs, parabolic, lam):
             hits.append(tuple(lam))
     return hits

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
-from math import factorial
 
 
 def _parse_ints(text: str) -> tuple:
@@ -33,14 +32,6 @@ _RANK_RULES = {
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
-}
-
-_EXCEPTIONAL_ORDERS = {
-    ("E", 6): 51840,
-    ("E", 7): 2903040,
-    ("E", 8): 696729600,
-    ("F", 4): 1152,
-    ("G", 2): 12,
 }
 
 _EXCEPTIONAL_POSITIVE = {
@@ -65,8 +56,9 @@ class CartanType:
                 f"unknown Cartan series {self.series!r}: expected one of A..G"
             )
         lo, hi = _RANK_RULES[self.series]
-        if not isinstance(self.rank, int) or self.rank < lo or (
-            hi is not None and self.rank > hi
+        rank = self.rank
+        if isinstance(rank, bool) or not isinstance(rank, int) or rank < lo or (
+            hi is not None and rank > hi
         ):
             raise ValueError(
                 f"invalid rank {self.rank} for series {self.series} "
@@ -93,16 +85,6 @@ class CartanType:
             return n * (n - 1)
         return _EXCEPTIONAL_POSITIVE[(self.series, n)]
 
-    def weyl_order(self) -> int:
-        n = self.rank
-        if self.series == "A":
-            return factorial(n + 1)
-        if self.series in ("B", "C"):
-            return 2**n * factorial(n)
-        if self.series == "D":
-            return 2 ** (n - 1) * factorial(n)
-        return _EXCEPTIONAL_ORDERS[(self.series, n)]
-
 
 @dataclass(frozen=True)
 class ParabolicSubset:
@@ -115,10 +97,10 @@ class ParabolicSubset:
     indices: tuple = ()
 
     def __post_init__(self):
-        idx = tuple(sorted(set(self.indices)))
-        if any(not isinstance(j, int) or j < 1 for j in idx):
+        idx = self.indices
+        if any(isinstance(j, bool) or not isinstance(j, int) or j < 1 for j in idx):
             raise ValueError("parabolic node indices must be 1-based positive integers")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", tuple(sorted(set(idx))))
 
     @classmethod
     def of(cls, indices) -> "ParabolicSubset":
@@ -334,42 +316,6 @@ class RootSystem:
             )
             self._parabolic_roots[parabolic.indices] = cached
         return cached
-
-    def parabolic_components(self, parabolic: ParabolicSubset):
-        """Connected components of the parabolic nodes in the Dynkin diagram."""
-        nodes = set(parabolic.indices)
-        comps = []
-        left = sorted(nodes)
-        seen = set()
-        for start in left:
-            if start in seen:
-                continue
-            comp = []
-            stack = [start]
-            seen.add(start)
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                for j in nodes:
-                    if j not in seen and self.cartan[i - 1][j - 1] != 0:
-                        seen.add(j)
-                        stack.append(j)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
-
-    def highest_root_in(self, component):
-        """Root of maximal height supported on a connected node set, with its
-        coroot.  Uniqueness of the maximum is asserted."""
-        heights = {
-            g: sum(self.positive_roots[g])
-            for g in self.parabolic_root_indices(ParabolicSubset.of(component))
-        }
-        top = max(heights.values(), default=-1)
-        best = [g for g, h in heights.items() if h == top]
-        if len(best) != 1:
-            raise RuntimeError(f"highest root of component {component} is not unique")
-        g = best[0]
-        return self.positive_roots[g], self.positive_coroots[g]
 
 
 def build_root_system(cartan_type) -> RootSystem:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
+from math import prod
 
 from .root_system import ParabolicSubset, RootSystem
 
@@ -168,7 +169,10 @@ def enumerate_min_reps(rs: RootSystem, parabolic: ParabolicSubset):
     left multiplication that keeps only representatives finds all of them.
     """
     rs.check_parabolic(parabolic)
-    order = rs.cartan_type.weyl_order()
+    # |W| = prod over alpha > 0 of (ht alpha + 1) / ht alpha (Macdonald, The
+    # Poincare series of a Coxeter group, Math. Ann. 199 (1972), at t = 1)
+    heights = [sum(alpha) for alpha in rs.positive_roots]
+    order = prod(h + 1 for h in heights) // prod(heights)
     if order > DEFAULT_MAX_WEYL_ORDER:
         raise EnumerationBoundError(
             f"|W({rs.cartan_type})| = {order} exceeds the enumeration bound "

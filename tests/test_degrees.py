@@ -4,7 +4,6 @@ from itertools import combinations, product as iproduct
 import pytest
 
 from qflag import (
-    AlcoveSpec,
     ParabolicSubset,
     anticanonical_pairing,
     build_root_system,
@@ -21,7 +20,8 @@ from qflag import (
     peterson_lift,
     push_degree,
 )
-from qflag.degrees import _c1_pairing
+from qflag import degrees
+from qflag.degrees import _alcove_walls, _c1_pairing, _in_alcove
 
 P2 = ParabolicSubset.of([2])  # A2 with this parabolic is the projective plane
 
@@ -127,7 +127,7 @@ def test_degree_validation_values(name):
         assert fn(rs, P2, (-1,)) == at_minus_one
 
 
-_NON_INTEGERS = [1.5, 2.0, 1.2, 0.7, "2", None]
+_NON_INTEGERS = [1.5, 2.0, 1.2, 0.7, "2", None, True]
 
 
 @pytest.mark.parametrize("x", _NON_INTEGERS, ids=repr)
@@ -301,21 +301,13 @@ def test_dimension_chain():
             assert at_jp == hom_dimension(rs, J, degree)
 
 
-@pytest.mark.parametrize("name", ["A4", "B4", "D4", "F4"])
+@pytest.mark.parametrize("name", ["A4", "B4", "C4", "D4", "F4", "G2"])
 def test_alcove_walk_length_is_exact(name, monkeypatch):
     """The walk takes exactly one step per Levi-root hyperplane separating the
     starting coweight from the fundamental domain, on every proper J at
-    degrees with coordinates <= 2."""
+    degrees with coordinates <= 2: it fits in that many steps and not in one
+    fewer."""
     rs = build_root_system(name)
-    checks = 0
-    first_violation = AlcoveSpec.first_violation
-
-    def counted(self, lam):
-        nonlocal checks
-        checks += 1
-        return first_violation(self, lam)
-
-    monkeypatch.setattr(AlcoveSpec, "first_violation", counted)
     for k in range(rs.rank):
         for nodes in combinations(range(1, rs.rank + 1), k):
             J = ParabolicSubset.of(nodes)
@@ -328,8 +320,58 @@ def test_alcove_walk_length_is_exact(name, monkeypatch):
                 for g in rs.parabolic_root_indices(J):
                     m = rs.pairing(rs.positive_roots[g], start)
                     separating += m if m > 0 else max(0, -1 - m)
-                checks = 0
+                assert degrees._walk_length(rs, J, start) == separating
                 lam = peterson_lift(rs, J, degree)
-                assert max(checks - 1, 0) == separating
-                assert AlcoveSpec.for_parabolic(rs, J).contains(lam)
+                assert _in_alcove(rs, J, lam)
                 assert push_degree(rs, J, lam) == degree
+                monkeypatch.setattr(degrees, "_walk_length", lambda *_: separating)
+                assert peterson_lift(rs, J, degree) == lam
+                if separating:
+                    monkeypatch.setattr(degrees, "_walk_length", lambda *_: separating - 1)
+                    with pytest.raises(RuntimeError, match="exceeded"):
+                        peterson_lift(rs, J, degree)
+                monkeypatch.undo()
+
+
+TYPES_TO_RANK_8 = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{s}{n}" for s in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", TYPES_TO_RANK_8)
+def test_alcove_walls_are_the_simple_roots_and_component_highest_roots(name):
+    """For every J, the walk's linear walls are the simple roots of J, and its
+    affine walls are the highest root, with its coroot, of each connected
+    component of J in the Dynkin graph."""
+    rs = build_root_system(name)
+    roots, coroots = rs.positive_roots, rs.positive_coroots
+    for k in range(rs.rank + 1):
+        for nodes in combinations(range(1, rs.rank + 1), k):
+            J = ParabolicSubset.of(nodes)
+            components, left = [], set(nodes)
+            while left:
+                component, stack = set(), [min(left)]
+                while stack:
+                    i = stack.pop()
+                    component.add(i)
+                    stack += [j for j in left - component if rs.cartan[i - 1][j - 1]]
+                left -= component
+                components.append(component)
+            highest = []
+            for component in components:
+                on_it = [
+                    g for g, r in enumerate(roots)
+                    if all(r[i - 1] == 0 or i in component for i in range(1, rs.rank + 1))
+                ]
+                top = max(sum(roots[g]) for g in on_it)
+                (g,) = [g for g in on_it if sum(roots[g]) == top]
+                highest.append((roots[g], coroots[g]))
+            walls = _alcove_walls(rs, J)
+            linear = [roots[g] for g, s, _ in walls if s == 1]
+            affine = [(roots[g], coroots[g]) for g, s, _ in walls if s == -1]
+            assert linear == [tuple(int(i == j) for i in range(1, rs.rank + 1)) for j in nodes]
+            assert {(s, level) for _, s, level in walls} <= {(1, 0), (-1, 1)}
+            assert sorted(affine) == sorted(highest)

@@ -71,10 +71,15 @@ def test_positive_root_counts(name, count):
     assert len(rs.positive_roots) == count
 
 
-@pytest.mark.parametrize("bad", ["B1", "C1", "D2", "E5", "E9", "F3", "G3", "A0", "H3"])
+@pytest.mark.parametrize(
+    "bad",
+    ["B1", "C1", "D2", "E5", "E9", "F3", "G3", "A0", "H3", ("A", True), ("B", 2.0)],
+    ids=str,
+)
 def test_invalid_types_rejected(bad):
+    # a bool is not a rank: CartanType("A", True) would print as ATrue
     with pytest.raises(ValueError):
-        build_root_system(bad)
+        build_root_system(bad if isinstance(bad, str) else CartanType(*bad))
 
 
 def test_type_parse_rejects_garbage():
@@ -144,26 +149,16 @@ def test_deterministic_root_order():
     assert heights == sorted(heights)
 
 
-def test_highest_root_per_component():
-    rs = build_root_system("A3")
-    theta, cov = rs.highest_root_in((1, 2, 3))
-    assert theta == (1, 1, 1)
-    theta, _ = rs.highest_root_in((1,))
-    assert theta == (1, 0, 0)
-    comps = rs.parabolic_components(ParabolicSubset.of([1, 3]))
-    assert comps == ((1,), (3,))
-    comps = rs.parabolic_components(ParabolicSubset.of([1, 2]))
-    assert comps == ((1, 2),)
-
-
 def test_parabolic_subset_basics():
     par = ParabolicSubset.parse("3,1")
     assert par.indices == (1, 3)
     assert ParabolicSubset.parse("").indices == ()
     assert ParabolicSubset.full(3).indices == (1, 2, 3)
     assert ParabolicSubset.of([2]).free_nodes(3) == (1, 3)
-    with pytest.raises(ValueError):
-        ParabolicSubset.of([0])
+    # a bool is not a node: {True} would name the cache file B2-True.json
+    for bad in ([0], [True], [1, True]):
+        with pytest.raises(ValueError, match="1-based positive integers"):
+            ParabolicSubset.of(bad)
     with pytest.raises(ValueError):
         ParabolicSubset.parse("1,x")
     rs = build_root_system("A2")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qflag import (
+    BOREL,
     EnumerationBoundError,
     ParabolicSubset,
     build_root_system,
@@ -197,3 +198,27 @@ def test_enumeration_bound_is_the_module_constant(monkeypatch, enumerator, parab
     monkeypatch.setattr(weyl, "DEFAULT_MAX_WEYL_ORDER", 5)
     with pytest.raises(EnumerationBoundError, match="enumeration bound 5"):
         enumerator(rs, parabolic)
+
+
+# |W| of every type up to rank 8: (n+1)! for A_n, 2^n n! for B_n and C_n,
+# 2^(n-1) n! for D_n, and the exceptional orders
+WEYL_ORDERS = {
+    "A1": 2, "A2": 6, "A3": 24, "A4": 120, "A5": 720, "A6": 5040, "A7": 40320,
+    "A8": 362880,
+    "B2": 8, "B3": 48, "B4": 384, "B5": 3840, "B6": 46080, "B7": 645120,
+    "B8": 10321920,
+    "C2": 8, "C3": 48, "C4": 384, "C5": 3840, "C6": 46080, "C7": 645120,
+    "C8": 10321920,
+    "D3": 24, "D4": 192, "D5": 1920, "D6": 23040, "D7": 322560, "D8": 5160960,
+    "E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEYL_ORDERS))
+def test_enumeration_bound_reads_the_weyl_order(monkeypatch, name):
+    monkeypatch.setattr(weyl, "DEFAULT_MAX_WEYL_ORDER", 0)
+    with pytest.raises(EnumerationBoundError) as info:
+        enumerate_min_reps(build_root_system(name), BOREL)
+    assert str(info.value) == (
+        f"|W({name})| = {WEYL_ORDERS[name]} exceeds the enumeration bound 0"
+    )
