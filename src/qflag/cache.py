@@ -22,10 +22,11 @@ text once; it never decodes the file as JSON, and it rejects the file as
 soon as the text after the last split outgrows the longest entry the basis
 allows.  A cache file is trusted only after this pass; anything else, a file
 that decodes to a valid table in another layout included, is reported back.
-The pass also renders every text table, fresh or cached, line by line.  A
-table is copied out of the file it was checked or written through, from the
-same handle, so no document is held in memory.  Writes are whole-file
-atomic, and a cache file gets mode 0666 less the umask.
+The pass also writes every text table, fresh or cached, line by line, so
+the text format lives here, beside its term rendering.  A table is copied
+out of the file it was checked or written through, from the same handle, so
+no document is held in memory.  Writes are whole-file atomic, and a cache
+file gets mode 0666 less the umask.
 """
 
 from __future__ import annotations
@@ -144,12 +145,13 @@ def _fields(body, pad, keys):
     return [value for _, _, value in fields]
 
 
-def check_document(handle, ctx, words, served=None):
+def check_document(handle, ctx, words, text=None):
     """The first problem of the table document open at `handle` as a cache
     file of the G/P context `ctx`, or None.  `words` are the basis words in
-    order.  The check is one pass that holds an entry at a time; with
-    `served`, it calls served(u, v, rendered) on each entry as it goes, with
-    the entry's terms rendered as format_terms renders them."""
+    order.  The check is one pass that holds an entry at a time; given the
+    file `text`, it writes the table's header line there, then one line
+    `sigma[u] * sigma[v] = terms` per entry as it goes, with the terms
+    rendered as format_terms renders them."""
     free = len(ctx.free)
     n = len(words)
     lengths = [w.length for w in ctx.basis]
@@ -171,9 +173,9 @@ def check_document(handle, ctx, words, served=None):
                + (sys.get_int_max_str_digits() or inf))
     bound = (n * comb(top // 2 + free, free) + 1) * longest + len(tail)
 
-    def term(text, grade, pair):
+    def term(item, grade, pair):
         """The problem of a term text on the grading `grade`, or None."""
-        values = _fields(text, " " * 10, "cqw")
+        values = _fields(item, " " * 10, "cqw")
         if values is None:
             return "malformed term"
         c, q, w = values
@@ -201,24 +203,24 @@ def check_document(handle, ctx, words, served=None):
         # is off the grading; it is never lifted
         if sum(q) > grade or lw + ctx.degree(tuple(q)).c1 != grade:
             return f"term {w!r} q^{q} of {pair} breaks the grading"
-        if served:
-            rendered[text] = format_terms([(w, q, c)])
+        if text is not None:
+            rendered[item] = format_terms([(w, q, c)])
         return None
 
-    def entry(text, k):
+    def entry(body, k):
         """The problem of the k-th entry's text, or None."""
         i, j = divmod(k, n)
         keys = f',\n      "u": {quoted[i]},\n      "v": {quoted[j]}'
-        if text.startswith(_TERMS_OPEN) and text.endswith(_TERMS_CLOSE + keys):
-            items = text[len(_TERMS_OPEN):-len(_TERMS_CLOSE + keys)].split(_TERM_SEP)
-        elif text == f"{_TERMS}[]{keys}":
+        if body.startswith(_TERMS_OPEN) and body.endswith(_TERMS_CLOSE + keys):
+            items = body[len(_TERMS_OPEN):-len(_TERMS_CLOSE + keys)].split(_TERM_SEP)
+        elif body == f"{_TERMS}[]{keys}":
             items = ()
-        elif _fields(text, " " * 6, ("terms", "u", "v")) is None:
+        elif _fields(body, " " * 6, ("terms", "u", "v")) is None:
             return "malformed entry"
-        elif not text.endswith(keys):
+        elif not body.endswith(keys):
             return "basis mismatch"
         else:  # a terms value other than a list of objects
-            return "malformed term" if text.startswith(f"{_TERMS}[") else "malformed entry"
+            return "malformed term" if body.startswith(f"{_TERMS}[") else "malformed entry"
         grade = lengths[i] + lengths[j]
         known = on_grade[grade]
         if not known.issuperset(items):
@@ -230,22 +232,28 @@ def check_document(handle, ctx, words, served=None):
                     known.add(item)
         if 0 in (i, j) and list(items) != [unit + quoted[i + j]]:
             return f"sigma[{words[i]}] * sigma[{words[j]}] is not sigma[{words[i + j]}]"
-        if served:
+        if text is not None:
             # as format_terms joins the renderings of its terms
-            served(words[i], words[j], " + ".join(map(rendered.__getitem__, items)) or "0")
+            terms = " + ".join(map(rendered.__getitem__, items)) or "0"
+            text.write(f"sigma[{words[i]}] * sigma[{words[j]}] = {terms}\n")
         return None
 
     if handle.read(len(_HEAD)) != _HEAD:
         return _LAYOUT
+    if text is not None:
+        text.write(
+            f"type: {ctx.rs.cartan_type}  parabolic: {list(ctx.parabolic.indices)}  "
+            f"basis: {n}  entries: {n * n}\n"
+        )
     k, rest = 0, ""
     # a read at least as long as the unsplit text keeps an entry longer
     # than a chunk from being copied once per chunk
     while chunk := handle.read(max(_CHUNK, len(rest))):
-        *texts, rest = (rest + chunk).split(_ENTRY_SEP)
-        for text in texts:
+        *bodies, rest = (rest + chunk).split(_ENTRY_SEP)
+        for body in bodies:
             if k == n * n - 1:
                 return "basis mismatch"
-            problem = entry(text, k)
+            problem = entry(body, k)
             if problem:
                 return problem
             k += 1
@@ -263,10 +271,10 @@ def check_document(handle, ctx, words, served=None):
     return entry(rest[:-len(tail)], k)
 
 
-def load_document(path, ctx, words, served=None):
+def load_document(path, ctx, words, text=None):
     """Return (handle, problem).  handle is None unless the cache file at
     `path` exists and passes `check_document`, which gets `ctx`, `words` and
-    `served`; it is then the file, open at its start.  problem says why a
+    `text`; it is then the file, open at its start.  problem says why a
     file was rejected."""
     try:
         handle = open(path, encoding="utf-8", newline="")
@@ -275,7 +283,7 @@ def load_document(path, ctx, words, served=None):
     except OSError as exc:
         return None, f"unreadable cache {path}: {exc}"
     try:
-        problem = check_document(handle, ctx, words, served)
+        problem = check_document(handle, ctx, words, text)
         if problem:
             problem = f"ignoring cache {path}: {problem}"
     except (OSError, UnicodeDecodeError) as exc:

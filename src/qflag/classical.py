@@ -1,4 +1,4 @@
-"""Cup products and degree-zero invariants by localization, independent of
+"""Cup products and degree-zero invariants by localization, a cross-check of
 the quantum engine.
 
 Billey's formula gives the restriction of a Schubert class to a torus-fixed
@@ -10,8 +10,11 @@ x = x' s_i and l(x) = l(x') + 1, it reads
 (Billey, Kostant polynomials and the cohomology ring for G/B, Duke Math. J.
 96, 1999).  An integral over G/B is the sum over fixed points x of
 (-1)^(N - l(x)) times the product of the localizations, divided by
-D = prod_{alpha > 0} ht(alpha), with N = dim G/B.  No Chevalley rule and no
-linear solve is involved, so these values cross-check the engine.
+D = prod_{alpha > 0} ht(alpha), with N = dim G/B.  The fixed points are the
+engine's enumeration of W, with its index and its reflection tables, and x'
+is the canonical parent of x.  That is all this module shares with the
+engine: it reads no Chevalley coefficient and runs no linear solve, so these
+values cross-check the engine.
 """
 
 from __future__ import annotations
@@ -19,37 +22,29 @@ from __future__ import annotations
 from functools import cache
 from math import prod
 
-from .quantum import BOREL, QClass
+from .quantum import BOREL, QClass, _engine
 from .root_system import ParabolicSubset, RootSystem
-from .weyl import (
-    WeylElement,
-    enumerate_min_reps,
-    longest_element,
-    min_coset_rep,
-    simple_reflection,
-)
+from .weyl import WeylElement, _canonical_parent, longest_element, min_coset_rep
 
 
 class _Localizations:
-    """rows[x][u] = sigma_u|_x at rho^vee for all x, u in W, indexed by the
-    length-graded enumeration."""
+    """rows[x][u] = sigma_u|_x at rho^vee for all x, u in W, on the engine's
+    element indices."""
 
     def __init__(self, rs: RootSystem):
-        self.elements = enumerate_min_reps(rs, BOREL)
-        self.index = {w: t for t, w in enumerate(self.elements)}
-        simple = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+        eng = _engine(rs)
+        self.elements, self.index = eng.elements, eng.index
         # per i, the pairs (u, u s_i) with l(u s_i) = l(u) + 1
         ascents = [
-            [(t, self.index[w * s]) for t, w in enumerate(self.elements)
+            [(t, self.index[eng.shifts[g](w.perm)]) for t, w in enumerate(self.elements)
              if not w.is_right_descent(i)]
-            for i, s in enumerate(simple, 1)
+            for i, g in enumerate(rs._simple_global, 1)
         ]
         self.rows = [[1] + [0] * (len(self.elements) - 1)]
         for x in self.elements[1:]:
-            i = next(i for i in range(1, rs.rank + 1) if x.is_right_descent(i))
-            xp = x * simple[i - 1]
+            xp, i = _canonical_parent(x)
             height = sum(rs.positive_roots[xp.perm[rs._simple_global[i - 1]]])
-            prev = self.rows[self.index[xp]]
+            prev = self.rows[self.index[xp.perm]]
             row = list(prev)
             for u, us in ascents[i - 1]:
                 if prev[u]:
@@ -70,7 +65,7 @@ def _integral(rs: RootSystem, classes) -> int:
     if sum(w.length for w in classes) != rs.npos:
         return 0
     loc = _localizations(rs)
-    cols = [loc.index[w] for w in classes]
+    cols = [loc.index[w.perm] for w in classes]
     total = 0
     for sign, row in zip(loc.signs, loc.rows):
         p = sign

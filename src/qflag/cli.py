@@ -231,23 +231,11 @@ def cmd_table(args):
 
     # stdout gets nothing until the table is complete and checked: a
     # document is served from the handle it was checked or written through,
-    # and a text run's lines are rendered by the check pass into a file
+    # and a text run's lines are written by the check pass into a file
     with ExitStack() as files:
         anonymous = partial(tempfile.TemporaryFile, "w+", encoding="utf-8", newline="")
-
-        def lines():
-            # a new file for a text run's lines, and the check's callback
-            text = files.enter_context(anonymous())
-            text.write(
-                f"type: {type_name}  parabolic: {list(parabolic.indices)}  "
-                f"basis: {n}  entries: {n * n}\n"
-            )
-            return text, lambda u, v, rendered: text.write(
-                f"sigma[{u}] * sigma[{v}] = {rendered}\n"
-            )
-
-        text, served = (None, None) if args.json else lines()
-        doc, problem = cache_io.load_document(path, ctx, words, served)
+        text = None if args.json else files.enter_context(anonymous())
+        doc, problem = cache_io.load_document(path, ctx, words, text)
         if problem:
             print(f"warning: {problem}", file=sys.stderr)
         if doc is not None:
@@ -269,10 +257,10 @@ def cmd_table(args):
             else:
                 print(f"cache write: {path}", file=sys.stderr)
             if text is not None:
-                text.close()  # the lines of a rejected cache file, if any
-                text, served = lines()
+                text.seek(0)  # drop the lines of a rejected cache file, if any
+                text.truncate()
                 doc.seek(0)
-                problem = cache_io.check_document(doc, ctx, words, served)
+                problem = cache_io.check_document(doc, ctx, words, text)
                 if problem:
                     raise RuntimeError(f"a fresh table fails the cache check: {problem}")
         out = doc if args.json else text

@@ -123,14 +123,8 @@ class ParabolicSubset:
     def free_nodes(self, rank: int) -> tuple:
         return tuple(i for i in range(1, rank + 1) if i not in self.indices)
 
-    def __iter__(self):
-        return iter(self.indices)
-
     def __len__(self):
         return len(self.indices)
-
-    def __contains__(self, j):
-        return j in self.indices
 
     def __str__(self):
         return "{" + ",".join(str(j) for j in self.indices) + "}"

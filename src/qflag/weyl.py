@@ -2,8 +2,10 @@
 
 An element is stored as the permutation it induces on the full root list.
 That makes length, descent tests and composition cheap and gives a canonical
-hashable key.  Reduced words are recovered on demand by peeling the smallest
-right descent, so the stored word never depends on how an element was built.
+hashable key.  The canonical reduced word follows one rule,
+word(w) = word(w s_i) + (i,) with i the smallest right descent of w, so it
+never depends on how an element was built; the enumeration hands each new
+element its canonical parent's word, and any other element recurses.
 """
 
 from __future__ import annotations
@@ -42,24 +44,11 @@ class WeylElement:
 
     @property
     def word(self) -> tuple:
-        """Canonical reduced word (smallest right descent peeled first)."""
+        """Canonical reduced word: the canonical parent's word, then its
+        letter (at most npos deep)."""
         if self._word is None:
-            rs = self.rs
-            npos = rs.npos
-            simple_g = rs._simple_global
-            p = self.perm
-            rev = []
-            while True:
-                i0 = next(
-                    (k for k in range(rs.rank) if p[simple_g[k]] >= npos), None
-                )
-                if i0 is None:
-                    break
-                rev.append(i0 + 1)
-                s = rs.simple_perms[i0]
-                p = tuple(p[s[g]] for g in range(len(p)))
-            rev.reverse()
-            self._word = tuple(rev)
+            parent = _canonical_parent(self)
+            self._word = () if parent is None else parent[0].word + (parent[1],)
         return self._word
 
     def _common(self, other: "WeylElement") -> RootSystem:
@@ -99,6 +88,12 @@ class WeylElement:
 
     def __repr__(self):
         return f"<W {format_word(self.word)}>"
+
+
+def _canonical_parent(w: WeylElement):
+    """(w s_i, i) for the smallest right descent i of w, or None at e."""
+    i = next((i for i in range(1, w.rs.rank + 1) if w.is_right_descent(i)), None)
+    return None if i is None else (w * simple_reflection(w.rs, i), i)
 
 
 def identity(rs: RootSystem) -> WeylElement:
@@ -179,7 +174,7 @@ def enumerate_min_reps(rs: RootSystem, parabolic: ParabolicSubset):
             f"{DEFAULT_MAX_WEYL_ORDER}"
         )
     level = [identity(rs)]
-    seen = {level[0].perm}
+    seen = {level[0].perm: level[0]}
     out = []
     while level:
         out.extend(level)
@@ -192,8 +187,13 @@ def enumerate_min_reps(rs: RootSystem, parabolic: ParabolicSubset):
                     continue
                 if any(v.is_right_descent(j) for j in parabolic.indices):
                     continue
-                seen.add(v.perm)
+                seen[v.perm] = v
                 nxt.append(v)
+                # a parent in an earlier level lends its word; at J != {} the
+                # parent can leave W^J, and the word then comes from the recursion
+                parent, letter = _canonical_parent(v)
+                if parent.perm in seen:
+                    v._word = seen[parent.perm].word + (letter,)
         nxt.sort(key=lambda w: w.word)
         level = nxt
     return out

@@ -531,7 +531,7 @@ def test_product_refuses_a_term_off_the_grading():
     ctx = _context(rs, P2)
     cd = ctx.degree((0,))
     ctx._degrees[(0,)] = replace(cd, c1=cd.c1 + 1)
-    with pytest.raises(RuntimeError, match="grading"):
+    with pytest.raises(RuntimeError, match="breaks the grading"):
         parabolic_quantum_product(rs, P2, h, h)
 
 

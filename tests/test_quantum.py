@@ -21,6 +21,7 @@ from qflag import (
     simple_reflection,
     star,
 )
+from qflag import quantum
 from qflag.cli import main
 from qflag.quantum import _engine, _left_inverse, _level, _oriented_product
 from qflag.root_system import CartanType, RootSystem
@@ -288,6 +289,46 @@ def test_corrupted_chevalley_coefficient_breaks_integrality():
     # product never extends that table, so read it off the table directly
     with pytest.raises(RuntimeError, match="non-integer structure constant"):
         _oriented_product(eng, eng.by_length[k][j], eng.index[identity(rs).perm])
+
+
+def _tamper_with_solved_products(monkeypatch, tamper):
+    """Pass the first nonempty product of every level solve through
+    tamper(eng, terms) before the checks of `_finalized` read it."""
+    solve = quantum._solve_level
+
+    def tampered(eng, by, k):
+        sol = solve(eng, by, k)
+        tamper(eng, next(terms for terms in sol if terms))
+        return sol
+
+    monkeypatch.setattr(quantum, "_solve_level", tampered)
+
+
+def test_a_negative_structure_constant_is_refused(monkeypatch):
+    rs, _ = _private_engine("A3")
+
+    def negate(eng, terms):
+        key = next(iter(terms))
+        terms[key] = -terms[key]
+
+    _tamper_with_solved_products(monkeypatch, negate)
+    s1 = simple_reflection(rs, 1)
+    with pytest.raises(RuntimeError, match="negative structure constant"):
+        quantum_product(rs, s1, s1)
+
+
+def test_a_term_off_the_grading_is_refused(monkeypatch):
+    rs, _ = _private_engine("A3")
+
+    def one_more_q(eng, terms):
+        # the packed degree sits above |W| in the key: one more q1
+        key = next(iter(terms))
+        terms[key + eng.size] = terms.pop(key)
+
+    _tamper_with_solved_products(monkeypatch, one_more_q)
+    s1 = simple_reflection(rs, 1)
+    with pytest.raises(RuntimeError, match="grading violation"):
+        quantum_product(rs, s1, s1)
 
 
 def test_levels_are_shared_by_every_product(tmp_path, capsys):

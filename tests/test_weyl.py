@@ -80,6 +80,29 @@ def test_words_are_canonical_and_reduced():
         assert len(w.word) == w.length
 
 
+@pytest.mark.parametrize(
+    "name,nodes",
+    [("A3", ()), ("B3", ()), ("G2", ()), ("D4", ()),
+     # W^J, where the canonical parent of a representative can leave W^J
+     ("B3", (1,)), ("A4", (2, 3)), ("D4", (1, 3, 4))],
+)
+def test_word_ends_in_the_smallest_right_descent(name, nodes):
+    # the defining rule word(w) = word(w s_i) + (i,), with i the smallest
+    # right descent of w, on enumerated elements and on elements built
+    # outside any enumeration (here the inverses)
+    rs = build_root_system(name)
+    elements = enumerate_min_reps(rs, ParabolicSubset.of(nodes))
+    built = [from_word(rs, w.word[::-1]) for w in elements]
+    for w in elements + built:
+        descents = [i for i in range(1, rs.rank + 1) if w.is_right_descent(i)]
+        if not descents:
+            assert w.word == ()
+            continue
+        i = descents[0]
+        assert w.word[-1] == i
+        assert w.word[:-1] == (w * simple_reflection(rs, i)).word
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_reflection_length_parity(name):
     rs = build_root_system(name)
