@@ -7,12 +7,13 @@ length-k classes with a fixed right factor satisfy one linear equation per
 and the system has full column rank because divisors generate the cohomology.
 Its matrix of classical Chevalley coefficients depends only on the root system
 and k, so it is factored once per (root system, length) by fraction-free
-Gauss-Jordan: an exact sparse left inverse, each column stored as integers
-over its least common denominator.  For each right factor the inverse is
-applied to the right-hand sides, the result is divided exactly (a remainder is
-an error), and every row of the system is checked.  Level 1 is the identity
-system, one row (e, i) with the single entry 1 at s_i, so the same solve reads
-the divisor products off its right-hand sides.  Everything is integer
+Gauss-Jordan, pivoting each column on the sparsest row that holds it: an
+exact sparse left inverse, each column stored as integers over its least
+common denominator.  For each right factor the inverse is applied to the
+right-hand sides, the result is divided exactly (a remainder is an error),
+and every row of the system is checked.  Level 1 is the identity system, one
+row (e, i) with the single entry 1 at s_i, so the same solve reads the
+divisor products off its right-hand sides.  Everything is integer
 arithmetic; no Fractions and no floats.  The recursion has one mode, the
 quantum one: the cup product is computed apart from it, by localization, in
 `classical.py`.
@@ -144,6 +145,7 @@ class _Engine:
         self.shifts = [itemgetter(*rs.reflection_perm(g)) for g in range(rs.npos)]
         self.chevalley, self.qmoves = [], []
         self.degrees = {}
+        self.q_grades = {}  # packed degree -> 2 sum(d)
         self.tables = {}
         self.levels = {}
 
@@ -196,15 +198,18 @@ def _finalized(eng, terms, grade):
     Every q-shift is a positive coroot, so no degree coordinate goes
     negative; a carry out of a packed coordinate would lower sum(d) by npos
     and break the grading."""
+    size, lengths, q_grades = eng.size, eng.lengths, eng.q_grades
     for key, c in terms.items():
-        pd, x = divmod(key, eng.size)
+        pd, x = divmod(key, size)
         if c < 0:
             raise RuntimeError(f"negative structure constant {c} at {eng.elements[x]}")
-        d = eng.degree(pd)
-        if eng.lengths[x] + 2 * sum(d) != grade:
+        q_grade = q_grades.get(pd)
+        if q_grade is None:
+            q_grade = q_grades[pd] = 2 * sum(eng.degree(pd))
+        if lengths[x] + q_grade != grade:
             raise RuntimeError(
                 f"grading violation: term ({format_word(eng.elements[x].word)}, "
-                f"{d}) in a degree-{grade} product"
+                f"{eng.degree(pd)}) in a degree-{grade} product"
             )
     return terms
 
@@ -226,34 +231,43 @@ def _left_inverse(rows, ncols):
     """Exact left inverse of a full-column-rank integer matrix.
 
     `rows` gives each row as sparse (column, int) pairs.  Fraction-free
-    Gauss-Jordan over dict rows, pivoting on the first remaining row with a
-    nonzero entry in the column, tracks each row as an integer combination
-    of the input rows; an elimination step scales a row by the pivot and
-    divides out the gcd of its entries.  Returns, per column, the least
-    denominator `den` and integer (row, coefficient) pairs with
-    den * x[column] = sum coefficient * b[row] whenever A x = b.
+    Gauss-Jordan over dict rows tracks each row as an integer combination of
+    the input rows.  Each column pivots on the sparsest remaining row that
+    holds it (fewest entries, then fewest combination entries; Markowitz,
+    Management Sci. 3 (1957)), which keeps the inverse sparse, and is
+    eliminated from the rows that hold it; an elimination step scales a row
+    by the pivot and divides out the gcd of its entries.  Returns, per
+    column, the least denominator `den` and integer (row, coefficient) pairs
+    with den * x[column] = sum coefficient * b[row] whenever A x = b.
     """
     m = [dict(row) for row in rows]
     comb = [{r: 1} for r in range(len(rows))]
     for col in range(ncols):
-        piv = next((r for r in range(col, len(m)) if col in m[r]), None)
+        holders = [r for r, row in enumerate(m) if col in row]
+        piv = min(
+            (r for r in holders if r >= col),
+            key=lambda r: (len(m[r]), len(comb[r])),
+            default=None,
+        )
         if piv is None:
             raise RuntimeError("recursion system is rank deficient")
+        pivot, pcomb = m[piv], comb[piv]
+        p = pivot[col]
+        for r in holders:
+            if r == piv:
+                continue
+            row, rcomb = m[r], comb[r]
+            f = row[col]
+            g = gcd(p, f)
+            _combine(p // g, row, -f // g, pivot)
+            _combine(p // g, rcomb, -f // g, pcomb)
+            g = gcd(*row.values(), *rcomb.values())
+            if g != 1:
+                for vec in (row, rcomb):
+                    for key in vec:
+                        vec[key] //= g
         m[col], m[piv] = m[piv], m[col]
         comb[col], comb[piv] = comb[piv], comb[col]
-        pivot, pcomb = m[col], comb[col]
-        p = pivot[col]
-        for r, row in enumerate(m):
-            f = row.get(col)
-            if f and r != col:
-                g = gcd(p, f)
-                _combine(p // g, row, -f // g, pivot)
-                _combine(p // g, comb[r], -f // g, pcomb)
-                g = gcd(*row.values(), *comb[r].values())
-                if g != 1:
-                    for vec in (row, comb[r]):
-                        for key in vec:
-                            vec[key] //= g
     inverse = []
     for col in range(ncols):
         den, terms = m[col][col], comb[col]
@@ -328,8 +342,9 @@ def _solve_level(eng, by, k):
             if q:
                 terms[key] = q
         sol.append(terms)
-    for r, (row, b) in enumerate(zip(rows, rhs)):
-        residual = dict(b)
+    # the apply has read every right-hand side, so each row's residual is
+    # taken in place
+    for r, (row, residual) in enumerate(zip(rows, rhs)):
         for col, a in row:
             for key, c in sol[col].items():
                 residual[key] = residual.get(key, 0) - a * c

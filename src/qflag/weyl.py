@@ -61,7 +61,7 @@ class WeylElement:
             return NotImplemented
         rs = self._common(other)
         p, q = self.perm, other.perm
-        return WeylElement(rs, tuple(p[q[g]] for g in range(len(q))))
+        return WeylElement(rs, tuple(map(p.__getitem__, q)))
 
     def inverse(self) -> "WeylElement":
         inv = [0] * len(self.perm)
@@ -182,9 +182,14 @@ def enumerate_min_reps(rs: RootSystem, parabolic: ParabolicSubset):
         for u in level:
             lu = u.length
             for i in range(1, rs.rank + 1):
-                v = simple_reflection(rs, i) * u
-                if v.perm in seen or v.length != lu + 1:
+                # l(s_i u) > l(u) iff u^-1 alpha_i > 0: skip the product of
+                # a left descent before building it
+                if u.perm.index(rs._simple_global[i - 1]) >= rs.npos:
                     continue
+                v = simple_reflection(rs, i) * u
+                if v.perm in seen:
+                    continue
+                v._length = lu + 1
                 if any(v.is_right_descent(j) for j in parabolic.indices):
                     continue
                 seen[v.perm] = v

@@ -211,10 +211,10 @@ def _level_systems(eng):
     return {k: _level(eng, k) for k in sorted(eng.by_length) if k >= 1}
 
 
-# the largest denominator of each type's level inverses, as the Fraction
-# factorization gave them
+# the largest denominator of each type's level inverses; the denominators
+# depend on the pivot rows the factorization picks, not on the ring
 _LARGEST_DENOMINATOR = {
-    "A3": 1, "B2": 2, "G2": 2, "B3": 4, "C3": 1, "D4": 2, "B4": 8, "F4": 48,
+    "A3": 1, "B2": 2, "G2": 3, "B3": 2, "C3": 2, "D4": 2, "B4": 4, "F4": 32,
 }
 
 
@@ -236,6 +236,31 @@ def test_level_inverse_is_exact(name):
             assert product == [den if col == j else 0 for col in range(ncols)]
             dens.append(den)
     assert max(dens) == _LARGEST_DENOMINATOR[name]
+
+
+# the (row, coefficient) pairs of all level inverses of a type; pivoting on
+# the first row that holds a column gives 297, 1,051, 1,787, 1,787 and 14,681
+_INVERSE_PAIRS = {"A4": 147, "D4": 318, "B4": 673, "C4": 673, "F4": 4060}
+
+
+@pytest.mark.parametrize("name", list(_INVERSE_PAIRS))
+def test_level_inverse_is_sparse(name):
+    eng = _engine(build_root_system(name))
+    pairs = sum(
+        len(comb) for _, inverse in _level_systems(eng).values() for _, comb in inverse
+    )
+    assert pairs <= _INVERSE_PAIRS[name]
+
+
+def test_left_inverse_pivots_on_the_sparsest_row():
+    # x0 + x1 = b0, x1 = b1, x0 = b2 has many left inverses; column 0 is held
+    # by rows 0 and 2, and the sparser row 2 is the pivot, so x0 reads b2
+    # alone (the first row would give x0 = b0 - b1)
+    rows = [((0, 1), (1, 1)), ((1, 1),), ((0, 1),)]
+    inverse = _left_inverse(rows, 2)
+    assert inverse[0] == (1, ((2, 1),))
+    b = [5, 3, 2]  # x = (2, 3)
+    assert [sum(a * b[r] for r, a in comb) // den for den, comb in inverse] == [2, 3]
 
 
 def test_left_inverse_rejects_rank_deficient_matrix():
