@@ -4,12 +4,9 @@ from .classical import classical_parabolic_invariant, classical_product
 from .compare import (
     CheckResult,
     ComparisonData,
-    anticanonical_pairing,
     check_comparison_consistency,
     comparison_data,
     gw_invariant,
-    hom_dimension,
-    is_generic_levi_semistable,
     parabolic_gw_invariant,
     parabolic_quantum_product,
     star,
@@ -59,7 +56,6 @@ __all__ = [
     "QClass",
     "RootSystem",
     "WeylElement",
-    "anticanonical_pairing",
     "build_root_system",
     "check_comparison_consistency",
     "classical_parabolic_invariant",
@@ -73,9 +69,7 @@ __all__ = [
     "format_word",
     "from_word",
     "gw_invariant",
-    "hom_dimension",
     "identity",
-    "is_generic_levi_semistable",
     "longest_element",
     "min_coset_rep",
     "parabolic_gw_invariant",

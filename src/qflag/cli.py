@@ -175,7 +175,7 @@ def cmd_mul(args):
     ctx = _quantum_context(rs, parabolic)
     terms = [
         (format_word(ctx.basis[y].word), d, c)
-        for _, d, y, c in ctx.rows(ctx.position[u.perm], ctx.position[v.perm])
+        for _, d, y, c in ctx.product(ctx.position[u.perm], ctx.position[v.perm])
     ]
     payload = {
         "type": str(rs.cartan_type),
@@ -220,7 +220,7 @@ def cmd_table(args):
     encode = cache_io.terms_encoder()
 
     def entry(i, j):
-        return encode([(words[y], d, c) for _, d, y, c in ctx.rows(i, j)])
+        return encode([(words[y], d, c) for _, d, y, c in ctx.product(i, j)])
 
     def write(handle):
         entries = enumerate(_mirrored(n, entry))
@@ -280,23 +280,31 @@ def _suite_associativity(args):
         count = args.samples or 200
         triples = [tuple(rng.randrange(order) for _ in range(3)) for _ in range(count)]
         how = f"{count} seeded random triples"
-    eng, borel, times = ctx.engine, ctx.borel_index, ctx.times
+    ring, times = ctx.ring, ctx.times
     unit = [{(k, (0,) * len(ctx.free)): 1} for k in range(order)]
     bad_assoc = 0
     bad_comm = 0
     for a, b, c in triples:
         if times(times(unit[a], unit[b]), unit[c]) != times(unit[a], times(unit[b], unit[c])):
             bad_assoc += 1
-        # both orders of `rows` read one Borel table, so compare the two
-        # recursions instead; the G/P product is a function of that Borel
-        # product, so this is the stronger check
-        x, y = borel[a], borel[b]
-        if _oriented_product(eng, x, y) != _oriented_product(eng, y, x):
+        # both orders of a product read one table, so compare the two
+        # recursions instead
+        if _oriented_product(ring, a, b) != _oriented_product(ring, b, a):
             bad_comm += 1
     return [
         CheckResult("associativity", bad_assoc == 0, how),
         CheckResult("commutativity", bad_comm == 0, how),
     ]
+
+
+def _suite_recursion(args):
+    # the level recursion on W^J against Peterson's readout of the Borel
+    # product, on every ordered pair of basis classes
+    ctx = _quantum_context(*_context(args))
+    n = len(ctx.basis)
+    mismatched = sum(ctx.product(i, j) != ctx.rows(i, j) for i in range(n) for j in range(n))
+    return [CheckResult("recursion", mismatched == 0,
+                        f"{n * n} ordered pairs, {mismatched} mismatched")]
 
 
 def _degree_box(rs, parabolic, max_degree):
@@ -334,6 +342,7 @@ _SUITES = {
     "associativity": _suite_associativity,
     "comparison": _suite_comparison,
     "lift-oracle": _suite_lift_oracle,
+    "recursion": _suite_recursion,
 }
 
 

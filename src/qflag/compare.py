@@ -1,5 +1,4 @@
-"""Gromov-Witten invariants and quantum products of G/P through the Borel
-engine.
+"""Gromov-Witten invariants and quantum products of G/P.
 
 Peterson's comparison formula: for an effective degree d of G/P with
 alcove-reduced lift lambda_d, derived parabolic P' and longest element w'_d
@@ -14,15 +13,23 @@ Borel term q^lambda sigma_x is a G/P term exactly when lambda is the lift of
 its restriction d to the free nodes and y = x w'_d w_J is a minimal
 representative, and then it is the term q^d sigma_y (w_o w = y w_J for
 y = dual(w)).  `_Context.rows` maps every term of one Borel product this
-way, on basis positions, and every G/P product, table entry, invariant and
-audit value is read off it.  The Borel ring is the case J = {} of the same
+way, on basis positions.  The Borel ring is the case J = {} of the same
 map (lambda_d = d, w'_d = w_J = e).
 
-The readout runs on the engine's packed keys (see `quantum.py`): per packed
-Borel degree it memoizes whether lambda is a lift and, if so, d, c_1(d) and
-the basis position of x w'_d w_J per element index x, filled in as elements
-come up, so each term costs a few dict lookups and no Weyl group product,
-and no G/P product is memoized: the engine's tables are the product cache.
+The formula only has to supply the products sigma_g * sigma_x of a few
+generator classes g: associativity gives every other product by the level
+recursion of `quantum.py`, run on W^J (`_CosetEngine`), whose tables recurse
+only through the minimal representatives, not through all of W.  So
+`_Context.product` reads every product that `table`, `mul`, `gw`, `star`
+and the associativity audit serve off the later factor's W^J table, and the
+direct readout `_Context.rows` serves three things only: the generator
+moves, the comparison audit, and the recursion audit, which compares the
+two routes on every ordered pair.
+
+The readout runs on the Borel engine's packed keys: per packed Borel degree
+it memoizes whether lambda is a lift and, if so, d, c_1(d) and the basis
+position of x w'_d w_J per element index x, filled in as elements come up,
+so each term costs a few dict lookups and no Weyl group product.
 
 Everything that depends only on (root system, parabolic) and the degree is
 built once, in a memoized context, as one `ComparisonData` record per
@@ -45,7 +52,7 @@ from .degrees import (
     push_degree,
 )
 from .classical import classical_parabolic_invariant
-from .quantum import BOREL, QClass, _engine, _int_product
+from .quantum import BOREL, QClass, _Engine, _engine, _int_product
 from .root_system import ParabolicSubset, RootSystem
 from .weyl import WeylElement, enumerate_min_reps, longest_element, min_coset_rep
 
@@ -64,6 +71,36 @@ class ComparisonData:
     d_pprime: tuple
     c1: int
     shift: WeylElement
+
+
+class _CosetEngine(_Engine):
+    """The level solver on W^J.  Its generators are chosen as the levels are
+    built (`greedy`), and the moves of a generator g are the terms of
+    sigma_g * sigma_x in Peterson's readout.  The grading weight of q_i is
+    c_1 of the unit degree at the i-th free node."""
+
+    greedy = True
+
+    def __init__(self, ctx):
+        free = range(len(ctx.free))
+        weights = [ctx.degree(tuple(int(i == t) for i in free)).c1 for t in free]
+        super().__init__(ctx.rs, ctx.basis, ctx.flag_dimension, weights)
+        self.ctx = ctx
+
+    def _grow(self, group, end):
+        _, gens, moves, qmoves = group
+        for x in range(len(moves), end):
+            per_generator, quantum = [], {}
+            for t, g in enumerate(gens):
+                terms = []
+                for _, d, y, c in self.ctx.rows(g, x):
+                    shift = self.pack(d) * self.size
+                    terms.append((shift + y - x, c))
+                    if shift:
+                        quantum.setdefault((shift, y), [0] * len(gens))[t] = c
+                per_generator.append(tuple(terms))
+            moves.append(tuple(per_generator))
+            qmoves.append(tuple((tuple(coefs), shift, y) for (shift, y), coefs in quantum.items()))
 
 
 class _Context:
@@ -89,6 +126,12 @@ class _Context:
     @cached_property
     def engine(self):
         return _engine(self.rs)
+
+    @cached_property
+    def ring(self):
+        """The level solver whose tables hold this ring's products: the
+        Borel engine at J = {}, else the instance on W^J."""
+        return _CosetEngine(self) if len(self.parabolic) else self.engine
 
     @cached_property
     def basis(self):
@@ -149,13 +192,13 @@ class _Context:
         return got
 
     def rows(self, i, j):
-        """The G/P product of the basis elements at positions i and j, as
-        rows (sum(d), d, y, c) sorted by (sum(d), d, y), one per term
-        c q^d sigma_y with y a basis position: each term q^lambda sigma_x of
-        the Borel product whose lambda is the lift of its restriction d, and
-        whose x w'_d w_J is a minimal representative y.  The basis is
-        ordered by length and then by word, so this is the order of
-        `QClass.sorted_terms`."""
+        """The G/P product of the basis elements at positions i and j by the
+        direct readout, as rows (sum(d), d, y, c) sorted by (sum(d), d, y),
+        one per term c q^d sigma_y with y a basis position: each term
+        q^lambda sigma_x of the Borel product whose lambda is the lift of its
+        restriction d, and whose x w'_d w_J is a minimal representative y.
+        The basis is ordered by length and then by word, so this is the
+        order of `QClass.sorted_terms`."""
         eng, readout, position = self.engine, self._readout, self.position
         elements, lengths, size = eng.elements, eng.lengths, eng.size
         borel = self.borel_index
@@ -178,14 +221,26 @@ class _Context:
         rows.sort()
         return rows
 
+    def product(self, i, j):
+        """The product of the basis elements at positions i and j, read off
+        the table of the later one in `ring`, as rows like those of `rows`."""
+        eng = self.ring
+        rows = []
+        for key, c in _int_product(eng, i, j).items():
+            pd, y = divmod(key, eng.size)
+            d = eng.degree(pd)
+            rows.append((sum(d), d, y, c))
+        rows.sort()
+        return rows
+
     def times(self, a, b) -> dict:
-        """Bilinear extension of `rows` to classes given as dicts
+        """Bilinear extension of `product` to classes given as dicts
         {(basis position, degree): c}: each term c ca cb q^(d + da + db)
         sigma_y of a product of two terms is added into one dict."""
         out = {}
         for (i, da), ca in a.items():
             for (j, db), cb in b.items():
-                for _, d, y, c in self.rows(i, j):
+                for _, d, y, c in self.product(i, j):
                     key = (y, tuple(map(sum, zip(d, da, db))))
                     out[key] = out.get(key, 0) + c * ca * cb
         return out
@@ -216,24 +271,6 @@ def comparison_data(rs: RootSystem, parabolic: ParabolicSubset, degree) -> Compa
     if any(x < 0 for x in degree):
         raise ValueError(f"degree {degree} is not effective")
     return _context(rs, parabolic).degree(degree)
-
-
-def anticanonical_pairing(rs: RootSystem, parabolic: ParabolicSubset, degree) -> int:
-    """(c_1(G/P), d), evaluated through the alcove-reduced lift."""
-    degree = _as_degree(rs, parabolic, degree)
-    return _context(rs, parabolic).degree(degree).c1
-
-
-def hom_dimension(rs: RootSystem, parabolic: ParabolicSubset, degree) -> int:
-    """Dimension of the space of degree-d maps P^1 -> G/P: dim G/P plus the
-    anticanonical pairing, evaluated through the alcove-reduced lift."""
-    return flag_dimension(rs, parabolic) + comparison_data(rs, parabolic, degree).c1
-
-
-def is_generic_levi_semistable(rs: RootSystem, parabolic: ParabolicSubset, degree) -> bool:
-    """Whether a generic degree-d map pulls the Levi bundle back to a
-    semistable bundle: the lift's derived parabolic must be all of J."""
-    return comparison_data(rs, parabolic, degree).j_prime == parabolic
 
 
 def parabolic_gw_invariant(rs: RootSystem, parabolic: ParabolicSubset, classes, degree) -> int:
@@ -275,8 +312,8 @@ def parabolic_quantum_product(
     rs: RootSystem, parabolic: ParabolicSubset, u: WeylElement, v: WeylElement
 ) -> QClass:
     """Quantum product of two G/P Schubert classes in the coset basis, read
-    off the Borel product of their minimal representatives.  At J = {} the
-    readout is the identity, and this is the Borel product."""
+    off the W^J table of the later minimal representative.  At J = {} this
+    is the Borel product."""
     return star(QClass.unit(rs, parabolic, u), QClass.unit(rs, parabolic, v))
 
 

@@ -12,8 +12,7 @@ has nonnegative coroot coefficients, and the alcove condition is
 roots: the simple roots of J, and each root of the Levi that no simple root
 of J raises.
 
-The data derived from a lift, and the helpers `hom_dimension` and
-`is_generic_levi_semistable` that read it, live in `compare`.
+The data derived from a lift (`comparison_data`) lives in `compare`.
 """
 
 from __future__ import annotations

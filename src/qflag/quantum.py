@@ -1,38 +1,56 @@
-"""Small quantum cohomology of the full flag variety in the Schubert basis.
+"""Small quantum cohomology in the Schubert basis, by one level solver.
 
-Divisor classes multiply by the quantum Chevalley rule.  A product by a class
-of length k >= 1 is recovered from the divisor rule: the products of all
-length-k classes with a fixed right factor satisfy one linear equation per
-(divisor, length-(k-1) class) pair, with right-hand sides known by induction,
-and the system has full column rank because divisors generate the cohomology.
-Its matrix of classical Chevalley coefficients depends only on the root system
-and k, so it is factored once per (root system, length) by fraction-free
-Gauss-Jordan, pivoting each column on the sparsest row that holds it: an
-exact sparse left inverse, each column stored as integers over its least
-common denominator.  For each right factor the inverse is applied to the
-right-hand sides, the result is divided exactly (a remainder is an error),
-and every row of the system is checked.  Level 1 is the identity system, one
-row (e, i) with the single entry 1 at s_i, so the same solve reads the
-divisor products off its right-hand sides.  Everything is integer
+The solver works over a basis graded by length and a few generator classes
+g, given with their products sigma_g * sigma_x by every basis element x.  A
+product by a class of length k >= 1 is recovered from them: the products of
+all length-k classes with a fixed right factor v satisfy one linear equation
+per (generator g, class w' of length k - l(g)) pair,
+
+    sum_z a_z sigma_z * sigma_v
+        = sigma_g * (sigma_{w'} * sigma_v) - sum c q^d sigma_y * sigma_v,
+
+where the a_z sigma_z and the c q^d sigma_y are the classical and the
+quantum terms of sigma_g * sigma_{w'}, and the right-hand side is known by
+induction.  The generators are chosen so that the system has full column
+rank.  Its matrix of classical coefficients depends only on the ring and k,
+so it is factored once per (ring, length) by fraction-free Gauss-Jordan,
+pivoting each column on the sparsest row that holds it: an exact sparse left
+inverse, each column stored as integers over its least common denominator.
+For each right factor the inverse is applied to the right-hand sides, the
+result is divided exactly (a remainder is an error), every row of the system
+is checked, and every term is checked to be positive and graded.  A
+generator of length L has a unit row at level L (w' = e), so the same solve
+reads its products off the right-hand sides.  Everything is integer
 arithmetic; no Fractions and no floats.  The recursion has one mode, the
 quantum one: the cup product is computed apart from it, by localization, in
 `classical.py`.
 
-The recursion runs on ints.  Element x is its index in the length-graded
-enumeration of W, and the term q^d sigma_x is the key pd * |W| + x, where pd
-packs the degree d in base npos + 1.  A Chevalley move of x adds a fixed int
-to the key.  In a product of degree l(u) + l(v) <= 2 npos, every term has
-l(x) + 2 sum(d) = l(u) + l(v), so sum(d) <= npos and no coordinate of d
-carries into the next.  Products become `QClass`es only on the way out.
+There are two instances.  The full flag variety G/B is the case J = {}: the
+basis is the length-graded enumeration of W, the generators are the
+divisors sigma_{s_i}, and their products are the quantum Chevalley rule;
+the divisors generate the cohomology, so every level has full column rank.
+A G/P is the instance on the minimal coset representatives W^J, built in
+`compare.py`: the divisors do not generate H*(G/P), so generators are chosen
+level by level, adding basis classes of length k in basis order while they
+raise the rank of level k, and their products come from Peterson's
+comparison formula.
 
-Products are memoized per longer factor, in one engine per root system:
+The recursion runs on ints.  Element x is its index in the basis, and the
+term q^d sigma_x is the key pd * size + x, where pd packs the degree d in
+base dim + 1.  A generator move of x adds a fixed int to the key.  The
+grading gives q_i the weight (c_1, d_i), which is 2 on G/B and at least 2
+on every G/P, and every term of a product of degree l(u) + l(v) <= 2 dim has
+l(x) + (c_1, d) = l(u) + l(v); so no coordinate of d exceeds dim or carries
+into the next.  Products become `QClass`es or rows only on the way out.
+
+Products are memoized per longer factor, in one engine per ring:
 sigma_u * sigma_v is read off the table of whichever of u, v comes later in
-the enumeration, and that table recurses only to the length of the other, the
-shorter factor.  So the two orders of a pair share one table, and the table of
-an element z reaches at most level l(z) unless the commutativity audit asks
-for more.  The caches live as long as the root system, and
+the basis, and that table recurses only to the length of the other, the
+shorter factor.  So the two orders of a pair share one table, and the table
+of an element z reaches at most level l(z) unless the commutativity audit
+asks for more.  The caches live as long as the root system, and
 `build_root_system` interns one per Cartan type, so memory is bounded by the
-number of types used.  The caches are not locked: confine an engine to one
+number of rings used.  The caches are not locked: confine an engine to one
 thread, or give a thread a private engine by constructing its own
 `RootSystem(...)` directly.
 """
@@ -42,10 +60,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cache
 from math import gcd
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .root_system import ParabolicSubset, RootSystem
-from .weyl import WeylElement, enumerate_min_reps, format_word
+from .weyl import WeylElement, enumerate_min_reps, format_word, simple_reflection
 
 BOREL = ParabolicSubset()
 
@@ -128,34 +146,86 @@ def format_terms(rows) -> str:
 
 
 class _Engine:
-    """The int tables of one root system: the enumeration, its Chevalley
-    moves, the factored levels and the products per right factor, all keyed
-    as the module docstring describes."""
+    """The int tables of one ring: its basis (elements with a `length` and a
+    `word`, ordered by length), the move tables of its generators, the
+    factored levels and the products per right factor, all keyed as the
+    module docstring describes.
 
-    def __init__(self, rs):
+    Generators come in groups of one length, kept in `groups` by length as
+    (length, generator indices, moves, qmoves), where per element x
+    `moves[x]` holds per generator g the (key delta, coefficient) of each
+    term of sigma_g * sigma_x, and `qmoves[x]` the quantum terms as
+    (coefficient per generator, key delta of q^d, element index).  An
+    instance fills both lists with `_grow`; with `greedy` set, `_level`
+    chooses the generators as the levels are built."""
+
+    greedy = False
+
+    def __init__(self, rs, elements, dim, weights):
         self.rs = rs
-        self.elements = enumerate_min_reps(rs, BOREL)
-        self.index = {w.perm: x for x, w in enumerate(self.elements)}
-        self.lengths = [w.length for w in self.elements]
+        self.elements = elements
+        self.lengths = [w.length for w in elements]
         self.by_length = {}
         for x, lx in enumerate(self.lengths):
             self.by_length.setdefault(lx, []).append(x)
-        self.size = len(self.elements)
-        self.base = rs.npos + 1
-        self.shifts = [itemgetter(*rs.reflection_perm(g)) for g in range(rs.npos)]
-        self.chevalley, self.qmoves = [], []
+        self.size = len(elements)
+        self.base = dim + 1
+        self.weights = tuple(weights)  # the grading weight (c_1, d_i) of q_i
+        self.groups = []
+        self.reach = -1  # every move table covers the elements of length <= reach
         self.degrees = {}
-        self.q_grades = {}  # packed degree -> 2 sum(d)
+        self.q_grades = {}  # packed degree -> (c_1, d)
         self.tables = {}
         self.levels = {}
 
+    @property
+    def generators(self):
+        return tuple(g for _, gens, _, _ in self.groups for g in gens)
+
     def extend_moves(self, length):
-        """Extend the move tables to every element of length <= `length`.
-        Per element x: per divisor i, the (key delta, coefficient) of each
-        term of sigma_{s_i} * sigma_x; and the quantum moves of x as
-        (coroot, key delta of q^coroot, element index)."""
+        """Extend every group's move tables to every element of length <=
+        `length`."""
+        if length > self.reach:
+            self.reach = length
+            end = bisect_right(self.lengths, length)
+            for group in self.groups:
+                self._grow(group, end)
+
+    def pack(self, d):
+        """The int packing of a degree vector, as `degree` reads it back."""
+        return sum(a * self.base**t for t, a in enumerate(d))
+
+    def degree(self, pd):
+        """The degree vector packed as pd, memoized."""
+        d = self.degrees.get(pd)
+        if d is None:
+            digits, rest = [], pd
+            for _ in self.weights:
+                rest, a = divmod(rest, self.base)
+                digits.append(a)
+            d = self.degrees[pd] = tuple(digits)
+        return d
+
+
+class _BorelEngine(_Engine):
+    """The instance J = {}: the enumeration of W, one group of generators,
+    the divisors sigma_{s_i}, and their quantum Chevalley moves.  The
+    grading weight of each q_i is (c_1(G/B), alpha_i^vee) = 2."""
+
+    def __init__(self, rs):
+        super().__init__(rs, enumerate_min_reps(rs, BOREL), rs.npos, (2,) * rs.rank)
+        self.index = {w.perm: x for x, w in enumerate(self.elements)}
+        self.shifts = [itemgetter(*rs.reflection_perm(g)) for g in range(rs.npos)]
+        divisors = (self.index[simple_reflection(rs, i).perm] for i in range(1, rs.rank + 1))
+        self.groups.append((1, tuple(divisors), [], []))
+
+    def _grow(self, group, end):
+        """Per element x: per divisor i, the (key delta, coefficient) of each
+        term of sigma_{s_i} * sigma_x; and the quantum moves of x as (coroot,
+        key delta of q^coroot, element index)."""
+        _, _, chevalley, qmoves_of = group
         index, lengths, rank = self.index, self.lengths, self.rs.rank
-        for x in range(len(self.chevalley), bisect_right(lengths, length)):
+        for x in range(len(chevalley), end):
             perm, lx = self.elements[x].perm, lengths[x]
             per_divisor = [[] for _ in range(rank)]
             qmoves = []
@@ -164,8 +234,7 @@ class _Engine:
                 if lengths[y] == lx + 1:
                     delta = y - x
                 elif lengths[y] == lx + 1 - 2 * sum(cor):
-                    pd = sum(a * self.base**t for t, a in enumerate(cor))
-                    shift = pd * self.size
+                    shift = self.pack(cor) * self.size
                     delta = shift + y - x
                     qmoves.append((cor, shift, y))
                 else:
@@ -173,31 +242,20 @@ class _Engine:
                 for i, a in enumerate(cor):
                     if a:
                         per_divisor[i].append((delta, a))
-            self.chevalley.append(tuple(map(tuple, per_divisor)))
-            self.qmoves.append(tuple(qmoves))
-
-    def degree(self, pd):
-        """The degree vector packed as pd, memoized."""
-        d = self.degrees.get(pd)
-        if d is None:
-            digits, rest = [], pd
-            for _ in range(self.rs.rank):
-                rest, a = divmod(rest, self.base)
-                digits.append(a)
-            d = self.degrees[pd] = tuple(digits)
-        return d
+            chevalley.append(tuple(map(tuple, per_divisor)))
+            qmoves_of.append(tuple(qmoves))
 
 
 @cache
-def _engine(rs) -> _Engine:
-    return _Engine(rs)
+def _engine(rs) -> _BorelEngine:
+    return _BorelEngine(rs)
 
 
 def _finalized(eng, terms, grade):
     """Check positivity and the grading of int-keyed terms, and return them.
-    Every q-shift is a positive coroot, so no degree coordinate goes
-    negative; a carry out of a packed coordinate would lower sum(d) by npos
-    and break the grading."""
+    Every q-shift is an effective degree, so no degree coordinate goes
+    negative; a carry out of a packed coordinate would lower (c_1, d) and
+    break the grading."""
     size, lengths, q_grades = eng.size, eng.lengths, eng.q_grades
     for key, c in terms.items():
         pd, x = divmod(key, size)
@@ -205,7 +263,7 @@ def _finalized(eng, terms, grade):
             raise RuntimeError(f"negative structure constant {c} at {eng.elements[x]}")
         q_grade = q_grades.get(pd)
         if q_grade is None:
-            q_grade = q_grades[pd] = 2 * sum(eng.degree(pd))
+            q_grade = q_grades[pd] = sum(map(mul, eng.weights, eng.degree(pd)))
         if lengths[x] + q_grade != grade:
             raise RuntimeError(
                 f"grading violation: term ({format_word(eng.elements[x].word)}, "
@@ -276,46 +334,103 @@ def _left_inverse(rows, ncols):
     return tuple(inverse)
 
 
+def _spanning_units(rows, ncols):
+    """The columns, in order, whose unit rows raise the rank of `rows` until
+    it is full, by a fraction-free row echelon form keyed by each row's
+    least column."""
+    echelon = {}
+
+    def raises_rank(row):
+        v = dict(row)
+        while v:
+            col = min(v)
+            pivot = echelon.get(col)
+            if pivot is None:
+                g = gcd(*v.values())
+                echelon[col] = {key: a // g for key, a in v.items()}
+                return True
+            _combine(pivot[col], v, -v[col], pivot)
+        return False
+
+    for row in rows:
+        raises_rank(row)
+    return [col for col in range(ncols) if len(echelon) < ncols and raises_rank(((col, 1),))]
+
+
+def _level_rows(eng, k):
+    """The rows of the length-k system, per generator group, w'-major and
+    generator-minor: for each generator g of length l <= k and w' of length
+    k - l, the classical coefficients of sigma_g * sigma_{w'} as sparse
+    (column, int) pairs over the length-k elements."""
+    first, size = eng.by_length[k][0], eng.size
+    # a classical move keeps the key below size: its degree part is zero
+    return tuple(
+        tuple((x + delta - first, a) for delta, a in moves if x + delta < size)
+        for length, _, moves_of, _ in eng.groups
+        if length <= k
+        for x in eng.by_length[k - length]
+        for moves in moves_of[x]
+    )
+
+
 def _level(eng, k):
-    """The length-k system shared by every right factor: one row per (w' of
-    length k-1, divisor i) holding the classical Chevalley coefficients of
-    sigma_{s_i} * sigma_{w'} as sparse (column, int) pairs over the length-k
-    elements, and its exact left inverse."""
+    """The length-k system shared by every right factor and its exact left
+    inverse.  A greedy engine first adds the length-k classes whose unit
+    rows the system needs for full column rank as generators; the levels
+    are built in order, so the shorter generators are chosen by then."""
     got = eng.levels.get(k)
     if got is None:
         eng.extend_moves(k - 1)
-        first = eng.by_length[k][0]
-        # a classical move keeps the key below |W|: its degree part is zero
-        rows = tuple(
-            tuple((x + delta - first, a) for delta, a in moves if x + delta < eng.size)
-            for x in eng.by_length[k - 1]
-            for moves in eng.chevalley[x]
-        )
-        got = (rows, _left_inverse(rows, len(eng.by_length[k])))
+        rows = _level_rows(eng, k)
+        ncols = len(eng.by_length[k])
+        if eng.greedy:
+            new = _spanning_units(rows, ncols)
+            if new:
+                group = (k, tuple(eng.by_length[k][c] for c in new), [], [])
+                eng.groups.append(group)
+                # its move tables as long as the other groups'
+                eng._grow(group, bisect_right(eng.lengths, eng.reach))
+                rows = _level_rows(eng, k)
+        got = (rows, _left_inverse(rows, ncols))
         eng.levels[k] = got
     return got
 
 
 def _right_hand_sides(eng, by, k):
-    """Per row (w', i) of the length-k system: sigma_{s_i} * (sigma_{w'} *
-    sigma_v) minus the quantum moves of w', as int-keyed dicts."""
-    size, chevalley = eng.size, eng.chevalley
+    """Per row (g, w') of the length-k system: sigma_g * (sigma_{w'} *
+    sigma_v) minus the quantum terms of sigma_g * sigma_{w'} times the known
+    products, as int-keyed dicts, in one pass over each sigma_{w'} * sigma_v
+    per generator group."""
+    size = eng.size
     rhs = []
-    for wp in eng.by_length[k - 1]:
-        rows = [{} for _ in range(eng.rs.rank)]
-        for key, c in by[wp].items():
-            for b, moves in zip(rows, chevalley[key % size]):
-                for delta, a in moves:
-                    y = key + delta
-                    b[y] = b.get(y, 0) + c * a
-        for cor, shift, ws in eng.qmoves[wp]:
-            for b, a in zip(rows, cor):
-                if a:
-                    for key, c in by[ws].items():
-                        y = key + shift
-                        b[y] = b.get(y, 0) - a * c
-        rhs.extend(rows)
+    for length, gens, moves_of, qmoves_of in eng.groups:
+        if length > k:
+            break
+        for wp in eng.by_length[k - length]:
+            rows = [{} for _ in gens]
+            for key, c in by[wp].items():
+                for b, moves in zip(rows, moves_of[key % size]):
+                    for delta, a in moves:
+                        y = key + delta
+                        b[y] = b.get(y, 0) + c * a
+            for coefs, shift, ws in qmoves_of[wp]:
+                for b, a in zip(rows, coefs):
+                    if a:
+                        for key, c in by[ws].items():
+                            y = key + shift
+                            b[y] = b.get(y, 0) - a * c
+            rhs.extend(rows)
     return rhs
+
+
+def _row_name(eng, k, r):
+    """Row r of the length-k system as the words (w', g)."""
+    for length, gens, _, _ in eng.groups:
+        block = len(eng.by_length[k - length]) * len(gens)
+        if r < block:
+            wp, g = eng.by_length[k - length][r // len(gens)], gens[r % len(gens)]
+            return format_word(eng.elements[wp].word), format_word(eng.elements[g].word)
+        r -= block
 
 
 def _solve_level(eng, by, k):
@@ -349,11 +464,8 @@ def _solve_level(eng, by, k):
             for key, c in sol[col].items():
                 residual[key] = residual.get(key, 0) - a * c
         if any(residual.values()):
-            wp = eng.elements[eng.by_length[k - 1][r // eng.rs.rank]]
-            raise RuntimeError(
-                f"recursion system is inconsistent on row "
-                f"({format_word(wp.word)}, {r % eng.rs.rank + 1})"
-            )
+            wp, g = _row_name(eng, k, r)
+            raise RuntimeError(f"recursion system is inconsistent on row ({wp}, {g})")
     return sol
 
 
@@ -364,7 +476,7 @@ def _products(eng, v, upto):
     by = eng.tables.setdefault(v, [{v: 1}])
     lv = eng.lengths[v]
     # level k reads the moves of the terms of sigma_w * sigma_v with
-    # l(w) = k - 1, which have length at most k - 1 + l(v)
+    # l(w) <= k - 1, which have length at most k - 1 + l(v)
     eng.extend_moves(upto - 1 + lv)
     for k in range(eng.lengths[len(by) - 1] + 1, upto + 1):
         by.extend(_finalized(eng, terms, k + lv) for terms in _solve_level(eng, by, k))

@@ -16,9 +16,9 @@ import pytest
 import qflag
 from qflag import cli
 from qflag.cli import main
-from qflag.compare import _Context
-from qflag.quantum import _Engine, _engine, _oriented_product
-from qflag.root_system import CartanType, RootSystem
+from qflag.compare import _Context, _context
+from qflag.quantum import _Engine, _oriented_product
+from qflag.root_system import CartanType, ParabolicSubset, RootSystem
 from qflag.weyl import from_word, parse_word
 
 
@@ -337,17 +337,17 @@ def test_table_refuses_the_full_parabolic_before_opening_a_file(tmp_path, capsys
 def test_table_failing_midway_prints_nothing_and_leaves_no_file(
     tmp_path, capsys, monkeypatch, fmt
 ):
-    real = _Context.rows
+    real = _Context.product
     calls = iter(range(3))
 
-    def rows_or_fail(self, i, j):
+    def product_or_fail(self, i, j):
         # the fourth of the six products of A2/{2} fails, after the first
         # entries were streamed into the cache directory
         if next(calls, None) is None:
             raise RuntimeError("injected failure")
         return real(self, i, j)
 
-    monkeypatch.setattr(_Context, "rows", rows_or_fail)
+    monkeypatch.setattr(_Context, "product", product_or_fail)
     code, out, err = run(
         capsys, "table", "--type", "A2", "--parabolic", "2", *fmt,
         "--cache-dir", str(tmp_path),
@@ -436,14 +436,14 @@ def test_commutativity_audit_compares_two_recursions(capsys, monkeypatch, parabo
     # a private engine, so that the corruption stays in this test
     rs = RootSystem(CartanType.parse("A2"))
     monkeypatch.setattr(cli, "build_root_system", lambda ctype: rs)
-    eng = _engine(rs)
-    s1, s2s1, w_o = (
-        eng.index[from_word(rs, parse_word(w)).perm] for w in ("s1", "s2s1", "s1s2s1")
-    )
-    # run s1's own table to the top level, then corrupt sigma_{s2s1} *
-    # sigma_{s1} in it: products in their usual order read s2s1's table
-    _oriented_product(eng, w_o, s1)
-    corrupted = eng.tables[s1][s2s1]
+    ctx = _context(rs, ParabolicSubset.parse(parabolic))
+    ring = ctx.ring
+    s1, s2s1 = (ctx.position[from_word(rs, parse_word(w)).perm] for w in ("s1", "s2s1"))
+    # run s1's own table of the audited ring to the top level, then corrupt
+    # sigma_{s2s1} * sigma_{s1} in it: products in their usual order read
+    # s2s1's table
+    _oriented_product(ring, ring.size - 1, s1)
+    corrupted = ring.tables[s1][s2s1]
     corrupted[next(iter(corrupted))] += 1
     code, out, _ = run(
         capsys, "check", "--suite", "associativity", "--type", "A2", "--parabolic", parabolic
@@ -454,6 +454,56 @@ def test_commutativity_audit_compares_two_recursions(capsys, monkeypatch, parabo
         f"FAIL commutativity (all {triples} triples)",
         "suite associativity: FAIL",
     ]
+
+
+# (type, parabolic, number of classes): the spaces the recursion suite pins
+_RECURSION_SPACES = [
+    ("A3", "2", 12), ("A4", "1,4", 30), ("A4", "2,3", 20), ("A4", "2,3,4", 5),
+    ("B3", "1", 24), ("C3", "3", 24), ("D4", "1", 96), ("G2", "1", 6), ("G2", "2", 6),
+]
+
+
+@pytest.mark.parametrize("name, parabolic, order", _RECURSION_SPACES)
+def test_recursion_suite_matches_the_readout(capsys, name, parabolic, order):
+    code, out, _ = run(
+        capsys, "check", "--suite", "recursion", "--type", name, "--parabolic", parabolic
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        f"PASS recursion ({order * order} ordered pairs, 0 mismatched)",
+        "suite recursion: PASS",
+    ]
+
+
+def test_recursion_suite_catches_one_bad_table_entry(capsys, monkeypatch):
+    # a private ring, so that the corruption stays in this test; both
+    # ordered pairs of sigma_{s1} * sigma_{s2s1} on P^2 read s2s1's table,
+    # and so does sigma_{s2s1} * sigma_{s2s1}, whose level reads the entry
+    rs = RootSystem(CartanType.parse("A2"))
+    monkeypatch.setattr(cli, "build_root_system", lambda ctype: rs)
+    ctx = _context(rs, ParabolicSubset.of([2]))
+    s1, s2s1 = (ctx.position[from_word(rs, parse_word(w)).perm] for w in ("s1", "s2s1"))
+    ctx.product(s1, s2s1)
+    corrupted = ctx.ring.tables[s2s1][s1]
+    corrupted[next(iter(corrupted))] += 1
+    code, out, _ = run(capsys, "check", "--suite", "recursion", "--type", "A2", "--parabolic", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL recursion (9 ordered pairs, 3 mismatched)",
+        "suite recursion: FAIL",
+    ]
+
+
+def test_a_cache_hit_builds_no_product_table(tmp_path, capsys, monkeypatch):
+    # the cache check reads the basis and the degrees' c_1, never a product
+    args = ("table", "--type", "A4", "--parabolic", "1,4", "--cache-dir", str(tmp_path))
+    assert run(capsys, *args)[0] == 0
+    rs = RootSystem(CartanType.parse("A4"))
+    monkeypatch.setattr(cli, "build_root_system", lambda ctype: rs)
+    code, _, err = run(capsys, *args)
+    assert code == 0 and "cache hit" in err
+    ctx = _context(rs, ParabolicSubset.of([1, 4]))
+    assert "ring" not in vars(ctx) and "engine" not in vars(ctx)
 
 
 def test_table_bound_exceeded(tmp_path, capsys):

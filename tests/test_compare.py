@@ -12,7 +12,6 @@ from qflag import (
     ParabolicSubset,
     QClass,
     RootSystem,
-    anticanonical_pairing,
     build_root_system,
     check_comparison_consistency,
     classical_parabolic_invariant,
@@ -36,6 +35,7 @@ from qflag import compare
 from qflag.cli import main
 from qflag.compare import _Context, _context
 from qflag.degrees import _c1_pairing
+from qflag.quantum import _level
 
 P2 = ParabolicSubset.of([2])
 
@@ -291,7 +291,7 @@ def test_consistency_report_counts_every_graded_triple(name, j_nodes):
     J = ParabolicSubset.of(j_nodes)
     basis = enumerate_min_reps(rs, J)
     for degree in iproduct(range(3), repeat=len(J.free_nodes(rs.rank))):
-        target = flag_dimension(rs, J) + anticanonical_pairing(rs, J, degree)
+        target = flag_dimension(rs, J) + comparison_data(rs, J, degree).c1
         graded = sum(
             a.length + b.length + c.length == target
             for a, b, c in iproduct(basis, repeat=3)
@@ -328,7 +328,7 @@ def test_consistency_report_catches_one_bad_value(monkeypatch, ring):
     assert cd.j_prime != P2
     assert all(r.passed for r in check_comparison_consistency(rs, P2, degree))
     at_p, at_pprime = _context(rs, P2), _context(rs, cd.j_prime)
-    target = flag_dimension(rs, P2) + anticanonical_pairing(rs, P2, degree)
+    target = flag_dimension(rs, P2) + comparison_data(rs, P2, degree).c1
     a, b, c = next(
         (a, b, c)
         for a, b, c in iproduct(at_p.basis, repeat=3)
@@ -443,7 +443,7 @@ def test_product_readout_matches_invariants(name, j_nodes):
     degrees = [
         d
         for d in iproduct(range(2 * dim + 1), repeat=r)
-        if anticanonical_pairing(rs, J, d) <= 2 * dim
+        if comparison_data(rs, J, d).c1 <= 2 * dim
     ]
     for u in basis:
         for v in basis:
@@ -506,7 +506,7 @@ def test_product_matches_forward_readout(name, j_nodes):
     # pairs to at least 1 with c_1, so this box holds every degree
     readout = {}
     for d in iproduct(range(top + 1), repeat=r):
-        if anticanonical_pairing(rs, J, d) <= top:
+        if comparison_data(rs, J, d).c1 <= top:
             cd = comparison_data(rs, J, d)
             for w in basis:
                 key = (w_o * w * cd.w_prime, cd.d_B)
@@ -576,3 +576,35 @@ def test_borel_readout_is_the_engine_product(name):
     for u in basis:
         for v in basis:
             assert parabolic_quantum_product(rs, BOREL, u, v) == quantum_product(rs, u, v)
+
+
+@pytest.mark.parametrize(
+    "name,j_nodes,lengths",
+    [
+        ("A3", [2], [1, 1]),
+        ("B3", [1], [1, 1]),
+        ("C3", [3], [1, 1]),
+        ("D4", [1], [1, 1, 1]),
+        ("A4", [1, 3, 4], [1, 2]),  # Gr(2, 5)
+        ("A4", [1, 4], [1, 1, 2]),  # Fl(2, 3; 5)
+        ("A5", [1, 2, 4, 5], [1, 2, 3]),  # Gr(3, 6)
+        ("D4", [1, 3, 4], [1, 2, 2]),
+        ("F4", [1, 2, 3], [1, 4]),
+        # W_J = A1 x A1 has two quadratic invariants and W's cancels one; a
+        # rule that added every length-2 class until full rank, without
+        # asking each to raise the rank, would add a redundant second one
+        ("A5", [2, 4], [1, 1, 1, 2]),
+    ],
+)
+def test_generator_lengths_follow_borels_presentation(name, j_nodes, lengths):
+    # H*(G/P; Q) = Q[h]^{W_J} / (Q[h]^W_+) is generated by one linear class
+    # per free node and classes in the degrees of W_J's basic invariants
+    # that W's do not cancel; the greedy choice on W^J finds exactly these
+    rs = build_root_system(name)
+    J = ParabolicSubset.of(j_nodes)
+    ring = _context(rs, J).ring
+    for k in sorted(ring.by_length)[1:]:
+        _level(ring, k)
+    assert [ring.lengths[g] for g in ring.generators] == lengths
+    # the divisors come first, and they are every class of length 1
+    assert ring.generators[: len(J.free_nodes(rs.rank))] == tuple(ring.by_length[1])

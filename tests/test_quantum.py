@@ -17,12 +17,14 @@ from qflag import (
     gw_invariant,
     identity,
     longest_element,
+    parabolic_quantum_product,
     quantum_product,
     simple_reflection,
     star,
 )
 from qflag import quantum
 from qflag.cli import main
+from qflag.compare import _context
 from qflag.quantum import _engine, _left_inverse, _level, _oriented_product
 from qflag.root_system import CartanType, RootSystem
 
@@ -274,27 +276,44 @@ def _private_engine(name):
     return rs, _engine(rs)
 
 
-def _corrupt_chevalley(eng, i, x):
-    """Add 1 to one classical coefficient of sigma_{s_i} * sigma_x in the
-    integer move table that the right-hand sides read; the level systems,
-    already factored, keep the true coefficient."""
-    moves = list(eng.chevalley[x][i - 1])
-    t = next(t for t, (delta, _) in enumerate(moves) if x + delta < eng.size)
-    moves[t] = (moves[t][0], moves[t][1] + 1)
-    per_divisor = list(eng.chevalley[x])
-    per_divisor[i - 1] = tuple(moves)
-    eng.chevalley[x] = tuple(per_divisor)
+def _corrupt_move(eng, x, t):
+    """Add 1 to one classical coefficient of sigma_g * sigma_x, for the t-th
+    generator g of length 1 (the divisor s_{t+1} on G/B), in the integer
+    move table that the right-hand sides read; the level systems, already
+    factored, keep the true coefficient."""
+    moves_of = eng.groups[0][2]
+    moves = list(moves_of[x][t])
+    u = next(u for u, (delta, _) in enumerate(moves) if x + delta < eng.size)
+    moves[u] = (moves[u][0], moves[u][1] + 1)
+    per_generator = list(moves_of[x])
+    per_generator[t] = tuple(moves)
+    moves_of[x] = tuple(per_generator)
 
 
 def test_corrupted_chevalley_coefficient_breaks_consistency():
     rs, eng = _private_engine("A3")
     assert all(den == 1 for _, inv in _level_systems(eng).values() for den, _ in inv)
     x = eng.by_length[2][0]
-    _corrupt_chevalley(eng, 1, x)
+    _corrupt_move(eng, x, 0)
     # level 1 of x's own table reads the corrupted move, and the identity
     # system passes it on; level 2 checks every one of its rows
     with pytest.raises(RuntimeError, match="inconsistent"):
         quantum_product(rs, eng.elements[x], eng.elements[x])
+
+
+def test_corrupted_generator_move_breaks_consistency_on_g_mod_p():
+    # Fl(2, 3; 5) = A4/{1,4}: generators of lengths 1, 1 and 2, whose moves
+    # are read off the comparison formula
+    rs = RootSystem(CartanType.parse("A4"))
+    J = ParabolicSubset.of([1, 4])
+    ring = _context(rs, J).ring
+    assert all(den == 1 for _, inv in _level_systems(ring).values() for den, _ in inv)
+    assert [ring.lengths[g] for g in ring.generators] == [1, 1, 2]
+    x = ring.by_length[2][0]
+    _corrupt_move(ring, x, 0)
+    w = ring.elements[x]
+    with pytest.raises(RuntimeError, match="inconsistent"):
+        parabolic_quantum_product(rs, J, w, w)
 
 
 def test_corrupted_chevalley_coefficient_breaks_integrality():
@@ -308,7 +327,7 @@ def test_corrupted_chevalley_coefficient_breaks_integrality():
         for r, a in comb
         if a % den
     )
-    _corrupt_chevalley(eng, r % rs.rank + 1, eng.by_length[k - 1][r // rs.rank])
+    _corrupt_move(eng, eng.by_length[k - 1][r // rs.rank], r % rs.rank)
     # sigma_w' * sigma_e = sigma_w', so in the identity's own table row r of
     # level k reads the corrupted move and nothing else does; the public
     # product never extends that table, so read it off the table directly
@@ -316,27 +335,35 @@ def test_corrupted_chevalley_coefficient_breaks_integrality():
         _oriented_product(eng, eng.by_length[k][j], eng.index[identity(rs).perm])
 
 
-def _tamper_with_solved_products(monkeypatch, tamper):
-    """Pass the first nonempty product of every level solve through
-    tamper(eng, terms) before the checks of `_finalized` read it."""
+def _tamper_with_solved_products(monkeypatch, tamper, engine=None):
+    """Pass the first nonempty product of every level solve (of `engine`
+    only, if given) through tamper(eng, terms) before the checks of
+    `_finalized` read it."""
     solve = quantum._solve_level
 
     def tampered(eng, by, k):
         sol = solve(eng, by, k)
-        tamper(eng, next(terms for terms in sol if terms))
+        if engine in (None, eng):
+            tamper(eng, next(terms for terms in sol if terms))
         return sol
 
     monkeypatch.setattr(quantum, "_solve_level", tampered)
 
 
+def _negate(eng, terms):
+    key = next(iter(terms))
+    terms[key] = -terms[key]
+
+
+def _one_more_q(eng, terms):
+    # the packed degree sits above the basis size in the key: one more q1
+    key = next(iter(terms))
+    terms[key + eng.size] = terms.pop(key)
+
+
 def test_a_negative_structure_constant_is_refused(monkeypatch):
     rs, _ = _private_engine("A3")
-
-    def negate(eng, terms):
-        key = next(iter(terms))
-        terms[key] = -terms[key]
-
-    _tamper_with_solved_products(monkeypatch, negate)
+    _tamper_with_solved_products(monkeypatch, _negate)
     s1 = simple_reflection(rs, 1)
     with pytest.raises(RuntimeError, match="negative structure constant"):
         quantum_product(rs, s1, s1)
@@ -344,16 +371,42 @@ def test_a_negative_structure_constant_is_refused(monkeypatch):
 
 def test_a_term_off_the_grading_is_refused(monkeypatch):
     rs, _ = _private_engine("A3")
-
-    def one_more_q(eng, terms):
-        # the packed degree sits above |W| in the key: one more q1
-        key = next(iter(terms))
-        terms[key + eng.size] = terms.pop(key)
-
-    _tamper_with_solved_products(monkeypatch, one_more_q)
+    _tamper_with_solved_products(monkeypatch, _one_more_q)
     s1 = simple_reflection(rs, 1)
     with pytest.raises(RuntimeError, match="grading violation"):
         quantum_product(rs, s1, s1)
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [(_negate, "negative structure constant"), (_one_more_q, "grading violation")],
+    ids=["positivity", "grading"],
+)
+def test_a_tampered_g_mod_p_product_is_refused(monkeypatch, tamper, message):
+    # on Gr(2, 4) = A3/{1,3}, (c_1, q1) = 4: a term with one more q1 breaks
+    # l(y) + c_1(d) = l(u) + l(v); the Borel products behind the generator
+    # moves are left alone
+    rs = RootSystem(CartanType.parse("A3"))
+    J = ParabolicSubset.of([1, 3])
+    ring = _context(rs, J).ring
+    assert ring.weights == (4,)
+    _tamper_with_solved_products(monkeypatch, tamper, ring)
+    s2 = simple_reflection(rs, 2)
+    with pytest.raises(RuntimeError, match=message):
+        parabolic_quantum_product(rs, J, s2, s2)
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2"])
+def test_borel_generators_are_the_divisors(name):
+    # the instance J = {} of the level solver: its ring is the Borel engine,
+    # whose one generator group is the rank divisors, and no level adds one
+    rs = build_root_system(name)
+    ring = _context(rs, BOREL).ring
+    assert ring is _engine(rs)
+    _level_systems(ring)
+    assert [ring.elements[g] for g in ring.generators] == [
+        simple_reflection(rs, i) for i in range(1, rs.rank + 1)
+    ]
 
 
 def test_levels_are_shared_by_every_product(tmp_path, capsys):
