@@ -11,7 +11,7 @@ x = x' s_i and l(x) = l(x') + 1, it reads
 96, 1999).  An integral over G/B is the sum over fixed points x of
 (-1)^(N - l(x)) times the product of the localizations, divided by
 D = prod_{alpha > 0} ht(alpha), with N = dim G/B.  The fixed points are the
-engine's enumeration of W, with its index and its reflection tables, and x'
+engine's enumeration of W, with its index and its maps x -> x s_i, and x'
 is the canonical parent of x.  That is all this module shares with the
 engine: it reads no Chevalley coefficient and runs no linear solve, so these
 values cross-check the engine.
@@ -35,10 +35,10 @@ class _Localizations:
         eng = _engine(rs)
         self.elements, self.index = eng.elements, eng.index
         # per i, the pairs (u, u s_i) with l(u s_i) = l(u) + 1
+        lengths = eng.lengths
         ascents = [
-            [(t, self.index[eng.shifts[g](w.perm)]) for t, w in enumerate(self.elements)
-             if not w.is_right_descent(i)]
-            for i, g in enumerate(rs._simple_global, 1)
+            [(u, us) for u, us in enumerate(right) if lengths[us] > lengths[u]]
+            for right in eng.right
         ]
         self.rows = [[1] + [0] * (len(self.elements) - 1)]
         for x in self.elements[1:]:

@@ -28,7 +28,7 @@ from functools import cache, partial
 from itertools import product as iter_product
 
 from . import cache as cache_io
-from .compare import CheckResult, _quantum_context, check_comparison_consistency
+from .compare import CheckResult, _consistency, _quantum_context
 from .degrees import enumerate_alcove_lifts, peterson_lift
 from .quantum import _oriented_product, format_terms
 from .root_system import CartanType, ParabolicSubset, _parse_ints, build_root_system
@@ -315,10 +315,11 @@ def _degree_box(rs, parabolic, max_degree):
 
 def _suite_comparison(args):
     rs, parabolic = _context(args)
+    reads = {}  # each ordered product is read once for every degree of the box
     return [
         replace(result, name=f"d={list(degree)}: {result.name}")
         for degree in _degree_box(rs, parabolic, args.max_degree)
-        for result in check_comparison_consistency(rs, parabolic, degree)
+        for result in _consistency(rs, parabolic, degree, reads)
     ]
 
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import permutations
 from operator import itemgetter
 
 from .degrees import (
@@ -356,16 +355,33 @@ def check_comparison_consistency(
 
     Every ordered triple (a, b, c) whose lengths add up to dim G/P + c_1(d)
     is audited.  Its value is the coefficient of q^d sigma_{dual(c)} in the
-    product sigma_a * sigma_b, so each ordered product is read once per
-    degree, as the `rows` of two basis positions, and each permutation of a
-    triple is read off its own ordered product.  The value at the derived
-    parabolic P' is read the same way off the rows at P' (a minimal
-    representative mod J is one mod J' too), when d'' is graded there.  The
-    localization oracle is symmetric in its classes, so it runs once per
-    unordered triple.
+    product sigma_a * sigma_b, so each ordered product is read once, as the
+    `rows` of two basis positions, and each permutation of a triple is read
+    off its own ordered product.  The value at the derived parabolic P' is
+    read the same way off the rows at P' (a minimal representative mod J is
+    one mod J' too), when d'' is graded there.  The localization oracle is
+    symmetric in its classes, so it runs once per unordered triple.
 
     Returns a tuple of `CheckResult`s; a non-effective degree yields none.
     """
+    return _consistency(rs, parabolic, degree, {})
+
+
+def _read_by_degree(ctx, i, j, reads):
+    """The rows of the ordered pair (i, j) in `ctx` as {d: {y: c}}, read on
+    first use and kept in `reads` under (ctx, i, j)."""
+    key = (ctx, i, j)
+    got = reads.get(key)
+    if got is None:
+        got = reads[key] = {}
+        for _, d, y, c in ctx.rows(i, j):
+            got.setdefault(d, {})[y] = c
+    return got
+
+
+def _consistency(rs, parabolic, degree, reads) -> tuple:
+    """`check_comparison_consistency`, reading each ordered product through
+    `reads`, which a caller may share across the degrees of one audit."""
     degree = _as_degree(rs, parabolic, degree)
     if any(x < 0 for x in degree):
         return ()
@@ -387,43 +403,44 @@ def check_comparison_consistency(
         to_pprime = [at_pprime.position[w.perm] for w in basis]
         dual_pprime = [at_pprime.dual[k] for k in to_pprime]
 
-    values = {}
+    # per unordered triple, the values (at P, at P') of its ordered triples
+    triples = {}
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             thirds = by_length.get(target - a.length - b.length)
             if not thirds:
                 continue
-            at_p = {y: c for _, d, y, c in ctx.rows(i, j) if d == degree}
+            at_p = _read_by_degree(ctx, i, j, reads).get(degree, {})
             if graded_pprime:
-                rows = at_pprime.rows(to_pprime[i], to_pprime[j])
-                at_pp = {y: c for _, d, y, c in rows if d == cd.d_pprime}
+                rows = _read_by_degree(at_pprime, to_pprime[i], to_pprime[j], reads)
+                at_pp = rows.get(cd.d_pprime, {})
             for k in thirds:
                 value_pprime = at_pp.get(dual_pprime[k], 0) if graded_pprime else 0
-                values[i, j, k] = (at_p.get(dual[k], 0), value_pprime)
+                key = tuple(sorted((i, j, k)))
+                triples.setdefault(key, []).append((at_p.get(dual[k], 0), value_pprime))
     classical = not any(degree)
-    oracle = {}
-    asymmetric = mismatched = off_classical = 0
-    for ijk, (value, value_pprime) in values.items():
-        asymmetric += any(values[perm][0] != value for perm in permutations(ijk))
-        mismatched += value != value_pprime
+    graded = asymmetric = mismatched = off_classical = 0
+    for key, values in triples.items():
+        graded += len(values)
+        # the permutations of a graded triple are graded, so a class whose
+        # values differ makes every one of its ordered triples asymmetric
+        if len({value for value, _ in values}) > 1:
+            asymmetric += len(values)
+        mismatched += sum(value != value_pprime for value, value_pprime in values)
         if classical:
-            key = tuple(sorted(ijk))
-            expected = oracle.get(key)
-            if expected is None:
-                trip = [basis[k] for k in key]
-                expected = oracle[key] = classical_parabolic_invariant(rs, parabolic, trip)
-            off_classical += value != expected
+            expected = classical_parabolic_invariant(rs, parabolic, [basis[k] for k in key])
+            off_classical += sum(value != expected for value, _ in values)
 
     entries = [
         CheckResult(
             "permutation-symmetry",
             asymmetric == 0,
-            f"{len(values)} graded triples, {asymmetric} asymmetric",
+            f"{graded} graded triples, {asymmetric} asymmetric",
         ),
         CheckResult(
             "derived-parabolic-factorization",
             stable and mismatched == 0,
-            f"lift stable: {stable}; {len(values)} triples, {mismatched} mismatched",
+            f"lift stable: {stable}; {graded} triples, {mismatched} mismatched",
         ),
     ]
     if classical:
@@ -431,7 +448,7 @@ def check_comparison_consistency(
             CheckResult(
                 "classical-degree-zero",
                 off_classical == 0,
-                f"{len(values)} triples, {off_classical} mismatched",
+                f"{graded} triples, {off_classical} mismatched",
             )
         )
     return tuple(entries)

@@ -58,7 +58,7 @@ thread, or give a thread a private engine by constructing its own
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cache
+from functools import cache, cached_property
 from math import gcd
 from operator import itemgetter, mul
 
@@ -215,33 +215,72 @@ class _BorelEngine(_Engine):
     def __init__(self, rs):
         super().__init__(rs, enumerate_min_reps(rs, BOREL), rs.npos, (2,) * rs.rank)
         self.index = {w.perm: x for x, w in enumerate(self.elements)}
-        self.shifts = [itemgetter(*rs.reflection_perm(g)) for g in range(rs.npos)]
         divisors = (self.index[simple_reflection(rs, i).perm] for i in range(1, rs.rank + 1))
         self.groups.append((1, tuple(divisors), [], []))
+
+    @cached_property
+    def right(self):
+        """Per simple reflection s_i, the index of x s_i per element index x.
+        An element is fixed by its images of the simple roots, and x s_i
+        sends alpha_k to x(s_i alpha_k), so each (x, i) costs a lookup of
+        rank root indices, not a product of whole permutations."""
+        simple, elements = self.rs._simple_global, self.elements
+        images = itemgetter(*simple)
+        position = {images(w.perm): x for x, w in enumerate(elements)}
+        return [
+            tuple(position[by(w.perm)] for w in elements)
+            for by in (itemgetter(*[perm[g] for g in simple]) for perm in self.rs.simple_perms)
+        ]
+
+    @cached_property
+    def reflections(self):
+        """Per positive root alpha, the index of x s_alpha per element index
+        x.  A simple root's map is `right`; any other alpha is s_j beta for
+        a positive root beta of smaller height, so x s_alpha = x s_j s_beta s_j
+        composes the maps a whole column at a time."""
+        rs, right = self.rs, self.right
+        heights = [sum(alpha) for alpha in rs.positive_roots]
+        maps = [None] * rs.npos
+        for i, g in enumerate(rs._simple_global):
+            maps[g] = right[i]
+        for g in sorted(range(rs.npos), key=heights.__getitem__):
+            if maps[g] is None:
+                j, beta = next(
+                    (j, perm[g]) for j, perm in enumerate(rs.simple_perms)
+                    if heights[perm[g]] < heights[g]
+                )
+                maps[g] = itemgetter(*itemgetter(*right[j])(maps[beta]))(right[j])
+        return maps
 
     def _grow(self, group, end):
         """Per element x: per divisor i, the (key delta, coefficient) of each
         term of sigma_{s_i} * sigma_x; and the quantum moves of x as (coroot,
         key delta of q^coroot, element index)."""
         _, _, chevalley, qmoves_of = group
-        index, lengths, rank = self.index, self.lengths, self.rs.rank
+        lengths, rank = self.lengths, self.rs.rank
+        # per positive root: x -> x s_alpha, the coroot, the key delta of its
+        # q-shift, the length drop 2 ht(coroot) - 1 of a quantum move, and
+        # the divisors (i, coefficient) it feeds
+        roots = [
+            (reflection, cor, self.pack(cor) * self.size, 2 * sum(cor) - 1,
+             [(i, a) for i, a in enumerate(cor) if a])
+            for reflection, cor in zip(self.reflections, self.rs.positive_coroots)
+        ]
         for x in range(len(chevalley), end):
-            perm, lx = self.elements[x].perm, lengths[x]
+            lx = lengths[x]
             per_divisor = [[] for _ in range(rank)]
             qmoves = []
-            for shift_by, cor in zip(self.shifts, self.rs.positive_coroots):
-                y = index[shift_by(perm)]
+            for reflection, cor, shift, drop, feeds in roots:
+                y = reflection[x]
                 if lengths[y] == lx + 1:
                     delta = y - x
-                elif lengths[y] == lx + 1 - 2 * sum(cor):
-                    shift = self.pack(cor) * self.size
+                elif lengths[y] == lx - drop:
                     delta = shift + y - x
                     qmoves.append((cor, shift, y))
                 else:
                     continue
-                for i, a in enumerate(cor):
-                    if a:
-                        per_divisor[i].append((delta, a))
+                for i, a in feeds:
+                    per_divisor[i].append((delta, a))
             chevalley.append(tuple(map(tuple, per_divisor)))
             qmoves_of.append(tuple(qmoves))
 
@@ -272,17 +311,27 @@ def _finalized(eng, terms, grade):
     return terms
 
 
-def _combine(s, y, f, x):
-    """y = s * y + f * x on sparse dicts, dropping the entries that cancel."""
+def _combine(s, y, f, x, holding=None, r=None):
+    """y = s * y + f * x on sparse dicts, dropping the entries that cancel.
+    With `holding`, the sets of rows that hold each key, row r's entries
+    are kept in it as keys appear and cancel."""
     if s != 1:
         for key in y:
             y[key] *= s
     for key, a in x.items():
-        c = y.get(key, 0) + f * a
-        if c:
+        c = f * a
+        if key in y:
+            c += y[key]
+            if c:
+                y[key] = c
+            else:
+                del y[key]
+                if holding is not None:
+                    holding[key].discard(r)
+        elif c:
             y[key] = c
-        else:
-            y.pop(key, None)
+            if holding is not None:
+                holding[key].add(r)
 
 
 def _left_inverse(rows, ncols):
@@ -300,8 +349,14 @@ def _left_inverse(rows, ncols):
     """
     m = [dict(row) for row in rows]
     comb = [{r: 1} for r in range(len(rows))]
+    # the rows that hold each column, kept up to date as rows change
+    holding = [set() for _ in range(ncols)]
+    for r, row in enumerate(m):
+        for key in row:
+            holding[key].add(r)
     for col in range(ncols):
-        holders = [r for r, row in enumerate(m) if col in row]
+        # in row order, so that a tie goes to the first sparsest row
+        holders = sorted(holding[col])
         piv = min(
             (r for r in holders if r >= col),
             key=lambda r: (len(m[r]), len(comb[r])),
@@ -317,15 +372,22 @@ def _left_inverse(rows, ncols):
             row, rcomb = m[r], comb[r]
             f = row[col]
             g = gcd(p, f)
-            _combine(p // g, row, -f // g, pivot)
+            _combine(p // g, row, -f // g, pivot, holding, r)
             _combine(p // g, rcomb, -f // g, pcomb)
             g = gcd(*row.values(), *rcomb.values())
             if g != 1:
                 for vec in (row, rcomb):
                     for key in vec:
                         vec[key] //= g
+        swapped = (col, piv) if piv != col else ()
+        for r in swapped:
+            for key in m[r]:
+                holding[key].discard(r)
         m[col], m[piv] = m[piv], m[col]
         comb[col], comb[piv] = comb[piv], comb[col]
+        for r in swapped:
+            for key in m[r]:
+                holding[key].add(r)
     inverse = []
     for col in range(ncols):
         den, terms = m[col][col], comb[col]

@@ -376,6 +376,25 @@ def test_classical_oracle_runs_once_per_unordered_triple(monkeypatch, name, j_no
     assert set(calls.values()) == {1}
 
 
+def test_comparison_suite_reads_each_ordered_product_once(monkeypatch, capsys):
+    # the suite reads the rows of an ordered pair once for all the degrees
+    # of its box, in P and in each derived parabolic P' alike
+    calls = Counter()
+    true_rows = _Context.rows
+
+    def rows(self, i, j):
+        calls[self.parabolic, i, j] += 1
+        return true_rows(self, i, j)
+
+    monkeypatch.setattr(_Context, "rows", rows)
+    argv = ["check", "--suite", "comparison", "--type", "A3", "--parabolic", "2",
+            "--max-degree", "3"]
+    assert main(argv) == 0
+    assert "suite comparison: PASS" in capsys.readouterr().out
+    assert {parabolic for parabolic, _, _ in calls} > {P2}
+    assert set(calls.values()) == {1}
+
+
 def test_classical_check_counts_every_ordering(monkeypatch, capsys):
     # an oracle off by one on one unordered triple of three distinct classes
     # on Gr(2, 4) fails the degree-zero check on each of its six orderings
