@@ -9,6 +9,7 @@ from .compare import (
     gw_invariant,
     parabolic_gw_invariant,
     parabolic_quantum_product,
+    quantum_product,
     star,
 )
 from .degrees import (
@@ -22,7 +23,6 @@ from .quantum import (
     BOREL,
     QClass,
     format_qclass,
-    quantum_product,
 )
 from .root_system import (
     CartanType,
@@ -41,7 +41,6 @@ from .weyl import (
     longest_element,
     min_coset_rep,
     parse_word,
-    reflection,
     simple_reflection,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "peterson_lift",
     "push_degree",
     "quantum_product",
-    "reflection",
     "simple_reflection",
     "star",
 ]

@@ -13,20 +13,20 @@ c_1 off the G/P context, checks that its bytes are exactly the canonical
 document the writer gives for its content: the format version, the
 type/parabolic header, one entry per (u, v) pair of basis words in the basis
 order, exactly the keys {u, v, terms} on an entry and {w, q, c} on a term,
-every term word a basis word, non-negative int q-degrees with one coordinate
-per free node, positive int coefficients, the grading
-l(w) + c_1(q) = l(u) + l(v) on every term, and the unit row: the entries
-(e, v) and (v, e) are the single term sigma_v.  It reads the file in chunks,
-splits them at the fixed text between entries and checks each distinct term
-text once; it never decodes the file as JSON, and it rejects the file as
-soon as the text after the last split outgrows the longest entry the basis
-allows.  A cache file is trusted only after this pass; anything else, a file
-that decodes to a valid table in another layout included, is reported back.
-The pass also writes every text table, fresh or cached, line by line, so
-the text format lives here, beside its term rendering.  A table is copied
-out of the file it was checked or written through, from the same handle, so
-no document is held in memory.  Writes are whole-file atomic, and a cache
-file gets mode 0666 less the umask.
+at least one term on an entry, every term word a basis word, non-negative
+int q-degrees with one coordinate per free node, positive int coefficients,
+the grading l(w) + c_1(q) = l(u) + l(v) on every term, and the unit row: the
+entries (e, v) and (v, e) are the single term sigma_v.  It reads the file in
+chunks, splits them at the fixed text between entries and checks each
+distinct term text once; it never decodes the file as JSON, and it rejects
+the file as soon as the text after the last split outgrows the longest entry
+the basis allows.  A cache file is trusted only after this pass; anything
+else, a file that decodes to a valid table in another layout included, is
+reported back.  The pass also writes every text table, fresh or cached, line
+by line, so the text format lives here, beside its term rendering.  A table
+is copied out of the file it was checked or written through, from the same
+handle, so no document is held in memory.  Writes are whole-file atomic, and
+a cache file gets mode 0666 less the umask.
 """
 
 from __future__ import annotations
@@ -214,7 +214,8 @@ def check_document(handle, ctx, words, text=None):
         if body.startswith(_TERMS_OPEN) and body.endswith(_TERMS_CLOSE + keys):
             items = body[len(_TERMS_OPEN):-len(_TERMS_CLOSE + keys)].split(_TERM_SEP)
         elif body == f"{_TERMS}[]{keys}":
-            items = ()
+            # a product of two Schubert classes has a term of least q-degree
+            return f"sigma[{words[i]}] * sigma[{words[j]}] has no terms"
         elif _fields(body, " " * 6, ("terms", "u", "v")) is None:
             return "malformed entry"
         elif not body.endswith(keys):
@@ -234,7 +235,7 @@ def check_document(handle, ctx, words, text=None):
             return f"sigma[{words[i]}] * sigma[{words[j]}] is not sigma[{words[i + j]}]"
         if text is not None:
             # as format_terms joins the renderings of its terms
-            terms = " + ".join(map(rendered.__getitem__, items)) or "0"
+            terms = " + ".join(map(rendered.__getitem__, items))
             text.write(f"sigma[{words[i]}] * sigma[{words[j]}] = {terms}\n")
         return None
 

@@ -11,10 +11,11 @@ x = x' s_i and l(x) = l(x') + 1, it reads
 96, 1999).  An integral over G/B is the sum over fixed points x of
 (-1)^(N - l(x)) times the product of the localizations, divided by
 D = prod_{alpha > 0} ht(alpha), with N = dim G/B.  The fixed points are the
-engine's enumeration of W, with its index and its maps x -> x s_i, and x'
-is the canonical parent of x.  That is all this module shares with the
-engine: it reads no Chevalley coefficient and runs no linear solve, so these
-values cross-check the engine.
+engine's enumeration of W, with its index and its maps R_i: x -> x s_i, and
+x' = R_i(x) is the canonical parent of x, for the smallest i with
+l(R_i(x)) < l(x).  The enumeration, the index and the R_i are all this
+module shares with the engine: it reads no Chevalley coefficient and runs no
+linear solve, so these values cross-check the engine.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import prod
 
 from .quantum import BOREL, QClass, _engine
 from .root_system import ParabolicSubset, RootSystem
-from .weyl import WeylElement, _canonical_parent, longest_element, min_coset_rep
+from .weyl import WeylElement, longest_element, min_coset_rep
 
 
 class _Localizations:
@@ -35,18 +36,20 @@ class _Localizations:
         eng = _engine(rs)
         self.elements, self.index = eng.elements, eng.index
         # per i, the pairs (u, u s_i) with l(u s_i) = l(u) + 1
-        lengths = eng.lengths
+        lengths, right = eng.lengths, eng.right
         ascents = [
-            [(u, us) for u, us in enumerate(right) if lengths[us] > lengths[u]]
-            for right in eng.right
+            [(u, us) for u, us in enumerate(r) if lengths[us] > lengths[u]]
+            for r in right
         ]
         self.rows = [[1] + [0] * (len(self.elements) - 1)]
-        for x in self.elements[1:]:
-            xp, i = _canonical_parent(x)
-            height = sum(rs.positive_roots[xp.perm[rs._simple_global[i - 1]]])
-            prev = self.rows[self.index[xp.perm]]
+        for x in range(1, len(self.elements)):
+            # the canonical parent x' = x s_i, for the smallest right descent i
+            i = next(i for i, r in enumerate(right) if lengths[r[x]] < lengths[x])
+            xp = right[i][x]
+            height = sum(rs.positive_roots[self.elements[xp].perm[rs._simple_global[i]]])
+            prev = self.rows[xp]
             row = list(prev)
-            for u, us in ascents[i - 1]:
+            for u, us in ascents[i]:
                 if prev[u]:
                     row[us] += height * prev[u]
             self.rows.append(row)

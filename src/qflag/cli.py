@@ -28,14 +28,14 @@ from functools import cache, partial
 from itertools import product as iter_product
 
 from . import cache as cache_io
-from .compare import CheckResult, _consistency, _quantum_context
+from .compare import CheckResult, _consistency, _context
 from .degrees import enumerate_alcove_lifts, peterson_lift
 from .quantum import _oriented_product, format_terms
 from .root_system import CartanType, ParabolicSubset, _parse_ints, build_root_system
 from .weyl import EnumerationBoundError, format_word, from_word, min_coset_rep, parse_word
 
 
-def _context(args):
+def _parse_ring(args):
     ctype = CartanType.parse(args.type)
     rs = build_root_system(ctype)
     parabolic = ParabolicSubset.parse(args.parabolic)
@@ -103,11 +103,11 @@ def _normalize_classes(rs, parabolic, elements):
 
 
 def cmd_lift(args):
-    rs, parabolic = _context(args)
+    rs, parabolic = _parse_ring(args)
     degree = _parse_degree(args.degree, len(parabolic.free_nodes(rs.rank)))
     if any(x < 0 for x in degree):
         raise ValueError(f"degree {list(degree)} is not effective")
-    cd = _quantum_context(rs, parabolic).degree(degree)
+    cd = _context(rs, parabolic).degree(degree)
     payload = {
         "type": str(rs.cartan_type),
         "parabolic": list(parabolic.indices),
@@ -133,7 +133,7 @@ def cmd_lift(args):
 
 
 def cmd_gw(args):
-    rs, parabolic = _context(args)
+    rs, parabolic = _parse_ring(args)
     elements = _parse_classes(rs, args.classes)
     if len(elements) < 3:
         raise ValueError("need at least three classes")
@@ -141,7 +141,7 @@ def cmd_gw(args):
     elements, warnings = _normalize_classes(rs, parabolic, elements)
     note = None
     if all(x >= 0 for x in degree):
-        ctx = _quantum_context(rs, parabolic)
+        ctx = _context(rs, parabolic)
         value = ctx.invariant(elements, degree)
         d_b = list(ctx.degree(degree).d_B)
     else:
@@ -169,10 +169,10 @@ def cmd_gw(args):
 
 
 def cmd_mul(args):
-    rs, parabolic = _context(args)
+    rs, parabolic = _parse_ring(args)
     u, v = (_parse_class(rs, text) for text in (args.u, args.v))
     (u, v), warnings = _normalize_classes(rs, parabolic, [u, v])
-    ctx = _quantum_context(rs, parabolic)
+    ctx = _context(rs, parabolic)
     terms = [
         (format_word(ctx.basis[y].word), d, c)
         for _, d, y, c in ctx.product(ctx.position[u.perm], ctx.position[v.perm])
@@ -210,9 +210,9 @@ def _mirrored(n, value):
 
 
 def cmd_table(args):
-    rs, parabolic = _context(args)
+    rs, parabolic = _parse_ring(args)
     type_name = str(rs.cartan_type)
-    ctx = _quantum_context(rs, parabolic)
+    ctx = _context(rs, parabolic)
     cache_dir = args.cache_dir or cache_io.default_cache_dir()
     path = cache_io.table_path(cache_dir, type_name, parabolic)
     words = [format_word(w.word) for w in ctx.basis]
@@ -270,7 +270,7 @@ def cmd_table(args):
 
 
 def _suite_associativity(args):
-    ctx = _quantum_context(*_context(args))
+    ctx = _context(*_parse_ring(args))
     order = len(ctx.basis)
     if order**3 <= 1000:
         triples = list(iter_product(range(order), repeat=3))
@@ -300,7 +300,7 @@ def _suite_associativity(args):
 def _suite_recursion(args):
     # the level recursion on W^J against Peterson's readout of the Borel
     # product, on every ordered pair of basis classes
-    ctx = _quantum_context(*_context(args))
+    ctx = _context(*_parse_ring(args))
     n = len(ctx.basis)
     mismatched = sum(ctx.product(i, j) != ctx.rows(i, j) for i in range(n) for j in range(n))
     return [CheckResult("recursion", mismatched == 0,
@@ -314,7 +314,7 @@ def _degree_box(rs, parabolic, max_degree):
 
 
 def _suite_comparison(args):
-    rs, parabolic = _context(args)
+    rs, parabolic = _parse_ring(args)
     reads = {}  # each ordered product is read once for every degree of the box
     return [
         replace(result, name=f"d={list(degree)}: {result.name}")
@@ -324,7 +324,7 @@ def _suite_comparison(args):
 
 
 def _suite_lift_oracle(args):
-    rs, parabolic = _context(args)
+    rs, parabolic = _parse_ring(args)
     results = []
     for degree in _degree_box(rs, parabolic, args.max_degree):
         hits = enumerate_alcove_lifts(rs, parabolic, degree, window=args.window)

@@ -260,6 +260,8 @@ class _Context:
 
 @cache
 def _context(rs: RootSystem, parabolic: ParabolicSubset) -> _Context:
+    if not parabolic.free_nodes(rs.rank):
+        raise ValueError("the full parabolic has no quantum parameters")
     return _Context(rs, parabolic)
 
 
@@ -301,10 +303,10 @@ def gw_invariant(rs: RootSystem, classes, degree) -> int:
     return parabolic_gw_invariant(rs, BOREL, classes, degree)
 
 
-def _quantum_context(rs: RootSystem, parabolic: ParabolicSubset) -> _Context:
-    if not parabolic.free_nodes(rs.rank):
-        raise ValueError("the full parabolic has no quantum parameters")
-    return _context(rs, parabolic)
+def quantum_product(rs: RootSystem, u: WeylElement, v: WeylElement) -> QClass:
+    """Quantum product of two Schubert classes on the full flag variety,
+    which is the G/P product at J = {}."""
+    return parabolic_quantum_product(rs, BOREL, u, v)
 
 
 def parabolic_quantum_product(
@@ -323,7 +325,7 @@ def star(a: QClass, b: QClass) -> QClass:
     position of its minimal one, and `_Context.times` multiplies there."""
     a._compatible(b)
     rs, parabolic = a.rs, a.parabolic
-    ctx = _quantum_context(rs, parabolic)
+    ctx = _context(rs, parabolic)
     basis, position = ctx.basis, ctx.position
 
     def positions(qc):

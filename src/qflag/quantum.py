@@ -41,7 +41,9 @@ base dim + 1.  A generator move of x adds a fixed int to the key.  The
 grading gives q_i the weight (c_1, d_i), which is 2 on G/B and at least 2
 on every G/P, and every term of a product of degree l(u) + l(v) <= 2 dim has
 l(x) + (c_1, d) = l(u) + l(v); so no coordinate of d exceeds dim or carries
-into the next.  Products become `QClass`es or rows only on the way out.
+into the next.  Products become rows or `QClass`es only on the way out,
+in `compare._Context`, which reads both rings alike: `quantum_product` is
+`parabolic_quantum_product` at J = {}.
 
 Products are memoized per longer factor, in one engine per ring:
 sigma_u * sigma_v is read off the table of whichever of u, v comes later in
@@ -62,8 +64,8 @@ from functools import cache, cached_property
 from math import gcd
 from operator import itemgetter, mul
 
-from .root_system import ParabolicSubset, RootSystem
-from .weyl import WeylElement, enumerate_min_reps, format_word, simple_reflection
+from .root_system import ParabolicSubset
+from .weyl import enumerate_min_reps, format_word, simple_reflection
 
 BOREL = ParabolicSubset()
 
@@ -561,12 +563,3 @@ def _int_product(eng, x, y):
         x, y = y, x
     return _products(eng, y, eng.lengths[x])[x]
 
-
-def quantum_product(rs: RootSystem, u: WeylElement, v: WeylElement) -> QClass:
-    """Quantum product of two Schubert classes on the full flag variety."""
-    eng = _engine(rs)
-    terms = _int_product(eng, eng.index[u.perm], eng.index[v.perm])
-    return QClass(rs, BOREL, {
-        (eng.elements[key % eng.size], eng.degree(key // eng.size)): c
-        for key, c in terms.items()
-    })

@@ -167,11 +167,14 @@ def _cartan_matrix(series, n):
 
 
 class RootSystem:
-    """Positive roots, coroots and reflection tables for a finite Cartan type.
+    """Positive roots, coroots and the simple reflections' permutations of the
+    roots for a finite Cartan type.
 
-    Immutable after construction; all derived data is precomputed with
-    deterministic orderings (roots graded by height, lexicographic within a
-    height), so downstream output is reproducible byte for byte.
+    The roots are built in a deterministic order (graded by height,
+    lexicographic within a height), so downstream output is reproducible
+    byte for byte.  Nothing changes after construction except the memo of
+    `parabolic_root_indices`, filled per parabolic on first use.  Any other
+    reflection acts through the Borel engine's index maps.
     """
 
     def __init__(self, cartan_type: CartanType):
@@ -189,10 +192,7 @@ class RootSystem:
             self._index[self._basis(i0)] for i0 in range(self.rank)
         )
         self.identity_perm = tuple(range(self.nroots))
-        self._reflection_perms = [None] * self.npos
-        self.simple_perms = tuple(
-            self.reflection_perm(self._simple_global[i0]) for i0 in range(self.rank)
-        )
+        self.simple_perms = tuple(self._simple_perm(i0) for i0 in range(self.rank))
         self._parabolic_roots = {}
 
     # -- construction ------------------------------------------------------
@@ -245,38 +245,16 @@ class RootSystem:
                 raise RuntimeError(f"coroot normalization failed for root {r}")
         return roots, coroots
 
+    def _simple_perm(self, i0):
+        """The permutation of the root list by s_i: r -> r - <r, alpha_i^vee>
+        alpha_i, where alpha_i is its own coroot in these coordinates."""
+        alpha = self._basis(i0)
+        return tuple(
+            self._index[r[:i0] + (r[i0] - self.pairing(r, alpha),) + r[i0 + 1:]]
+            for r in sorted(self._index, key=self._index.get)
+        )
+
     # -- lookups -----------------------------------------------------------
-
-    def root_vector(self, g):
-        if g < self.npos:
-            return self.positive_roots[g]
-        return tuple(-x for x in self.positive_roots[g - self.npos])
-
-    def positive_index(self, alpha) -> int:
-        g = self._index.get(tuple(alpha))
-        if g is None or g >= self.npos:
-            raise ValueError(f"{tuple(alpha)} is not a positive root of {self.cartan_type}")
-        return g
-
-    def reflection_perm(self, g):
-        """Permutation of the full root list induced by the reflection in the
-        g-th positive root."""
-        if not 0 <= g < self.npos:
-            raise ValueError("reflection index out of range")
-        perm = self._reflection_perms[g]
-        if perm is None:
-            alpha = self.positive_roots[g]
-            cov = self.positive_coroots[g]
-            images = []
-            for h in range(self.nroots):
-                r = self.root_vector(h)
-                c = self.pairing(r, cov)
-                images.append(
-                    self._index[tuple(r[j] - c * alpha[j] for j in range(self.rank))]
-                )
-            perm = tuple(images)
-            self._reflection_perms[g] = perm
-        return perm
 
     def pairing(self, root, coweight) -> int:
         if len(root) != self.rank or len(coweight) != self.rank:

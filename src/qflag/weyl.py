@@ -63,12 +63,6 @@ class WeylElement:
         p, q = self.perm, other.perm
         return WeylElement(rs, tuple(map(p.__getitem__, q)))
 
-    def inverse(self) -> "WeylElement":
-        inv = [0] * len(self.perm)
-        for g, h in enumerate(self.perm):
-            inv[h] = g
-        return WeylElement(self.rs, tuple(inv))
-
     def is_right_descent(self, i: int) -> bool:
         """True iff multiplying by s_i on the right shortens the element."""
         g = self.rs._simple_global[i - 1]
@@ -104,11 +98,6 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     if not 1 <= i <= rs.rank:
         raise ValueError(f"generator index {i} out of range for {rs.cartan_type}")
     return WeylElement(rs, rs.simple_perms[i - 1])
-
-
-def reflection(rs: RootSystem, alpha) -> WeylElement:
-    """Reflection in a positive root, as a group element."""
-    return WeylElement(rs, rs.reflection_perm(rs.positive_index(alpha)))
 
 
 def from_word(rs: RootSystem, word) -> WeylElement:

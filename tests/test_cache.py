@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from qflag import ParabolicSubset, build_root_system, format_word
 from qflag.cache import check_document, new_document, terms_encoder, write_document
 from qflag.cli import main
-from qflag.compare import _quantum_context
+from qflag.compare import _context
 
 
 def reference(doc):
@@ -256,6 +256,28 @@ def test_a_cache_file_off_the_unit_row_is_recomputed(tmp_path, capsys, k, pair):
     assert warning == f"warning: ignoring cache {path}: {pair}"
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_a_cache_entry_with_no_terms_is_recomputed(tmp_path, capsys, fmt):
+    # a quantum product of two Schubert classes is never 0: its q-degrees
+    # have a unique minimum, so an emptied entry off the unit row is refused
+    argv = ["table", "--type", "A2", "--parabolic", "2", *fmt, "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    path = tmp_path / "A2-2.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    entry = doc["entries"][4]
+    assert (entry["u"], entry["v"]) == ("s1", "s1")
+    entry["terms"] = []
+    path.write_text(reference(doc), encoding="utf-8")
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == expected
+    assert err.splitlines() == [
+        f"warning: ignoring cache {path}: sigma[s1] * sigma[s1] has no terms",
+        f"cache write: {path}",
+    ]
+
+
 def test_an_edited_unit_coefficient_of_b3_is_recomputed(tmp_path, capsys):
     argv = ["table", "--type", "B3", "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
@@ -294,7 +316,7 @@ def test_a_run_on_cache_file_is_rejected_early(tmp_path, capsys):
             self.count += len(text)
             return text
 
-    ctx = _quantum_context(build_root_system("A2"), ParabolicSubset.of([2]))
+    ctx = _context(build_root_system("A2"), ParabolicSubset.of([2]))
     words = [format_word(w.word) for w in ctx.basis]
     with open(path, encoding="utf-8", newline="") as handle:
         counting = Counting(handle)

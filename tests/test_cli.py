@@ -456,6 +456,28 @@ def test_commutativity_audit_compares_two_recursions(capsys, monkeypatch, parabo
     ]
 
 
+def test_associativity_audit_counts_a_failing_triple(capsys, monkeypatch):
+    # a private engine, so that the corruption stays in this test
+    rs = RootSystem(CartanType.parse("A2"))
+    monkeypatch.setattr(cli, "build_root_system", lambda ctype: rs)
+    ctx = _context(rs, ParabolicSubset.of([2]))
+    ring = ctx.ring
+    s1 = ctx.position[from_word(rs, (1,)).perm]
+    # one more in a coefficient of sigma_{s1} * sigma_{s1} in s1's own table
+    _oriented_product(ring, s1, s1)
+    corrupted = ring.tables[s1][s1]
+    corrupted[next(iter(corrupted))] += 1
+    code, out, _ = run(
+        capsys, "check", "--suite", "associativity", "--type", "A2", "--parabolic", "2"
+    )
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL associativity (all 27 triples)",
+        "FAIL commutativity (all 27 triples)",
+        "suite associativity: FAIL",
+    ]
+
+
 # (type, parabolic, number of classes): the spaces the recursion suite pins
 _RECURSION_SPACES = [
     ("A3", "2", 12), ("A4", "1,4", 30), ("A4", "2,3", 20), ("A4", "2,3,4", 5),

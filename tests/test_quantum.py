@@ -316,6 +316,32 @@ def test_corrupted_generator_move_breaks_consistency_on_g_mod_p():
         parabolic_quantum_product(rs, J, w, w)
 
 
+def test_an_inconsistent_row_of_a_later_generator_group_is_named(monkeypatch):
+    # on A4/{1,4}, rows 8 and 9 of level 3 are the block of the length-2
+    # generator, after the 4 x 2 rows of the divisors; no column of the level
+    # inverse reads them, so a term added to row 8 shows only in its residual
+    rs = RootSystem(CartanType.parse("A4"))
+    J = ParabolicSubset.of([1, 4])
+    ring = _context(rs, J).ring
+    w = ring.elements[ring.by_length[3][0]]
+    parabolic_quantum_product(rs, J, ring.elements[ring.by_length[2][0]], w)
+    assert [ring.lengths[g] for g in ring.generators] == [1, 1, 2]
+    rows, inverse = _level(ring, 3)
+    assert len(rows) == 10
+    assert not {8, 9} & {r for _, comb in inverse for r, _ in comb}
+    solve = quantum._right_hand_sides
+
+    def one_more_term_on_row_8(eng, by, k):
+        rhs = solve(eng, by, k)
+        if k == 3:
+            rhs[8][0] = rhs[8].get(0, 0) + 1
+        return rhs
+
+    monkeypatch.setattr(quantum, "_right_hand_sides", one_more_term_on_row_8)
+    with pytest.raises(RuntimeError, match=r"inconsistent on row \(s2, s1s2\)$"):
+        parabolic_quantum_product(rs, J, w, w)
+
+
 def test_corrupted_chevalley_coefficient_breaks_integrality():
     rs, eng = _private_engine("B3")
     # a column of the level inverse and a row it uses with a coefficient

@@ -93,7 +93,7 @@ def test_simple_roots_are_basis_vectors(name):
     rs = build_root_system(name)
     for i0 in range(rs.rank):
         e = tuple(1 if j == i0 else 0 for j in range(rs.rank))
-        g = rs.positive_index(e)
+        g = rs._simple_global[i0]
         assert rs.positive_roots[g] == e
         assert rs.positive_coroots[g] == e
 

@@ -14,10 +14,10 @@ from qflag import (
     longest_element,
     min_coset_rep,
     parse_word,
-    reflection,
     simple_reflection,
 )
 from qflag import weyl
+from qflag.quantum import _engine
 
 # Poincaré polynomials from the exponent product formula, frozen:
 # A2: (1+t)(1+t+t^2), A3: (1+t)(1+t+t^2)(1+t+t^2+t^3), B2: (1+t)(1+t+t^2+t^3)
@@ -69,7 +69,6 @@ def test_a2_longest_and_braid():
     assert w.length == 3
     assert w == longest_element(rs, ParabolicSubset.full(2))
     assert s2 * s1 * s2 == s1 * s2 * s1
-    assert reflection(rs, (1, 1)) == w
 
 
 def test_words_are_canonical_and_reduced():
@@ -103,15 +102,26 @@ def test_word_ends_in_the_smallest_right_descent(name, nodes):
         assert w.word[:-1] == (w * simple_reflection(rs, i)).word
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
-def test_reflection_length_parity(name):
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4", "F4"])
+def test_engine_reflection_maps(name):
+    # the engine's map of each positive root alpha sends x to x s_alpha, and
+    # moves the length by an odd amount; s_alpha = w s_i w^-1 for any w, i
+    # with w(alpha_i) = alpha, built from words here
     rs = build_root_system(name)
-    refls = [reflection(rs, alpha) for alpha in rs.positive_roots]
-    for w in enumerate_min_reps(rs, ParabolicSubset()):
-        for t in refls:
-            moved = (w * t).length
-            assert moved != w.length
-            assert (moved - w.length) % 2 == 1
+    eng = _engine(rs)
+    npos = rs.npos
+    reflections = {}
+    for w in eng.elements:
+        for i in range(1, rs.rank + 1):
+            g = w.perm[rs._simple_global[i - 1]]
+            if g < npos and g not in reflections:
+                reflections[g] = from_word(rs, w.word + (i,) + w.word[::-1])
+    assert sorted(reflections) == list(range(npos))
+    for g, s_alpha in reflections.items():
+        moved = eng.reflections[g]
+        for x, w in enumerate(eng.elements):
+            assert eng.elements[moved[x]] == w * s_alpha
+            assert (eng.lengths[moved[x]] - eng.lengths[x]) % 2 == 1
 
 
 def test_group_axioms_sampled():
@@ -122,7 +132,7 @@ def test_group_axioms_sampled():
     for _ in range(50):
         a, b, c = (elements[rng.randrange(len(elements))] for _ in range(3))
         assert (a * b) * c == a * (b * c)
-        assert a * a.inverse() == e
+        assert a * from_word(rs, a.word[::-1]) == e
         assert (a * b).length <= a.length + b.length
 
 
