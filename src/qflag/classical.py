@@ -88,6 +88,7 @@ def _integral(rs: RootSystem, classes) -> int:
 def classical_product(rs: RootSystem, u: WeylElement, v: WeylElement) -> QClass:
     """Cup product of two Schubert classes on G/B: the coefficient of sigma_x
     is the integral of sigma_u sigma_v sigma_{w_o x}, over l(x) = l(u) + l(v)."""
+    rs.check_elements(u, v)
     w_o = longest_element(rs, ParabolicSubset.full(rs.rank))
     zero = (0,) * rs.rank
     grade = u.length + v.length
@@ -109,5 +110,6 @@ def classical_parabolic_invariant(rs: RootSystem, parabolic: ParabolicSubset, cl
     sigma_{w_J} to G/P is the unit class."""
     if len(classes) != 3:
         raise ValueError("the classical oracle takes exactly three classes")
+    rs.check_elements(*classes)
     u, v, w = (min_coset_rep(x, parabolic) for x in classes)
     return _integral(rs, (u, v, w, longest_element(rs, parabolic)))

@@ -73,12 +73,12 @@ class ComparisonData:
 
 
 class _CosetEngine(_Engine):
-    """The level solver on W^J.  Its generators are chosen as the levels are
-    built (`greedy`), and the moves of a generator g are the terms of
-    sigma_g * sigma_x in Peterson's readout.  The grading weight of q_i is
-    c_1 of the unit degree at the i-th free node."""
-
-    greedy = True
+    """The level solver on W^J.  Its generators are the classes that the
+    factorization of each level completes with unit rows (`quantum._level`):
+    the divisors at level 1, then the few classes of higher length that
+    Borel's presentation of H*(G/P) asks for.  The moves of a generator g
+    are the terms of sigma_g * sigma_x in Peterson's readout.  The grading
+    weight of q_i is c_1 of the unit degree at the i-th free node."""
 
     def __init__(self, ctx):
         free = range(len(ctx.free))
@@ -284,6 +284,7 @@ def parabolic_gw_invariant(rs: RootSystem, parabolic: ParabolicSubset, classes, 
     the three-point grading; it is not the n-point genus-zero invariant.
     """
     rs.check_parabolic(parabolic)
+    rs.check_elements(*classes)
     classes = [min_coset_rep(w, parabolic) for w in classes]
     if len(classes) < 3:
         raise ValueError("an invariant needs at least three classes")
@@ -331,6 +332,7 @@ def star(a: QClass, b: QClass) -> QClass:
     def positions(qc):
         out = {}
         for (w, d), c in qc.terms.items():
+            rs.check_elements(w)
             key = (position[min_coset_rep(w, parabolic).perm], d)
             out[key] = out.get(key, 0) + c
         return out

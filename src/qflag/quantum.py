@@ -11,28 +11,28 @@ per (generator g, class w' of length k - l(g)) pair,
 
 where the a_z sigma_z and the c q^d sigma_y are the classical and the
 quantum terms of sigma_g * sigma_{w'}, and the right-hand side is known by
-induction.  The generators are chosen so that the system has full column
-rank.  Its matrix of classical coefficients depends only on the ring and k,
-so it is factored once per (ring, length) by fraction-free Gauss-Jordan,
-pivoting each column on the sparsest row that holds it: an exact sparse left
-inverse, each column stored as integers over its least common denominator.
-For each right factor the inverse is applied to the right-hand sides, the
-result is divided exactly (a remainder is an error), every row of the system
-is checked, and every term is checked to be positive and graded.  A
-generator of length L has a unit row at level L (w' = e), so the same solve
-reads its products off the right-hand sides.  Everything is integer
-arithmetic; no Fractions and no floats.  The recursion has one mode, the
-quantum one: the cup product is computed apart from it, by localization, in
-`classical.py`.
+induction.  Its matrix of classical coefficients depends only on the ring
+and k, so it is factored once per (ring, length) by fraction-free
+Gauss-Jordan, pivoting each column on the sparsest row that holds it: an
+exact sparse left inverse, each column stored as integers over its least
+common denominator.  The same elimination picks the generators: levels are
+factored in order, and a column that no remaining row holds pivots on the
+unit row of its class, which becomes a generator of length k.  A generator
+of length L has a unit row at level L (w' = e), so the same solve reads its
+products off the right-hand sides.  For each right factor the inverse is
+applied to the right-hand sides, the result is divided exactly (a remainder
+is an error), every row of the system is checked, and every term is checked
+to be positive and graded.  Everything is integer arithmetic; no Fractions
+and no floats.  The recursion has one mode, the quantum one: the cup
+product is computed apart from it, by localization, in `classical.py`.
 
 There are two instances.  The full flag variety G/B is the case J = {}: the
-basis is the length-graded enumeration of W, the generators are the
-divisors sigma_{s_i}, and their products are the quantum Chevalley rule;
-the divisors generate the cohomology, so every level has full column rank.
-A G/P is the instance on the minimal coset representatives W^J, built in
-`compare.py`: the divisors do not generate H*(G/P), so generators are chosen
-level by level, adding basis classes of length k in basis order while they
-raise the rank of level k, and their products come from Peterson's
+basis is the length-graded enumeration of W; level 1 has no rows, so the
+generators are the divisors sigma_{s_i}, whose products are the quantum
+Chevalley rule, and as the divisors generate the cohomology no later level
+adds one.  A G/P is the instance on the minimal coset representatives W^J,
+built in `compare.py`: the divisors do not generate H*(G/P), so later
+levels add a few classes, and their products come from Peterson's
 comparison formula.
 
 The recursion runs on ints.  Element x is its index in the basis, and the
@@ -65,7 +65,7 @@ from math import gcd
 from operator import itemgetter, mul
 
 from .root_system import ParabolicSubset
-from .weyl import enumerate_min_reps, format_word, simple_reflection
+from .weyl import enumerate_min_reps, format_word
 
 BOREL = ParabolicSubset()
 
@@ -158,10 +158,8 @@ class _Engine:
     `moves[x]` holds per generator g the (key delta, coefficient) of each
     term of sigma_g * sigma_x, and `qmoves[x]` the quantum terms as
     (coefficient per generator, key delta of q^d, element index).  An
-    instance fills both lists with `_grow`; with `greedy` set, `_level`
-    chooses the generators as the levels are built."""
-
-    greedy = False
+    instance fills both lists with `_grow`.  A new engine has no generators:
+    `_level` adds each group as the factorization of its level finds it."""
 
     def __init__(self, rs, elements, dim, weights):
         self.rs = rs
@@ -211,14 +209,13 @@ class _Engine:
 
 class _BorelEngine(_Engine):
     """The instance J = {}: the enumeration of W, one group of generators,
-    the divisors sigma_{s_i}, and their quantum Chevalley moves.  The
-    grading weight of each q_i is (c_1(G/B), alpha_i^vee) = 2."""
+    the divisors sigma_{s_i} that level 1 picks in basis order, and their
+    quantum Chevalley moves.  The grading weight of each q_i is
+    (c_1(G/B), alpha_i^vee) = 2."""
 
     def __init__(self, rs):
         super().__init__(rs, enumerate_min_reps(rs, BOREL), rs.npos, (2,) * rs.rank)
         self.index = {w.perm: x for x, w in enumerate(self.elements)}
-        divisors = (self.index[simple_reflection(rs, i).perm] for i in range(1, rs.rank + 1))
-        self.groups.append((1, tuple(divisors), [], []))
 
     @cached_property
     def right(self):
@@ -257,8 +254,11 @@ class _BorelEngine(_Engine):
     def _grow(self, group, end):
         """Per element x: per divisor i, the (key delta, coefficient) of each
         term of sigma_{s_i} * sigma_x; and the quantum moves of x as (coroot,
-        key delta of q^coroot, element index)."""
-        _, _, chevalley, qmoves_of = group
+        key delta of q^coroot, element index).  The divisors generate
+        H*(G/B), so a group of any other length means a level lost rank."""
+        length, _, chevalley, qmoves_of = group
+        if length != 1:
+            raise RuntimeError("recursion system is rank deficient")
         lengths, rank = self.lengths, self.rs.rank
         # per positive root: x -> x s_alpha, the coroot, the key delta of its
         # q-shift, the length drop 2 ht(coroot) - 1 of a quantum move, and
@@ -337,7 +337,8 @@ def _combine(s, y, f, x, holding=None, r=None):
 
 
 def _left_inverse(rows, ncols):
-    """Exact left inverse of a full-column-rank integer matrix.
+    """Exact left inverse of an integer matrix, completed to full column
+    rank by unit rows.
 
     `rows` gives each row as sparse (column, int) pairs.  Fraction-free
     Gauss-Jordan over dict rows tracks each row as an integer combination of
@@ -345,9 +346,14 @@ def _left_inverse(rows, ncols):
     holds it (fewest entries, then fewest combination entries; Markowitz,
     Management Sci. 3 (1957)), which keeps the inverse sparse, and is
     eliminated from the rows that hold it; an elimination step scales a row
-    by the pivot and divides out the gcd of its entries.  Returns, per
-    column, the least denominator `den` and integer (row, coefficient) pairs
-    with den * x[column] = sum coefficient * b[row] whenever A x = b.
+    by the pivot and divides out the gcd of its entries.  A column that no
+    remaining row holds leads no row of the echelon form of `rows`, so its
+    unit row is appended as its pivot; these columns depend on the row space
+    only, not on the pivot choices.  Returns (inverse, added columns in
+    order), where the inverse gives, per column, the least denominator `den`
+    and integer (row, coefficient) pairs with den * x[column] =
+    sum coefficient * b[row] whenever A x = b, A being `rows` followed by
+    the unit rows of the added columns.
     """
     m = [dict(row) for row in rows]
     comb = [{r: 1} for r in range(len(rows))]
@@ -356,6 +362,7 @@ def _left_inverse(rows, ncols):
     for r, row in enumerate(m):
         for key in row:
             holding[key].add(r)
+    added = []
     for col in range(ncols):
         # in row order, so that a tie goes to the first sparsest row
         holders = sorted(holding[col])
@@ -365,7 +372,11 @@ def _left_inverse(rows, ncols):
             default=None,
         )
         if piv is None:
-            raise RuntimeError("recursion system is rank deficient")
+            piv = len(m)
+            added.append(col)
+            m.append({col: 1})
+            comb.append({piv: 1})
+            holding[col].add(piv)
         pivot, pcomb = m[piv], comb[piv]
         p = pivot[col]
         for r in holders:
@@ -395,30 +406,7 @@ def _left_inverse(rows, ncols):
         den, terms = m[col][col], comb[col]
         g = gcd(den, *terms.values()) * (1 if den > 0 else -1)
         inverse.append((den // g, tuple((r, a // g) for r, a in sorted(terms.items()))))
-    return tuple(inverse)
-
-
-def _spanning_units(rows, ncols):
-    """The columns, in order, whose unit rows raise the rank of `rows` until
-    it is full, by a fraction-free row echelon form keyed by each row's
-    least column."""
-    echelon = {}
-
-    def raises_rank(row):
-        v = dict(row)
-        while v:
-            col = min(v)
-            pivot = echelon.get(col)
-            if pivot is None:
-                g = gcd(*v.values())
-                echelon[col] = {key: a // g for key, a in v.items()}
-                return True
-            _combine(pivot[col], v, -v[col], pivot)
-        return False
-
-    for row in rows:
-        raises_rank(row)
-    return [col for col in range(ncols) if len(echelon) < ncols and raises_rank(((col, 1),))]
+    return tuple(inverse), added
 
 
 def _level_rows(eng, k):
@@ -439,24 +427,25 @@ def _level_rows(eng, k):
 
 def _level(eng, k):
     """The length-k system shared by every right factor and its exact left
-    inverse.  A greedy engine first adds the length-k classes whose unit
-    rows the system needs for full column rank as generators; the levels
-    are built in order, so the shorter generators are chosen by then."""
+    inverse.  Levels 1..k-1 are built first, so the shorter generators are
+    chosen by then; the classes of the columns that the factorization
+    completes with unit rows become the generators of length k, and their
+    unit rows, which `_level_rows` lists last and in the same order, join
+    the system."""
     got = eng.levels.get(k)
     if got is None:
+        for j in range(1, k):
+            _level(eng, j)
         eng.extend_moves(k - 1)
         rows = _level_rows(eng, k)
-        ncols = len(eng.by_length[k])
-        if eng.greedy:
-            new = _spanning_units(rows, ncols)
-            if new:
-                group = (k, tuple(eng.by_length[k][c] for c in new), [], [])
-                eng.groups.append(group)
-                # its move tables as long as the other groups'
-                eng._grow(group, bisect_right(eng.lengths, eng.reach))
-                rows = _level_rows(eng, k)
-        got = (rows, _left_inverse(rows, ncols))
-        eng.levels[k] = got
+        inverse, added = _left_inverse(rows, len(eng.by_length[k]))
+        if added:
+            group = (k, tuple(eng.by_length[k][c] for c in added), [], [])
+            # its move tables as long as the other groups'
+            eng._grow(group, bisect_right(eng.lengths, eng.reach))
+            eng.groups.append(group)
+            rows = _level_rows(eng, k)
+        got = eng.levels[k] = (rows, inverse)
     return got
 
 

@@ -276,6 +276,12 @@ class RootSystem:
                     f"parabolic node {j} out of range for {self.cartan_type}"
                 )
 
+    def check_elements(self, *elements):
+        """Refuse Weyl group elements of another Cartan matrix."""
+        for w in elements:
+            if w.rs is not self and w.rs.cartan != self.cartan:
+                raise ValueError("elements belong to different root systems")
+
     def parabolic_root_indices(self, parabolic: ParabolicSubset):
         """Indices of positive roots supported on the parabolic nodes."""
         cached = self._parabolic_roots.get(parabolic.indices)

@@ -51,17 +51,13 @@ class WeylElement:
             self._word = () if parent is None else parent[0].word + (parent[1],)
         return self._word
 
-    def _common(self, other: "WeylElement") -> RootSystem:
-        if self.rs is other.rs or self.rs.cartan == other.rs.cartan:
-            return self.rs
-        raise ValueError("elements belong to different root systems")
-
     def __mul__(self, other):
         if not isinstance(other, WeylElement):
             return NotImplemented
-        rs = self._common(other)
+        if other.rs is not self.rs:
+            self.rs.check_elements(other)
         p, q = self.perm, other.perm
-        return WeylElement(rs, tuple(map(p.__getitem__, q)))
+        return WeylElement(self.rs, tuple(map(p.__getitem__, q)))
 
     def is_right_descent(self, i: int) -> bool:
         """True iff multiplying by s_i on the right shortens the element."""

@@ -15,6 +15,7 @@ from qflag import (
     build_root_system,
     check_comparison_consistency,
     classical_parabolic_invariant,
+    classical_product,
     comparison_data,
     enumerate_min_reps,
     flag_dimension,
@@ -208,6 +209,30 @@ def test_star_refuses_classes_of_different_rings():
         star(QClass.unit(a2, P2, s1), QClass.unit(a2, BOREL, s1))
     with pytest.raises(ValueError):
         star(QClass.unit(a2, BOREL, s1), QClass.unit(b2, BOREL, simple_reflection(b2, 1)))
+
+
+def test_elements_of_another_root_system_are_refused():
+    # A2 elements against the B2 root system: each entry point raises the
+    # error a product of such elements raises, not a lookup error
+    a2, b2 = build_root_system("A2"), build_root_system("B2")
+    u, v = from_word(a2, (1, 2)), from_word(a2, (2,))
+    calls = [
+        lambda: quantum_product(b2, u, v),
+        lambda: parabolic_quantum_product(b2, ParabolicSubset.of([1]), u, v),
+        lambda: star(QClass.unit(b2, BOREL, u), QClass.unit(b2, BOREL, v)),
+        lambda: star(QClass(b2, BOREL, {(u, (0, 0)): 1}), QClass.unit(b2, BOREL, identity(b2))),
+        lambda: parabolic_gw_invariant(b2, BOREL, [u, v, u], (0, 0)),
+        lambda: gw_invariant(b2, [u, v, u], (0, 0)),
+        lambda: classical_product(b2, u, v),
+        lambda: classical_parabolic_invariant(b2, BOREL, [u, v, u]),
+        lambda: u * simple_reflection(b2, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^elements belong to different root systems$"):
+            call()
+    # a root system with the same Cartan matrix is the same one
+    a2_private = RootSystem(CartanType.parse("A2"))
+    assert quantum_product(a2_private, u, v) == quantum_product(a2, u, v)
 
 
 def test_borel_case_degenerates_to_flag_engine():
@@ -600,6 +625,11 @@ def test_borel_readout_is_the_engine_product(name):
 @pytest.mark.parametrize(
     "name,j_nodes,lengths",
     [
+        # G/B: level 1 has no rows, so it picks the divisors, and no later
+        # level adds a generator
+        ("A3", [], [1, 1, 1]),
+        ("G2", [], [1, 1]),
+        ("F4", [], [1, 1, 1, 1]),
         ("A3", [2], [1, 1]),
         ("B3", [1], [1, 1]),
         ("C3", [3], [1, 1]),
@@ -618,12 +648,15 @@ def test_borel_readout_is_the_engine_product(name):
 def test_generator_lengths_follow_borels_presentation(name, j_nodes, lengths):
     # H*(G/P; Q) = Q[h]^{W_J} / (Q[h]^W_+) is generated by one linear class
     # per free node and classes in the degrees of W_J's basic invariants
-    # that W's do not cancel; the greedy choice on W^J finds exactly these
+    # that W's do not cancel; the unit rows the level factorization adds on
+    # W^J find exactly these
     rs = build_root_system(name)
     J = ParabolicSubset.of(j_nodes)
     ring = _context(rs, J).ring
     for k in sorted(ring.by_length)[1:]:
         _level(ring, k)
     assert [ring.lengths[g] for g in ring.generators] == lengths
-    # the divisors come first, and they are every class of length 1
-    assert ring.generators[: len(J.free_nodes(rs.rank))] == tuple(ring.by_length[1])
+    # the divisors come first, in the order of their nodes, which the
+    # Chevalley moves of G/B assume
+    free = J.free_nodes(rs.rank)
+    assert [ring.elements[g].word for g in ring.generators[: len(free)]] == [(i,) for i in free]

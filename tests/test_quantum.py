@@ -259,16 +259,47 @@ def test_left_inverse_pivots_on_the_sparsest_row():
     # by rows 0 and 2, and the sparser row 2 is the pivot, so x0 reads b2
     # alone (the first row would give x0 = b0 - b1)
     rows = [((0, 1), (1, 1)), ((1, 1),), ((0, 1),)]
-    inverse = _left_inverse(rows, 2)
+    inverse, added = _left_inverse(rows, 2)
+    assert added == []
     assert inverse[0] == (1, ((2, 1),))
     b = [5, 3, 2]  # x = (2, 3)
     assert [sum(a * b[r] for r, a in comb) // den for den, comb in inverse] == [2, 3]
 
 
-def test_left_inverse_rejects_rank_deficient_matrix():
+def test_left_inverse_completes_a_rank_deficient_matrix_by_unit_rows():
+    # every row is a multiple of (1, 2): column 0 leads the row space and
+    # column 1 does not, so the unit row e_1 is appended as row 3
     rows = [((0, 1), (1, 2)), ((0, 2), (1, 4)), ((0, -3), (1, -6))]
+    inverse, added = _left_inverse(rows, 2)
+    assert added == [1]
+    augmented = [*rows, ((1, 1),)]
+    for j, (den, comb) in enumerate(inverse):
+        product = [0, 0]
+        for r, a in comb:
+            for col, entry in augmented[r]:
+                product[col] += a * entry
+        assert product == [den if col == j else 0 for col in range(2)]
+    b = [7, 14, -21, 3]  # x = (1, 3)
+    assert [sum(a * b[r] for r, a in comb) // den for den, comb in inverse] == [1, 3]
+
+
+def test_a_borel_level_that_loses_rank_is_refused():
+    # the divisors generate H*(G/B), so a level that needs a generator of
+    # its own has lost rank: keep only the quantum moves of the length-1
+    # classes before level 2 is factored, and its rows are all zero
+    _, eng = _private_engine("A2")
+    _level(eng, 1)
+    eng.extend_moves(1)
+    moves_of = eng.groups[0][2]
+    for x in eng.by_length[1]:
+        moves_of[x] = tuple(
+            tuple((delta, a) for delta, a in moves if x + delta >= eng.size)
+            for moves in moves_of[x]
+        )
     with pytest.raises(RuntimeError, match="rank deficient"):
-        _left_inverse(rows, 2)
+        _level(eng, 2)
+    assert len(eng.groups) == 1
+
 
 
 def _private_engine(name):
@@ -318,8 +349,9 @@ def test_corrupted_generator_move_breaks_consistency_on_g_mod_p():
 
 def test_an_inconsistent_row_of_a_later_generator_group_is_named(monkeypatch):
     # on A4/{1,4}, rows 8 and 9 of level 3 are the block of the length-2
-    # generator, after the 4 x 2 rows of the divisors; no column of the level
-    # inverse reads them, so a term added to row 8 shows only in its residual
+    # generator s4s3, after the 4 x 2 rows of the divisors; no column of the
+    # level inverse reads them, so a term added to row 8 shows only in its
+    # residual
     rs = RootSystem(CartanType.parse("A4"))
     J = ParabolicSubset.of([1, 4])
     ring = _context(rs, J).ring
@@ -338,8 +370,19 @@ def test_an_inconsistent_row_of_a_later_generator_group_is_named(monkeypatch):
         return rhs
 
     monkeypatch.setattr(quantum, "_right_hand_sides", one_more_term_on_row_8)
-    with pytest.raises(RuntimeError, match=r"inconsistent on row \(s2, s1s2\)$"):
+    with pytest.raises(RuntimeError, match=r"inconsistent on row \(s2, s4s3\)$"):
         parabolic_quantum_product(rs, J, w, w)
+
+
+def test_levels_are_built_in_order_whichever_is_asked_first():
+    # asked for level 3 first, a fresh Fl(2, 3; 5) ring still factors
+    # levels 1 and 2 before it, so it picks the generators an ordered build
+    # picks, not all five length-3 classes
+    rs = RootSystem(CartanType.parse("A4"))
+    ring = _context(rs, ParabolicSubset.of([1, 4])).ring
+    _level(ring, 3)
+    assert sorted(ring.levels) == [1, 2, 3]
+    assert [ring.lengths[g] for g in ring.generators] == [1, 1, 2]
 
 
 def test_corrupted_chevalley_coefficient_breaks_integrality():
