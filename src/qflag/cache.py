@@ -9,21 +9,25 @@ into a new file in the cache directory and renamed onto the cache file when
 it is complete; a failure removes the new file.
 
 `check_document`, one pass over a document that reads the basis lengths and
-c_1 off the G/P context, checks that its bytes are exactly the canonical
-document the writer gives for its content: the format version, the
-type/parabolic header, one entry per (u, v) pair of basis words in the basis
-order, exactly the keys {u, v, terms} on an entry and {w, q, c} on a term,
-at least one term on an entry, every term word a basis word, non-negative
-int q-degrees with one coordinate per free node, positive int coefficients,
-the grading l(w) + c_1(q) = l(u) + l(v) on every term, and the unit row: the
-entries (e, v) and (v, e) are the single term sigma_v.  It reads the file in
-chunks, splits them at the fixed text between entries and checks each
-distinct term text once; it never decodes the file as JSON, and it rejects
-the file as soon as the text after the last split outgrows the longest entry
-the basis allows.  A cache file is trusted only after this pass; anything
-else, a file that decodes to a valid table in another layout included, is
-reported back.  The pass also writes every text table, fresh or cached, line
-by line, so the text format lives here, beside its term rendering.  A table
+the c_1 weights of the free nodes off the G/P context, checks that its bytes
+are exactly the canonical document the writer gives for its content: the
+format version, the type/parabolic header, one entry per (u, v) pair of
+basis words in the basis order, exactly the keys {u, v, terms} on an entry
+and {w, q, c} on a term, at least one term on an entry, every term word a
+basis word, non-negative int q-degrees with one coordinate per free node,
+positive int coefficients, the grading l(w) + c_1(q) = l(u) + l(v) on every
+term, and the unit row: the entries (e, v) and (v, e) are the single term
+sigma_v.  c_1 is linear in the degree, so c_1(q) is the sum of q_t c_1(e_t)
+and the pass lifts no degree but the unit ones.  It reads the file in
+chunks, splits them at the fixed text between entries, compares the text
+after an entry's terms with the one built for its row and word, and reads
+each distinct term text once, through one pattern of the canonical term
+layout; it never decodes the file as JSON, and it rejects the file as soon
+as the text after the last split outgrows the longest entry the basis
+allows.  A cache file is trusted only after this pass; anything else, a file
+that decodes to a valid table in another layout included, is reported back.
+The pass also writes every text table, fresh or cached, line by line, so
+the text format lives here, beside its term rendering.  A table
 is copied out of the file it was checked or written through, from the same
 handle, so no document is held in memory.  Writes are whole-file atomic, and
 a cache file gets mode 0666 less the umask.
@@ -37,7 +41,9 @@ import re
 import sys
 from contextlib import contextmanager
 from functools import cache
+from itertools import chain
 from math import comb, inf
+from operator import mul
 
 from .quantum import format_terms
 
@@ -115,21 +121,24 @@ _ENTRIES_END = "\n    }\n  ]"
 _TERMS = '      "terms": '
 _TERMS_OPEN, _TERMS_CLOSE = _TERMS + "[\n        {\n", "\n        }\n      ]"
 _TERM_SEP = "\n        },\n        {\n"
-_Q_OPEN, _Q_SEP, _Q_CLOSE = "[\n" + " " * 12, ",\n" + " " * 12, "\n" + " " * 10 + "]"
-# patterns of the rejecting paths, compiled on first use
-_WORD = r'"[^"\\\x00-\x1f]*"'  # a string that needs no escape
+_Q_SEP = ",\n" + " " * 12
+# patterns, compiled on first use.  A term text: the keys c, q and w at
+# indent 10, each value any text up to the next key.  The groups are c, q,
+# the ints of q's list and w; c, q and w are None unless their value has its
+# type as json writes it: an int, a list of ints on lines of their own, a
+# string that needs no escape
+_INT = "(?:0|-?[1-9][0-9]*)"
+_VALUE = r'[^,]*(?:,(?!\n {10}")[^,]*)*'
+_TERM_TEXT = (
+    r' {10}"c": (?:(' + _INT + ")|" + _VALUE + ")"
+    + r',\n {10}"q": (?:(\[(?:\n {12}(' + _INT + r'(?:,\n {12}' + _INT + r')*)\n {10})?\])|'
+    + _VALUE + ")"
+    + r',\n {10}"w": (?:("[^"\\\x00-\x1f]*")|' + _VALUE + ")"
+)
+# the document's trailer, on a rejecting path
 _TRAILER = r',\n  "parabolic": (.*),\n  "type": (.*),\n  "version": (.*)\n\}\n'
 _CHUNK = 1 << 14
 _LAYOUT = "not the canonical layout of table --json"
-
-
-def _int(text):
-    """The int that json.dumps writes as `text`, or None."""
-    try:
-        value = int(text)
-    except ValueError:  # not an int, or more digits than int() converts
-        return None
-    return value if str(value) == text else None
 
 
 def _fields(body, pad, keys):
@@ -153,6 +162,7 @@ def check_document(handle, ctx, words, text=None):
     `sigma[u] * sigma[v] = terms` per entry as it goes, with the terms
     rendered as format_terms renders them."""
     free = len(ctx.free)
+    weights = ctx.c1_weights
     n = len(words)
     lengths = [w.length for w in ctx.basis]
     quoted = [json.dumps(w) for w in words]
@@ -173,23 +183,21 @@ def check_document(handle, ctx, words, text=None):
                + (sys.get_int_max_str_digits() or inf))
     bound = (n * comb(top // 2 + free, free) + 1) * longest + len(tail)
 
+    term_text = re.compile(_TERM_TEXT)
+
     def term(item, grade, pair):
         """The problem of a term text on the grading `grade`, or None."""
-        values = _fields(item, " " * 10, "cqw")
-        if values is None:
+        match = term_text.fullmatch(item)
+        if match is None:
             return "malformed term"
-        c, q, w = values
-        if q == "[]":
-            q = []
-        elif q.startswith(_Q_OPEN) and q.endswith(_Q_CLOSE):
-            q = [_int(x) for x in q[len(_Q_OPEN):-len(_Q_CLOSE)].split(_Q_SEP)]
-        else:
-            q = None
-        c = _int(c)
-        if (
-            c is None or q is None or len(q) != free or None in q
-            or (w not in length_of and not re.fullmatch(_WORD, w))
-        ):
+        c, q, ints, w = match.groups()
+        try:  # int() refuses more digits than it converts
+            c = int(c) if c else None
+            if q is not None:
+                q = list(map(int, ints.split(_Q_SEP))) if ints else []
+        except ValueError:
+            c = None
+        if c is None or q is None or len(q) != free or w is None:
             return "malformed term payload"
         lw = length_of.get(w)
         w = w[1:-1]
@@ -199,44 +207,50 @@ def check_document(handle, ctx, words, text=None):
             return f"non-positive coefficient {c}"
         if min(q, default=0) < 0:
             return f"negative q-degree {q}"
-        # c_1 pairs to at least 2 with each free coroot, so a larger degree
-        # is off the grading; it is never lifted
-        if sum(q) > grade or lw + ctx.degree(tuple(q)).c1 != grade:
+        if lw + sum(map(mul, q, weights)) != grade:
             return f"term {w!r} q^{q} of {pair} breaks the grading"
         if text is not None:
             rendered[item] = format_terms([(w, q, c)])
         return None
 
-    def entry(body, k):
-        """The problem of the k-th entry's text, or None."""
-        i, j = divmod(k, n)
-        keys = f',\n      "u": {quoted[i]},\n      "v": {quoted[j]}'
-        if body.startswith(_TERMS_OPEN) and body.endswith(_TERMS_CLOSE + keys):
-            items = body[len(_TERMS_OPEN):-len(_TERMS_CLOSE + keys)].split(_TERM_SEP)
-        elif body == f"{_TERMS}[]{keys}":
-            # a product of two Schubert classes has a term of least q-degree
-            return f"sigma[{words[i]}] * sigma[{words[j]}] has no terms"
-        elif _fields(body, " " * 6, ("terms", "u", "v")) is None:
-            return "malformed entry"
-        elif not body.endswith(keys):
-            return "basis mismatch"
-        else:  # a terms value other than a list of objects
-            return "malformed term" if body.startswith(f"{_TERMS}[") else "malformed entry"
-        grade = lengths[i] + lengths[j]
-        known = on_grade[grade]
-        if not known.issuperset(items):
-            for item in items:
-                if item not in known:
-                    problem = term(item, grade, (words[i], words[j]))
-                    if problem:
-                        return problem
-                    known.add(item)
-        if 0 in (i, j) and list(items) != [unit + quoted[i + j]]:
-            return f"sigma[{words[i]}] * sigma[{words[j]}] is not sigma[{words[i + j]}]"
-        if text is not None:
-            # as format_terms joins the renderings of its terms
-            terms = " + ".join(map(rendered.__getitem__, items))
-            text.write(f"sigma[{words[i]}] * sigma[{words[j]}] = {terms}\n")
+    # per entry in order: the text after its terms, the set of term texts
+    # checked on its grade, and its row and column; built a row at a time
+    layout = chain.from_iterable(
+        [(f'{_TERMS_CLOSE},\n      "u": {u},\n      "v": {v}', on_grade[lu + lv], i, j)
+         for j, (v, lv) in enumerate(zip(quoted, lengths))]
+        for i, (u, lu) in enumerate(zip(quoted, lengths))
+    )
+
+    def check(bodies):
+        """The problem of the next entries, given as their texts `bodies`,
+        or None."""
+        for body, (end, known, i, j) in zip(bodies, layout):
+            if not (body.startswith(_TERMS_OPEN) and body.endswith(end)):
+                keys = end[len(_TERMS_CLOSE):]
+                if body == f"{_TERMS}[]{keys}":
+                    # a product of two Schubert classes has a term of least q-degree
+                    return f"sigma[{words[i]}] * sigma[{words[j]}] has no terms"
+                if _fields(body, " " * 6, ("terms", "u", "v")) is None:
+                    return "malformed entry"
+                if not body.endswith(keys):
+                    return "basis mismatch"
+                # a terms value other than a list of objects
+                return "malformed term" if body.startswith(f"{_TERMS}[") else "malformed entry"
+            items = body[len(_TERMS_OPEN):-len(end)].split(_TERM_SEP)
+            if not known.issuperset(items):
+                grade = lengths[i] + lengths[j]
+                for item in items:
+                    if item not in known:
+                        problem = term(item, grade, (words[i], words[j]))
+                        if problem:
+                            return problem
+                        known.add(item)
+            if 0 in (i, j) and items != [unit + quoted[i + j]]:
+                return f"sigma[{words[i]}] * sigma[{words[j]}] is not sigma[{words[i + j]}]"
+            if text is not None:
+                # as format_terms joins the renderings of its terms
+                terms = " + ".join(map(rendered.__getitem__, items))
+                text.write(f"sigma[{words[i]}] * sigma[{words[j]}] = {terms}\n")
         return None
 
     if handle.read(len(_HEAD)) != _HEAD:
@@ -246,18 +260,17 @@ def check_document(handle, ctx, words, text=None):
             f"type: {ctx.rs.cartan_type}  parabolic: {list(ctx.parabolic.indices)}  "
             f"basis: {n}  entries: {n * n}\n"
         )
-    k, rest = 0, ""
+    k, rest, last = 0, "", n * n - 1  # the last entry is followed by the trailer
     # a read at least as long as the unsplit text keeps an entry longer
     # than a chunk from being copied once per chunk
     while chunk := handle.read(max(_CHUNK, len(rest))):
         *bodies, rest = (rest + chunk).split(_ENTRY_SEP)
-        for body in bodies:
-            if k == n * n - 1:
-                return "basis mismatch"
-            problem = entry(body, k)
-            if problem:
-                return problem
-            k += 1
+        problem = check(bodies[:last - k])
+        if problem:
+            return problem
+        if k + len(bodies) > last:
+            return "basis mismatch"
+        k += len(bodies)
         if len(rest) > bound:
             return "an entry longer than the basis allows"
     if not rest.endswith(tail):
@@ -267,9 +280,9 @@ def check_document(handle, ctx, words, text=None):
         if trailer[3] != str(TABLE_FORMAT_VERSION):
             return f"format version {trailer[3]} != {TABLE_FORMAT_VERSION}"
         return "type/parabolic header mismatch"
-    if k != n * n - 1:
+    if k != last:
         return "basis mismatch"
-    return entry(rest[:-len(tail)], k)
+    return check([rest[:-len(tail)]])
 
 
 def load_document(path, ctx, words, text=None):

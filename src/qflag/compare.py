@@ -81,9 +81,7 @@ class _CosetEngine(_Engine):
     weight of q_i is c_1 of the unit degree at the i-th free node."""
 
     def __init__(self, ctx):
-        free = range(len(ctx.free))
-        weights = [ctx.degree(tuple(int(i == t) for i in free)).c1 for t in free]
-        super().__init__(ctx.rs, ctx.basis, ctx.flag_dimension, weights)
+        super().__init__(ctx.rs, ctx.basis, ctx.flag_dimension, ctx.c1_weights)
         self.ctx = ctx
 
     def _grow(self, group, end):
@@ -131,6 +129,13 @@ class _Context:
         """The level solver whose tables hold this ring's products: the
         Borel engine at J = {}, else the instance on W^J."""
         return _CosetEngine(self) if len(self.parabolic) else self.engine
+
+    @cached_property
+    def c1_weights(self):
+        """c_1 of the unit degree at each free node; c_1 is linear in the
+        degree, so c_1(d) is the sum of d_t times the t-th weight."""
+        free = range(len(self.free))
+        return [self.degree(tuple(int(i == t) for i in free)).c1 for t in free]
 
     @cached_property
     def basis(self):

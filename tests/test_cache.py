@@ -10,10 +10,11 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qflag import ParabolicSubset, build_root_system, format_word
+from qflag import ParabolicSubset, build_root_system, compare, format_word
 from qflag.cache import check_document, new_document, terms_encoder, write_document
 from qflag.cli import main
-from qflag.compare import _context
+from qflag.compare import _Context, _context
+from qflag.degrees import peterson_lift
 
 
 def reference(doc):
@@ -324,6 +325,26 @@ def test_a_run_on_cache_file_is_rejected_early(tmp_path, capsys):
     assert counting.count < 1 << 20
     warning = rejected(tmp_path, capsys, path, expected)
     assert warning == f"warning: ignoring cache {path}: an entry longer than the basis allows"
+
+
+def test_a_cache_hit_lifts_only_the_unit_degrees(tmp_path, capsys, monkeypatch):
+    # the check grades a term by c_1(q) = sum of q_t c_1(e_t), so it lifts
+    # the unit degrees and no other, whatever degrees the table holds
+    assert main(["table", "--type", "B3", "--json", "--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lifted = []
+
+    def counted(rs, parabolic, degree):
+        lifted.append(degree)
+        return peterson_lift(rs, parabolic, degree)
+
+    monkeypatch.setattr(compare, "peterson_lift", counted)
+    ctx = _Context(build_root_system("B3"), ParabolicSubset.of([]))
+    words = [format_word(w.word) for w in ctx.basis]
+    with open(tmp_path / "B3-borel.json", encoding="utf-8", newline="") as handle:
+        assert check_document(handle, ctx, words) is None
+    assert sorted(lifted) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert set(ctx._degrees) == set(lifted)
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])

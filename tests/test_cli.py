@@ -697,6 +697,36 @@ def test_table_names_the_mistyped_field_of_a_canonical_cache(
     assert path.read_text(encoding="utf-8") == good
 
 
+@pytest.mark.parametrize(
+    "q, reason",
+    [
+        ([0, 1], "term 'e' q^[0, 1] of ('s1', 's1') breaks the grading"),
+        ([1, -1], "negative q-degree [1, -1]"),
+        ([1], "malformed term payload"),
+    ],
+)
+def test_table_names_the_mistyped_degree_of_a_canonical_cache_on_two_free_nodes(
+    tmp_path, capsys, q, reason
+):
+    # C3/{3} has two free nodes, of c_1 weights 2 and 4, so swapping the
+    # coordinates of a degree keeps its sum and breaks the grading; each
+    # edit of sigma[s1] * sigma[s1] = sigma[s2s1] + q1 reaches its own check
+    args = ("table", "--type", "C3", "--parabolic", "3", "--cache-dir", str(tmp_path))
+    code, first, _ = run(capsys, *args)
+    path = tmp_path / "C3-3.json"
+    good = path.read_text(encoding="utf-8")
+    doc = json.loads(good)
+    entry = doc["entries"][25]
+    assert (entry["u"], entry["v"], entry["terms"][1]) == ("s1", "s1", {"c": 1, "q": [1, 0], "w": "e"})
+    entry["terms"][1]["q"] = q
+    path.write_text(canonical(doc), encoding="utf-8")
+    code, second, err = run(capsys, *args)
+    assert code == 0
+    assert err == f"warning: ignoring cache {path}: {reason}\ncache write: {path}\n"
+    assert second == first
+    assert path.read_text(encoding="utf-8") == good
+
+
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
 def test_table_rewrites_a_valid_compact_cache(tmp_path, capsys, fmt):
     # the compact document passes every check but the canonical layout, so

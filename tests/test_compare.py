@@ -3,6 +3,7 @@ import re
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, permutations, product as iproduct
+from operator import mul
 
 import pytest
 
@@ -455,6 +456,21 @@ def test_comparison_data_carries_c1_and_shift(name, j_nodes):
         cd = comparison_data(rs, J, degree)
         assert cd.c1 == _c1_pairing(rs, J, cd.d_B)
         assert cd.shift == cd.w_prime * w_J
+
+
+@pytest.mark.parametrize(
+    "name,j_nodes",
+    [("A2", []), ("A2", [2]), ("A3", [2]), ("A3", [1, 3]), ("B2", []), ("B2", [1]),
+     ("B3", []), ("C3", [1]), ("C3", [2]), ("D4", []), ("G2", [1])],
+)
+def test_c1_is_linear_in_the_degree(name, j_nodes):
+    # the spaces of the golden tests; the cache check and the coset engine
+    # grade a term by c_1(d) = sum of d_t c_1(e_t)
+    ctx = _Context(build_root_system(name), ParabolicSubset.of(j_nodes))
+    free = len(ctx.free)
+    for degree in iproduct(range(4), repeat=free):
+        if sum(degree) <= 3:
+            assert ctx.degree(degree).c1 == sum(map(mul, degree, ctx.c1_weights))
 
 
 def test_min_rep_preserved_through_dual_map():

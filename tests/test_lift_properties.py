@@ -43,6 +43,7 @@ def test_lift_is_the_unique_alcove_point_and_stable(space):
     cd = comparison_data(rs, parabolic, degree)
     relift = comparison_data(rs, cd.j_prime, cd.d_pprime)
     assert (relift.d_B, relift.j_prime) == (cd.d_B, cd.j_prime)
-    # c_1 pairs to at least 2 with each free coroot: `cache.check_document`
-    # skips lifting a degree whose sum exceeds the grade on that account
+    # c_1 pairs to at least 2 with each free coroot, so c_1 >= 2 sum(d)
+    # bounds the text that `cache.check_document` holds before it rejects a
+    # run-on file (its `bound`)
     assert cd.c1 >= 2 * sum(degree)
