@@ -19,12 +19,25 @@ map (lambda_d = d, w'_d = w_J = e).
 The formula only has to supply the products sigma_g * sigma_x of a few
 generator classes g: associativity gives every other product by the level
 recursion of `quantum.py`, run on W^J (`_CosetEngine`), whose tables recurse
-only through the minimal representatives, not through all of W.  So
+only through the minimal representatives, not through all of W.
+
+Seidel orbits cut the tables further.  For a minuscule node k, one whose
+alpha_k has coefficient 1 in the highest root, let V_k = w_o w_{o,J_k},
+J_k being every node but k.  Then multiplying by sigma_{floor(V_k)} gives
+one shifted term: sigma_{floor(V_k)} * sigma_u = q^{delta_k(u)}
+sigma_{floor(V_k u)}, with delta_k(u) = omega_k^vee - u^-1 omega_k^vee
+restricted to the free nodes (Belkale, Compositio Math. 140 (2004);
+Chaput-Manivel-Perrin, Math. Res. Lett. 16 (2009)).  The V_k and the
+identity form a group, P^vee/Q^vee, so a product is read off the product of
+the factors' orbit representatives, and its terms are moved back through
+one orbit map per factor that is not its own representative.  So
 `_Context.product` reads every product that `table`, `mul`, `gw`, `star`
-and the associativity audit serve off the later factor's W^J table, and the
-direct readout `_Context.rows` serves three things only: the generator
-moves, the comparison audit, and the recursion audit, which compares the
-two routes on every ordered pair.
+and the associativity audit serve off the W^J table of a representative
+(on A5, 120 of the 720 classes), and checks each derived product for
+positivity and grading as it checks a solved one.  The direct readout
+`_Context.rows` reads the plain Borel product of the factors themselves.
+It serves the generator moves, the comparison audit and the recursion
+audit, which compares the two routes on every ordered pair.
 
 The readout runs on the Borel engine's packed keys: per packed Borel degree
 it memoizes whether lambda is a lift and, if so, d, c_1(d) and the basis
@@ -51,7 +64,7 @@ from .degrees import (
     push_degree,
 )
 from .classical import classical_parabolic_invariant
-from .quantum import BOREL, QClass, _Engine, _engine, _int_product
+from .quantum import BOREL, QClass, _Engine, _engine, _finalized, _int_product
 from .root_system import ParabolicSubset, RootSystem
 from .weyl import WeylElement, enumerate_min_reps, longest_element, min_coset_rep
 
@@ -119,6 +132,8 @@ class _Context:
         # (sum(d), d, c_1(d), perm of x -> perm of x w'_d w_J,
         #  {element index x: basis position of x w'_d w_J, or -1 if not minimal})
         self._readout = {}
+        self._representatives = {}  # basis position -> `representative`
+        self._orbit_maps = {}  # minuscule node -> `orbit_map`
 
     @cached_property
     def engine(self):
@@ -225,14 +240,123 @@ class _Context:
         rows.sort()
         return rows
 
+    @cached_property
+    def seidel(self):
+        """Per minuscule node k, the one whose alpha_k has coefficient 1 in
+        the highest root, the pair (V_k, V_k^-1) with V_k = w_o w_{o,J_k},
+        J_k being every node but k.  With the identity they form a group,
+        P^vee/Q^vee, which acts on the basis by x -> floor(V_k x); it is
+        trivial on E8, F4 and G2."""
+        rs = self.rs
+        top = max(rs.positive_roots, key=sum)
+        nodes = range(1, rs.rank + 1)
+        pairs = {}
+        for k in nodes:
+            if top[k - 1] == 1:
+                w_k = longest_element(rs, ParabolicSubset.of(i for i in nodes if i != k))
+                pairs[k] = (self.w_o * w_k, w_k * self.w_o)
+        return pairs
+
+    @cached_property
+    def left(self):
+        """Per simple reflection s_i, the basis position of floor(s_i x) per
+        position x: s_i x, or x itself when s_i x is not minimal, for then
+        s_i x = x s_j with j in J (Deodhar's lemma).  An element is fixed by
+        its images of the simple roots, so each (x, i) costs rank lookups."""
+        simple = self.rs._simple_global
+        keys = [tuple(map(w.perm.__getitem__, simple)) for w in self.basis]
+        position = {key: x for x, key in enumerate(keys)}
+        return [
+            tuple(position.get(tuple(map(perm.__getitem__, key)), x) for x, key in enumerate(keys))
+            for perm in self.rs.simple_perms
+        ]
+
+    def representative(self, x):
+        """(z, k) for the basis position x: z is the element of x's orbit,
+        {x} and every floor(V_k^-1 x), that is least by (length, position),
+        and k the minuscule node with x = floor(V_k z), or None when z = x.
+        Memoized per position, so a product of two factors builds no orbit
+        map when both are their own representatives."""
+        got = self._representatives.get(x)
+        if got is None:
+            basis, position, parabolic = self.basis, self.position, self.parabolic
+            got, least = (x, None), (basis[x].length, x)
+            for k, (_, v_inv) in self.seidel.items():
+                z = position[min_coset_rep(v_inv * basis[x], parabolic).perm]
+                if (basis[z].length, z) < least:
+                    got, least = (z, k), (basis[z].length, z)
+            self._representatives[x] = got
+        return got
+
+    def orbit_map(self, k):
+        """(image, shift) of the minuscule node k, per basis position z: the
+        position of floor(V_k z), and the key delta of q^{delta_k(z)}, where
+        delta_k(z) = omega_k^vee - z^-1 omega_k^vee restricted to the free
+        nodes.  By the closed form of the module docstring, the map S_k:
+        q^e sigma_z -> q^{e + delta_k(z)} sigma_{floor(V_k z)} is
+        multiplication by sigma_{floor(V_k)}.  Ints only: the image composes
+        the `left` maps along a reduced word of V_k, and the shift follows
+        delta_k(s_i u) = delta_k(u) + [i = k] (u^-1 alpha_k)^vee down a left
+        descent; minimal representatives are closed under removing one."""
+        got = self._orbit_maps.get(k)
+        if got is None:
+            ring, left, basis, rs = self.ring, self.left, self.basis, self.rs
+            image = tuple(range(ring.size))
+            for i in reversed(self.seidel[k][0].word):
+                image = itemgetter(*image)(left[i - 1])
+            g_k = rs._simple_global[k - 1]
+            shift = [0] * ring.size
+            for x in range(1, ring.size):
+                i, u = next(
+                    (i, u) for i, u in enumerate(left) if ring.lengths[u[x]] < ring.lengths[x]
+                )
+                u = u[x]
+                shift[x] = shift[u]
+                if i == k - 1:
+                    coroot = rs.positive_coroots[basis[u].perm.index(g_k)]
+                    shift[x] += ring.pack([coroot[t - 1] for t in self.free]) * ring.size
+            got = self._orbit_maps[k] = (image, tuple(shift))
+        return got
+
+    def _shifted(self, terms, k, rep):
+        """S_k of int-keyed terms, divided by q^{delta_k(rep)}: per term
+        key -> key + shift[z] + floor(V_k z) - z - shift[rep].  A term whose
+        key would leave its class's position or go below zero raises instead
+        of being carried into another packed field."""
+        image, shift = self.orbit_map(k)
+        size, base = self.ring.size, shift[rep]
+        out = {}
+        for key, c in terms.items():
+            z = key % size
+            y = image[z]
+            key += shift[z] + y - z - base
+            if key < 0 or key % size != y:
+                raise RuntimeError(
+                    f"a derived term of {self.basis[y]!r} wraps its packed key"
+                )
+            out[key] = c
+        return out
+
     def product(self, i, j):
-        """The product of the basis elements at positions i and j, read off
-        the table of the later one in `ring`, as rows like those of `rows`."""
-        eng = self.ring
+        """The product of the basis elements at positions i and j, as rows
+        like those of `rows`, read off the product of their orbit
+        representatives in `ring`: with i = floor(V_k ri) and j =
+        floor(V_l rj), sigma_i * sigma_j = q^{-delta_k(ri) - delta_l(rj)}
+        S_k S_l (sigma_ri * sigma_rj).  A derived product is checked for
+        positivity and grading like a solved one."""
+        ring = self.ring
+        (ri, k), (rj, l) = self.representative(i), self.representative(j)
+        terms = _int_product(ring, ri, rj)
+        if l is not None:
+            terms = self._shifted(terms, l, rj)
+        if k is not None:
+            terms = self._shifted(terms, k, ri)
+        if k is not None or l is not None:
+            _finalized(ring, terms, ring.lengths[i] + ring.lengths[j])
         rows = []
-        for key, c in _int_product(eng, i, j).items():
-            pd, y = divmod(key, eng.size)
-            d = eng.degree(pd)
+        for key, c in terms.items():
+            pd, y = divmod(key, ring.size)
+            d = ring.degree(pd)
             rows.append((sum(d), d, y, c))
         rows.sort()
         return rows

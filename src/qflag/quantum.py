@@ -46,11 +46,16 @@ in `compare._Context`, which reads both rings alike: `quantum_product` is
 `parabolic_quantum_product` at J = {}.
 
 Products are memoized per longer factor, in one engine per ring:
-sigma_u * sigma_v is read off the table of whichever of u, v comes later in
-the basis, and that table recurses only to the length of the other, the
-shorter factor.  So the two orders of a pair share one table, and the table
-of an element z reaches at most level l(z) unless the commutativity audit
-asks for more.  The caches live as long as the root system, and
+`_int_product` reads sigma_u * sigma_v off the table of whichever of u, v
+comes later in the basis, and that table recurses only to the length of the
+other, the shorter factor, so the two orders of a pair share one table.
+Every product that a user sees comes through `compare._Context.product`,
+which calls it on the Seidel orbit representatives of the two factors only
+and maps the terms back to the factors (see `compare.py`).  So only
+representatives get tables, and the table of a representative z reaches
+level l(z) at most.  Peterson's readout, the generator moves and the
+commutativity audit (`_oriented_product`) read the plain tables of the
+factors they are given.  The caches live as long as the root system, and
 `build_root_system` interns one per Cartan type, so memory is bounded by the
 number of rings used.  The caches are not locked: confine an engine to one
 thread, or give a thread a private engine by constructing its own

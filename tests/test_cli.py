@@ -17,7 +17,7 @@ import qflag
 from qflag import cli
 from qflag.cli import main
 from qflag.compare import _Context, _context
-from qflag.quantum import _Engine, _oriented_product
+from qflag.quantum import BOREL, _Engine, _oriented_product
 from qflag.root_system import CartanType, ParabolicSubset, RootSystem
 from qflag.weyl import from_word, parse_word
 
@@ -458,22 +458,28 @@ def test_commutativity_audit_compares_two_recursions(capsys, monkeypatch, parabo
 
 def test_associativity_audit_counts_a_failing_triple(capsys, monkeypatch):
     # a private engine, so that the corruption stays in this test
-    rs = RootSystem(CartanType.parse("A2"))
+    rs = RootSystem(CartanType.parse("B2"))
     monkeypatch.setattr(cli, "build_root_system", lambda ctype: rs)
-    ctx = _context(rs, ParabolicSubset.of([2]))
+    ctx = _context(rs, BOREL)
     ring = ctx.ring
     s1 = ctx.position[from_word(rs, (1,)).perm]
-    # one more in a coefficient of sigma_{s1} * sigma_{s1} in s1's own table
-    _oriented_product(ring, s1, s1)
+    # Z/2 leaves four orbits on W(B2), with representatives e, s1, s2 and
+    # s2s1 (at least two besides e: with one, any value of its square would
+    # give an associative ring); every product of two classes of s1's orbit
+    # is read off sigma_{s1} * sigma_{s1}.  One more in a coefficient of it,
+    # in s1's own table, taken to the top level first, so that no level of
+    # it reads the corruption and the two recursions still agree
+    assert sorted({ctx.representative(x)[0] for x in range(ring.size)}) == [0, 1, 2, 4]
+    _oriented_product(ring, ring.size - 1, s1)
     corrupted = ring.tables[s1][s1]
     corrupted[next(iter(corrupted))] += 1
     code, out, _ = run(
-        capsys, "check", "--suite", "associativity", "--type", "A2", "--parabolic", "2"
+        capsys, "check", "--suite", "associativity", "--type", "B2", "--parabolic", ""
     )
     assert code == 1
     assert out.splitlines() == [
-        "FAIL associativity (all 27 triples)",
-        "FAIL commutativity (all 27 triples)",
+        "FAIL associativity (all 512 triples)",
+        "PASS commutativity (all 512 triples)",
         "suite associativity: FAIL",
     ]
 
@@ -498,20 +504,21 @@ def test_recursion_suite_matches_the_readout(capsys, name, parabolic, order):
 
 
 def test_recursion_suite_catches_one_bad_table_entry(capsys, monkeypatch):
-    # a private ring, so that the corruption stays in this test; both
-    # ordered pairs of sigma_{s1} * sigma_{s2s1} on P^2 read s2s1's table,
-    # and so does sigma_{s2s1} * sigma_{s2s1}, whose level reads the entry
+    # a private ring, so that the corruption stays in this test; Z/3 acts
+    # transitively on the three classes of P^2, so every ordered pair is
+    # read off sigma_e * sigma_e in the identity's table and mapped through
+    # the orbit maps, while the readout reads the Borel product
     rs = RootSystem(CartanType.parse("A2"))
     monkeypatch.setattr(cli, "build_root_system", lambda ctype: rs)
     ctx = _context(rs, ParabolicSubset.of([2]))
-    s1, s2s1 = (ctx.position[from_word(rs, parse_word(w)).perm] for w in ("s1", "s2s1"))
-    ctx.product(s1, s2s1)
-    corrupted = ctx.ring.tables[s2s1][s1]
+    assert all(ctx.representative(x)[0] == 0 for x in range(3))
+    ctx.product(0, 0)
+    corrupted = ctx.ring.tables[0][0]
     corrupted[next(iter(corrupted))] += 1
     code, out, _ = run(capsys, "check", "--suite", "recursion", "--type", "A2", "--parabolic", "2")
     assert code == 1
     assert out.splitlines() == [
-        "FAIL recursion (9 ordered pairs, 3 mismatched)",
+        "FAIL recursion (9 ordered pairs, 9 mismatched)",
         "suite recursion: FAIL",
     ]
 

@@ -584,15 +584,19 @@ def test_product_matches_forward_readout(name, j_nodes):
 
 def test_product_refuses_a_term_off_the_grading():
     # a private root system has a context of its own; raise the anticanonical
-    # pairing memoized for degree 0 by one, and h * h = sigma[s2s1] on P^2
-    # breaks l(y) + c_1(d) = l(u) + l(v)
-    rs = RootSystem(CartanType.parse("A2"))
-    h = simple_reflection(rs, 1)
-    ctx = _context(rs, P2)
+    # pairing memoized for degree 0 by one, and h * h = sigma[s1s2] +
+    # sigma[s3s2] on Gr(2, 4) breaks l(y) + c_1(d) = l(u) + l(v) in the
+    # readout of the divisor's moves; h is its own orbit representative, so
+    # h * h is read off its own table, which reads those moves
+    rs = RootSystem(CartanType.parse("A3"))
+    gr24 = ParabolicSubset.of([1, 3])
+    h = simple_reflection(rs, 2)
+    ctx = _context(rs, gr24)
+    assert ctx.representative(ctx.position[h.perm])[1] is None
     cd = ctx.degree((0,))
     ctx._degrees[(0,)] = replace(cd, c1=cd.c1 + 1)
     with pytest.raises(RuntimeError, match="breaks the grading"):
-        parabolic_quantum_product(rs, P2, h, h)
+        parabolic_quantum_product(rs, gr24, h, h)
 
 
 @pytest.mark.parametrize(

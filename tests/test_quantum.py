@@ -324,7 +324,10 @@ def _corrupt_move(eng, x, t):
 def test_corrupted_chevalley_coefficient_breaks_consistency():
     rs, eng = _private_engine("A3")
     assert all(den == 1 for _, inv in _level_systems(eng).values() for den, _ in inv)
-    x = eng.by_length[2][0]
+    # a class of length 2 that is its own orbit representative, so that the
+    # product of it with itself is read off its own table
+    ctx = _context(rs, BOREL)
+    x = next(x for x in eng.by_length[2] if ctx.representative(x) == (x, None))
     _corrupt_move(eng, x, 0)
     # level 1 of x's own table reads the corrupted move, and the identity
     # system passes it on; level 2 checks every one of its rows
@@ -354,8 +357,11 @@ def test_an_inconsistent_row_of_a_later_generator_group_is_named(monkeypatch):
     # residual
     rs = RootSystem(CartanType.parse("A4"))
     J = ParabolicSubset.of([1, 4])
-    ring = _context(rs, J).ring
-    w = ring.elements[ring.by_length[3][0]]
+    ctx = _context(rs, J)
+    ring = ctx.ring
+    # the first class of length 3 that is its own orbit representative, so
+    # that w * w solves level 3 of its own table
+    w = next(ring.elements[x] for x in ring.by_length[3] if ctx.representative(x)[1] is None)
     parabolic_quantum_product(rs, J, ring.elements[ring.by_length[2][0]], w)
     assert [ring.lengths[g] for g in ring.generators] == [1, 1, 2]
     rows, inverse = _level(ring, 3)
@@ -478,13 +484,21 @@ def test_borel_generators_are_the_divisors(name):
     ]
 
 
+def _representatives(ctx):
+    return {ctx.representative(x)[0] for x in range(len(ctx.basis))}
+
+
 def test_levels_are_shared_by_every_product(tmp_path, capsys):
     assert main(["table", "--type", "B3", "--parabolic", "", "--json",
                  "--cache-dir", str(tmp_path)]) == 0
     rs = build_root_system("B3")
     eng = _engine(rs)
+    # the table reads the products of the orbit representatives only, so it
+    # factors every level up to the longest representative (an earlier test
+    # on the shared engine may have factored more)
+    reps = _representatives(_context(rs, BOREL))
     levels = dict(eng.levels)
-    assert sorted(levels) == [k for k in sorted(eng.by_length) if k >= 1]
+    assert set(range(1, max(eng.lengths[z] for z in reps) + 1)) <= set(levels)
     # drop the per-right-factor products, so that the commands below solve
     # their level systems again
     eng.tables.clear()
@@ -494,7 +508,11 @@ def test_levels_are_shared_by_every_product(tmp_path, capsys):
                  "--cache-dir", str(tmp_path)]) == 0
     assert main(["mul", "--type", "B3", "--u", word, "--v", word]) == 0
     capsys.readouterr()
-    assert eng.index[w_o.perm] in eng.tables
+    # w_o * w_o is read off the table of w_o's representative, which is
+    # shorter than w_o
+    rep, k = _context(rs, BOREL).representative(eng.index[w_o.perm])
+    assert k is not None and eng.lengths[rep] < w_o.length
+    assert rep in eng.tables
     assert eng.levels == levels
     assert all(eng.levels[k] is levels[k] for k in levels)
 
@@ -502,15 +520,26 @@ def test_levels_are_shared_by_every_product(tmp_path, capsys):
 def test_each_table_recurses_to_its_own_length(tmp_path, capsys):
     rs = build_root_system("B3")
     eng = _engine(rs)
+    ctx = _context(rs, BOREL)
     eng.tables.clear()
     assert main(["table", "--type", "B3", "--json", "--cache-dir", str(tmp_path)]) == 0
-    # every pair is read off the table of its later factor, up to the length
-    # of the earlier one; the pair (z, z) takes z's table to level l(z)
-    assert sorted(eng.tables) == list(range(eng.size))
+    # every pair is read off the table of the later of its factors' orbit
+    # representatives, up to the length of the earlier one; the pair (z, z)
+    # of a representative z takes z's table to level l(z), and no other
+    # class has a table
+    reps = _representatives(ctx)
+    assert len(reps) == eng.size // 2  # Z/2 acts freely on W(B3)
+    assert sorted(eng.tables) == sorted(reps)
     for z, by in eng.tables.items():
         assert len(by) == bisect_right(eng.lengths, eng.lengths[z])
     eng.tables.clear()
     w_o = longest_element(rs, ParabolicSubset.full(rs.rank))
     assert main(["mul", "--type", "B3", "--u", format_word(w_o.word), "--v", "s1"]) == 0
     capsys.readouterr()
-    assert len(eng.tables[eng.index[w_o.perm]]) <= bisect_right(eng.lengths, 1)
+    # s1 is its own representative and comes before w_o's, so w_o * s1 is
+    # read off the table of w_o's representative, up to level 1
+    rep, _ = ctx.representative(eng.index[w_o.perm])
+    s1 = eng.index[simple_reflection(rs, 1).perm]
+    assert ctx.representative(s1) == (s1, None) and s1 < rep
+    assert list(eng.tables) == [rep]
+    assert len(eng.tables[rep]) == bisect_right(eng.lengths, 1)

@@ -1,0 +1,149 @@
+"""The Seidel orbit route of `_Context.product`, checked against the plain
+readout: the closed form sigma_{floor(V_k)} * sigma_u = q^{delta_k(u)}
+sigma_{floor(V_k u)} (Belkale; Chaput-Manivel-Perrin) on every minuscule k
+and every u, with delta_k computed here apart from the package, over the
+rationals, and the guards on a derived term."""
+
+from fractions import Fraction
+
+import pytest
+
+from qflag import (
+    BOREL,
+    CartanType,
+    ParabolicSubset,
+    RootSystem,
+    build_root_system,
+    longest_element,
+    min_coset_rep,
+)
+from qflag.compare import _context
+
+SPACES = [
+    ("A3", ()), ("B3", ()), ("C3", ()), ("D4", ()), ("A4", ()),
+    ("A4", (2, 3)), ("A4", (1, 4)), ("B3", (1,)), ("C3", (3,)), ("D4", (1,)),
+]
+
+MINUSCULE = {"A3": [1, 2, 3], "A4": [1, 2, 3, 4], "B3": [1], "C3": [3], "D4": [1, 3, 4]}
+
+
+def _inverse(matrix):
+    """The inverse of a square int matrix, over the rationals."""
+    n = len(matrix)
+    m = [[Fraction(a) for a in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(matrix)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        p = m[col][col]
+        m[col] = [a / p for a in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def _delta(rs, k, u):
+    """omega_k^vee - u^-1 omega_k^vee in simple-coroot coordinates, where
+    omega_k^vee is row k of the inverse Cartan matrix and s_i acts by
+    lam -> lam - <alpha_i, lam> alpha_i^vee, <alpha_i, lam> = sum_j lam_j
+    cartan[j][i]."""
+    omega = _inverse(rs.cartan)[k - 1]
+    lam = list(omega)
+    # u^-1 = s_{a_m} ... s_{a_1} for the word a_1 ... a_m of u
+    for i in u.word:
+        pairing = sum(lam[j] * rs.cartan[j][i - 1] for j in range(rs.rank))
+        lam[i - 1] -= pairing
+    delta = [a - b for a, b in zip(omega, lam)]
+    assert all(d.denominator == 1 for d in delta)
+    return [int(d) for d in delta]
+
+
+@pytest.mark.parametrize("name, j_nodes", SPACES)
+def test_the_closed_form_holds_in_the_plain_readout(name, j_nodes):
+    rs = build_root_system(name)
+    J = ParabolicSubset.of(j_nodes)
+    ctx = _context(rs, J)
+    ring, basis, position = ctx.ring, ctx.basis, ctx.position
+    free = J.free_nodes(rs.rank)
+    assert sorted(ctx.seidel) == MINUSCULE[name]
+    w_o = longest_element(rs, ParabolicSubset.full(rs.rank))
+    for k in ctx.seidel:
+        # k may lie in J; the class is floor(V_k u), with V_k unreduced
+        j_k = ParabolicSubset.of(i for i in range(1, rs.rank + 1) if i != k)
+        v_k = w_o * longest_element(rs, j_k)
+        top = position[min_coset_rep(v_k, J).perm]
+        image, shift = ctx.orbit_map(k)
+        for x, u in enumerate(basis):
+            full = _delta(rs, k, u)
+            d = tuple(full[i - 1] for i in free)
+            y = position[min_coset_rep(v_k * u, J).perm]
+            assert ctx.rows(top, x) == [(sum(d), d, y, 1)]
+            assert (image[x], shift[x]) == (y, ring.pack(d) * ring.size)
+
+
+@pytest.mark.parametrize("name, j_nodes", SPACES)
+def test_each_representative_is_least_in_its_orbit(name, j_nodes):
+    ctx = _context(build_root_system(name), ParabolicSubset.of(j_nodes))
+    lengths, n = ctx.ring.lengths, len(ctx.basis)
+    images = {k: ctx.orbit_map(k)[0] for k in ctx.seidel}
+    for x in range(n):
+        # the V_k and the identity form a group, so the orbit of x is x and
+        # its images
+        orbit = {x, *(image[x] for image in images.values())}
+        rep, k = ctx.representative(x)
+        assert rep == min(orbit, key=lambda z: (lengths[z], z))
+        assert x == (rep if k is None else images[k][rep])
+
+
+def test_a_type_without_minuscule_nodes_keeps_every_factor():
+    ctx = _context(build_root_system("G2"), BOREL)
+    assert ctx.seidel == {}
+    assert all(ctx.representative(x) == (x, None) for x in range(len(ctx.basis)))
+
+
+def test_a_product_of_representatives_builds_no_orbit_map():
+    # s1 * s1 on D4 reads s1's own table: no class of W is mapped, so a
+    # small product on a large type pays nothing for the orbit route
+    rs = RootSystem(CartanType.parse("D4"))
+    ctx = _context(rs, BOREL)
+    s1 = ctx.position[rs.simple_perms[0]]
+    assert ctx.representative(s1) == (s1, None)
+    ctx.product(s1, s1)
+    assert ctx._orbit_maps == {} and "left" not in vars(ctx)
+
+
+@pytest.mark.parametrize(
+    "corruption, message",
+    [
+        # one more q3 taken off, the top field of A3's packed degree: the
+        # key of a classical term would go below zero
+        (lambda size, base: size * base * base, "wraps its packed key"),
+        # q1 less and q2 more: the key stays positive, but q1 borrows from
+        # q2, and the borrow raises the q-grade
+        (lambda size, base: size * (1 - base), "grading violation"),
+        # a shift that is not a whole packed degree moves the class
+        (lambda size, base: 1, "wraps its packed key"),
+    ],
+    ids=["negative", "borrow", "position"],
+)
+def test_a_derived_term_never_wraps(corruption, message):
+    # a private root system, so that the corruption stays in this test
+    rs = RootSystem(CartanType.parse("A3"))
+    ctx = _context(rs, BOREL)
+    ring = ctx.ring
+    # sigma_x * sigma_{s1}, x not its own representative z and s1 its own:
+    # the terms of sigma_z * sigma_{s1} lie off z, and some are classical,
+    # so a corrupted shift of z is taken off them and nothing adds it back
+    s1 = ctx.position[rs.simple_perms[0]]
+    x = next(x for x in range(ring.size) if ctx.representative(x)[1] is not None)
+    z, k = ctx.representative(x)
+    assert ctx.representative(s1) == (s1, None)
+    assert ctx.product(x, s1) == ctx.rows(x, s1)
+    image, shift = ctx.orbit_map(k)
+    shift = list(shift)
+    shift[z] += corruption(ring.size, ring.base)
+    ctx._orbit_maps[k] = (image, tuple(shift))
+    with pytest.raises(RuntimeError, match=message):
+        ctx.product(x, s1)
