@@ -11,11 +11,13 @@ x = x' s_i and l(x) = l(x') + 1, it reads
 96, 1999).  An integral over G/B is the sum over fixed points x of
 (-1)^(N - l(x)) times the product of the localizations, divided by
 D = prod_{alpha > 0} ht(alpha), with N = dim G/B.  The fixed points are the
-engine's enumeration of W, with its index and its maps R_i: x -> x s_i, and
-x' = R_i(x) is the canonical parent of x, for the smallest i with
-l(R_i(x)) < l(x).  The enumeration, the index and the R_i are all this
-module shares with the engine: it reads no Chevalley coefficient and runs no
-linear solve, so these values cross-check the engine.
+engine's enumeration of W, with its index and its reflection maps
+x -> s_beta x.  The canonical parent of x is x' = x s_i for the smallest i
+with x(alpha_i) < 0; it is s_beta x for beta = -x(alpha_i), and
+ht(x'(alpha_i)) = ht(beta).  The enumeration, the index and the reflection
+maps are all this module shares with the engine: it reads no Chevalley
+coefficient and runs no linear solve, so these values cross-check the
+engine.
 """
 
 from __future__ import annotations
@@ -35,18 +37,23 @@ class _Localizations:
     def __init__(self, rs: RootSystem):
         eng = _engine(rs)
         self.elements, self.index = eng.elements, eng.index
+        # x s_i = s_{x alpha_i} x, with s_{x alpha_i} one of the engine's
+        # reflections, and l(x s_i) > l(x) iff x alpha_i > 0
+        reflections, simple, npos = eng.reflections, rs._simple_global, rs.npos
         # per i, the pairs (u, u s_i) with l(u s_i) = l(u) + 1
-        lengths, right = eng.lengths, eng.right
         ascents = [
-            [(u, us) for u, us in enumerate(r) if lengths[us] > lengths[u]]
-            for r in right
+            [(u, reflections[w.perm[g]][u])
+             for u, w in enumerate(self.elements) if w.perm[g] < npos]
+            for g in simple
         ]
         self.rows = [[1] + [0] * (len(self.elements) - 1)]
         for x in range(1, len(self.elements)):
-            # the canonical parent x' = x s_i, for the smallest right descent i
-            i = next(i for i, r in enumerate(right) if lengths[r[x]] < lengths[x])
-            xp = right[i][x]
-            height = sum(rs.positive_roots[self.elements[xp].perm[rs._simple_global[i]]])
+            # the canonical parent x' = x s_i, for the smallest right descent
+            # i; x'(alpha_i) = -x(alpha_i) is the positive root r
+            perm = self.elements[x].perm
+            i, r = next((i, perm[g] - npos) for i, g in enumerate(simple) if perm[g] >= npos)
+            xp = reflections[r][x]
+            height = sum(rs.positive_roots[r])
             prev = self.rows[xp]
             row = list(prev)
             for u, us in ascents[i]:

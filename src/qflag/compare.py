@@ -31,13 +31,20 @@ Chaput-Manivel-Perrin, Math. Res. Lett. 16 (2009)).  The V_k and the
 identity form a group, P^vee/Q^vee, so a product is read off the product of
 the factors' orbit representatives, and its terms are moved back through
 one orbit map per factor that is not its own representative.  So
-`_Context.product` reads every product that `table`, `mul`, `gw`, `star`
-and the associativity audit serve off the W^J table of a representative
-(on A5, 120 of the 720 classes), and checks each derived product for
-positivity and grading as it checks a solved one.  The direct readout
-`_Context.rows` reads the plain Borel product of the factors themselves.
-It serves the generator moves, the comparison audit and the recursion
-audit, which compares the two routes on every ordered pair.
+`_Context.product` reads every product that `table`, `mul`, `gw` and
+`star` serve off the W^J table of a representative (on A5, 120 of the 720
+classes), and checks each derived product for positivity and grading as it
+checks a solved one.  The direct readout `_Context.rows` reads the plain
+Borel product of the factors themselves.  It serves the generator moves,
+the comparison audit, the recursion audit, which compares the two routes on
+every ordered pair, and the right side a * (b * c) of the associativity
+audit, whose left side takes the orbit route.
+
+W acts on the basis positions through the maps x -> floor(s_i x) that the
+enumeration of W^J returns (`weyl._enumerate`), and every action here is
+composed from them: the dual floor(w_o x), the orbit images floor(V_k x)
+and the candidates floor(V_k^-1 x) of a representative, along reduced
+words, with no Weyl group product.
 
 The readout runs on the Borel engine's packed keys: per packed Borel degree
 it memoizes whether lambda is a lift and, if so, d, c_1(d) and the basis
@@ -52,7 +59,7 @@ degree; the readout, the degree helpers, the CLI and the audit all read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from operator import itemgetter
 
 from .degrees import (
@@ -66,7 +73,7 @@ from .degrees import (
 from .classical import classical_parabolic_invariant
 from .quantum import BOREL, QClass, _Engine, _engine, _finalized, _int_product
 from .root_system import ParabolicSubset, RootSystem
-from .weyl import WeylElement, enumerate_min_reps, longest_element, min_coset_rep
+from .weyl import WeylElement, _enumerate, longest_element, min_coset_rep
 
 
 @dataclass(frozen=True)
@@ -153,18 +160,21 @@ class _Context:
         return [self.degree(tuple(int(i == t) for i in free)).c1 for t in free]
 
     @cached_property
-    def basis(self):
-        """The minimal representatives by length, then by word; at J = {}
-        the engine's own enumeration."""
+    def _enumeration(self):
+        """`weyl._enumerate` of the parabolic, at J = {} the engine's own."""
         if not len(self.parabolic):
-            return self.engine.elements
-        return enumerate_min_reps(self.rs, self.parabolic)
+            eng = self.engine
+            return eng.elements, eng.index, eng.left
+        return _enumerate(self.rs, self.parabolic)
 
-    @cached_property
-    def position(self):
-        """Basis position of each minimal representative, keyed by its
-        permutation: a lookup tests minimality."""
-        return {w.perm: k for k, w in enumerate(self.basis)}
+    # the minimal representatives by length, then by word
+    basis = cached_property(lambda self: self._enumeration[0])
+    # the basis position of each minimal representative, keyed by its
+    # permutation: a lookup tests minimality
+    position = cached_property(lambda self: self._enumeration[1])
+    # per simple reflection s_i, the basis position of floor(s_i x) per
+    # position x, read off the enumeration's products
+    left = cached_property(lambda self: self._enumeration[2])
 
     @cached_property
     def borel_index(self):
@@ -174,10 +184,18 @@ class _Context:
 
     @cached_property
     def dual(self):
-        """Poincare duality on basis positions: the position of
-        min_coset_rep(w_o w) per position of w."""
-        position, w_o = self.position, self.w_o
-        return [position[min_coset_rep(w_o * w, self.parabolic).perm] for w in self.basis]
+        """Poincare duality on basis positions: the position of floor(w_o x)
+        per position x."""
+        return self._act(self.w_o.word)
+
+    def _act(self, word):
+        """The basis position of floor(w x) per position x, for w the product
+        of the word: W acts on the cosets x W_J, so this composes the `left`
+        maps, the last letter first."""
+        image = tuple(range(len(self.basis)))
+        for i in reversed(word):
+            image = itemgetter(*image)(self.left[i - 1])
+        return image
 
     def degree(self, degree: tuple) -> ComparisonData:
         """The comparison data of a degree, given as the int tuple that
@@ -243,46 +261,31 @@ class _Context:
     @cached_property
     def seidel(self):
         """Per minuscule node k, the one whose alpha_k has coefficient 1 in
-        the highest root, the pair (V_k, V_k^-1) with V_k = w_o w_{o,J_k},
-        J_k being every node but k.  With the identity they form a group,
-        P^vee/Q^vee, which acts on the basis by x -> floor(V_k x); it is
-        trivial on E8, F4 and G2."""
+        the highest root, V_k = w_o w_{o,J_k}, J_k being every node but k.
+        With the identity they form a group, P^vee/Q^vee, which acts on the
+        basis by x -> floor(V_k x); it is trivial on E8, F4 and G2."""
         rs = self.rs
         top = max(rs.positive_roots, key=sum)
         nodes = range(1, rs.rank + 1)
-        pairs = {}
-        for k in nodes:
-            if top[k - 1] == 1:
-                w_k = longest_element(rs, ParabolicSubset.of(i for i in nodes if i != k))
-                pairs[k] = (self.w_o * w_k, w_k * self.w_o)
-        return pairs
-
-    @cached_property
-    def left(self):
-        """Per simple reflection s_i, the basis position of floor(s_i x) per
-        position x: s_i x, or x itself when s_i x is not minimal, for then
-        s_i x = x s_j with j in J (Deodhar's lemma).  An element is fixed by
-        its images of the simple roots, so each (x, i) costs rank lookups."""
-        simple = self.rs._simple_global
-        keys = [tuple(map(w.perm.__getitem__, simple)) for w in self.basis]
-        position = {key: x for x, key in enumerate(keys)}
-        return [
-            tuple(position.get(tuple(map(perm.__getitem__, key)), x) for x, key in enumerate(keys))
-            for perm in self.rs.simple_perms
-        ]
+        return {
+            k: self.w_o * longest_element(rs, ParabolicSubset.of(i for i in nodes if i != k))
+            for k in nodes
+            if top[k - 1] == 1
+        }
 
     def representative(self, x):
         """(z, k) for the basis position x: z is the element of x's orbit,
         {x} and every floor(V_k^-1 x), that is least by (length, position),
         and k the minuscule node with x = floor(V_k z), or None when z = x.
+        floor(V_k^-1 x) walks x through the `left` maps along V_k's word.
         Memoized per position, so a product of two factors builds no orbit
         map when both are their own representatives."""
         got = self._representatives.get(x)
         if got is None:
-            basis, position, parabolic = self.basis, self.position, self.parabolic
+            basis, left = self.basis, self.left
             got, least = (x, None), (basis[x].length, x)
-            for k, (_, v_inv) in self.seidel.items():
-                z = position[min_coset_rep(v_inv * basis[x], parabolic).perm]
+            for k, v_k in self.seidel.items():
+                z = reduce(lambda z, i: left[i - 1][z], v_k.word, x)
                 if (basis[z].length, z) < least:
                     got, least = (z, k), (basis[z].length, z)
             self._representatives[x] = got
@@ -301,9 +304,7 @@ class _Context:
         got = self._orbit_maps.get(k)
         if got is None:
             ring, left, basis, rs = self.ring, self.left, self.basis, self.rs
-            image = tuple(range(ring.size))
-            for i in reversed(self.seidel[k][0].word):
-                image = itemgetter(*image)(left[i - 1])
+            image = self._act(self.seidel[k].word)
             g_k = rs._simple_global[k - 1]
             shift = [0] * ring.size
             for x in range(1, ring.size):
@@ -361,14 +362,15 @@ class _Context:
         rows.sort()
         return rows
 
-    def times(self, a, b) -> dict:
-        """Bilinear extension of `product` to classes given as dicts
-        {(basis position, degree): c}: each term c ca cb q^(d + da + db)
-        sigma_y of a product of two terms is added into one dict."""
+    def times(self, a, b, product) -> dict:
+        """Bilinear extension of `product`, `_Context.product` or
+        `_Context.rows`, to classes given as dicts {(basis position, degree):
+        c}: each term c ca cb q^(d + da + db) sigma_y of a product of two
+        terms is added into one dict."""
         out = {}
         for (i, da), ca in a.items():
             for (j, db), cb in b.items():
-                for _, d, y, c in self.product(i, j):
+                for _, d, y, c in product(i, j):
                     key = (y, tuple(map(sum, zip(d, da, db))))
                     out[key] = out.get(key, 0) + c * ca * cb
         return out
@@ -383,7 +385,7 @@ class _Context:
         first, *middle, last = (self.position[w.perm] for w in classes)
         prod = {(first, zero): 1}
         for k in middle:
-            prod = self.times(prod, {(k, zero): 1})
+            prod = self.times(prod, {(k, zero): 1}, self.product)
         return prod.get((self.dual[last], degree), 0)
 
 
@@ -466,7 +468,7 @@ def star(a: QClass, b: QClass) -> QClass:
             out[key] = out.get(key, 0) + c
         return out
 
-    prod = ctx.times(positions(a), positions(b))
+    prod = ctx.times(positions(a), positions(b), ctx.product)
     return QClass(rs, parabolic, {(basis[y], d): c for (y, d), c in prod.items()})
 
 

@@ -30,10 +30,12 @@ There are two instances.  The full flag variety G/B is the case J = {}: the
 basis is the length-graded enumeration of W; level 1 has no rows, so the
 generators are the divisors sigma_{s_i}, whose products are the quantum
 Chevalley rule, and as the divisors generate the cohomology no later level
-adds one.  A G/P is the instance on the minimal coset representatives W^J,
-built in `compare.py`: the divisors do not generate H*(G/P), so later
-levels add a few classes, and their products come from Peterson's
-comparison formula.
+adds one.  The rule's moves x -> x s_alpha are read as s_{x(alpha)} x off
+the reflection maps x -> s_beta x, which compose the enumeration's left
+maps x -> s_i x.  A G/P is the instance on the minimal coset
+representatives W^J, built in `compare.py`: the divisors do not generate
+H*(G/P), so later levels add a few classes, and their products come from
+Peterson's comparison formula.
 
 The recursion runs on ints.  Element x is its index in the basis, and the
 term q^d sigma_x is the key pd * size + x, where pd packs the degree d in
@@ -70,7 +72,7 @@ from math import gcd
 from operator import itemgetter, mul
 
 from .root_system import ParabolicSubset
-from .weyl import enumerate_min_reps, format_word
+from .weyl import _enumerate, format_word
 
 BOREL = ParabolicSubset()
 
@@ -219,41 +221,27 @@ class _BorelEngine(_Engine):
     (c_1(G/B), alpha_i^vee) = 2."""
 
     def __init__(self, rs):
-        super().__init__(rs, enumerate_min_reps(rs, BOREL), rs.npos, (2,) * rs.rank)
-        self.index = {w.perm: x for x, w in enumerate(self.elements)}
-
-    @cached_property
-    def right(self):
-        """Per simple reflection s_i, the index of x s_i per element index x.
-        An element is fixed by its images of the simple roots, and x s_i
-        sends alpha_k to x(s_i alpha_k), so each (x, i) costs a lookup of
-        rank root indices, not a product of whole permutations."""
-        simple, elements = self.rs._simple_global, self.elements
-        images = itemgetter(*simple)
-        position = {images(w.perm): x for x, w in enumerate(elements)}
-        return [
-            tuple(position[by(w.perm)] for w in elements)
-            for by in (itemgetter(*[perm[g] for g in simple]) for perm in self.rs.simple_perms)
-        ]
+        elements, self.index, self.left = _enumerate(rs, BOREL)
+        super().__init__(rs, elements, rs.npos, (2,) * rs.rank)
 
     @cached_property
     def reflections(self):
-        """Per positive root alpha, the index of x s_alpha per element index
-        x.  A simple root's map is `right`; any other alpha is s_j beta for
-        a positive root beta of smaller height, so x s_alpha = x s_j s_beta s_j
+        """Per positive root alpha, the index of s_alpha x per element index
+        x.  A simple root's map is `left`; any other alpha is s_j beta for a
+        positive root beta of smaller height, so s_alpha x = s_j s_beta s_j x
         composes the maps a whole column at a time."""
-        rs, right = self.rs, self.right
+        rs, left = self.rs, self.left
         heights = [sum(alpha) for alpha in rs.positive_roots]
         maps = [None] * rs.npos
         for i, g in enumerate(rs._simple_global):
-            maps[g] = right[i]
+            maps[g] = left[i]
         for g in sorted(range(rs.npos), key=heights.__getitem__):
             if maps[g] is None:
                 j, beta = next(
                     (j, perm[g]) for j, perm in enumerate(rs.simple_perms)
                     if heights[perm[g]] < heights[g]
                 )
-                maps[g] = itemgetter(*itemgetter(*right[j])(maps[beta]))(right[j])
+                maps[g] = itemgetter(*itemgetter(*left[j])(maps[beta]))(left[j])
         return maps
 
     def _grow(self, group, end):
@@ -265,20 +253,24 @@ class _BorelEngine(_Engine):
         if length != 1:
             raise RuntimeError("recursion system is rank deficient")
         lengths, rank = self.lengths, self.rs.rank
-        # per positive root: x -> x s_alpha, the coroot, the key delta of its
-        # q-shift, the length drop 2 ht(coroot) - 1 of a quantum move, and
-        # the divisors (i, coefficient) it feeds
+        # x s_alpha = s_{x(alpha)} x, and s_{-beta} = s_beta: per root index,
+        # negative roots included, the map x -> s_beta x
+        maps = self.reflections * 2
+        # per positive root: the coroot, the key delta of its q-shift, the
+        # length drop 2 ht(coroot) - 1 of a quantum move, and the divisors
+        # (i, coefficient) it feeds
         roots = [
-            (reflection, cor, self.pack(cor) * self.size, 2 * sum(cor) - 1,
+            (cor, self.pack(cor) * self.size, 2 * sum(cor) - 1,
              [(i, a) for i, a in enumerate(cor) if a])
-            for reflection, cor in zip(self.reflections, self.rs.positive_coroots)
+            for cor in self.rs.positive_coroots
         ]
         for x in range(len(chevalley), end):
             lx = lengths[x]
             per_divisor = [[] for _ in range(rank)]
             qmoves = []
-            for reflection, cor, shift, drop, feeds in roots:
-                y = reflection[x]
+            # the first npos entries of the perm are x(alpha) per alpha > 0
+            for image, (cor, shift, drop, feeds) in zip(self.elements[x].perm, roots):
+                y = maps[image][x]
                 if lengths[y] == lx + 1:
                     delta = y - x
                 elif lengths[y] == lx - drop:

@@ -6,6 +6,12 @@ hashable key.  The canonical reduced word follows one rule,
 word(w) = word(w s_i) + (i,) with i the smallest right descent of w, so it
 never depends on how an element was built; the enumeration hands each new
 element its canonical parent's word, and any other element recurses.
+
+The enumeration of W^J is also the one source of the action of W on basis
+positions: its BFS forms every product s_i u, so it returns, beside the
+basis, the maps x -> floor(s_i x) on positions.  Every other index map
+(the engine's reflections x -> s_beta x, Poincare duality, the Seidel
+orbit maps) is composed from them, with no product of permutations.
 """
 
 from __future__ import annotations
@@ -148,6 +154,20 @@ def enumerate_min_reps(rs: RootSystem, parabolic: ParabolicSubset):
     representatives are closed under removing a left descent, so a BFS by
     left multiplication that keeps only representatives finds all of them.
     """
+    return _enumerate(rs, parabolic)[0]
+
+
+def _enumerate(rs: RootSystem, parabolic: ParabolicSubset):
+    """(basis, position, left): the `enumerate_min_reps` list, the basis
+    position of each element keyed by its permutation, and per simple
+    reflection s_i the position of floor(s_i x) per position x.
+
+    `left` is read off the products the BFS forms: s_i is an involution, so
+    an ascent u -> s_i u also gives the descent back, and every descent of a
+    representative is an ascent of one in an earlier level.  When s_i u is
+    not minimal, s_i u = u s_j with j in J (Deodhar's lemma), so floor(s_i u)
+    is u itself.
+    """
     rs.check_parabolic(parabolic)
     # |W| = prod over alpha > 0 of (ht alpha + 1) / ht alpha (Macdonald, The
     # Poincare series of a Coxeter group, Math. Ann. 199 (1972), at t = 1)
@@ -161,6 +181,9 @@ def enumerate_min_reps(rs: RootSystem, parabolic: ParabolicSubset):
     level = [identity(rs)]
     seen = {level[0].perm: level[0]}
     out = []
+    # i, u, s_i u per ascent that stays minimal, flat: a list of tuples
+    # would keep one more object per product for the garbage collector
+    pairs = []
     while level:
         out.extend(level)
         nxt = []
@@ -172,18 +195,28 @@ def enumerate_min_reps(rs: RootSystem, parabolic: ParabolicSubset):
                 if u.perm.index(rs._simple_global[i - 1]) >= rs.npos:
                     continue
                 v = simple_reflection(rs, i) * u
-                if v.perm in seen:
-                    continue
-                v._length = lu + 1
-                if any(v.is_right_descent(j) for j in parabolic.indices):
-                    continue
-                seen[v.perm] = v
-                nxt.append(v)
-                # a parent in an earlier level lends its word; at J != {} the
-                # parent can leave W^J, and the word then comes from the recursion
-                parent, letter = _canonical_parent(v)
-                if parent.perm in seen:
-                    v._word = seen[parent.perm].word + (letter,)
+                got = seen.get(v.perm)
+                if got is None:
+                    v._length = lu + 1
+                    if any(v.is_right_descent(j) for j in parabolic.indices):
+                        continue
+                    got = seen[v.perm] = v
+                    nxt.append(v)
+                    # a parent in an earlier level lends its word; at J != {}
+                    # the parent can leave W^J, and the word then comes from
+                    # the recursion
+                    parent, letter = _canonical_parent(v)
+                    if parent.perm in seen:
+                        v._word = seen[parent.perm].word + (letter,)
+                pairs += (i, u, got)
         nxt.sort(key=lambda w: w.word)
         level = nxt
-    return out
+    # the pairs hold the very elements of `out`, so they resolve by identity
+    # and no permutation is hashed again
+    at = {id(w): x for x, w in enumerate(out)}
+    left = [list(range(len(out))) for _ in range(rs.rank)]
+    it = iter(pairs)
+    for i, u, v in zip(it, it, it):
+        x, y = at[id(u)], at[id(v)]
+        left[i - 1][x], left[i - 1][y] = y, x
+    return out, {w.perm: x for x, w in enumerate(out)}, [tuple(row) for row in left]

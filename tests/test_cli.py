@@ -484,6 +484,33 @@ def test_associativity_audit_counts_a_failing_triple(capsys, monkeypatch):
     ]
 
 
+def test_associativity_audit_reads_one_side_off_the_readout(capsys, monkeypatch):
+    # a private engine, so that the corruption stays in this test
+    rs = RootSystem(CartanType.parse("A2"))
+    monkeypatch.setattr(cli, "build_root_system", lambda ctype: rs)
+    ctx = _context(rs, BOREL)
+    ring = ctx.ring
+    s1 = ctx.position[from_word(rs, (1,)).perm]
+    # Z/3 leaves two orbits on W(A2), with representatives e and s1, so by
+    # the orbit route every product is read off sigma_e * sigma_e,
+    # sigma_e * sigma_{s1} and sigma_{s1} * sigma_{s1}, and any value of
+    # the last gives an associative ring.  a * (b * c) is read by the direct
+    # readout, which reads that entry only for the pair (s1, s1) itself
+    assert sorted({ctx.representative(x)[0] for x in range(ring.size)}) == [0, 1]
+    _oriented_product(ring, ring.size - 1, s1)
+    corrupted = ring.tables[s1][s1]
+    corrupted[next(iter(corrupted))] += 1
+    code, out, _ = run(
+        capsys, "check", "--suite", "associativity", "--type", "A2", "--parabolic", ""
+    )
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL associativity (all 216 triples)",
+        "PASS commutativity (all 216 triples)",
+        "suite associativity: FAIL",
+    ]
+
+
 # (type, parabolic, number of classes): the spaces the recursion suite pins
 _RECURSION_SPACES = [
     ("A3", "2", 12), ("A4", "1,4", 30), ("A4", "2,3", 20), ("A4", "2,3,4", 5),

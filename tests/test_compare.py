@@ -680,3 +680,35 @@ def test_generator_lengths_follow_borels_presentation(name, j_nodes, lengths):
     # Chevalley moves of G/B assume
     free = J.free_nodes(rs.rank)
     assert [ring.elements[g].word for g in ring.generators[: len(free)]] == [(i,) for i in free]
+
+
+@pytest.mark.parametrize(
+    "name, j_nodes",
+    [("A3", ()), ("B3", ()), ("D4", ()), ("A4", (2, 3)), ("B3", (1,)), ("D4", (1,)),
+     ("E6", (2, 3, 4, 5, 6))],
+)
+def test_index_maps_match_the_coset_formulas(name, j_nodes):
+    # the maps composed from the enumeration's left maps, against Weyl
+    # group products reduced to W^J: floor(s_i x), the dual floor(w_o x),
+    # and the orbit representative, least of x and every floor(V_k^-1 x)
+    rs = build_root_system(name)
+    J = ParabolicSubset.of(j_nodes)
+    ctx = _context(rs, J)
+    basis, position = ctx.basis, ctx.position
+    assert basis == enumerate_min_reps(rs, J)
+    if not j_nodes:
+        assert position is ctx.engine.index and ctx.left is ctx.engine.left
+
+    def floor(w):
+        return position[min_coset_rep(w, J).perm]
+
+    w_o = longest_element(rs, ParabolicSubset.full(rs.rank))
+    inverses = {k: from_word(rs, v_k.word[::-1]) for k, v_k in ctx.seidel.items()}
+    for x, w in enumerate(basis):
+        for i in range(1, rs.rank + 1):
+            assert ctx.left[i - 1][x] == floor(simple_reflection(rs, i) * w)
+        assert ctx.dual[x] == floor(w_o * w)
+        candidates = [(x, None)] + [(floor(v * w), k) for k, v in inverses.items()]
+        # the first least by (length, position): x itself, then by node
+        least = min(candidates, key=lambda c: (basis[c[0]].length, c[0]))
+        assert ctx.representative(x) == least

@@ -104,7 +104,7 @@ def test_word_ends_in_the_smallest_right_descent(name, nodes):
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4", "F4"])
 def test_engine_reflection_maps(name):
-    # the engine's map of each positive root alpha sends x to x s_alpha, and
+    # the engine's map of each positive root alpha sends x to s_alpha x, and
     # moves the length by an odd amount; s_alpha = w s_i w^-1 for any w, i
     # with w(alpha_i) = alpha, built from words here
     rs = build_root_system(name)
@@ -120,7 +120,7 @@ def test_engine_reflection_maps(name):
     for g, s_alpha in reflections.items():
         moved = eng.reflections[g]
         for x, w in enumerate(eng.elements):
-            assert eng.elements[moved[x]] == w * s_alpha
+            assert eng.elements[moved[x]] == s_alpha * w
             assert (eng.lengths[moved[x]] - eng.lengths[x]) % 2 == 1
 
 
