@@ -63,6 +63,8 @@ def _parse_classes(rs, text):
     words = [part.strip() for part in (text or "").split(",")]
     if words == [""]:
         raise ValueError("missing class list")
+    if "" in words:
+        raise ValueError(f"empty item {words.index('') + 1} in class list {text!r}")
     elements = []
     for wtext in words:
         word = parse_word(wtext)
@@ -88,11 +90,12 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _normalize_classes(rs, parabolic, elements):
-    """Minimal representatives plus warnings for inputs that were not."""
+def _normalize_classes(ctx, elements):
+    """The minimal representatives, as the basis elements of `ctx`, which
+    carry the enumeration's words, plus warnings for inputs that were not."""
     normalized, warnings = [], []
     for w in elements:
-        rep = min_coset_rep(w, parabolic)
+        rep = ctx.basis[ctx.position[min_coset_rep(w, ctx.parabolic).perm]]
         if rep != w:
             warnings.append(
                 f"class {format_word(w.word)} is not a minimal representative; "
@@ -138,10 +141,10 @@ def cmd_gw(args):
     if len(elements) < 3:
         raise ValueError("need at least three classes")
     degree = _parse_degree(args.degree, len(parabolic.free_nodes(rs.rank)))
-    elements, warnings = _normalize_classes(rs, parabolic, elements)
+    ctx = _context(rs, parabolic)
+    elements, warnings = _normalize_classes(ctx, elements)
     note = None
     if all(x >= 0 for x in degree):
-        ctx = _context(rs, parabolic)
         value = ctx.invariant(elements, degree)
         d_b = list(ctx.degree(degree).d_B)
     else:
@@ -171,8 +174,8 @@ def cmd_gw(args):
 def cmd_mul(args):
     rs, parabolic = _parse_ring(args)
     u, v = (_parse_class(rs, text) for text in (args.u, args.v))
-    (u, v), warnings = _normalize_classes(rs, parabolic, [u, v])
     ctx = _context(rs, parabolic)
+    (u, v), warnings = _normalize_classes(ctx, [u, v])
     terms = [
         (format_word(ctx.basis[y].word), d, c)
         for _, d, y, c in ctx.product(ctx.position[u.perm], ctx.position[v.perm])

@@ -19,10 +19,14 @@ common denominator.  The same elimination picks the generators: levels are
 factored in order, and a column that no remaining row holds pivots on the
 unit row of its class, which becomes a generator of length k.  A generator
 of length L has a unit row at level L (w' = e), so the same solve reads its
-products off the right-hand sides.  For each right factor the inverse is
+products off the right-hand sides.  The inverse reads one row per column,
+a square block of the system, and is checked once, when it is factored, to
+invert that block; so an exactly divided solution satisfies the rows it
+reads, whatever the right-hand sides.  For each right factor the inverse is
 applied to the right-hand sides, the result is divided exactly (a remainder
-is an error), every row of the system is checked, and every term is checked
-to be positive and graded.  Everything is integer arithmetic; no Fractions
+is an error), the residual of every row the inverse does not read is
+checked, and every term is checked to be positive and graded: every row of
+the system holds.  Everything is integer arithmetic; no Fractions
 and no floats.  The recursion has one mode, the quantum one: the cup
 product is computed apart from it, by localization, in `classical.py`.
 
@@ -343,14 +347,14 @@ def _left_inverse(rows, ncols):
     holds it (fewest entries, then fewest combination entries; Markowitz,
     Management Sci. 3 (1957)), which keeps the inverse sparse, and is
     eliminated from the rows that hold it; an elimination step scales a row
-    by the pivot and divides out the gcd of its entries.  A column that no
-    remaining row holds leads no row of the echelon form of `rows`, so its
-    unit row is appended as its pivot; these columns depend on the row space
-    only, not on the pivot choices.  Returns (inverse, added columns in
-    order), where the inverse gives, per column, the least denominator `den`
-    and integer (row, coefficient) pairs with den * x[column] =
-    sum coefficient * b[row] whenever A x = b, A being `rows` followed by
-    the unit rows of the added columns.
+    by the pivot and, when that scale is not 1, divides out the gcd of its
+    entries.  A column that no remaining row holds leads no row of the
+    echelon form of `rows`, so its unit row is appended as its pivot; these
+    columns depend on the row space only, not on the pivot choices.  Returns
+    (inverse, added columns in order), where the inverse gives, per column,
+    the least denominator `den` and integer (row, coefficient) pairs with
+    den * x[column] = sum coefficient * b[row] whenever A x = b, A being
+    `rows` followed by the unit rows of the added columns.
     """
     m = [dict(row) for row in rows]
     comb = [{r: 1} for r in range(len(rows))]
@@ -382,9 +386,13 @@ def _left_inverse(rows, ncols):
             row, rcomb = m[r], comb[r]
             f = row[col]
             g = gcd(p, f)
-            _combine(p // g, row, -f // g, pivot, holding, r)
-            _combine(p // g, rcomb, -f // g, pcomb)
-            g = gcd(*row.values(), *rcomb.values())
+            scale = p // g
+            _combine(scale, row, -f // g, pivot, holding, r)
+            _combine(scale, rcomb, -f // g, pcomb)
+            # a step that does not scale the row adds no common factor worth
+            # a pass: the supports, and so the pivots, do not depend on it,
+            # and the final normalization gives the same inverse
+            g = 1 if scale == 1 else gcd(*row.values(), *rcomb.values())
             if g != 1:
                 for vec in (row, rcomb):
                     for key in vec:
@@ -422,13 +430,37 @@ def _level_rows(eng, k):
     )
 
 
+def _unread_rows(k, rows, inverse):
+    """The rows of the length-k system that no column of its left inverse
+    reads, once the inverse is checked: per column, sum_r comb[r] * rows[r]
+    is den * e_col, and the rows read are one per column.  The read rows
+    then form a square block A_P with L_P A_P = D, so A_P is invertible, and
+    an exactly divided solution L_P b_P / D satisfies every read row for
+    every right-hand side b; only the unread rows need a residual per right
+    factor."""
+    read = set()
+    for col, (den, comb) in enumerate(inverse):
+        product = {}
+        for r, a in comb:
+            read.add(r)
+            for c, entry in rows[r]:
+                product[c] = product.get(c, 0) + a * entry
+        if {c: v for c, v in product.items() if v} != {col: den}:
+            raise RuntimeError(f"left inverse of level {k} is not exact on column {col}")
+    if len(read) != len(inverse):
+        raise RuntimeError(
+            f"left inverse of level {k} reads {len(read)} rows for {len(inverse)} columns"
+        )
+    return tuple(r for r in range(len(rows)) if r not in read)
+
+
 def _level(eng, k):
-    """The length-k system shared by every right factor and its exact left
-    inverse.  Levels 1..k-1 are built first, so the shorter generators are
-    chosen by then; the classes of the columns that the factorization
-    completes with unit rows become the generators of length k, and their
-    unit rows, which `_level_rows` lists last and in the same order, join
-    the system."""
+    """The length-k system shared by every right factor, its exact left
+    inverse and the rows the inverse does not read (`_unread_rows`).  Levels
+    1..k-1 are built first, so the shorter generators are chosen by then;
+    the classes of the columns that the factorization completes with unit
+    rows become the generators of length k, and their unit rows, which
+    `_level_rows` lists last and in the same order, join the system."""
     got = eng.levels.get(k)
     if got is None:
         for j in range(1, k):
@@ -442,7 +474,7 @@ def _level(eng, k):
             eng._grow(group, bisect_right(eng.lengths, eng.reach))
             eng.groups.append(group)
             rows = _level_rows(eng, k)
-        got = eng.levels[k] = (rows, inverse)
+        got = eng.levels[k] = (rows, inverse, _unread_rows(k, rows, inverse))
     return got
 
 
@@ -486,8 +518,10 @@ def _row_name(eng, k, r):
 def _solve_level(eng, by, k):
     """sigma_w * sigma_v for every w of length k, in index order: the level's
     left inverse applied to the right-hand sides, divided exactly, then
-    checked against every row of the system."""
-    rows, inverse = _level(eng, k)
+    checked against the rows the inverse does not read.  The rows it reads
+    hold for every exact solution, as `_unread_rows` checked once, so every
+    row of the system holds."""
+    rows, inverse, unread = _level(eng, k)
     rhs = _right_hand_sides(eng, by, k)
     sol = []
     for x, (den, comb) in zip(eng.by_length[k], inverse):
@@ -507,10 +541,11 @@ def _solve_level(eng, by, k):
             if q:
                 terms[key] = q
         sol.append(terms)
-    # the apply has read every right-hand side, so each row's residual is
-    # taken in place
-    for r, (row, residual) in enumerate(zip(rows, rhs)):
-        for col, a in row:
+    # the apply never reads an unread row's right-hand side, so its residual
+    # is taken in place
+    for r in unread:
+        residual = rhs[r]
+        for col, a in rows[r]:
             for key, c in sol[col].items():
                 residual[key] = residual.get(key, 0) - a * c
         if any(residual.values()):

@@ -7,6 +7,13 @@ word(w) = word(w s_i) + (i,) with i the smallest right descent of w, so it
 never depends on how an element was built; the enumeration hands each new
 element its canonical parent's word, and any other element recurses.
 
+The enumeration keys an element by its images of the simple roots, rank
+root indices where the permutation has 2 npos (6 against 72 on E6): a
+linear map is fixed by its values on a basis.  A candidate s_i u forms only
+its key, the full permutation is built only for an element not yet seen,
+and the canonical parent v s_d is looked up by its key, the images under v
+of s_d alpha_g, with no product of permutations.
+
 The enumeration of W^J is also the one source of the action of W on basis
 positions: its BFS forms every product s_i u, so it returns, beside the
 basis, the maps x -> floor(s_i x) on positions.  Every other index map
@@ -162,6 +169,10 @@ def _enumerate(rs: RootSystem, parabolic: ParabolicSubset):
     position of each element keyed by its permutation, and per simple
     reflection s_i the position of floor(s_i x) per position x.
 
+    `seen` is keyed by the images of the simple roots (see the module
+    docstring): the key of s_i u is s_i applied to the key of u, and the
+    key of v s_d reads v's permutation at the roots s_d alpha_g.
+
     `left` is read off the products the BFS forms: s_i is an involution, so
     an ascent u -> s_i u also gives the descent back, and every descent of a
     representative is an ascent of one in an earlier level.  When s_i u is
@@ -178,38 +189,52 @@ def _enumerate(rs: RootSystem, parabolic: ParabolicSubset):
             f"|W({rs.cartan_type})| = {order} exceeds the enumeration bound "
             f"{DEFAULT_MAX_WEYL_ORDER}"
         )
-    level = [identity(rs)]
-    seen = {level[0].perm: level[0]}
+    npos, simple = rs.npos, rs._simple_global
+    # per s_i: i, its action on root indices, and the root alpha_i
+    steps = [
+        (i, perm.__getitem__, g)
+        for i, (perm, g) in enumerate(zip(rs.simple_perms, simple), 1)
+    ]
+    # per s_d: the roots s_d alpha_g per simple g, whose images under v are
+    # the key of v s_d
+    parent_roots = [tuple(perm[g] for g in simple) for perm in rs.simple_perms]
+    in_j = [j - 1 for j in parabolic.indices]
+    e = identity(rs)
+    # (key, element) per element of the current length
+    level = [(simple, e)]
+    seen = {simple: e}
     out = []
     # i, u, s_i u per ascent that stays minimal, flat: a list of tuples
     # would keep one more object per product for the garbage collector
     pairs = []
     while level:
-        out.extend(level)
+        out.extend(u for _, u in level)
         nxt = []
-        for u in level:
-            lu = u.length
-            for i in range(1, rs.rank + 1):
-                # l(s_i u) > l(u) iff u^-1 alpha_i > 0: skip the product of
-                # a left descent before building it
-                if u.perm.index(rs._simple_global[i - 1]) >= rs.npos:
+        for key, u in level:
+            p, lu = u.perm, u.length
+            for i, act, g in steps:
+                # l(s_i u) > l(u) iff u^-1 alpha_i > 0: skip a left descent
+                if p.index(g) >= npos:
                     continue
-                v = simple_reflection(rs, i) * u
-                got = seen.get(v.perm)
-                if got is None:
-                    v._length = lu + 1
-                    if any(v.is_right_descent(j) for j in parabolic.indices):
+                vkey = tuple(map(act, key))
+                v = seen.get(vkey)
+                if v is None:
+                    # s_i u alpha_j < 0 for a j in J: s_i u is not minimal
+                    if any(vkey[j] >= npos for j in in_j):
                         continue
-                    got = seen[v.perm] = v
-                    nxt.append(v)
-                    # a parent in an earlier level lends its word; at J != {}
-                    # the parent can leave W^J, and the word then comes from
+                    v = seen[vkey] = WeylElement(rs, tuple(map(act, p)))
+                    v._length = lu + 1
+                    nxt.append((vkey, v))
+                    # the canonical parent v s_d, d the smallest right
+                    # descent, lends its word when it was enumerated; at
+                    # J != {} it can leave W^J, and the word then comes from
                     # the recursion
-                    parent, letter = _canonical_parent(v)
-                    if parent.perm in seen:
-                        v._word = seen[parent.perm].word + (letter,)
-                pairs += (i, u, got)
-        nxt.sort(key=lambda w: w.word)
+                    d = next(d for d, image in enumerate(vkey) if image >= npos)
+                    parent = seen.get(tuple(map(v.perm.__getitem__, parent_roots[d])))
+                    if parent is not None:
+                        v._word = parent.word + (d + 1,)
+                pairs += (i, u, v)
+        nxt.sort(key=lambda kv: kv[1].word)
         level = nxt
     # the pairs hold the very elements of `out`, so they resolve by identity
     # and no permutation is hashed again

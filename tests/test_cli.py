@@ -151,6 +151,29 @@ def test_empty_degree_and_class_list_are_input_errors(capsys):
     assert (code, out, err) == (2, "", "error: missing class list\n")
 
 
+@pytest.mark.parametrize(
+    "classes, item", [("s1,,s2s1", 2), ("s1,s2,s1s2s1,", 4), (" ,s1,s2,s2s1", 1)]
+)
+def test_an_empty_class_item_is_an_input_error(capsys, classes, item):
+    # the identity class is written e; an empty item is refused, as an empty
+    # item of --parabolic or --degree is, not read as e
+    code, out, err = run(capsys, "gw", "--type", "A2", "--classes", classes, "--degree", "0,0")
+    assert (code, out, err) == (2, "", f"error: empty item {item} in class list {classes!r}\n")
+    code, out, _ = run(capsys, "gw", "--type", "A2", "--classes", "e,s2,s2s1", "--degree", "0,0")
+    assert (code, out) == (0, "invariant: 1\nroute: borel  dB: [0, 0]\n")
+
+
+def test_normalized_classes_are_the_enumeration_elements():
+    # the enumeration lent their words, so printing them forms no product;
+    # the warning for a class that is not minimal names its own word
+    rs = qflag.build_root_system("A2")
+    ctx = _context(rs, ParabolicSubset.of([2]))
+    given = [from_word(rs, (1, 2)), from_word(rs, (2, 1))]
+    got, warnings = cli._normalize_classes(ctx, given)
+    assert got[0] is ctx.basis[1] and got[1] is ctx.basis[2]
+    assert warnings == ["class s1s2 is not a minimal representative; using s1"]
+
+
 def test_mul_json_warns_on_non_minimal_classes(capsys):
     code, out, _ = run(
         capsys, "mul", "--type", "A2", "--parabolic", "2", "--u", "s1s2", "--v", "s1", "--json"

@@ -25,7 +25,7 @@ from qflag import (
 from qflag import quantum
 from qflag.cli import main
 from qflag.compare import _context
-from qflag.quantum import _engine, _left_inverse, _level, _oriented_product
+from qflag.quantum import _engine, _left_inverse, _level, _oriented_product, _unread_rows
 from qflag.root_system import CartanType, RootSystem
 
 
@@ -210,7 +210,7 @@ def test_qclass_formatting():
 
 
 def _level_systems(eng):
-    return {k: _level(eng, k) for k in sorted(eng.by_length) if k >= 1}
+    return {k: _level(eng, k)[:2] for k in sorted(eng.by_length) if k >= 1}
 
 
 # the largest denominator of each type's level inverses; the denominators
@@ -281,6 +281,37 @@ def test_left_inverse_completes_a_rank_deficient_matrix_by_unit_rows():
         assert product == [den if col == j else 0 for col in range(2)]
     b = [7, 14, -21, 3]  # x = (1, 3)
     assert [sum(a * b[r] for r, a in comb) // den for den, comb in inverse] == [1, 3]
+
+
+def test_a_tampered_level_inverse_is_refused_at_factorization(monkeypatch):
+    # one coefficient of the last column's combination off by one: the
+    # inverse no longer gives den * e_col, and level 2 is refused when it is
+    # factored, before any right factor reads it
+    _, eng = _private_engine("B3")
+    _level(eng, 1)
+    factor = quantum._left_inverse
+
+    def tampered(rows, ncols):
+        inverse, added = factor(rows, ncols)
+        den, ((r, a), *rest) = inverse[-1]
+        return (*inverse[:-1], (den, ((r, a + 1), *rest))), added
+
+    monkeypatch.setattr(quantum, "_left_inverse", tampered)
+    last = len(eng.by_length[2]) - 1
+    with pytest.raises(RuntimeError, match=f"level 2 is not exact on column {last}$"):
+        _level(eng, 2)
+    assert 2 not in eng.levels
+
+
+def test_an_inverse_that_reads_more_rows_than_columns_is_refused():
+    # x0 = b0 and x0 = b1: b0 + b1 over 2 gives x0 exactly when the rows
+    # agree, but when they do not it satisfies neither, so the rows it reads
+    # would need a residual too; one read row per column is what makes an
+    # exact solution satisfy every row it reads
+    rows = (((0, 1),), ((0, 1),))
+    with pytest.raises(RuntimeError, match="reads 2 rows for 1 columns"):
+        _unread_rows(1, rows, ((2, ((0, 1), (1, 1))),))
+    assert _unread_rows(1, rows, ((1, ((1, 1),)),)) == (0,)
 
 
 def test_a_borel_level_that_loses_rank_is_refused():
@@ -364,7 +395,7 @@ def test_an_inconsistent_row_of_a_later_generator_group_is_named(monkeypatch):
     w = next(ring.elements[x] for x in ring.by_length[3] if ctx.representative(x)[1] is None)
     parabolic_quantum_product(rs, J, ring.elements[ring.by_length[2][0]], w)
     assert [ring.lengths[g] for g in ring.generators] == [1, 1, 2]
-    rows, inverse = _level(ring, 3)
+    rows, inverse, _ = _level(ring, 3)
     assert len(rows) == 10
     assert not {8, 9} & {r for _, comb in inverse for r, _ in comb}
     solve = quantum._right_hand_sides

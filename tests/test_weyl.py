@@ -255,3 +255,45 @@ def test_enumeration_bound_reads_the_weyl_order(monkeypatch, name):
     assert str(info.value) == (
         f"|W({name})| = {WEYL_ORDERS[name]} exceeds the enumeration bound 0"
     )
+
+
+def _brute_force_enumeration(rs, J):
+    """W^J by a BFS keyed by whole permutations, ordered by length and then
+    by the canonical word of a fresh element, which recurses through its
+    own products and reads nothing the enumeration built."""
+    e = identity(rs)
+    seen, frontier = {e.perm: e}, [e]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for i in range(1, rs.rank + 1):
+                v = simple_reflection(rs, i) * u
+                if v.perm not in seen and min_coset_rep(v, J) == v:
+                    seen[v.perm] = v
+                    nxt.append(v)
+        frontier = nxt
+    fresh = [weyl.WeylElement(rs, perm) for perm in seen]
+    return sorted(fresh, key=lambda w: (w.length, w.word))
+
+
+@pytest.mark.parametrize(
+    "name, nodes",
+    [("A3", ()), ("B3", ()), ("C3", ()), ("D4", ()), ("G2", ()), ("F4", ()),
+     ("A4", (2, 3)), ("D5", (1, 3)), ("E6", (2, 3, 4, 5, 6))],
+)
+def test_enumeration_matches_a_brute_force_bfs(name, nodes):
+    # the enumeration keys elements by their images of the simple roots and
+    # lends each word from the canonical parent; the same elements in the
+    # same order with the same words, and the left maps floor(s_i x)
+    rs = build_root_system(name)
+    J = ParabolicSubset.of(nodes)
+    basis, position, left = weyl._enumerate(rs, J)
+    expected = _brute_force_enumeration(rs, J)
+    assert [w.perm for w in basis] == [w.perm for w in expected]
+    assert [w.word for w in basis] == [w.word for w in expected]
+    assert [w.length for w in basis] == [w.length for w in expected]
+    assert position == {w.perm: x for x, w in enumerate(expected)}
+    assert left == [
+        tuple(position[min_coset_rep(simple_reflection(rs, i) * w, J).perm] for w in expected)
+        for i in range(1, rs.rank + 1)
+    ]
