@@ -3,10 +3,12 @@
 One JSON document per (type, parabolic), format version 1.  The cache file
 is byte for byte the stdout of `table --json`: `write_document`, the one
 schema writer, streams the bytes of json.dumps(doc, indent=2, sort_keys=True)
-and a final newline entry by entry, without running json's pure-Python
-indent encoder and without holding the document.  A fresh table is streamed
-into a new file in the cache directory and renamed onto the cache file when
-it is complete; a failure removes the new file.
+and a final newline a block of entries at a time, without running json's
+pure-Python indent encoder and without holding the document.
+`terms_encoder` writes each term of an entry as its coefficient followed
+by the text of its key, which it builds once per key.  A fresh table is
+streamed into a new file in the cache directory and renamed onto the cache
+file when it is complete; a failure removes the new file.
 
 `check_document`, one pass over a document that reads the basis lengths and
 the c_1 weights of the free nodes off the G/P context, checks that its bytes
@@ -41,7 +43,7 @@ import re
 import sys
 from contextlib import contextmanager
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 from math import comb, inf
 from operator import mul
 
@@ -68,38 +70,47 @@ def _int_list(values, pad):
     return f"[\n{pad}  {inner}\n{pad}]"
 
 
-def terms_encoder():
-    """A function that encodes an entry's terms, given as (word, q-degree,
-    coefficient) triples, as json's indent=2 encoder writes the entry's
-    "terms" list.  Each distinct word and degree is encoded once."""
-    words = cache(json.dumps)
-    degrees = cache(lambda q: _int_list(q, " " * 10))
+def terms_encoder(term_of):
+    """A function that encodes an entry's terms, given in order as (rank,
+    key, coefficient) triples whose rank it does not read, as json's
+    indent=2 encoder writes the entry's "terms" list.  term_of(key) gives
+    the term's word and q-degree, a tuple; the text of each key's "q" and
+    "w" fields is built once, on first use, and kept as long as the
+    encoder, and so is the text of each distinct word and degree."""
+    texts, words = {}, cache(json.dumps)
+    degrees = cache(lambda q: _int_list(q, _PAD))
+    opening, separator = f'[\n        {{\n{_PAD}"c": ', f'{_TERM_SEP}{_PAD}"c": '
+
+    def text(key):
+        """The text of the term of `key` after its coefficient."""
+        w, q = term_of(key)
+        got = texts[key] = f',\n{_PAD}"q": {degrees(q)},\n{_PAD}"w": {words(w)}'
+        return got
 
     def encode(terms):
-        body = ",\n".join(
-            f'        {{\n          "c": {c},\n'
-            f'          "q": {degrees(tuple(q))},\n'
-            f'          "w": {words(w)}\n        }}'
-            for w, q, c in terms
-        )
-        return f"[\n{body}\n      ]" if body else "[]"
+        if not terms:
+            return "[]"
+        body = separator.join([f"{c}{texts.get(key) or text(key)}" for _, key, c in terms])
+        return f"{opening}{body}\n        }}\n      ]"
 
     return encode
 
 
 def write_document(handle, type_name, parabolic, entries):
     """Write a table document to `handle` as print(json.dumps(doc, indent=2,
-    sort_keys=True)) gives it, one entry at a time.  `entries` yields each
-    entry as (u, v, terms), with the terms encoded by a `terms_encoder`;
-    `parabolic` is the list of parabolic nodes."""
+    sort_keys=True)) gives it, a block of entries at a time.  `entries`
+    yields each entry as (u, v, terms), with the terms encoded by a
+    `terms_encoder`; `parabolic` is the list of parabolic nodes."""
     words = cache(json.dumps)
+    texts = (
+        f'    {{\n      "terms": {terms},\n      "u": {words(u)},\n'
+        f'      "v": {words(v)}\n    }}'
+        for u, v, terms in entries
+    )
     handle.write('{\n  "entries": ')
     opening = "[\n"
-    for u, v, terms in entries:
-        handle.write(
-            f'{opening}    {{\n      "terms": {terms},\n      "u": {words(u)},\n'
-            f'      "v": {words(v)}\n    }}'
-        )
+    while block := list(islice(texts, _BLOCK)):
+        handle.write(opening + ",\n".join(block))
         opening = ",\n"
     handle.write("[]" if opening == "[\n" else "\n  ]")
     handle.write(_trailer(type_name, parabolic))
@@ -122,6 +133,7 @@ _TERMS = '      "terms": '
 _TERMS_OPEN, _TERMS_CLOSE = _TERMS + "[\n        {\n", "\n        }\n      ]"
 _TERM_SEP = "\n        },\n        {\n"
 _Q_SEP = ",\n" + " " * 12
+_PAD = " " * 10  # the indent of a term's keys
 # patterns, compiled on first use.  A term text: the keys c, q and w at
 # indent 10, each value any text up to the next key.  The groups are c, q,
 # the ints of q's list and w; c, q and w are None unless their value has its
@@ -138,6 +150,7 @@ _TERM_TEXT = (
 # the document's trailer, on a rejecting path
 _TRAILER = r',\n  "parabolic": (.*),\n  "type": (.*),\n  "version": (.*)\n\}\n'
 _CHUNK = 1 << 14
+_BLOCK = 32  # entries per write of `write_document`
 _LAYOUT = "not the canonical layout of table --json"
 
 
@@ -172,14 +185,13 @@ def check_document(handle, ctx, words, text=None):
     top = 2 * max(lengths)
     on_grade = [set() for _ in range(top + 1)]
     rendered = {}  # term text -> the term as format_terms renders it
-    pad = " " * 10
     # the text of the term sigma_v of a unit-row entry, less the word v
-    unit = f'{pad}"c": 1,\n{pad}"q": {_int_list((0,) * free, pad)},\n{pad}"w": '
+    unit = f'{_PAD}"c": 1,\n{_PAD}"q": {_int_list((0,) * free, _PAD)},\n{_PAD}"w": '
     tail = _ENTRIES_END + _trailer(str(ctx.rs.cartan_type), ctx.parabolic.indices)
     # the longest pending text: one term per basis word and degree on the top
     # grade (c_1 >= 2 sum(q)), each at most as long as the longest word and
     # degree with as many digits as int() converts, one more for the keys
-    longest = (len(unit + _TERM_SEP + _int_list((top,) * free, pad)) + max(map(len, quoted))
+    longest = (len(unit + _TERM_SEP + _int_list((top,) * free, _PAD)) + max(map(len, quoted))
                + (sys.get_int_max_str_digits() or inf))
     bound = (n * comb(top // 2 + free, free) + 1) * longest + len(tail)
 

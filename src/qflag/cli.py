@@ -220,16 +220,17 @@ def cmd_table(args):
     path = cache_io.table_path(cache_dir, type_name, parabolic)
     words = [format_word(w.word) for w in ctx.basis]
     n = len(words)
-    encode = cache_io.terms_encoder()
+    # a key of the ring is pd * n + y, the term q^d sigma_y
+    encode = cache_io.terms_encoder(lambda key: (words[key % n], ctx.ring.degree(key // n)))
 
     def entry(i, j):
-        return encode([(words[y], d, c) for _, d, y, c in ctx.product(i, j)])
+        return encode(ctx.int_terms(i, j))
 
     def write(handle):
-        entries = enumerate(_mirrored(n, entry))
+        pairs = iter_product(words, repeat=2)
         cache_io.write_document(
             handle, type_name, parabolic.indices,
-            ((words[k // n], words[k % n], terms) for k, terms in entries),
+            ((u, v, terms) for (u, v), terms in zip(pairs, _mirrored(n, entry))),
         )
 
     # stdout gets nothing until the table is complete and checked: a

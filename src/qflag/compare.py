@@ -31,10 +31,13 @@ Chaput-Manivel-Perrin, Math. Res. Lett. 16 (2009)).  The V_k and the
 identity form a group, P^vee/Q^vee, so a product is read off the product of
 the factors' orbit representatives, and its terms are moved back through
 one orbit map per factor that is not its own representative.  So
-`_Context.product` reads every product that `table`, `mul`, `gw` and
+`_Context.int_terms` reads every product that `table`, `mul`, `gw` and
 `star` serve off the W^J table of a representative (on A5, 120 of the 720
-classes), and checks each derived product for positivity and grading as it
-checks a solved one.  The direct readout `_Context.rows` reads the plain
+classes), in one pass that maps each term through both orbit maps and
+checks it for positivity and grading as a solved term is checked, and
+sorts the terms by an int rank of their keys.  `table` encodes these
+int-keyed terms as they are; `_Context.product` unpacks them into rows
+for the others.  The direct readout `_Context.rows` reads the plain
 Borel product of the factors themselves.  It serves the generator moves,
 the comparison audit, the recursion audit, which compares the two routes on
 every ordered pair, and the right side a * (b * c) of the associativity
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .degrees import (
     _as_degree,
@@ -71,9 +74,9 @@ from .degrees import (
     push_degree,
 )
 from .classical import classical_parabolic_invariant
-from .quantum import BOREL, QClass, _Engine, _engine, _finalized, _int_product
+from .quantum import BOREL, QClass, _Engine, _engine, _int_product
 from .root_system import ParabolicSubset, RootSystem
-from .weyl import WeylElement, _enumerate, longest_element, min_coset_rep
+from .weyl import WeylElement, _enumerate, format_word, longest_element, min_coset_rep
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,7 @@ class _Context:
         self._readout = {}
         self._representatives = {}  # basis position -> `representative`
         self._orbit_maps = {}  # minuscule node -> `orbit_map`
+        self._ranks = {}  # key of `ring` -> `_rank`
 
     @cached_property
     def engine(self):
@@ -319,47 +323,86 @@ class _Context:
             got = self._orbit_maps[k] = (image, tuple(shift))
         return got
 
-    def _shifted(self, terms, k, rep):
-        """S_k of int-keyed terms, divided by q^{delta_k(rep)}: per term
-        key -> key + shift[z] + floor(V_k z) - z - shift[rep].  A term whose
-        key would leave its class's position or go below zero raises instead
-        of being carried into another packed field."""
-        image, shift = self.orbit_map(k)
-        size, base = self.ring.size, shift[rep]
-        out = {}
-        for key, c in terms.items():
-            z = key % size
-            y = image[z]
-            key += shift[z] + y - z - base
-            if key < 0 or key % size != y:
-                raise RuntimeError(
-                    f"a derived term of {self.basis[y]!r} wraps its packed key"
-                )
-            out[key] = c
-        return out
+    def _rank(self, key):
+        """(l(y) + c_1(d), rank) of the key of the term q^d sigma_y of
+        `ring`, memoized.  The rank packs sum(d), d's coordinates, the first
+        one highest, and y, so ranks order keys by (sum(d), d, y), the order
+        of `rows`."""
+        ring = self.ring
+        pd, y = divmod(key, ring.size)
+        d = ring.degree(pd)
+        rank = sum(d)
+        for a in d:
+            rank = rank * ring.base + a
+        grade = ring.lengths[y] + sum(map(mul, ring.weights, d))
+        got = self._ranks[key] = (grade, rank * ring.size + y)
+        return got
+
+    def int_terms(self, i, j):
+        """The product of the basis elements at positions i and j, as
+        int-keyed terms (rank, key, c) of `ring` sorted by rank (`_rank`),
+        read off the product of their orbit representatives: with i =
+        floor(V_k ri) and j = floor(V_l rj), sigma_i * sigma_j =
+        q^{-delta_k(ri) - delta_l(rj)} S_k S_l (sigma_ri * sigma_rj).
+
+        One pass maps each term through S_l and then S_k, per map key ->
+        key + shift[z] + floor(V_k z) - z - shift[rep]; a key that would
+        leave its class's position or go below zero is refused, not carried
+        into another packed field.  Every term is then checked for
+        positivity and the grading l(y) + c_1(d) = l(i) + l(j), as a solved
+        one is.  Of several faults, the one raised is the first term's at
+        the earliest check, as if each check ran over every term in turn."""
+        ring, ranks = self.ring, self._ranks
+        size = ring.size
+        (ri, k), (rj, l) = self.representative(i), self.representative(j)
+        maps = []  # per map, in the order applied: (check, image, shift, base)
+        for m, rep in ((l, rj), (k, ri)):
+            if m is not None:
+                image, shift = self.orbit_map(m)
+                maps.append((len(maps), image, shift, shift[rep]))
+        grade = ring.lengths[i] + ring.lengths[j]
+        terms, faults = [], []
+        for key, c in _int_product(ring, ri, rj).items():
+            for check, image, shift, base in maps:
+                z = key % size
+                y = image[z]
+                key += shift[z] + y - z - base
+                if key < 0 or key % size != y:
+                    faults.append(
+                        (check, f"a derived term of {self.basis[y]!r} wraps its packed key")
+                    )
+                    break
+            else:
+                graded, rank = ranks.get(key) or self._rank(key)
+                if c < 0 or graded != grade:
+                    faults.append((len(maps), self._term_fault(key, c, grade)))
+                terms.append((rank, key, c))
+        if faults:
+            raise RuntimeError(min(faults, key=itemgetter(0))[1])
+        terms.sort()
+        return terms
+
+    def _term_fault(self, key, c, grade):
+        """What is wrong with the term c q^d sigma_y of key in a product of
+        degree `grade`: a negative c, else the grading."""
+        ring = self.ring
+        pd, y = divmod(key, ring.size)
+        if c < 0:
+            return f"negative structure constant {c} at {ring.elements[y]}"
+        return (
+            f"grading violation: term ({format_word(ring.elements[y].word)}, "
+            f"{ring.degree(pd)}) in a degree-{grade} product"
+        )
 
     def product(self, i, j):
         """The product of the basis elements at positions i and j, as rows
-        like those of `rows`, read off the product of their orbit
-        representatives in `ring`: with i = floor(V_k ri) and j =
-        floor(V_l rj), sigma_i * sigma_j = q^{-delta_k(ri) - delta_l(rj)}
-        S_k S_l (sigma_ri * sigma_rj).  A derived product is checked for
-        positivity and grading like a solved one."""
-        ring = self.ring
-        (ri, k), (rj, l) = self.representative(i), self.representative(j)
-        terms = _int_product(ring, ri, rj)
-        if l is not None:
-            terms = self._shifted(terms, l, rj)
-        if k is not None:
-            terms = self._shifted(terms, k, ri)
-        if k is not None or l is not None:
-            _finalized(ring, terms, ring.lengths[i] + ring.lengths[j])
+        like those of `rows`: `int_terms`, unpacked."""
+        size, degree = self.ring.size, self.ring.degree
         rows = []
-        for key, c in terms.items():
-            pd, y = divmod(key, ring.size)
-            d = ring.degree(pd)
+        for _, key, c in self.int_terms(i, j):
+            pd, y = divmod(key, size)
+            d = degree(pd)
             rows.append((sum(d), d, y, c))
-        rows.sort()
         return rows
 
     def times(self, a, b, product) -> dict:
@@ -491,8 +534,10 @@ def check_comparison_consistency(
     Every ordered triple (a, b, c) whose lengths add up to dim G/P + c_1(d)
     is audited.  Its value is the coefficient of q^d sigma_{dual(c)} in the
     product sigma_a * sigma_b, so each ordered product is read once, as the
-    `rows` of two basis positions, and each permutation of a triple is read
-    off its own ordered product.  The value at the derived parabolic P' is
+    `rows` of two basis positions.  `rows(a, b)` and `rows(b, a)` read one
+    Borel product, the table of the later factor, so the symmetry check
+    compares three products, sigma_a * sigma_b, sigma_a * sigma_c and
+    sigma_b * sigma_c, and not six.  The value at the derived parabolic P' is
     read the same way off the rows at P' (a minimal representative mod J is
     one mod J' too), when d'' is graded there.  The localization oracle is
     symmetric in its classes, so it runs once per unordered triple.

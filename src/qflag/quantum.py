@@ -55,7 +55,7 @@ Products are memoized per longer factor, in one engine per ring:
 `_int_product` reads sigma_u * sigma_v off the table of whichever of u, v
 comes later in the basis, and that table recurses only to the length of the
 other, the shorter factor, so the two orders of a pair share one table.
-Every product that a user sees comes through `compare._Context.product`,
+Every product that a user sees comes through `compare._Context.int_terms`,
 which calls it on the Seidel orbit representatives of the two factors only
 and maps the terms back to the factors (see `compare.py`).  So only
 representatives get tables, and the table of a representative z reaches

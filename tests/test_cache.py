@@ -24,9 +24,10 @@ def reference(doc):
 def encode(doc):
     """The document as the schema writer streams it."""
     out = io.StringIO()
-    terms = terms_encoder()
+    # a term's key is its (word, q-degree), and the rank goes unread
+    terms = terms_encoder(lambda key: key)
     entries = (
-        (e["u"], e["v"], terms((t["w"], t["q"], t["c"]) for t in e["terms"]))
+        (e["u"], e["v"], terms([(None, (t["w"], tuple(t["q"])), t["c"]) for t in e["terms"]]))
         for e in doc["entries"]
     )
     write_document(out, doc["type"], doc["parabolic"], entries)

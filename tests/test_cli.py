@@ -360,7 +360,7 @@ def test_table_refuses_the_full_parabolic_before_opening_a_file(tmp_path, capsys
 def test_table_failing_midway_prints_nothing_and_leaves_no_file(
     tmp_path, capsys, monkeypatch, fmt
 ):
-    real = _Context.product
+    real = _Context.int_terms
     calls = iter(range(3))
 
     def product_or_fail(self, i, j):
@@ -370,7 +370,7 @@ def test_table_failing_midway_prints_nothing_and_leaves_no_file(
             raise RuntimeError("injected failure")
         return real(self, i, j)
 
-    monkeypatch.setattr(_Context, "product", product_or_fail)
+    monkeypatch.setattr(_Context, "int_terms", product_or_fail)
     code, out, err = run(
         capsys, "table", "--type", "A2", "--parabolic", "2", *fmt,
         "--cache-dir", str(tmp_path),
@@ -386,9 +386,9 @@ def test_a_fresh_text_table_passes_the_cache_check_before_it_is_printed(
 ):
     real = cli.cache_io.terms_encoder
 
-    def writing_one_01():
+    def writing_one_01(term_of):
         # the first coefficient 1 of the document is written as 01
-        encode, first = real(), iter([True])
+        encode, first = real(term_of), iter([True])
 
         def encode_with_01(terms):
             text = encode(terms)

@@ -72,6 +72,15 @@ GOLDEN = [
     (("mul", "--type", "D4", "--parabolic", "", "--u", "s4s2s3s1s2s4s1s2s3s1s2s1",
       "--v", "s4s2s3s1s2s4s1s2s3s1s2s1", "--json"),
      "09acff506990d444b5ec0cc2bb3490037127790b77bca7828cca7282e2495ad6"),
+    # the rest of the table-cold benchmark's tables, beside B3: most of
+    # their entries are derived products, mapped through one or two orbit
+    # maps; hashes taken at commit d23a6d77f3680a88a4ab6cb86a04b0292257f5ef
+    (("table", "--type", "C3", "--parabolic", "", "--json"),
+     "f56c99a7de0e1630206104a86a07bdc4da1bfb113c3f333b7292bc0ad290e339"),
+    (("table", "--type", "A4", "--parabolic", "2,3", "--json"),
+     "bad3474953db612d5bae4f07ce6d2c5f6902868c00cc90d1c997674b8f98b974"),
+    (("table", "--type", "A4", "--parabolic", "1,4", "--json"),
+     "171400604d4fb0bc140328f0198e2981d0b404f5e77d83057342c83196807eba"),
     # a G/P product with a non-minimal class, read off the context's rows;
     # hash taken at commit 2a4604edd2a878c6bb51e186beada7c96b3bcf24
     (("mul", "--type", "C3", "--parabolic", "2", "--u", "s2s1s3s2", "--v", "s2s3s2s1",

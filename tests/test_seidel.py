@@ -14,10 +14,14 @@ from qflag import (
     ParabolicSubset,
     RootSystem,
     build_root_system,
+    from_word,
     longest_element,
     min_coset_rep,
 )
+from qflag import cli
+from qflag.cli import main
 from qflag.compare import _context
+from qflag.quantum import _int_product
 
 SPACES = [
     ("A3", ()), ("B3", ()), ("C3", ()), ("D4", ()), ("A4", ()),
@@ -114,36 +118,104 @@ def test_a_product_of_representatives_builds_no_orbit_map():
     assert ctx._orbit_maps == {}
 
 
-@pytest.mark.parametrize(
-    "corruption, message",
-    [
-        # one more q3 taken off, the top field of A3's packed degree: the
-        # key of a classical term would go below zero
-        (lambda size, base: size * base * base, "wraps its packed key"),
-        # q1 less and q2 more: the key stays positive, but q1 borrows from
-        # q2, and the borrow raises the q-grade
-        (lambda size, base: size * (1 - base), "grading violation"),
-        # a shift that is not a whole packed degree moves the class
-        (lambda size, base: 1, "wraps its packed key"),
-    ],
-    ids=["negative", "borrow", "position"],
-)
-def test_a_derived_term_never_wraps(corruption, message):
+# (corruption, the error it raises), by id
+CORRUPTIONS = {
+    # one more q_r taken off, the top field of a rank-r packed degree: the
+    # key of a classical term would go below zero
+    "negative": (lambda size, base, rank: size * base ** (rank - 1), "wraps its packed key"),
+    # q1 less and q2 more: the key stays positive, but q1 borrows from q2,
+    # and the borrow raises the q-grade
+    "borrow": (lambda size, base, rank: size * (1 - base), "grading violation"),
+    # a shift that is not a whole packed degree moves the class
+    "position": (lambda size, base, rank: 1, "wraps its packed key"),
+}
+
+
+def _first_applied(ctx, i, j):
+    """(node, representative) of the orbit map applied first in sigma_i *
+    sigma_j: the later factor's, unless it is its own representative."""
+    (ri, k), (rj, l) = ctx.representative(i), ctx.representative(j)
+    return (l, rj) if l is not None else (k, ri)
+
+
+def _corrupted(name, corruption, words=None):
+    """(ctx, i, j) on a private G/B of type `name`, whose product sigma_i *
+    sigma_j reads an orbit map corrupted by `corruption` in the shift of a
+    representative, the map applied first.  The factors are the classes of
+    `words`, or else by type.  On A3, i is not its own representative z and
+    j = s1 is: the terms of sigma_z * sigma_{s1} lie off z, and some are
+    classical, so a corrupted shift of z is taken off them and nothing adds
+    it back.  On D4, neither factor is, and their nodes differ: the later
+    factor's map S_l comes first, and S_k moves its corrupted terms on."""
     # a private root system, so that the corruption stays in this test
-    rs = RootSystem(CartanType.parse("A3"))
+    rs = RootSystem(CartanType.parse(name))
     ctx = _context(rs, BOREL)
     ring = ctx.ring
-    # sigma_x * sigma_{s1}, x not its own representative z and s1 its own:
-    # the terms of sigma_z * sigma_{s1} lie off z, and some are classical,
-    # so a corrupted shift of z is taken off them and nothing adds it back
-    s1 = ctx.position[rs.simple_perms[0]]
-    x = next(x for x in range(ring.size) if ctx.representative(x)[1] is not None)
-    z, k = ctx.representative(x)
-    assert ctx.representative(s1) == (s1, None)
-    assert ctx.product(x, s1) == ctx.rows(x, s1)
-    image, shift = ctx.orbit_map(k)
+    if words:
+        i, j = (ctx.position[from_word(rs, w).perm] for w in words)
+    else:
+        i = next(x for x in range(ring.size) if ctx.representative(x)[1] is not None)
+        k = ctx.representative(i)[1]
+        if name == "A3":
+            j = ctx.position[rs.simple_perms[0]]
+            assert ctx.representative(j) == (j, None)
+        else:
+            j = next(y for y in range(ring.size) if ctx.representative(y)[1] not in (None, k))
+    assert ctx.product(i, j) == ctx.rows(i, j)
+    node, z = _first_applied(ctx, i, j)
+    image, shift = ctx.orbit_map(node)
     shift = list(shift)
-    shift[z] += corruption(ring.size, ring.base)
-    ctx._orbit_maps[k] = (image, tuple(shift))
-    with pytest.raises(RuntimeError, match=message):
-        ctx.product(x, s1)
+    shift[z] += corruption(ring.size, ring.base, rs.rank)
+    ctx._orbit_maps[node] = (image, tuple(shift))
+    return ctx, i, j
+
+
+def _first_wrap(ctx, i, j):
+    """The class of the first term of the representatives' product that the
+    map applied first in sigma_i * sigma_j, on its own, moves out of its
+    packed field, or None."""
+    size = ctx.ring.size
+    node, rep = _first_applied(ctx, i, j)
+    image, shift = ctx.orbit_map(node)
+    ri, rj = ctx.representative(i)[0], ctx.representative(j)[0]
+    for key in _int_product(ctx.ring, ri, rj):
+        z = key % size
+        moved = key + shift[z] + image[z] - z - shift[rep]
+        if moved < 0 or moved % size != image[z]:
+            return ctx.basis[image[z]]
+    return None
+
+
+@pytest.mark.parametrize(
+    "name, words, corruption, message",
+    [("A3", None, *case) for case in CORRUPTIONS.values()]
+    + [("D4", None, *case) for case in CORRUPTIONS.values()]
+    # sigma_{s3} * sigma_{s2s3}, s2s3 = floor(V_2 s2s1): of the two
+    # classical terms of sigma_{s3} * sigma_{s2s1}, the first keeps a key
+    # above zero but breaks the grading, and the second goes below zero
+    + [("A3", [(3,), (2, 3)], *CORRUPTIONS["negative"])],
+    ids=[*CORRUPTIONS, *(f"two maps-{key}" for key in CORRUPTIONS), "wrap before grading"],
+)
+def test_a_derived_term_never_wraps(name, words, corruption, message):
+    ctx, i, j = _corrupted(name, corruption, words)
+    with pytest.raises(RuntimeError, match=message) as raised:
+        ctx.product(i, j)
+    # a wrap is refused by the check after the corrupted map, before the
+    # next map can move the term on, and before any term is graded
+    wrapped = _first_wrap(ctx, i, j)
+    if wrapped is not None:
+        assert str(raised.value) == f"a derived term of {wrapped!r} wraps its packed key"
+
+
+@pytest.mark.parametrize("corruption, message", CORRUPTIONS.values(), ids=CORRUPTIONS)
+def test_a_table_over_a_corrupted_orbit_map_fails_whole(
+    corruption, message, tmp_path, capsys, monkeypatch
+):
+    ctx, _, _ = _corrupted("A3", corruption)
+    monkeypatch.setattr(cli, "build_root_system", lambda ctype: ctx.rs)
+    code = main(["table", "--type", "A3", "--parabolic", "", "--cache-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal error: ") and message in err
+    assert list(tmp_path.iterdir()) == []
