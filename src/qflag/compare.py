@@ -533,14 +533,17 @@ def check_comparison_consistency(
 
     Every ordered triple (a, b, c) whose lengths add up to dim G/P + c_1(d)
     is audited.  Its value is the coefficient of q^d sigma_{dual(c)} in the
-    product sigma_a * sigma_b, so each ordered product is read once, as the
-    `rows` of two basis positions.  `rows(a, b)` and `rows(b, a)` read one
-    Borel product, the table of the later factor, so the symmetry check
-    compares three products, sigma_a * sigma_b, sigma_a * sigma_c and
-    sigma_b * sigma_c, and not six.  The value at the derived parabolic P' is
-    read the same way off the rows at P' (a minimal representative mod J is
-    one mod J' too), when d'' is graded there.  The localization oracle is
-    symmetric in its classes, so it runs once per unordered triple.
+    product sigma_a * sigma_b, read off the `rows` of two basis positions.
+    `rows(a, b)` and `rows(b, a)` read one Borel product, the table of the
+    later factor, so each unordered pair is read once and each unordered
+    triple {a, b, c} is visited once.  Its orderings take the values of
+    sigma_a * sigma_b, sigma_a * sigma_c and sigma_b * sigma_c, which the
+    symmetry check compares, and each value counts once per ordering it
+    stands for, so every count is of ordered triples.  The value at the
+    derived parabolic P' is read the same way off the rows at P' (a minimal
+    representative mod J is one mod J' too), when d'' is graded there.  The
+    localization oracle is symmetric in its classes, so it runs once per
+    unordered triple.
 
     Returns a tuple of `CheckResult`s; a non-effective degree yields none.
     """
@@ -548,20 +551,22 @@ def check_comparison_consistency(
 
 
 def _read_by_degree(ctx, i, j, reads):
-    """The rows of the ordered pair (i, j) in `ctx` as {d: {y: c}}, read on
-    first use and kept in `reads` under (ctx, i, j)."""
-    key = (ctx, i, j)
+    """The rows of the unordered pair {i, j} in `ctx` as {d: {y: c}}, read
+    on first use and kept in `reads` under (ctx, min, max): both orders
+    read one Borel product."""
+    key = (ctx, i, j) if i <= j else (ctx, j, i)
     got = reads.get(key)
     if got is None:
         got = reads[key] = {}
-        for _, d, y, c in ctx.rows(i, j):
+        for _, d, y, c in ctx.rows(*key[1:]):
             got.setdefault(d, {})[y] = c
     return got
 
 
 def _consistency(rs, parabolic, degree, reads) -> tuple:
-    """`check_comparison_consistency`, reading each ordered product through
-    `reads`, which a caller may share across the degrees of one audit."""
+    """`check_comparison_consistency`, reading each unordered product
+    through `reads`, which a caller may share across the degrees of one
+    audit."""
     degree = _as_degree(rs, parabolic, degree)
     if any(x < 0 for x in degree):
         return ()
@@ -574,7 +579,6 @@ def _consistency(rs, parabolic, degree, reads) -> tuple:
     # every triple has length sum `target`, so the grading at P' is one test;
     # off it every value at P' is 0
     graded_pprime = target == at_pprime.flag_dimension + relift.c1
-    # triples are keyed by basis positions: int tuples hash in C
     basis, dual = ctx.basis, ctx.dual
     by_length = {}
     for k, c in enumerate(basis):
@@ -583,33 +587,43 @@ def _consistency(rs, parabolic, degree, reads) -> tuple:
         to_pprime = [at_pprime.position[w.perm] for w in basis]
         dual_pprime = [at_pprime.dual[k] for k in to_pprime]
 
-    # per unordered triple, the values (at P, at P') of its ordered triples
-    triples = {}
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            thirds = by_length.get(target - a.length - b.length)
-            if not thirds:
-                continue
-            at_p = _read_by_degree(ctx, i, j, reads).get(degree, {})
-            if graded_pprime:
-                rows = _read_by_degree(at_pprime, to_pprime[i], to_pprime[j], reads)
-                at_pp = rows.get(cd.d_pprime, {})
-            for k in thirds:
-                value_pprime = at_pp.get(dual_pprime[k], 0) if graded_pprime else 0
-                key = tuple(sorted((i, j, k)))
-                triples.setdefault(key, []).append((at_p.get(dual[k], 0), value_pprime))
+    def value(x, y, z):
+        """(at P, at P') of the ordered triples (x, y, z) and (y, x, z): both
+        read the one product of the pair {x, y}."""
+        at_p = _read_by_degree(ctx, x, y, reads).get(degree, {}).get(dual[z], 0)
+        if not graded_pprime:
+            return at_p, 0
+        rows = _read_by_degree(at_pprime, to_pprime[x], to_pprime[y], reads)
+        return at_p, rows.get(cd.d_pprime, {}).get(dual_pprime[z], 0)
+
     classical = not any(degree)
     graded = asymmetric = mismatched = off_classical = 0
-    for key, values in triples.items():
-        graded += len(values)
-        # the permutations of a graded triple are graded, so a class whose
-        # values differ makes every one of its ordered triples asymmetric
-        if len({value for value, _ in values}) > 1:
-            asymmetric += len(values)
-        mismatched += sum(value != value_pprime for value, value_pprime in values)
-        if classical:
-            expected = classical_parabolic_invariant(rs, parabolic, [basis[k] for k in key])
-            off_classical += sum(value != expected for value, _ in values)
+    for i, a in enumerate(basis):
+        for j in range(i, len(basis)):
+            for k in by_length.get(target - a.length - basis[j].length, ()):
+                if k < j:
+                    continue
+                # per distinct third class of the triple i <= j <= k, its
+                # value and its orderings: the other two in either order,
+                # once when they are equal
+                values = [(value(i, j, k), 1 + (i != j))]
+                if j != k:
+                    values.append((value(i, k, j), 2))
+                if i != j:
+                    values.append((value(j, k, i), 1 + (j != k)))
+                orderings = sum(n for _, n in values)
+                graded += orderings
+                # the permutations of a graded triple are graded, so a class
+                # whose values differ makes every one of its orderings
+                # asymmetric
+                if len({at_p for (at_p, _), _ in values}) > 1:
+                    asymmetric += orderings
+                mismatched += sum(n for (at_p, at_pp), n in values if at_p != at_pp)
+                if classical:
+                    expected = classical_parabolic_invariant(
+                        rs, parabolic, [basis[i], basis[j], basis[k]]
+                    )
+                    off_classical += sum(n for (at_p, _), n in values if at_p != expected)
 
     entries = [
         CheckResult(

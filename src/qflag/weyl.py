@@ -5,7 +5,9 @@ That makes length, descent tests and composition cheap and gives a canonical
 hashable key.  The canonical reduced word follows one rule,
 word(w) = word(w s_i) + (i,) with i the smallest right descent of w, so it
 never depends on how an element was built; the enumeration hands each new
-element its canonical parent's word, and any other element recurses.
+element its canonical parent's word, and any other element peels its
+descents in a loop.  Building an element from a word, reading its word and
+flooring it to W^J compose permutation tuples, with no element per letter.
 
 The enumeration keys an element by its images of the simple roots, rank
 root indices where the permutation has 2 npos (6 against 72 on E6): a
@@ -57,11 +59,11 @@ class WeylElement:
 
     @property
     def word(self) -> tuple:
-        """Canonical reduced word: the canonical parent's word, then its
-        letter (at most npos deep)."""
+        """Canonical reduced word: the smallest right descent s_i is peeled,
+        w -> w s_i, in a loop until e, and the letters are read backwards."""
         if self._word is None:
-            parent = _canonical_parent(self)
-            self._word = () if parent is None else parent[0].word + (parent[1],)
+            letters = _peel(self.rs, self.perm, range(1, self.rs.rank + 1))[1]
+            self._word = tuple(reversed(letters))
         return self._word
 
     def __mul__(self, other):
@@ -93,27 +95,43 @@ class WeylElement:
         return f"<W {format_word(self.word)}>"
 
 
-def _canonical_parent(w: WeylElement):
-    """(w s_i, i) for the smallest right descent i of w, or None at e."""
-    i = next((i for i in range(1, w.rs.rank + 1) if w.is_right_descent(i)), None)
-    return None if i is None else (w * simple_reflection(w.rs, i), i)
+def _peel(rs: RootSystem, perm: tuple, nodes):
+    """Multiply the permutation `perm` on the right by s_i, i the first of
+    `nodes` that is a right descent, until none is: (the permutation, the
+    letters in the order peeled)."""
+    npos, simple, perms = rs.npos, rs._simple_global, rs.simple_perms
+    letters = []
+    while True:
+        for i in nodes:
+            if perm[simple[i - 1]] >= npos:
+                break
+        else:
+            return perm, letters
+        letters.append(i)
+        perm = tuple(map(perm.__getitem__, perms[i - 1]))
 
 
 def identity(rs: RootSystem) -> WeylElement:
     return WeylElement(rs, rs.identity_perm)
 
 
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
+def _simple_perm(rs: RootSystem, i: int) -> tuple:
     if not 1 <= i <= rs.rank:
         raise ValueError(f"generator index {i} out of range for {rs.cartan_type}")
-    return WeylElement(rs, rs.simple_perms[i - 1])
+    return rs.simple_perms[i - 1]
+
+
+def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
+    return WeylElement(rs, _simple_perm(rs, i))
 
 
 def from_word(rs: RootSystem, word) -> WeylElement:
-    w = identity(rs)
+    """The product of the simple reflections of a word, reduced or not,
+    composed on permutations."""
+    perm = rs.identity_perm
     for i in word:
-        w = w * simple_reflection(rs, i)
-    return w
+        perm = tuple(map(perm.__getitem__, _simple_perm(rs, i)))
+    return WeylElement(rs, perm)
 
 
 def parse_word(text: str) -> tuple:
@@ -131,14 +149,11 @@ def format_word(word) -> str:
 
 
 def min_coset_rep(w: WeylElement, parabolic: ParabolicSubset) -> WeylElement:
-    """Minimal-length element of the coset w*W_J."""
-    rs = w.rs
-    rs.check_parabolic(parabolic)
-    while True:
-        j = next((j for j in parabolic.indices if w.is_right_descent(j)), None)
-        if j is None:
-            return w
-        w = w * simple_reflection(rs, j)
+    """Minimal-length element of the coset w*W_J: right descents in J are
+    peeled off, and w itself is returned when it has none."""
+    w.rs.check_parabolic(parabolic)
+    perm, letters = _peel(w.rs, w.perm, parabolic.indices)
+    return WeylElement(w.rs, perm) if letters else w
 
 
 @cache
@@ -227,8 +242,7 @@ def _enumerate(rs: RootSystem, parabolic: ParabolicSubset):
                     nxt.append((vkey, v))
                     # the canonical parent v s_d, d the smallest right
                     # descent, lends its word when it was enumerated; at
-                    # J != {} it can leave W^J, and the word then comes from
-                    # the recursion
+                    # J != {} it can leave W^J, and the word is then peeled
                     d = next(d for d, image in enumerate(vkey) if image >= npos)
                     parent = seen.get(tuple(map(v.perm.__getitem__, parent_roots[d])))
                     if parent is not None:

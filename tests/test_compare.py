@@ -37,7 +37,7 @@ from qflag import compare
 from qflag.cli import main
 from qflag.compare import _Context, _context
 from qflag.degrees import _c1_pairing
-from qflag.quantum import _level
+from qflag.quantum import _int_product, _level
 
 P2 = ParabolicSubset.of([2])
 
@@ -328,13 +328,14 @@ def test_consistency_report_counts_every_graded_triple(name, j_nodes):
 
 
 def _raise_one_coefficient(monkeypatch, parabolic, pair, key):
-    """Serve the rows of one ordered pair in one ring with the coefficient
-    at `key`, a (basis position, degree) pair, raised by 1."""
+    """Serve the rows of one unordered pair in one ring, in either order,
+    with the coefficient at `key`, a (basis position, degree) pair, raised
+    by 1."""
     true_rows = _Context.rows
 
     def rows(self, i, j):
         got = true_rows(self, i, j)
-        if self.parabolic == parabolic and (self.basis[i], self.basis[j]) == pair:
+        if self.parabolic == parabolic and {self.basis[i], self.basis[j]} == set(pair):
             terms = {(y, d): c for _, d, y, c in got}
             terms[key] = terms.get(key, 0) + 1
             got = sorted((sum(d), d, y, c) for (y, d), c in terms.items())
@@ -373,6 +374,78 @@ def test_consistency_report_catches_one_bad_value(monkeypatch, ring):
     }
 
 
+def _reported_counts(results):
+    """(graded, asymmetric, mismatched) as the audit's details print them."""
+    detail = {r.name: r.detail for r in results}
+    graded, asymmetric = re.fullmatch(
+        r"(\d+) graded triples, (\d+) asymmetric", detail["permutation-symmetry"]
+    ).groups()
+    mismatched = re.search(r"(\d+) mismatched", detail["derived-parabolic-factorization"])
+    return int(graded), int(asymmetric), int(mismatched.group(1))
+
+
+def _ordered_triple_counts(rs, parabolic, degree):
+    """(graded, asymmetric, mismatched) by brute force: every ordered triple
+    (x, y, z) read off the rows of (x, y) in that order, at P and at P'."""
+    ctx = _context(rs, parabolic)
+    cd = ctx.degree(degree)
+    at_pprime = _context(rs, cd.j_prime)
+    target = ctx.flag_dimension + cd.c1
+    lengths = [w.length for w in ctx.basis]
+    to_pprime = [at_pprime.position[w.perm] for w in ctx.basis]
+    n = len(lengths)
+    values = {}
+    for x, y in iproduct(range(n), repeat=2):
+        at_p = {(w, d): c for _, d, w, c in ctx.rows(x, y)}
+        at_pp = {(w, d): c for _, d, w, c in at_pprime.rows(to_pprime[x], to_pprime[y])}
+        for z in range(n):
+            if lengths[x] + lengths[y] + lengths[z] == target:
+                values[x, y, z] = (
+                    at_p.get((ctx.dual[z], degree), 0),
+                    at_pp.get((at_pprime.dual[to_pprime[z]], cd.d_pprime), 0),
+                )
+    asymmetric = sum(len({values[p][0] for p in permutations(t)}) > 1 for t in values)
+    mismatched = sum(at_p != at_pp for at_p, at_pp in values.values())
+    return len(values), asymmetric, mismatched
+
+
+@pytest.mark.parametrize("ring", ["P", "P'"])
+@pytest.mark.parametrize("shape", ["square", "repeated third"])
+def test_consistency_report_counts_the_orderings_of_a_repeated_class(monkeypatch, ring, shape):
+    # the audit visits each unordered triple once and counts its orderings:
+    # one bad coefficient in the square {a, a} on the dual of c (the triple
+    # {a, a, c}: 3 orderings, 1 of them reads it), or in the pair {a, b} on
+    # the dual of b (the triple {a, b, b}: 3 orderings, 2 read it), at P or
+    # only at P'; the counts equal a brute-force count over ordered triples
+    rs = build_root_system("A3")
+    degree = (0, 1)
+    at_p = _context(rs, P2)
+    cd = at_p.degree(degree)
+    at_pprime = _context(rs, cd.j_prime)
+    assert all(r.passed for r in check_comparison_consistency(rs, P2, degree))
+    target = at_p.flag_dimension + cd.c1
+    if shape == "square":
+        a, b, c = next(
+            (a, a, c) for a, c in iproduct(at_p.basis, repeat=2)
+            if a != c and 2 * a.length + c.length == target
+        )
+    else:
+        a, b, c = next(
+            (a, b, b) for a, b in iproduct(at_p.basis, repeat=2)
+            if a != b and a.length + 2 * b.length == target
+        )
+    if ring == "P":
+        key = (at_p.dual[at_p.position[c.perm]], degree)
+        _raise_one_coefficient(monkeypatch, P2, (a, b), key)
+    else:
+        key = (at_pprime.dual[at_pprime.position[c.perm]], cd.d_pprime)
+        _raise_one_coefficient(monkeypatch, cd.j_prime, (a, b), key)
+    counts = _reported_counts(check_comparison_consistency(rs, P2, degree))
+    assert counts == _ordered_triple_counts(rs, P2, degree)
+    reading = 1 if shape == "square" else 2
+    assert counts[1:] == (3 if ring == "P" else 0, reading)
+
+
 @pytest.mark.parametrize("name,j_nodes", [("A3", [2]), ("B2", [1]), ("G2", [1])])
 def test_classical_oracle_runs_once_per_unordered_triple(monkeypatch, name, j_nodes):
     # the oracle is symmetric in its classes: at degree 0 the audit calls it
@@ -402,9 +475,10 @@ def test_classical_oracle_runs_once_per_unordered_triple(monkeypatch, name, j_no
     assert set(calls.values()) == {1}
 
 
-def test_comparison_suite_reads_each_ordered_product_once(monkeypatch, capsys):
-    # the suite reads the rows of an ordered pair once for all the degrees
-    # of its box, in P and in each derived parabolic P' alike
+def test_comparison_suite_reads_each_unordered_product_once(monkeypatch, capsys):
+    # the suite reads the rows of an unordered pair once, as (i, j) with
+    # i <= j, for all the degrees of its box, in P and in each derived
+    # parabolic P' alike
     calls = Counter()
     true_rows = _Context.rows
 
@@ -418,7 +492,50 @@ def test_comparison_suite_reads_each_ordered_product_once(monkeypatch, capsys):
     assert main(argv) == 0
     assert "suite comparison: PASS" in capsys.readouterr().out
     assert {parabolic for parabolic, _, _ in calls} > {P2}
+    assert all(i <= j for _, i, j in calls)
     assert set(calls.values()) == {1}
+
+
+def test_a_pair_is_read_once_in_either_order(monkeypatch):
+    # the audit's reads are keyed by the sorted pair, so (j, i) after (i, j)
+    # reads nothing more and returns the same dict
+    calls = Counter()
+    true_rows = _Context.rows
+
+    def rows(self, i, j):
+        calls[i, j] += 1
+        return true_rows(self, i, j)
+
+    monkeypatch.setattr(_Context, "rows", rows)
+    ctx, reads = _context(build_root_system("A3"), P2), {}
+    assert compare._read_by_degree(ctx, 5, 2, reads) is compare._read_by_degree(ctx, 2, 5, reads)
+    assert calls == {(2, 5): 1}
+    assert list(reads) == [(ctx, 2, 5)]
+
+
+# the comparison suites of the gw-audit benchmark: type, J, max degree
+GW_AUDIT_SUITES = [("A3", (2,), 3), ("B3", (1,), 1), ("A4", (2, 3, 4), 2)]
+
+
+@pytest.mark.parametrize("name,j_nodes,max_degree", GW_AUDIT_SUITES)
+def test_both_orders_of_a_pair_read_one_product(name, j_nodes, max_degree):
+    # the premise of reading each unordered pair once, on P and on every
+    # derived parabolic P' its suite reaches: both orders read the one
+    # table of the later factor (were they to read two tables, the identity
+    # fails first), so their rows are equal
+    rs = build_root_system(name)
+    J = ParabolicSubset.of(j_nodes)
+    rings = {J} | {
+        comparison_data(rs, J, degree).j_prime
+        for degree in iproduct(range(max_degree + 1), repeat=len(J.free_nodes(rs.rank)))
+    }
+    assert len(rings) > 1
+    for parabolic in rings:
+        ctx = _context(rs, parabolic)
+        eng, borel = ctx.engine, ctx.borel_index
+        for i, j in combinations(range(len(ctx.basis)), 2):
+            assert _int_product(eng, borel[i], borel[j]) is _int_product(eng, borel[j], borel[i])
+            assert ctx.rows(i, j) == ctx.rows(j, i)
 
 
 def test_classical_check_counts_every_ordering(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,7 +18,9 @@ from qflag import (
     simple_reflection,
 )
 from qflag import weyl
+from qflag.compare import _context
 from qflag.quantum import _engine
+from qflag.weyl import WeylElement
 
 # Poincaré polynomials from the exponent product formula, frozen:
 # A2: (1+t)(1+t+t^2), A3: (1+t)(1+t+t^2)(1+t+t^2+t^3), B2: (1+t)(1+t+t^2+t^3)
@@ -297,3 +300,91 @@ def test_enumeration_matches_a_brute_force_bfs(name, nodes):
         tuple(position[min_coset_rep(simple_reflection(rs, i) * w, J).perm] for w in expected)
         for i in range(1, rs.rank + 1)
     ]
+
+
+# reference definitions, one WeylElement product per step, for the helpers
+# that compose permutation tuples directly
+
+
+def _product(rs, word):
+    """The product of the word's simple reflections."""
+    w = identity(rs)
+    for i in word:
+        w = w * simple_reflection(rs, i)
+    return w
+
+
+def _reference_word(w):
+    """word(w) = word(w s_i) + (i,), i the smallest right descent of w,
+    reading no element's `word`."""
+    rs = w.rs
+    i = next((i for i in range(1, rs.rank + 1) if w.is_right_descent(i)), None)
+    return () if i is None else _reference_word(w * simple_reflection(rs, i)) + (i,)
+
+
+def _generated(rs, nodes):
+    """The subgroup W_J, closed under right multiplication by s_j, j in J."""
+    gens = [simple_reflection(rs, j) for j in nodes]
+    elements = frontier = {identity(rs)}
+    while frontier:
+        frontier = {w * s for w in frontier for s in gens} - elements
+        elements = elements | frontier
+    return elements
+
+
+def _reference_min_rep(w, subgroup):
+    """The shortest element of the coset w W_J."""
+    return min((w * u for u in subgroup), key=lambda x: x.length)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2"])
+def test_weyl_helpers_match_their_definitions_on_all_of_w(name):
+    # every element, rebuilt from its permutation so that no word is lent
+    # by the enumeration, and every parabolic J
+    rs = build_root_system(name)
+    nodes = range(1, rs.rank + 1)
+    subgroups = {
+        ParabolicSubset.of(J): _generated(rs, J)
+        for r in range(rs.rank + 1)
+        for J in combinations(nodes, r)
+    }
+    for w in enumerate_min_reps(rs, BOREL):
+        fresh = WeylElement(rs, w.perm)
+        word = _reference_word(fresh)
+        assert fresh.word == w.word == word
+        assert from_word(rs, word) == _product(rs, word) == w
+        for J, subgroup in subgroups.items():
+            assert min_coset_rep(fresh, J) == _reference_min_rep(fresh, subgroup)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2"])
+def test_weyl_helpers_match_their_definitions_on_seeded_words(name):
+    # words of up to 20 letters, most of them not reduced, with a seeded J
+    rs = build_root_system(name)
+    rng = random.Random(20)
+    unreduced = 0
+    for _ in range(100):
+        word = tuple(rng.randint(1, rs.rank) for _ in range(rng.randint(0, 20)))
+        w = from_word(rs, word)
+        assert w == _product(rs, word)
+        assert w.word == _reference_word(_product(rs, word))
+        unreduced += len(w.word) < len(word)
+        J = [j for j in range(1, rs.rank + 1) if rng.random() < 0.5]
+        assert min_coset_rep(w, ParabolicSubset.of(J)) == _reference_min_rep(
+            w, _generated(rs, J)
+        )
+    assert unreduced > 50
+
+
+@pytest.mark.parametrize("name,nodes", [("A4", (2, 3, 4)), ("B3", (1,)), ("D5", (3,))])
+def test_min_coset_rep_is_the_basis_element_of_its_coset(name, nodes):
+    # every element of W floors to the basis element of G/P that is the
+    # shortest of its coset
+    rs = build_root_system(name)
+    J = ParabolicSubset.of(nodes)
+    ctx = _context(rs, J)
+    subgroup = _generated(rs, nodes)
+    for w in enumerate_min_reps(rs, BOREL):
+        fresh = WeylElement(rs, w.perm)
+        rep = ctx.basis[ctx.position[min_coset_rep(fresh, J).perm]]
+        assert rep == _reference_min_rep(fresh, subgroup)
