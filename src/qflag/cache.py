@@ -71,12 +71,12 @@ def _int_list(values, pad):
 
 
 def terms_encoder(term_of):
-    """A function that encodes an entry's terms, given in order as (rank,
-    key, coefficient) triples whose rank it does not read, as json's
-    indent=2 encoder writes the entry's "terms" list.  term_of(key) gives
-    the term's word and q-degree, a tuple; the text of each key's "q" and
-    "w" fields is built once, on first use, and kept as long as the
-    encoder, and so is the text of each distinct word and degree."""
+    """A function that encodes an entry's terms, given in order as (key,
+    coefficient) pairs, as json's indent=2 encoder writes the entry's
+    "terms" list.  term_of(key) gives the term's word and q-degree, a
+    tuple; the text of each key's "q" and "w" fields is built once, on
+    first use, and kept as long as the encoder, and so is the text of each
+    distinct word and degree."""
     texts, words = {}, cache(json.dumps)
     degrees = cache(lambda q: _int_list(q, _PAD))
     opening, separator = f'[\n        {{\n{_PAD}"c": ', f'{_TERM_SEP}{_PAD}"c": '
@@ -90,7 +90,7 @@ def terms_encoder(term_of):
     def encode(terms):
         if not terms:
             return "[]"
-        body = separator.join([f"{c}{texts.get(key) or text(key)}" for _, key, c in terms])
+        body = separator.join([f"{c}{texts.get(key) or text(key)}" for key, c in terms])
         return f"{opening}{body}\n        }}\n      ]"
 
     return encode

@@ -176,9 +176,10 @@ def cmd_mul(args):
     u, v = (_parse_class(rs, text) for text in (args.u, args.v))
     ctx = _context(rs, parabolic)
     (u, v), warnings = _normalize_classes(ctx, [u, v])
+    n, degree = len(ctx.basis), ctx.ring.degree
     terms = [
-        (format_word(ctx.basis[y].word), d, c)
-        for _, d, y, c in ctx.product(ctx.position[u.perm], ctx.position[v.perm])
+        (format_word(ctx.basis[key % n].word), degree(key // n), c)
+        for key, c in ctx.int_terms(ctx.position[u.perm], ctx.position[v.perm])
     ]
     payload = {
         "type": str(rs.cartan_type),
@@ -247,11 +248,9 @@ def cmd_table(args):
             files.enter_context(doc)
         else:
             try:
-                with ExitStack() as fresh:
-                    doc, tmp = fresh.enter_context(cache_io.new_document(path))
-                    write(doc)
-                    cache_io.store_document(path, doc, tmp)
-                    files.push(fresh.pop_all())  # keep the stored file open
+                doc, tmp = files.enter_context(cache_io.new_document(path))
+                write(doc)
+                cache_io.store_document(path, doc, tmp)
             except OSError as exc:
                 # like an unreadable cache, an unwritable one costs only the
                 # reuse: the table is written again, into an anonymous file
@@ -284,7 +283,7 @@ def _suite_associativity(args):
         count = args.samples or 200
         triples = [tuple(rng.randrange(order) for _ in range(3)) for _ in range(count)]
         how = f"{count} seeded random triples"
-    ring, times, product, rows = ctx.ring, ctx.times, ctx.product, ctx.rows
+    ring, times, int_terms, rows = ctx.ring, ctx.times, ctx.int_terms, ctx.rows
     unit = [{(k, (0,) * len(ctx.free)): 1} for k in range(order)]
     bad_assoc = 0
     bad_comm = 0
@@ -293,7 +292,7 @@ def _suite_associativity(args):
         # which no orbit map reaches: on a ring with one orbit representative
         # besides e, the orbit route alone is associative whatever that
         # representative's square is
-        ab_c = times(times(unit[a], unit[b], product), unit[c], product)
+        ab_c = times(times(unit[a], unit[b], int_terms), unit[c], int_terms)
         if ab_c != times(unit[a], times(unit[b], unit[c], rows), rows):
             bad_assoc += 1
         # both orders of a product read one table, so compare the two
@@ -311,7 +310,7 @@ def _suite_recursion(args):
     # product, on every ordered pair of basis classes
     ctx = _context(*_parse_ring(args))
     n = len(ctx.basis)
-    mismatched = sum(ctx.product(i, j) != ctx.rows(i, j) for i in range(n) for j in range(n))
+    mismatched = sum(ctx.int_terms(i, j) != ctx.rows(i, j) for i in range(n) for j in range(n))
     return [CheckResult("recursion", mismatched == 0,
                         f"{n * n} ordered pairs, {mismatched} mismatched")]
 

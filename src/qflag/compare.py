@@ -34,14 +34,15 @@ one orbit map per factor that is not its own representative.  So
 `_Context.int_terms` reads every product that `table`, `mul`, `gw` and
 `star` serve off the W^J table of a representative (on A5, 120 of the 720
 classes), in one pass that maps each term through both orbit maps and
-checks it for positivity and grading as a solved term is checked, and
-sorts the terms by an int rank of their keys.  `table` encodes these
-int-keyed terms as they are; `_Context.product` unpacks them into rows
-for the others.  The direct readout `_Context.rows` reads the plain
-Borel product of the factors themselves.  It serves the generator moves,
-the comparison audit, the recursion audit, which compares the two routes on
-every ordered pair, and the right side a * (b * c) of the associativity
-audit, whose left side takes the orbit route.
+checks it for positivity and grading as a solved term is checked.  The
+direct readout `_Context.rows` reads the plain Borel product of the
+factors themselves.  It serves the generator moves, the comparison audit,
+the recursion audit, which compares the two routes on every ordered pair,
+and the right side a * (b * c) of the associativity audit, whose left side
+takes the orbit route.  Both routes give a product as the sorted (key, c)
+pairs of `ring`, whose key order is the output order (see `quantum.py`):
+`table` encodes them as they are, and `mul`, `gw` and `star` unpack the
+keys.
 
 W acts on the basis positions through the maps x -> floor(s_i x) that the
 enumeration of W^J returns (`weyl._enumerate`), and every action here is
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .degrees import (
     _as_degree,
@@ -74,9 +75,9 @@ from .degrees import (
     push_degree,
 )
 from .classical import classical_parabolic_invariant
-from .quantum import BOREL, QClass, _Engine, _engine, _int_product
+from .quantum import BOREL, QClass, _Engine, _engine, _finalized, _int_product
 from .root_system import ParabolicSubset, RootSystem
-from .weyl import WeylElement, _enumerate, format_word, longest_element, min_coset_rep
+from .weyl import WeylElement, _enumerate, longest_element, min_coset_rep
 
 
 @dataclass(frozen=True)
@@ -113,11 +114,11 @@ class _CosetEngine(_Engine):
             per_generator, quantum = [], {}
             for t, g in enumerate(gens):
                 terms = []
-                for _, d, y, c in self.ctx.rows(g, x):
-                    shift = self.pack(d) * self.size
-                    terms.append((shift + y - x, c))
-                    if shift:
-                        quantum.setdefault((shift, y), [0] * len(gens))[t] = c
+                for key, c in self.ctx.rows(g, x):
+                    terms.append((key - x, c))
+                    if key >= self.size:
+                        y = key % self.size
+                        quantum.setdefault((key - y, y), [0] * len(gens))[t] = c
                 per_generator.append(tuple(terms))
             moves.append(tuple(per_generator))
             qmoves.append(tuple((tuple(coefs), shift, y) for (shift, y), coefs in quantum.items()))
@@ -139,12 +140,12 @@ class _Context:
         self.free = parabolic.free_nodes(rs.rank)
         self._degrees = {}
         # packed Borel degree -> None when it is not a lift, else
-        # (sum(d), d, c_1(d), perm of x -> perm of x w'_d w_J,
+        # (key of q^d sigma_0 in `ring`, c_1(d), perm of x -> perm of x w'_d w_J,
         #  {element index x: basis position of x w'_d w_J, or -1 if not minimal})
         self._readout = {}
         self._representatives = {}  # basis position -> `representative`
         self._orbit_maps = {}  # minuscule node -> `orbit_map`
-        self._ranks = {}  # key of `ring` -> `_rank`
+        self._grades = {}  # key of `ring` -> l(y) + c_1(d), once `int_terms` checked it
 
     @cached_property
     def engine(self):
@@ -228,39 +229,40 @@ class _Context:
         cd = self.degree(d)
         got = None
         if lam == cd.d_B:
-            got = (sum(d), d, cd.c1, itemgetter(*cd.shift.perm), {})
+            got = (self.ring.pack(d) * self.ring.size, cd.c1, itemgetter(*cd.shift.perm), {})
         self._readout[pd] = got
         return got
 
     def rows(self, i, j):
         """The G/P product of the basis elements at positions i and j by the
-        direct readout, as rows (sum(d), d, y, c) sorted by (sum(d), d, y),
+        direct readout, as the int-keyed terms (key, c) of `ring`, sorted,
         one per term c q^d sigma_y with y a basis position: each term
         q^lambda sigma_x of the Borel product whose lambda is the lift of its
         restriction d, and whose x w'_d w_J is a minimal representative y.
-        The basis is ordered by length and then by word, so this is the
-        order of `QClass.sorted_terms`."""
+        Only graded terms are kept, and a graded d has sum(d) <= dim G/P, so
+        its key is q^d sigma_y's."""
         eng, readout, position = self.engine, self._readout, self.position
         elements, lengths, size = eng.elements, eng.lengths, eng.size
         borel = self.borel_index
         grade = lengths[borel[i]] + lengths[borel[j]]
-        rows = []
+        terms = []
         for key, c in _int_product(eng, borel[i], borel[j]).items():
             pd, x = divmod(key, size)
             got = readout[pd] if pd in readout else self._lift_readout(pd)
             if got is None:
                 continue
-            s, d, c1, shifted, ys = got
+            at_d, c1, shifted, ys = got
             y = ys.get(x)
             if y is None:
                 y = ys[x] = position.get(shifted(elements[x].perm), -1)
             if y < 0:
                 continue
             if lengths[borel[y]] + c1 != grade:
+                d = tuple(eng.degree(pd)[t - 1] for t in self.free)
                 raise RuntimeError(f"G/P term {self.basis[y]!r} q^{d} breaks the grading")
-            rows.append((s, d, y, c))
-        rows.sort()
-        return rows
+            terms.append((at_d + y, c))
+        terms.sort()
+        return terms
 
     @cached_property
     def seidel(self):
@@ -296,13 +298,14 @@ class _Context:
         return got
 
     def orbit_map(self, k):
-        """(image, shift) of the minuscule node k, per basis position z: the
-        position of floor(V_k z), and the key delta of q^{delta_k(z)}, where
+        """(image, delta) of the minuscule node k, per basis position z: the
+        position of floor(V_k z), and the key delta of the map S_k:
+        q^e sigma_z -> q^{e + delta_k(z)} sigma_{floor(V_k z)} on a term at
+        z, that is the key delta of q^{delta_k(z)} plus floor(V_k z) - z, where
         delta_k(z) = omega_k^vee - z^-1 omega_k^vee restricted to the free
-        nodes.  By the closed form of the module docstring, the map S_k:
-        q^e sigma_z -> q^{e + delta_k(z)} sigma_{floor(V_k z)} is
+        nodes.  By the closed form of the module docstring, S_k is
         multiplication by sigma_{floor(V_k)}.  Ints only: the image composes
-        the `left` maps along a reduced word of V_k, and the shift follows
+        the `left` maps along a reduced word of V_k, and the q-shift follows
         delta_k(s_i u) = delta_k(u) + [i = k] (u^-1 alpha_k)^vee down a left
         descent; minimal representatives are closed under removing one."""
         got = self._orbit_maps.get(k)
@@ -320,101 +323,67 @@ class _Context:
                 if i == k - 1:
                     coroot = rs.positive_coroots[basis[u].perm.index(g_k)]
                     shift[x] += ring.pack([coroot[t - 1] for t in self.free]) * ring.size
-            got = self._orbit_maps[k] = (image, tuple(shift))
-        return got
-
-    def _rank(self, key):
-        """(l(y) + c_1(d), rank) of the key of the term q^d sigma_y of
-        `ring`, memoized.  The rank packs sum(d), d's coordinates, the first
-        one highest, and y, so ranks order keys by (sum(d), d, y), the order
-        of `rows`."""
-        ring = self.ring
-        pd, y = divmod(key, ring.size)
-        d = ring.degree(pd)
-        rank = sum(d)
-        for a in d:
-            rank = rank * ring.base + a
-        grade = ring.lengths[y] + sum(map(mul, ring.weights, d))
-        got = self._ranks[key] = (grade, rank * ring.size + y)
+            delta = tuple(s + y - z for z, (s, y) in enumerate(zip(shift, image)))
+            got = self._orbit_maps[k] = (image, delta)
         return got
 
     def int_terms(self, i, j):
-        """The product of the basis elements at positions i and j, as
-        int-keyed terms (rank, key, c) of `ring` sorted by rank (`_rank`),
-        read off the product of their orbit representatives: with i =
-        floor(V_k ri) and j = floor(V_l rj), sigma_i * sigma_j =
-        q^{-delta_k(ri) - delta_l(rj)} S_k S_l (sigma_ri * sigma_rj).
+        """The product of the basis elements at positions i and j, as the
+        int-keyed terms (key, c) of `ring`, sorted, read off the product of
+        their orbit representatives: with i = floor(V_k ri) and j =
+        floor(V_l rj), sigma_i * sigma_j = q^{-delta_k(ri) - delta_l(rj)}
+        S_k S_l (sigma_ri * sigma_rj).
 
-        One pass maps each term through S_l and then S_k, per map key ->
-        key + shift[z] + floor(V_k z) - z - shift[rep]; a key that would
-        leave its class's position or go below zero is refused, not carried
-        into another packed field.  Every term is then checked for
-        positivity and the grading l(y) + c_1(d) = l(i) + l(j), as a solved
-        one is.  Of several faults, the one raised is the first term's at
-        the earliest check, as if each check ran over every term in turn."""
-        ring, ranks = self.ring, self._ranks
+        When both factors are their own representatives, these are the
+        terms of their table, which `quantum._finalized` checked when they
+        were solved.  Else one pass maps each term through S_l and then S_k,
+        per map key -> key + delta[z] less the key delta of q^{delta_k(rep)}
+        (`orbit_map`); a key that would leave its class's position or go
+        below zero is refused, not carried into another packed field.  The
+        term is then checked for positivity and the grading l(y) + c_1(d) =
+        l(i) + l(j), as a solved one is, by `quantum._finalized` unless its
+        key has passed before.  The first faulty term is refused."""
+        ring, grades = self.ring, self._grades
         size = ring.size
         (ri, k), (rj, l) = self.representative(i), self.representative(j)
-        maps = []  # per map, in the order applied: (check, image, shift, base)
+        table = _int_product(ring, ri, rj)
+        maps = []  # per map, in the order applied: (image, delta, key delta of q^{delta_k(rep)})
         for m, rep in ((l, rj), (k, ri)):
             if m is not None:
-                image, shift = self.orbit_map(m)
-                maps.append((len(maps), image, shift, shift[rep]))
+                image, delta = self.orbit_map(m)
+                maps.append((image, delta, delta[rep] + rep - image[rep]))
+        if not maps:
+            return sorted(table.items())
         grade = ring.lengths[i] + ring.lengths[j]
-        terms, faults = [], []
-        for key, c in _int_product(ring, ri, rj).items():
-            for check, image, shift, base in maps:
-                z = key % size
+        terms = []
+        for key, c in table.items():
+            z = key % size
+            for image, delta, base in maps:
                 y = image[z]
-                key += shift[z] + y - z - base
-                if key < 0 or key % size != y:
-                    faults.append(
-                        (check, f"a derived term of {self.basis[y]!r} wraps its packed key")
-                    )
-                    break
-            else:
-                graded, rank = ranks.get(key) or self._rank(key)
-                if c < 0 or graded != grade:
-                    faults.append((len(maps), self._term_fault(key, c, grade)))
-                terms.append((rank, key, c))
-        if faults:
-            raise RuntimeError(min(faults, key=itemgetter(0))[1])
+                key += delta[z] - base
+                z = key % size
+                if key < 0 or z != y:
+                    raise RuntimeError(f"a derived term of {self.basis[y]!r} wraps its packed key")
+            if c < 0 or grades.get(key) != grade:
+                _finalized(ring, ((key, c),), grade)
+                grades[key] = grade
+            terms.append((key, c))
         terms.sort()
         return terms
 
-    def _term_fault(self, key, c, grade):
-        """What is wrong with the term c q^d sigma_y of key in a product of
-        degree `grade`: a negative c, else the grading."""
-        ring = self.ring
-        pd, y = divmod(key, ring.size)
-        if c < 0:
-            return f"negative structure constant {c} at {ring.elements[y]}"
-        return (
-            f"grading violation: term ({format_word(ring.elements[y].word)}, "
-            f"{ring.degree(pd)}) in a degree-{grade} product"
-        )
-
-    def product(self, i, j):
-        """The product of the basis elements at positions i and j, as rows
-        like those of `rows`: `int_terms`, unpacked."""
-        size, degree = self.ring.size, self.ring.degree
-        rows = []
-        for _, key, c in self.int_terms(i, j):
-            pd, y = divmod(key, size)
-            d = degree(pd)
-            rows.append((sum(d), d, y, c))
-        return rows
-
     def times(self, a, b, product) -> dict:
-        """Bilinear extension of `product`, `_Context.product` or
-        `_Context.rows`, to classes given as dicts {(basis position, degree):
-        c}: each term c ca cb q^(d + da + db) sigma_y of a product of two
-        terms is added into one dict."""
+        """Bilinear extension of `product`, `int_terms` or `rows`, to
+        classes given as dicts {(basis position, degree): c}: each term c ca
+        cb q^(d + da + db) sigma_y of a product of two terms is added into
+        one dict.  The degrees stay tuples, since an iterated product can
+        pass the degrees that a packed key holds."""
+        size, degree = self.ring.size, self.ring.degree
         out = {}
         for (i, da), ca in a.items():
             for (j, db), cb in b.items():
-                for _, d, y, c in product(i, j):
-                    key = (y, tuple(map(sum, zip(d, da, db))))
+                for key, c in product(i, j):
+                    pd, y = divmod(key, size)
+                    key = (y, tuple(map(sum, zip(degree(pd), da, db))))
                     out[key] = out.get(key, 0) + c * ca * cb
         return out
 
@@ -428,7 +397,7 @@ class _Context:
         first, *middle, last = (self.position[w.perm] for w in classes)
         prod = {(first, zero): 1}
         for k in middle:
-            prod = self.times(prod, {(k, zero): 1}, self.product)
+            prod = self.times(prod, {(k, zero): 1}, self.int_terms)
         return prod.get((self.dual[last], degree), 0)
 
 
@@ -511,7 +480,7 @@ def star(a: QClass, b: QClass) -> QClass:
             out[key] = out.get(key, 0) + c
         return out
 
-    prod = ctx.times(positions(a), positions(b), ctx.product)
+    prod = ctx.times(positions(a), positions(b), ctx.int_terms)
     return QClass(rs, parabolic, {(basis[y], d): c for (y, d), c in prod.items()})
 
 
@@ -550,16 +519,14 @@ def check_comparison_consistency(
     return _consistency(rs, parabolic, degree, {})
 
 
-def _read_by_degree(ctx, i, j, reads):
-    """The rows of the unordered pair {i, j} in `ctx` as {d: {y: c}}, read
-    on first use and kept in `reads` under (ctx, min, max): both orders
+def _read_pair(ctx, i, j, reads):
+    """The rows of the unordered pair {i, j} in `ctx` as a dict {key: c},
+    read on first use and kept in `reads` under (ctx, min, max): both orders
     read one Borel product."""
     key = (ctx, i, j) if i <= j else (ctx, j, i)
     got = reads.get(key)
     if got is None:
-        got = reads[key] = {}
-        for _, d, y, c in ctx.rows(*key[1:]):
-            got.setdefault(d, {})[y] = c
+        got = reads[key] = dict(ctx.rows(*key[1:]))
     return got
 
 
@@ -579,22 +546,28 @@ def _consistency(rs, parabolic, degree, reads) -> tuple:
     # every triple has length sum `target`, so the grading at P' is one test;
     # off it every value at P' is 0
     graded_pprime = target == at_pprime.flag_dimension + relift.c1
-    basis, dual = ctx.basis, ctx.dual
+    basis = ctx.basis
     by_length = {}
     for k, c in enumerate(basis):
         by_length.setdefault(c.length, []).append(k)
+    # per class z, the key of q^d sigma_{dual(z)} in the rows at P, and that
+    # of q^{d''} sigma_{dual(z)} at P'; only graded triples are looked up,
+    # and a graded degree has sum(d) <= dim, so it packs into its fields
+    at_d = ctx.ring.pack(degree) * ctx.ring.size
+    dual_key = [at_d + y for y in ctx.dual]
     if graded_pprime:
         to_pprime = [at_pprime.position[w.perm] for w in basis]
-        dual_pprime = [at_pprime.dual[k] for k in to_pprime]
+        at_dpp = at_pprime.ring.pack(cd.d_pprime) * at_pprime.ring.size
+        dual_key_pprime = [at_dpp + at_pprime.dual[k] for k in to_pprime]
 
     def value(x, y, z):
         """(at P, at P') of the ordered triples (x, y, z) and (y, x, z): both
         read the one product of the pair {x, y}."""
-        at_p = _read_by_degree(ctx, x, y, reads).get(degree, {}).get(dual[z], 0)
+        at_p = _read_pair(ctx, x, y, reads).get(dual_key[z], 0)
         if not graded_pprime:
             return at_p, 0
-        rows = _read_by_degree(at_pprime, to_pprime[x], to_pprime[y], reads)
-        return at_p, rows.get(cd.d_pprime, {}).get(dual_pprime[z], 0)
+        rows = _read_pair(at_pprime, to_pprime[x], to_pprime[y], reads)
+        return at_p, rows.get(dual_key_pprime[z], 0)
 
     classical = not any(degree)
     graded = asymmetric = mismatched = off_classical = 0

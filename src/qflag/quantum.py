@@ -42,14 +42,19 @@ H*(G/P), so later levels add a few classes, and their products come from
 Peterson's comparison formula.
 
 The recursion runs on ints.  Element x is its index in the basis, and the
-term q^d sigma_x is the key pd * size + x, where pd packs the degree d in
-base dim + 1.  A generator move of x adds a fixed int to the key.  The
-grading gives q_i the weight (c_1, d_i), which is 2 on G/B and at least 2
-on every G/P, and every term of a product of degree l(u) + l(v) <= 2 dim has
-l(x) + (c_1, d) = l(u) + l(v); so no coordinate of d exceeds dim or carries
-into the next.  Products become rows or `QClass`es only on the way out,
-in `compare._Context`, which reads both rings alike: `quantum_product` is
-`parabolic_quantum_product` at J = {}.
+term q^d sigma_x is the key pd * size + x, where pd packs sum(d) and then
+the coordinates d_1, ..., d_r, each a digit in base B = dim + 1 below the
+one before: pd = ((sum(d) B + d_1) B + ...) B + d_r.  The packing is
+linear, so a generator move of x adds a fixed int to the key.  The grading
+gives q_i the weight (c_1, d_i), which is 2 on G/B and at least 2 on every
+G/P, and every term of a product of degree l(u) + l(v) <= 2 dim has l(x) +
+(c_1, d) = l(u) + l(v); so sum(d) <= dim, no field of pd exceeds dim or
+carries into the next, and keys sort by (sum(d), d, x), the order of
+`QClass.sorted_terms`.  `degree` refuses a pd whose sum field is not the
+sum of its coordinates, which is what a borrow or a carry between fields
+leaves.  Terms become `QClass`es or (basis position, degree) dicts only on
+the way out, in `compare._Context`, which reads both rings alike:
+`quantum_product` is `parabolic_quantum_product` at J = {}.
 
 Products are memoized per longer factor, in one engine per ring:
 `_int_product` reads sigma_u * sigma_v off the table of whichever of u, v
@@ -203,18 +208,26 @@ class _Engine:
                 self._grow(group, end)
 
     def pack(self, d):
-        """The int packing of a degree vector, as `degree` reads it back."""
-        return sum(a * self.base**t for t, a in enumerate(d))
+        """The int packing of a degree vector, sum(d) first, as `degree`
+        reads it back."""
+        pd = sum(d)
+        for a in d:
+            pd = pd * self.base + a
+        return pd
 
     def degree(self, pd):
-        """The degree vector packed as pd, memoized."""
+        """The degree vector packed as pd, memoized; a pd whose sum field is
+        not the sum of its coordinates is refused."""
         d = self.degrees.get(pd)
         if d is None:
             digits, rest = [], pd
             for _ in self.weights:
                 rest, a = divmod(rest, self.base)
                 digits.append(a)
-            d = self.degrees[pd] = tuple(digits)
+            d = tuple(reversed(digits))
+            if rest != sum(d):
+                raise RuntimeError(f"packed degree {pd} has sum field {rest} over coordinates {d}")
+            self.degrees[pd] = d
         return d
 
 
@@ -294,12 +307,12 @@ def _engine(rs) -> _BorelEngine:
 
 
 def _finalized(eng, terms, grade):
-    """Check positivity and the grading of int-keyed terms, and return them.
-    Every q-shift is an effective degree, so no degree coordinate goes
-    negative; a carry out of a packed coordinate would lower (c_1, d) and
-    break the grading."""
+    """Check positivity and the grading of int-keyed terms, given as (key,
+    c) pairs.  Every q-shift is an effective degree, so no degree coordinate
+    goes negative; a carry or a borrow between packed fields leaves a sum
+    field that `degree` refuses."""
     size, lengths, q_grades = eng.size, eng.lengths, eng.q_grades
-    for key, c in terms.items():
+    for key, c in terms:
         pd, x = divmod(key, size)
         if c < 0:
             raise RuntimeError(f"negative structure constant {c} at {eng.elements[x]}")
@@ -311,7 +324,6 @@ def _finalized(eng, terms, grade):
                 f"grading violation: term ({format_word(eng.elements[x].word)}, "
                 f"{eng.degree(pd)}) in a degree-{grade} product"
             )
-    return terms
 
 
 def _combine(s, y, f, x, holding=None, r=None):
@@ -564,7 +576,10 @@ def _products(eng, v, upto):
     # l(w) <= k - 1, which have length at most k - 1 + l(v)
     eng.extend_moves(upto - 1 + lv)
     for k in range(eng.lengths[len(by) - 1] + 1, upto + 1):
-        by.extend(_finalized(eng, terms, k + lv) for terms in _solve_level(eng, by, k))
+        sol = _solve_level(eng, by, k)
+        for terms in sol:
+            _finalized(eng, terms.items(), k + lv)
+        by.extend(sol)
     return by
 
 

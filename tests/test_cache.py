@@ -24,10 +24,10 @@ def reference(doc):
 def encode(doc):
     """The document as the schema writer streams it."""
     out = io.StringIO()
-    # a term's key is its (word, q-degree), and the rank goes unread
+    # a term's key is its (word, q-degree)
     terms = terms_encoder(lambda key: key)
     entries = (
-        (e["u"], e["v"], terms([(None, (t["w"], tuple(t["q"])), t["c"]) for t in e["terms"]]))
+        (e["u"], e["v"], terms([((t["w"], tuple(t["q"])), t["c"]) for t in e["terms"]]))
         for e in doc["entries"]
     )
     write_document(out, doc["type"], doc["parabolic"], entries)

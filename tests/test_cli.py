@@ -562,7 +562,7 @@ def test_recursion_suite_catches_one_bad_table_entry(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_root_system", lambda ctype: rs)
     ctx = _context(rs, ParabolicSubset.of([2]))
     assert all(ctx.representative(x)[0] == 0 for x in range(3))
-    ctx.product(0, 0)
+    ctx.int_terms(0, 0)
     corrupted = ctx.ring.tables[0][0]
     corrupted[next(iter(corrupted))] += 1
     code, out, _ = run(capsys, "check", "--suite", "recursion", "--type", "A2", "--parabolic", "2")

@@ -203,6 +203,33 @@ def test_star_on_the_projective_plane():
     assert star(a, b) == expected
 
 
+def test_iterated_products_pass_the_degrees_a_packed_key_holds(capsys):
+    # on P^1 a packed degree holds q1 at most (base dim + 1 = 2), and the
+    # iterated products of five classes reach q1^2 exactly
+    rs = build_root_system("A1")
+    h = QClass.unit(rs, BOREL, simple_reflection(rs, 1))
+    assert str(star(star(star(star(h, h), h), h), h)) == "q1^2 * sigma[s1]"
+    assert main(["gw", "--type", "A1", "--classes", "s1,s1,s1,s1,s1", "--degree", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "invariant: 1"
+
+
+@pytest.mark.parametrize("name, j_nodes", [("A4", ()), ("D4", (1,))])
+def test_product_keys_sort_in_the_order_of_sorted_terms(name, j_nodes):
+    # a key packs sum(d), d and the basis position, so the sorted keys of a
+    # product are its terms in the order that QClass.sorted_terms gives
+    rs = build_root_system(name)
+    J = ParabolicSubset.of(j_nodes)
+    ctx = _context(rs, J)
+    ring, basis, n = ctx.ring, ctx.basis, len(ctx.basis)
+    tied = 0  # products with two degrees of one sum, ordered by d itself
+    for i, j in iproduct(range(n), repeat=2):
+        got = [((basis[key % n], ring.degree(key // n)), c) for key, c in ctx.int_terms(i, j)]
+        assert got == QClass(rs, J, dict(got)).sorted_terms()
+        sums = Counter(sum(d) for d in {d for (_, d), _ in got})
+        tied += any(count > 1 for count in sums.values())
+    assert tied
+
+
 def test_star_refuses_classes_of_different_rings():
     a2, b2 = build_root_system("A2"), build_root_system("B2")
     s1 = simple_reflection(a2, 1)
@@ -336,9 +363,11 @@ def _raise_one_coefficient(monkeypatch, parabolic, pair, key):
     def rows(self, i, j):
         got = true_rows(self, i, j)
         if self.parabolic == parabolic and {self.basis[i], self.basis[j]} == set(pair):
-            terms = {(y, d): c for _, d, y, c in got}
-            terms[key] = terms.get(key, 0) + 1
-            got = sorted((sum(d), d, y, c) for (y, d), c in terms.items())
+            y, d = key
+            packed = self.ring.pack(d) * self.ring.size + y
+            terms = dict(got)
+            terms[packed] = terms.get(packed, 0) + 1
+            got = sorted(terms.items())
         return got
 
     monkeypatch.setattr(_Context, "rows", rows)
@@ -395,9 +424,13 @@ def _ordered_triple_counts(rs, parabolic, degree):
     to_pprime = [at_pprime.position[w.perm] for w in ctx.basis]
     n = len(lengths)
     values = {}
+
+    def unpacked(ring, terms):
+        return {(key % ring.size, ring.degree(key // ring.size)): c for key, c in terms}
+
     for x, y in iproduct(range(n), repeat=2):
-        at_p = {(w, d): c for _, d, w, c in ctx.rows(x, y)}
-        at_pp = {(w, d): c for _, d, w, c in at_pprime.rows(to_pprime[x], to_pprime[y])}
+        at_p = unpacked(ctx.ring, ctx.rows(x, y))
+        at_pp = unpacked(at_pprime.ring, at_pprime.rows(to_pprime[x], to_pprime[y]))
         for z in range(n):
             if lengths[x] + lengths[y] + lengths[z] == target:
                 values[x, y, z] = (
@@ -508,7 +541,7 @@ def test_a_pair_is_read_once_in_either_order(monkeypatch):
 
     monkeypatch.setattr(_Context, "rows", rows)
     ctx, reads = _context(build_root_system("A3"), P2), {}
-    assert compare._read_by_degree(ctx, 5, 2, reads) is compare._read_by_degree(ctx, 2, 5, reads)
+    assert compare._read_pair(ctx, 5, 2, reads) is compare._read_pair(ctx, 2, 5, reads)
     assert calls == {(2, 5): 1}
     assert list(reads) == [(ctx, 2, 5)]
 

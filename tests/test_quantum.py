@@ -1,8 +1,10 @@
 import random
 from bisect import bisect_right
+from itertools import product as iproduct
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qflag import (
     BOREL,
@@ -462,9 +464,11 @@ def _negate(eng, terms):
 
 
 def _one_more_q(eng, terms):
-    # the packed degree sits above the basis size in the key: one more q1
+    # the packed degree sits above the basis size in the key: one more q1,
+    # which also raises the sum field
     key = next(iter(terms))
-    terms[key + eng.size] = terms.pop(key)
+    one = (1,) + (0,) * (len(eng.weights) - 1)
+    terms[key + eng.pack(one) * eng.size] = terms.pop(key)
 
 
 def test_a_negative_structure_constant_is_refused(monkeypatch):
@@ -574,3 +578,45 @@ def test_each_table_recurses_to_its_own_length(tmp_path, capsys):
     assert ctx.representative(s1) == (s1, None) and s1 < rep
     assert list(eng.tables) == [rep]
     assert len(eng.tables[rep]) == bisect_right(eng.lengths, 1)
+
+
+# rings with one to four quantum parameters, as (type, parabolic nodes)
+PACKED_RINGS = [("A1", ()), ("A4", ()), ("D4", (1,)), ("B3", (2,)), ("A4", (2, 3))]
+
+
+def _ring(name, j_nodes):
+    return _context(build_root_system(name), ParabolicSubset.of(j_nodes)).ring
+
+
+@pytest.mark.parametrize("name, j_nodes", PACKED_RINGS)
+def test_every_in_range_degree_packs_and_reads_back(name, j_nodes):
+    # in range: sum(d) <= dim, so every field of the packing, sum(d) and
+    # each coordinate, lies below the base dim + 1
+    ring = _ring(name, j_nodes)
+    r, base = len(ring.weights), ring.base
+    degrees = [d for d in iproduct(range(base), repeat=r) if sum(d) < base]
+    packed = [ring.pack(d) for d in degrees]
+    assert [ring.degree(pd) for pd in packed] == degrees
+    # the sum field is the highest, then d_1, ..., d_r
+    assert [ring.degree(pd) for pd in sorted(packed)] == sorted(
+        degrees, key=lambda d: (sum(d), d)
+    )
+    top = base**r  # one in the sum field
+    for pd, d in zip(packed, degrees):
+        # a sum field off by one, or a borrow out of the lowest field
+        bad = [pd + top, pd - top] + ([pd - 1] if d[-1] == 0 and any(d) else [])
+        for wrong in bad:
+            with pytest.raises(RuntimeError, match="sum field"):
+                ring.degree(wrong)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_packing_is_linear(data):
+    # so a move delta or an orbit-map key delta adds to a key as a plain int
+    ring = _ring(*data.draw(st.sampled_from(PACKED_RINGS)))
+    r = len(ring.weights)
+    vector = st.lists(st.integers(-50, 50), min_size=r, max_size=r)
+    a, b, k = data.draw(vector), data.draw(vector), data.draw(st.integers(-5, 5))
+    assert ring.pack([x + y for x, y in zip(a, b)]) == ring.pack(a) + ring.pack(b)
+    assert ring.pack([k * x for x in a]) == k * ring.pack(a)

@@ -1,4 +1,4 @@
-"""The Seidel orbit route of `_Context.product`, checked against the plain
+"""The Seidel orbit route of `_Context.int_terms`, checked against the plain
 readout: the closed form sigma_{floor(V_k)} * sigma_u = q^{delta_k(u)}
 sigma_{floor(V_k u)} (Belkale; Chaput-Manivel-Perrin) on every minuscule k
 and every u, with delta_k computed here apart from the package, over the
@@ -78,13 +78,13 @@ def test_the_closed_form_holds_in_the_plain_readout(name, j_nodes):
         j_k = ParabolicSubset.of(i for i in range(1, rs.rank + 1) if i != k)
         v_k = w_o * longest_element(rs, j_k)
         top = position[min_coset_rep(v_k, J).perm]
-        image, shift = ctx.orbit_map(k)
+        image, delta = ctx.orbit_map(k)
         for x, u in enumerate(basis):
             full = _delta(rs, k, u)
             d = tuple(full[i - 1] for i in free)
             y = position[min_coset_rep(v_k * u, J).perm]
-            assert ctx.rows(top, x) == [(sum(d), d, y, 1)]
-            assert (image[x], shift[x]) == (y, ring.pack(d) * ring.size)
+            assert ctx.rows(top, x) == [(ring.pack(d) * ring.size + y, 1)]
+            assert (image[x], delta[x]) == (y, ring.pack(d) * ring.size + y - x)
 
 
 @pytest.mark.parametrize("name, j_nodes", SPACES)
@@ -114,21 +114,32 @@ def test_a_product_of_representatives_builds_no_orbit_map():
     ctx = _context(rs, BOREL)
     s1 = ctx.position[rs.simple_perms[0]]
     assert ctx.representative(s1) == (s1, None)
-    ctx.product(s1, s1)
+    ctx.int_terms(s1, s1)
     assert ctx._orbit_maps == {}
 
 
-# (corruption, the error it raises), by id
+# (corruption, the error it raises), by id.  A corruption is taken off the
+# key of every term that the corrupted map moves, and each one below gives
+# every such term the same fault, or none.  A rank-r packed degree has the
+# fields sum(d), d_1, ..., d_r, highest first, each below base = dim + 1
 CORRUPTIONS = {
-    # one more q_r taken off, the top field of a rank-r packed degree: the
-    # key of a classical term would go below zero
-    "negative": (lambda size, base, rank: size * base ** (rank - 1), "wraps its packed key"),
-    # q1 less and q2 more: the key stays positive, but q1 borrows from q2,
-    # and the borrow raises the q-grade
-    "borrow": (lambda size, base, rank: size * (1 - base), "grading violation"),
-    # a shift that is not a whole packed degree moves the class
+    # one taken off the field above the sum field: a product's sum(d) is at
+    # most dim, below the base, so every moved key goes below zero
+    "negative": (lambda size, base, rank: size * base ** (rank + 1), "wraps its packed key"),
+    # q_r less and q_{r-1} more: the key stays positive, a term with a q_r
+    # keeps its grade, but one without borrows from q_{r-1}, and the sum
+    # field no longer adds up
+    "borrow": (lambda size, base, rank: size * (1 - base), "sum field"),
+    # a key delta one off moves the class: it is not a whole packed degree
     "position": (lambda size, base, rank: 1, "wraps its packed key"),
+    # the sum field one higher, the coordinates unchanged
+    "sum": (lambda size, base, rank: -size * base**rank, "sum field"),
 }
+
+# one q_r less, in the sum field and in d_r: a term with a q_r keeps a
+# whole degree of a lower grade, and the key of a classical term goes below
+# zero
+ONE_Q_LESS = (lambda size, base, rank: size * (base**rank + 1), "grading violation")
 
 
 def _first_applied(ctx, i, j):
@@ -140,11 +151,11 @@ def _first_applied(ctx, i, j):
 
 def _corrupted(name, corruption, words=None):
     """(ctx, i, j) on a private G/B of type `name`, whose product sigma_i *
-    sigma_j reads an orbit map corrupted by `corruption` in the shift of a
-    representative, the map applied first.  The factors are the classes of
+    sigma_j reads an orbit map corrupted by `corruption` in the key delta of
+    a representative, the map applied first.  The factors are the classes of
     `words`, or else by type.  On A3, i is not its own representative z and
     j = s1 is: the terms of sigma_z * sigma_{s1} lie off z, and some are
-    classical, so a corrupted shift of z is taken off them and nothing adds
+    classical, so a corrupted key delta of z is taken off them and nothing adds
     it back.  On D4, neither factor is, and their nodes differ: the later
     factor's map S_l comes first, and S_k moves its corrupted terms on."""
     # a private root system, so that the corruption stays in this test
@@ -161,12 +172,12 @@ def _corrupted(name, corruption, words=None):
             assert ctx.representative(j) == (j, None)
         else:
             j = next(y for y in range(ring.size) if ctx.representative(y)[1] not in (None, k))
-    assert ctx.product(i, j) == ctx.rows(i, j)
+    assert ctx.int_terms(i, j) == ctx.rows(i, j)
     node, z = _first_applied(ctx, i, j)
-    image, shift = ctx.orbit_map(node)
-    shift = list(shift)
-    shift[z] += corruption(ring.size, ring.base, rs.rank)
-    ctx._orbit_maps[node] = (image, tuple(shift))
+    image, delta = ctx.orbit_map(node)
+    delta = list(delta)
+    delta[z] += corruption(ring.size, ring.base, rs.rank)
+    ctx._orbit_maps[node] = (image, tuple(delta))
     return ctx, i, j
 
 
@@ -176,11 +187,11 @@ def _first_wrap(ctx, i, j):
     packed field, or None."""
     size = ctx.ring.size
     node, rep = _first_applied(ctx, i, j)
-    image, shift = ctx.orbit_map(node)
+    image, delta = ctx.orbit_map(node)
     ri, rj = ctx.representative(i)[0], ctx.representative(j)[0]
     for key in _int_product(ctx.ring, ri, rj):
         z = key % size
-        moved = key + shift[z] + image[z] - z - shift[rep]
+        moved = key + delta[z] - (delta[rep] + rep - image[rep])
         if moved < 0 or moved % size != image[z]:
             return ctx.basis[image[z]]
     return None
@@ -193,18 +204,23 @@ def _first_wrap(ctx, i, j):
     # sigma_{s3} * sigma_{s2s3}, s2s3 = floor(V_2 s2s1): of the two
     # classical terms of sigma_{s3} * sigma_{s2s1}, the first keeps a key
     # above zero but breaks the grading, and the second goes below zero
-    + [("A3", [(3,), (2, 3)], *CORRUPTIONS["negative"])],
+    + [("A3", [(3,), (2, 3)], *ONE_Q_LESS)],
     ids=[*CORRUPTIONS, *(f"two maps-{key}" for key in CORRUPTIONS), "wrap before grading"],
 )
 def test_a_derived_term_never_wraps(name, words, corruption, message):
     ctx, i, j = _corrupted(name, corruption, words)
     with pytest.raises(RuntimeError, match=message) as raised:
-        ctx.product(i, j)
-    # a wrap is refused by the check after the corrupted map, before the
-    # next map can move the term on, and before any term is graded
+        ctx.int_terms(i, j)
+    # the first faulty term is refused.  A wrap is refused by the check
+    # after the corrupted map, before the next map can move the term on; a
+    # corruption that wraps one term wraps every term it moves, so the
+    # first term it wraps is the one named
     wrapped = _first_wrap(ctx, i, j)
-    if wrapped is not None:
+    if message == "wraps its packed key":
         assert str(raised.value) == f"a derived term of {wrapped!r} wraps its packed key"
+    elif words:
+        # a later term wraps, yet the first term's grading fault is reported
+        assert wrapped is not None
 
 
 @pytest.mark.parametrize("corruption, message", CORRUPTIONS.values(), ids=CORRUPTIONS)
