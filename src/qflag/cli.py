@@ -28,8 +28,8 @@ from functools import cache, partial
 from itertools import product as iter_product
 
 from . import cache as cache_io
-from .compare import CheckResult, _consistency, _context
-from .degrees import enumerate_alcove_lifts, peterson_lift
+from .compare import CheckResult, _consistency, _context, comparison_data
+from .degrees import _as_degree, enumerate_alcove_lifts, peterson_lift
 from .quantum import _oriented_product, format_terms
 from .root_system import CartanType, ParabolicSubset, _parse_ints, build_root_system
 from .weyl import EnumerationBoundError, format_word, from_word, min_coset_rep, parse_word
@@ -43,7 +43,7 @@ def _parse_ring(args):
     return rs, parabolic
 
 
-def _parse_degree(text, expected):
+def _parse_degree(rs, parabolic, text):
     text = (text or "").strip()
     if not text:
         raise ValueError("missing degree vector")
@@ -51,12 +51,7 @@ def _parse_degree(text, expected):
         degree = _parse_ints(text)
     except ValueError:
         raise ValueError(f"cannot parse degree {text!r}") from None
-    if len(degree) != expected:
-        raise ValueError(
-            f"degree has {len(degree)} coordinates, expected {expected} "
-            "(one per node outside the parabolic)"
-        )
-    return degree
+    return _as_degree(rs, parabolic, degree)
 
 
 def _parse_classes(rs, text):
@@ -65,14 +60,7 @@ def _parse_classes(rs, text):
         raise ValueError("missing class list")
     if "" in words:
         raise ValueError(f"empty item {words.index('') + 1} in class list {text!r}")
-    elements = []
-    for wtext in words:
-        word = parse_word(wtext)
-        for i in word:
-            if not 1 <= i <= rs.rank:
-                raise ValueError(f"generator s{i} out of range for {rs.cartan_type}")
-        elements.append(from_word(rs, word))
-    return elements
+    return [from_word(rs, parse_word(wtext)) for wtext in words]
 
 
 def _parse_class(rs, text):
@@ -107,10 +95,8 @@ def _normalize_classes(ctx, elements):
 
 def cmd_lift(args):
     rs, parabolic = _parse_ring(args)
-    degree = _parse_degree(args.degree, len(parabolic.free_nodes(rs.rank)))
-    if any(x < 0 for x in degree):
-        raise ValueError(f"degree {list(degree)} is not effective")
-    cd = _context(rs, parabolic).degree(degree)
+    degree = _parse_degree(rs, parabolic, args.degree)
+    cd = comparison_data(rs, parabolic, degree)
     payload = {
         "type": str(rs.cartan_type),
         "parabolic": list(parabolic.indices),
@@ -140,7 +126,7 @@ def cmd_gw(args):
     elements = _parse_classes(rs, args.classes)
     if len(elements) < 3:
         raise ValueError("need at least three classes")
-    degree = _parse_degree(args.degree, len(parabolic.free_nodes(rs.rank)))
+    degree = _parse_degree(rs, parabolic, args.degree)
     ctx = _context(rs, parabolic)
     elements, warnings = _normalize_classes(ctx, elements)
     note = None
@@ -176,11 +162,10 @@ def cmd_mul(args):
     u, v = (_parse_class(rs, text) for text in (args.u, args.v))
     ctx = _context(rs, parabolic)
     (u, v), warnings = _normalize_classes(ctx, [u, v])
-    n, degree = len(ctx.basis), ctx.ring.degree
-    terms = [
-        (format_word(ctx.basis[key % n].word), degree(key // n), c)
-        for key, c in ctx.int_terms(ctx.position[u.perm], ctx.position[v.perm])
-    ]
+    terms = []
+    for key, c in ctx.int_terms(ctx.position[u.perm], ctx.position[v.perm]):
+        y, d = ctx.ring.term(key)
+        terms.append((format_word(ctx.basis[y].word), d, c))
     payload = {
         "type": str(rs.cartan_type),
         "parabolic": list(parabolic.indices),
@@ -221,8 +206,12 @@ def cmd_table(args):
     path = cache_io.table_path(cache_dir, type_name, parabolic)
     words = [format_word(w.word) for w in ctx.basis]
     n = len(words)
-    # a key of the ring is pd * n + y, the term q^d sigma_y
-    encode = cache_io.terms_encoder(lambda key: (words[key % n], ctx.ring.degree(key // n)))
+
+    def term_of(key):
+        y, d = ctx.ring.term(key)
+        return words[y], d
+
+    encode = cache_io.terms_encoder(term_of)
 
     def entry(i, j):
         return encode(ctx.int_terms(i, j))

@@ -16,10 +16,14 @@ y = dual(w)).  `_Context.rows` maps every term of one Borel product this
 way, on basis positions.  The Borel ring is the case J = {} of the same
 map (lambda_d = d, w'_d = w_J = e).
 
-The formula only has to supply the products sigma_g * sigma_x of a few
-generator classes g: associativity gives every other product by the level
-recursion of `quantum.py`, run on W^J (`_CosetEngine`), whose tables recurse
-only through the minimal representatives, not through all of W.
+The formula only has to supply the products sigma_g * sigma_x of the
+generator classes g of length >= 2 that some G/P spaces need: the divisors'
+products are the quantum Chevalley rule on W^J, and associativity gives
+every other product by the level recursion of `quantum.py`, run on W^J
+(`_CosetEngine`), whose tables recurse only through the minimal
+representatives, not through all of W.  A space whose levels pick divisors
+only never builds the Borel ring for its products, and on it `check --suite
+recursion` compares two independent routes.
 
 Seidel orbits cut the tables further.  For a minuscule node k, one whose
 alpha_k has coefficient 1 in the highest root, let V_k = w_o w_{o,J_k},
@@ -36,13 +40,13 @@ one orbit map per factor that is not its own representative.  So
 classes), in one pass that maps each term through both orbit maps and
 checks it for positivity and grading as a solved term is checked.  The
 direct readout `_Context.rows` reads the plain Borel product of the
-factors themselves.  It serves the generator moves, the comparison audit,
-the recursion audit, which compares the two routes on every ordered pair,
-and the right side a * (b * c) of the associativity audit, whose left side
-takes the orbit route.  Both routes give a product as the sorted (key, c)
-pairs of `ring`, whose key order is the output order (see `quantum.py`):
-`table` encodes them as they are, and `mul`, `gw` and `star` unpack the
-keys.
+factors themselves.  It serves the longer generators' moves, the
+comparison audit, the recursion audit, which compares the two routes on
+every ordered pair, and the right side a * (b * c) of the associativity
+audit, whose left side takes the orbit route.  Both routes give a product
+as the sorted (key, c) pairs of `ring`, whose key order is the output
+order (see `quantum.py`): `table` encodes them as they are, and `mul`,
+`gw` and `star` unpack the keys with `ring.term`.
 
 W acts on the basis positions through the maps x -> floor(s_i x) that the
 enumeration of W^J returns (`weyl._enumerate`), and every action here is
@@ -97,31 +101,33 @@ class ComparisonData:
 
 
 class _CosetEngine(_Engine):
-    """The level solver on W^J.  Its generators are the classes that the
-    factorization of each level completes with unit rows (`quantum._level`):
-    the divisors at level 1, then the few classes of higher length that
-    Borel's presentation of H*(G/P) asks for.  The moves of a generator g
-    are the terms of sigma_g * sigma_x in Peterson's readout.  The grading
-    weight of q_i is c_1 of the unit degree at the i-th free node."""
+    """The level solver on W^J with Peterson's readout for its longer
+    generators.  Its generators are the classes that the factorization of
+    each level completes with unit rows (`quantum._level`): the divisors at
+    level 1, whose moves are the quantum Chevalley rule (`_Engine._grow`),
+    then the few classes of higher length that Borel's presentation of
+    H*(G/P) asks for.  The moves of such a generator g are the terms of
+    sigma_g * sigma_x in Peterson's readout, so a ring whose levels pick
+    divisors only never builds the Borel ring."""
 
     def __init__(self, ctx):
-        super().__init__(ctx.rs, ctx.basis, ctx.flag_dimension, ctx.c1_weights)
+        super().__init__(ctx.rs, ctx.parabolic, ctx._enumeration, ctx.c1_weights)
         self.ctx = ctx
 
     def _grow(self, group, end):
-        _, gens, moves, qmoves = group
+        length, gens, moves, qmoves = group
+        if length == 1:
+            return super()._grow(group, end)
+        size = self.size
         for x in range(len(moves), end):
-            per_generator, quantum = [], {}
-            for t, g in enumerate(gens):
-                terms = []
-                for key, c in self.ctx.rows(g, x):
-                    terms.append((key - x, c))
-                    if key >= self.size:
-                        y = key % self.size
-                        quantum.setdefault((key - y, y), [0] * len(gens))[t] = c
-                per_generator.append(tuple(terms))
-            moves.append(tuple(per_generator))
-            qmoves.append(tuple((tuple(coefs), shift, y) for (shift, y), coefs in quantum.items()))
+            rows = [self.ctx.rows(g, x) for g in gens]
+            moves.append(tuple(tuple((key - x, c) for key, c in terms) for terms in rows))
+            # each quantum term c q^d sigma_y of generator t, as the move
+            # with coefficient c for t and 0 for the others
+            qmoves.append(tuple(
+                (tuple(c if s == t else 0 for s in range(len(gens))), key - key % size, key % size)
+                for t, terms in enumerate(rows) for key, c in terms if key >= size
+            ))
 
 
 class _Context:
@@ -377,13 +383,13 @@ class _Context:
         cb q^(d + da + db) sigma_y of a product of two terms is added into
         one dict.  The degrees stay tuples, since an iterated product can
         pass the degrees that a packed key holds."""
-        size, degree = self.ring.size, self.ring.degree
+        term = self.ring.term
         out = {}
         for (i, da), ca in a.items():
             for (j, db), cb in b.items():
                 for key, c in product(i, j):
-                    pd, y = divmod(key, size)
-                    key = (y, tuple(map(sum, zip(degree(pd), da, db))))
+                    y, d = term(key)
+                    key = (y, tuple(map(sum, zip(d, da, db))))
                     out[key] = out.get(key, 0) + c * ca * cb
         return out
 

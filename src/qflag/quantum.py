@@ -30,16 +30,17 @@ the system holds.  Everything is integer arithmetic; no Fractions
 and no floats.  The recursion has one mode, the quantum one: the cup
 product is computed apart from it, by localization, in `classical.py`.
 
-There are two instances.  The full flag variety G/B is the case J = {}: the
-basis is the length-graded enumeration of W; level 1 has no rows, so the
-generators are the divisors sigma_{s_i}, whose products are the quantum
-Chevalley rule, and as the divisors generate the cohomology no later level
-adds one.  The rule's moves x -> x s_alpha are read as s_{x(alpha)} x off
-the reflection maps x -> s_beta x, which compose the enumeration's left
-maps x -> s_i x.  A G/P is the instance on the minimal coset
-representatives W^J, built in `compare.py`: the divisors do not generate
-H*(G/P), so later levels add a few classes, and their products come from
-Peterson's comparison formula.
+There is one engine, `_Engine`, the ring of G/P on the minimal coset
+representatives W^J; the full flag variety G/B is the case J = {}, whose
+basis is the enumeration of W.  Level 1 has no rows, so the divisors
+sigma_{s_i}, i a free node, are the first generators, and their products
+are the quantum Chevalley rule on W^J (Fulton-Woodward, On the quantum
+product of Schubert classes, J. Algebraic Geom. 13 (2004)), read off the
+reflection maps x -> floor(s_beta x), which compose the enumeration's left
+maps x -> floor(s_i x).  On G/B the divisors generate the cohomology, so no
+later level adds a generator.  On G/P they need not: later levels add a few
+classes, and `compare._CosetEngine` reads their products off Peterson's
+comparison formula.
 
 The recursion runs on ints.  Element x is its index in the basis, and the
 term q^d sigma_x is the key pd * size + x, where pd packs sum(d) and then
@@ -64,13 +65,13 @@ Every product that a user sees comes through `compare._Context.int_terms`,
 which calls it on the Seidel orbit representatives of the two factors only
 and maps the terms back to the factors (see `compare.py`).  So only
 representatives get tables, and the table of a representative z reaches
-level l(z) at most.  Peterson's readout, the generator moves and the
-commutativity audit (`_oriented_product`) read the plain tables of the
-factors they are given.  The caches live as long as the root system, and
-`build_root_system` interns one per Cartan type, so memory is bounded by the
-number of rings used.  The caches are not locked: confine an engine to one
-thread, or give a thread a private engine by constructing its own
-`RootSystem(...)` directly.
+level l(z) at most.  Peterson's readout, and through it the moves of the
+longer G/P generators, and the commutativity audit (`_oriented_product`)
+read the plain tables of the factors they are given.  The caches live as
+long as the root system, and `build_root_system` interns one per Cartan
+type, so memory is bounded by the number of rings used.  The caches are not
+locked: confine an engine to one thread, or give a thread a private engine
+by constructing its own `RootSystem(...)` directly.
 """
 
 from __future__ import annotations
@@ -164,28 +165,32 @@ def format_terms(rows) -> str:
 
 
 class _Engine:
-    """The int tables of one ring: its basis (elements with a `length` and a
-    `word`, ordered by length), the move tables of its generators, the
-    factored levels and the products per right factor, all keyed as the
-    module docstring describes.
+    """The int tables of the quantum ring of G/P for one parabolic J: the
+    basis W^J as its enumeration lists it (`weyl._enumerate`; elements with
+    a `length` and a `word`, ordered by length), their positions and the
+    left maps x -> floor(s_i x) on positions, the move tables of the
+    generators, the factored levels and the products per right factor, all
+    keyed as the module docstring describes.  G/B is the case J = {}.
 
     Generators come in groups of one length, kept in `groups` by length as
-    (length, generator indices, moves, qmoves), where per element x
+    (length, generator positions, moves, qmoves), where per position x
     `moves[x]` holds per generator g the (key delta, coefficient) of each
     term of sigma_g * sigma_x, and `qmoves[x]` the quantum terms as
-    (coefficient per generator, key delta of q^d, element index).  An
-    instance fills both lists with `_grow`.  A new engine has no generators:
-    `_level` adds each group as the factorization of its level finds it."""
+    (coefficient per generator, key delta of q^d, position).  `_grow` fills
+    both lists for the divisors.  A new engine has no generators: `_level`
+    adds each group as the factorization of its level finds it."""
 
-    def __init__(self, rs, elements, dim, weights):
+    def __init__(self, rs, parabolic, enumeration, weights):
         self.rs = rs
-        self.elements = elements
-        self.lengths = [w.length for w in elements]
+        self.parabolic = parabolic
+        self.free = parabolic.free_nodes(rs.rank)
+        self.elements, self.index, self.left = enumeration
+        self.lengths = [w.length for w in self.elements]
         self.by_length = {}
         for x, lx in enumerate(self.lengths):
             self.by_length.setdefault(lx, []).append(x)
-        self.size = len(elements)
-        self.base = dim + 1
+        self.size = len(self.elements)
+        self.base = self.lengths[-1] + 1  # dim G/P + 1
         self.weights = tuple(weights)  # the grading weight (c_1, d_i) of q_i
         self.groups = []
         self.reach = -1  # every move table covers the elements of length <= reach
@@ -230,23 +235,18 @@ class _Engine:
             self.degrees[pd] = d
         return d
 
-
-class _BorelEngine(_Engine):
-    """The instance J = {}: the enumeration of W, one group of generators,
-    the divisors sigma_{s_i} that level 1 picks in basis order, and their
-    quantum Chevalley moves.  The grading weight of each q_i is
-    (c_1(G/B), alpha_i^vee) = 2."""
-
-    def __init__(self, rs):
-        elements, self.index, self.left = _enumerate(rs, BOREL)
-        super().__init__(rs, elements, rs.npos, (2,) * rs.rank)
+    def term(self, key):
+        """(y, d) for the key of the term q^d sigma_y."""
+        pd, y = divmod(key, self.size)
+        return y, self.degree(pd)
 
     @cached_property
     def reflections(self):
-        """Per positive root alpha, the index of s_alpha x per element index
-        x.  A simple root's map is `left`; any other alpha is s_j beta for a
-        positive root beta of smaller height, so s_alpha x = s_j s_beta s_j x
-        composes the maps a whole column at a time."""
+        """Per positive root beta, the position of floor(s_beta x) per
+        position x.  A simple root's map is `left`; any other beta is s_j
+        gamma for a positive root gamma of smaller height, and W acts on the
+        cosets x W_J, so floor(s_beta x) = floor(s_j floor(s_gamma floor(s_j
+        x))) composes the maps a whole column at a time."""
         rs, left = self.rs, self.left
         heights = [sum(alpha) for alpha in rs.positive_roots]
         maps = [None] * rs.npos
@@ -262,48 +262,57 @@ class _BorelEngine(_Engine):
         return maps
 
     def _grow(self, group, end):
-        """Per element x: per divisor i, the (key delta, coefficient) of each
-        term of sigma_{s_i} * sigma_x; and the quantum moves of x as (coroot,
-        key delta of q^coroot, element index).  The divisors generate
-        H*(G/B), so a group of any other length means a level lost rank."""
-        length, _, chevalley, qmoves_of = group
+        """The moves of the divisors sigma_{s_i}, one per free node i in
+        node order, as level 1 lists them, by the quantum Chevalley rule on
+        W^J (Fulton-Woodward, On the quantum product of Schubert classes, J.
+        Algebraic Geom. 13 (2004)): per position x and positive root alpha
+        off the Levi, with y = floor(x s_alpha), sigma_{s_i} * sigma_x has
+        the term alpha^vee_i sigma_y when l(y) = l(x) + 1, and alpha^vee_i
+        q^{d(alpha)} sigma_y when l(y) = l(x) + 1 - c_1(d(alpha)), d(alpha)
+        being alpha^vee on the free nodes.  The divisors generate H*(G/B), so
+        at J = {} a group of any other length means a level lost rank."""
+        length, gens, moves_of, qmoves_of = group
         if length != 1:
             raise RuntimeError("recursion system is rank deficient")
-        lengths, rank = self.lengths, self.rs.rank
+        rs, lengths, size = self.rs, self.lengths, self.size
         # x s_alpha = s_{x(alpha)} x, and s_{-beta} = s_beta: per root index,
-        # negative roots included, the map x -> s_beta x
+        # negative roots included, the map x -> floor(s_beta x)
         maps = self.reflections * 2
-        # per positive root: the coroot, the key delta of its q-shift, the
-        # length drop 2 ht(coroot) - 1 of a quantum move, and the divisors
-        # (i, coefficient) it feeds
-        roots = [
-            (cor, self.pack(cor) * self.size, 2 * sum(cor) - 1,
-             [(i, a) for i, a in enumerate(cor) if a])
-            for cor in self.rs.positive_coroots
-        ]
-        for x in range(len(chevalley), end):
-            lx = lengths[x]
-            per_divisor = [[] for _ in range(rank)]
+        levi = set(rs.parabolic_root_indices(self.parabolic))
+        # per positive root alpha off the Levi: its index, the key delta of
+        # q^{d(alpha)}, the length drop c_1(d(alpha)) - 1 of a quantum move,
+        # d(alpha), which is also alpha^vee_i per divisor, and the divisors
+        # (t, alpha^vee_i) it feeds
+        roots = []
+        for g, cor in enumerate(rs.positive_coroots):
+            if g not in levi:
+                d = tuple(cor[i - 1] for i in self.free)
+                feeds = [(t, a) for t, a in enumerate(d) if a]
+                roots.append((g, self.pack(d) * size, sum(map(mul, self.weights, d)) - 1, d, feeds))
+        for x in range(len(moves_of), end):
+            lx, perm = lengths[x], self.elements[x].perm
+            per_divisor = [[] for _ in gens]
             qmoves = []
-            # the first npos entries of the perm are x(alpha) per alpha > 0
-            for image, (cor, shift, drop, feeds) in zip(self.elements[x].perm, roots):
-                y = maps[image][x]
+            for g, shift, drop, d, feeds in roots:
+                y = maps[perm[g]][x]
                 if lengths[y] == lx + 1:
                     delta = y - x
                 elif lengths[y] == lx - drop:
                     delta = shift + y - x
-                    qmoves.append((cor, shift, y))
+                    qmoves.append((d, shift, y))
                 else:
                     continue
-                for i, a in feeds:
-                    per_divisor[i].append((delta, a))
-            chevalley.append(tuple(map(tuple, per_divisor)))
+                for t, a in feeds:
+                    per_divisor[t].append((delta, a))
+            moves_of.append(tuple(map(tuple, per_divisor)))
             qmoves_of.append(tuple(qmoves))
 
 
 @cache
-def _engine(rs) -> _BorelEngine:
-    return _BorelEngine(rs)
+def _engine(rs) -> _Engine:
+    """The ring of G/B, where the grading weight (c_1, alpha_i^vee) of each
+    q_i is 2."""
+    return _Engine(rs, BOREL, _enumerate(rs, BOREL), (2,) * rs.rank)
 
 
 def _finalized(eng, terms, grade):

@@ -174,7 +174,7 @@ class RootSystem:
     lexicographic within a height), so downstream output is reproducible
     byte for byte.  Nothing changes after construction except the memo of
     `parabolic_root_indices`, filled per parabolic on first use.  Any other
-    reflection acts through the Borel engine's index maps.
+    reflection acts through an engine's index maps.
     """
 
     def __init__(self, cartan_type: CartanType):

@@ -19,7 +19,7 @@ of s_d alpha_g, with no product of permutations.
 The enumeration of W^J is also the one source of the action of W on basis
 positions: its BFS forms every product s_i u, so it returns, beside the
 basis, the maps x -> floor(s_i x) on positions.  Every other index map
-(the engine's reflections x -> s_beta x, Poincare duality, the Seidel
+(an engine's reflections x -> floor(s_beta x), Poincare duality, the Seidel
 orbit maps) is composed from them, with no product of permutations.
 """
 

@@ -152,6 +152,32 @@ def test_empty_degree_and_class_list_are_input_errors(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lift", "--type", "A2", "--parabolic", "2", "--degree", "1,2"],
+         "degree vector has 2 coordinates, expected 1"),
+        (["gw", "--type", "A2", "--parabolic", "2", "--classes", "s1,s2s1,s2s1", "--degree", "1,0"],
+         "degree vector has 2 coordinates, expected 1"),
+        (["lift", "--type", "A2", "--parabolic", "1,2", "--degree", "1"],
+         "the full parabolic has no curve classes (H_2 = 0)"),
+        (["gw", "--type", "A2", "--parabolic", "1,2", "--classes", "e,e,e", "--degree", "1"],
+         "the full parabolic has no curve classes (H_2 = 0)"),
+        (["lift", "--type", "A3", "--parabolic", "2", "--degree", "1,-1"],
+         "degree (1, -1) is not effective"),
+        (["gw", "--type", "A2", "--parabolic", "2", "--classes", "s9,s2s1,s2s1", "--degree", "1"],
+         "generator index 9 out of range for A2"),
+        (["mul", "--type", "A2", "--u", "s1", "--v", "s3"], "generator index 3 out of range for A2"),
+    ],
+)
+def test_input_errors_are_the_library_checks(capsys, argv, message):
+    # the CLI parses degrees and words and leaves every other check to the
+    # library: `_as_degree` counts the coordinates and refuses the full
+    # parabolic, `comparison_data` refuses a non-effective lift and
+    # `from_word` a generator outside the rank
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "classes, item", [("s1,,s2s1", 2), ("s1,s2,s1s2s1,", 4), (" ,s1,s2,s2s1", 1)]
 )
 def test_an_empty_class_item_is_an_input_error(capsys, classes, item):

@@ -37,7 +37,7 @@ from qflag import compare
 from qflag.cli import main
 from qflag.compare import _Context, _context
 from qflag.degrees import _c1_pairing
-from qflag.quantum import _int_product, _level
+from qflag.quantum import _Engine, _int_product, _level
 
 P2 = ParabolicSubset.of([2])
 
@@ -733,20 +733,87 @@ def test_product_matches_forward_readout(name, j_nodes):
 
 
 def test_product_refuses_a_term_off_the_grading():
-    # a private root system has a context of its own; raise the anticanonical
-    # pairing memoized for degree 0 by one, and h * h = sigma[s1s2] +
-    # sigma[s3s2] on Gr(2, 4) breaks l(y) + c_1(d) = l(u) + l(v) in the
-    # readout of the divisor's moves; h is its own orbit representative, so
-    # h * h is read off its own table, which reads those moves
+    # a private root system has contexts of its own; raise the anticanonical
+    # pairing memoized for degree 0 by one, and Peterson's readout breaks
+    # l(y) + c_1(d) = l(u) + l(v): in the direct readout of h * h =
+    # sigma[s1s2] + sigma[s3s2] on Gr(2, 4), and on Fl(2, 3; 5) = A4/{1,4}
+    # in the moves of the length-2 generator, which the readout gives and
+    # the table of a length-2 representative reads (the divisors' moves
+    # are the quantum Chevalley rule, which reads no lift)
     rs = RootSystem(CartanType.parse("A3"))
     gr24 = ParabolicSubset.of([1, 3])
-    h = simple_reflection(rs, 2)
     ctx = _context(rs, gr24)
-    assert ctx.representative(ctx.position[h.perm])[1] is None
+    h = ctx.position[simple_reflection(rs, 2).perm]
     cd = ctx.degree((0,))
     ctx._degrees[(0,)] = replace(cd, c1=cd.c1 + 1)
     with pytest.raises(RuntimeError, match="breaks the grading"):
-        parabolic_quantum_product(rs, gr24, h, h)
+        ctx.rows(h, h)
+    rs = RootSystem(CartanType.parse("A4"))
+    fl = ParabolicSubset.of([1, 4])
+    ctx = _context(rs, fl)
+    u = next(
+        w for x, w in enumerate(ctx.basis) if w.length == 2 and ctx.representative(x)[1] is None
+    )
+    cd = ctx.degree((0, 0))
+    ctx._degrees[(0, 0)] = replace(cd, c1=cd.c1 + 1)
+    with pytest.raises(RuntimeError, match="breaks the grading"):
+        parabolic_quantum_product(rs, fl, u, u)
+
+
+# (type, parabolic nodes): G/B, Grassmannians, two-step and partial flags
+# and spaces whose levels pick longer generators, on every type
+CHEVALLEY_SPACES = [
+    ("A2", ()), ("A3", (2,)), ("A3", (1, 3)), ("A4", (2, 3)), ("A4", (1, 4)),
+    ("A4", (2, 3, 4)), ("B3", ()), ("B3", (1,)), ("B3", (2,)), ("B3", (1, 2)),
+    ("C3", (3,)), ("C3", (1, 2)), ("G2", (1,)), ("G2", (2,)), ("D4", (1,)),
+    ("D4", (2,)), ("D4", (1, 3, 4)), ("F4", (1, 2, 3)), ("F4", (2, 3, 4)),
+    ("A5", (3,)), ("A5", (1, 2, 4, 5)), ("B4", (1, 2, 3)), ("C4", (2,)),
+    ("D5", (3,)), ("E6", (2, 3, 4, 5, 6)),
+]
+
+
+@pytest.mark.parametrize("name, j_nodes", CHEVALLEY_SPACES)
+def test_the_quantum_chevalley_rule_is_the_readout_of_the_divisors(name, j_nodes):
+    # Fulton-Woodward's rule on W^J, as `_Engine._grow` runs it, against
+    # Peterson's readout of the Borel product, on every divisor product: the
+    # moves of sigma_{s_i} * sigma_x as terms, each key once, and the quantum
+    # moves as the terms off degree 0.  At J = {} the readout reads the Borel
+    # ring's level 1, which is the rule itself, so A2 and B3 check only the
+    # bookkeeping of a fresh engine; on G/P the two routes are independent
+    ctx =_context(build_root_system(name), ParabolicSubset.of(j_nodes))
+    eng = _Engine(ctx.rs, ctx.parabolic, ctx._enumeration, ctx.c1_weights)
+    divisors = tuple(eng.by_length[1])
+    assert [ctx.basis[g].word for g in divisors] == [(i,) for i in ctx.free]
+    _, _, moves, qmoves = group = (1, divisors, [], [])
+    eng._grow(group, eng.size)
+    for x in range(eng.size):
+        for t, g in enumerate(divisors):
+            terms = sorted((x + delta, a) for delta, a in moves[x][t])
+            assert terms == ctx.rows(g, x)
+            quantum = sorted((shift + y, coefs[t]) for coefs, shift, y in qmoves[x] if coefs[t])
+            assert quantum == [(key, a) for key, a in terms if key >= eng.size]
+
+
+@pytest.mark.parametrize(
+    "name, j_nodes, lengths",
+    [("D4", (1,), {1}), ("A4", (2, 3, 4), {1}), ("A4", (1, 4), {1, 2})],
+)
+def test_only_a_longer_generator_builds_the_borel_ring(name, j_nodes, lengths):
+    # every product that `table`, `mul`, `gw` and `star` serve, on a private
+    # root system, and the plain table of every pair, since P^4 is one
+    # Seidel orbit and its served products solve no level: the divisors'
+    # moves come from W^J alone, so D4/{1} and P^4 never build the Borel
+    # ring, while Fl(2, 3; 5) = A4/{1,4} builds it for the readout of its
+    # length-2 generator
+    ctx = _context(RootSystem(CartanType.parse(name)), ParabolicSubset.of(j_nodes))
+    n = len(ctx.basis)
+    for i in range(n):
+        for j in range(n):
+            ctx.int_terms(i, j)
+            _int_product(ctx.ring, i, j)
+    ring = ctx.ring
+    assert {ring.lengths[g] for g in ring.generators} == lengths
+    assert ("engine" in vars(ctx)) == (max(lengths) > 1)
 
 
 @pytest.mark.parametrize(
