@@ -23,7 +23,6 @@ import signal
 import sys
 import tempfile
 from contextlib import ExitStack
-from dataclasses import asdict, replace
 from functools import cache, partial
 from itertools import product as iter_product
 
@@ -314,7 +313,7 @@ def _suite_comparison(args):
     rs, parabolic = _parse_ring(args)
     reads = {}  # each ordered product is read once for every degree of the box
     return [
-        replace(result, name=f"d={list(degree)}: {result.name}")
+        result._replace(name=f"d={list(degree)}: {result.name}")
         for degree in _degree_box(rs, parabolic, args.max_degree)
         for result in _consistency(rs, parabolic, degree, reads)
     ]
@@ -354,7 +353,7 @@ def cmd_check(args):
             raise ValueError(f"{option} must be at least {least}, got {value}")
     results = _SUITES[args.suite](args)
     ok = all(r.passed for r in results)
-    payload = {"suite": args.suite, "passed": ok, "checks": [asdict(r) for r in results]}
+    payload = {"suite": args.suite, "passed": ok, "checks": [r._asdict() for r in results]}
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.detail})" for r in results]
     lines.append(f"suite {args.suite}: {'PASS' if ok else 'FAIL'}")
     _emit(args, payload, lines)

@@ -66,7 +66,7 @@ degree; the readout, the degree helpers, the CLI and the audit all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property, reduce
 from operator import itemgetter
 
@@ -84,20 +84,14 @@ from .root_system import ParabolicSubset, RootSystem
 from .weyl import WeylElement, _enumerate, longest_element, min_coset_rep
 
 
-@dataclass(frozen=True)
-class ComparisonData:
+class ComparisonData(namedtuple("ComparisonData", "d_B j_prime w_prime d_pprime c1 shift")):
     """Everything needed to move one degree's invariants to the Borel level:
     the lift lambda_d (a coweight, as its tuple of simple-coroot
     coefficients), the derived parabolic P', its longest element w'_d, the
     pushed degree d'', the anticanonical pairing c_1(d) and the readout shift
     w'_d w_J."""
 
-    d_B: tuple
-    j_prime: ParabolicSubset
-    w_prime: WeylElement
-    d_pprime: tuple
-    c1: int
-    shift: WeylElement
+    __slots__ = ()
 
 
 class _CosetEngine(_Engine):
@@ -490,13 +484,10 @@ def star(a: QClass, b: QClass) -> QClass:
     return QClass(rs, parabolic, {(basis[y], d): c for (y, d), c in prod.items()})
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "name passed detail")):
     """One audit outcome, as every `check` suite reports it."""
 
-    name: str
-    passed: bool
-    detail: str
+    __slots__ = ()
 
 
 def check_comparison_consistency(

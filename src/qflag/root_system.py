@@ -9,7 +9,6 @@ labeling for each series.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 
 
@@ -43,27 +42,59 @@ _EXCEPTIONAL_POSITIVE = {
 }
 
 
-@dataclass(frozen=True)
-class CartanType:
+class _Value:
+    """A read-only value: equal and hashed by `_key()`, the values of its
+    `__slots__` in order, and only to instances of its own class.  It
+    stands in for a frozen dataclass, whose module would load `inspect`,
+    `ast` and a dozen more modules at every start of the CLI."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class CartanType(_Value):
     """A finite Cartan type such as A2 or B3."""
 
-    series: str
-    rank: int
+    __slots__ = ("series", "rank")
 
-    def __post_init__(self):
-        if self.series not in _RANK_RULES:
+    def __init__(self, series: str, rank: int):
+        if series not in _RANK_RULES:
             raise ValueError(
-                f"unknown Cartan series {self.series!r}: expected one of A..G"
+                f"unknown Cartan series {series!r}: expected one of A..G"
             )
-        lo, hi = _RANK_RULES[self.series]
-        rank = self.rank
+        lo, hi = _RANK_RULES[series]
         if isinstance(rank, bool) or not isinstance(rank, int) or rank < lo or (
             hi is not None and rank > hi
         ):
             raise ValueError(
-                f"invalid rank {self.rank} for series {self.series} "
+                f"invalid rank {rank} for series {series} "
                 f"(allowed: {lo}{'..' + str(hi) if hi else ' and up'})"
             )
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "rank", rank)
+
+    def _key(self):
+        return (self.series, self.rank)
 
     @classmethod
     def parse(cls, name: str) -> "CartanType":
@@ -86,25 +117,27 @@ class CartanType:
         return _EXCEPTIONAL_POSITIVE[(self.series, n)]
 
 
-@dataclass(frozen=True)
-class ParabolicSubset:
+class ParabolicSubset(_Value):
     """A set of simple-root node indices (1-based, CLI numbering).
 
     The empty set is the Borel case; the full set is the whole group and is
     rejected by degree-level operations since there are no curve classes left.
     """
 
-    indices: tuple = ()
+    __slots__ = ("indices",)
 
-    def __post_init__(self):
-        idx = self.indices
-        if any(isinstance(j, bool) or not isinstance(j, int) or j < 1 for j in idx):
+    def __init__(self, indices: tuple = ()):
+        indices = tuple(indices)  # a generator is read once, for both uses
+        if any(isinstance(j, bool) or not isinstance(j, int) or j < 1 for j in indices):
             raise ValueError("parabolic node indices must be 1-based positive integers")
-        object.__setattr__(self, "indices", tuple(sorted(set(idx))))
+        object.__setattr__(self, "indices", tuple(sorted(set(indices))))
+
+    def _key(self):
+        return (self.indices,)
 
     @classmethod
     def of(cls, indices) -> "ParabolicSubset":
-        return cls(tuple(indices))
+        return cls(indices)
 
     @classmethod
     def parse(cls, text: str) -> "ParabolicSubset":

@@ -634,6 +634,47 @@ def test_check_suites_pass(capsys):
     assert code == 0
 
 
+def test_check_json_lists_each_result_as_name_passed_detail(capsys):
+    # the payload, byte for byte: each check is an object of the fields
+    # name, passed and detail of its result, keys sorted on output
+    code, out, _ = run(
+        capsys, "check", "--suite", "comparison", "--type", "A2", "--parabolic", "2",
+        "--max-degree", "1", "--json",
+    )
+    assert code == 0
+    checks = [
+        ("d=[0]: permutation-symmetry", "6 graded triples, 0 asymmetric"),
+        ("d=[0]: derived-parabolic-factorization", "lift stable: True; 6 triples, 0 mismatched"),
+        ("d=[0]: classical-degree-zero", "6 triples, 0 mismatched"),
+        ("d=[1]: permutation-symmetry", "3 graded triples, 0 asymmetric"),
+        ("d=[1]: derived-parabolic-factorization", "lift stable: True; 3 triples, 0 mismatched"),
+    ]
+    entries = ",\n".join(
+        f'    {{\n      "detail": "{detail}",\n      "name": "{name}",\n'
+        f'      "passed": true\n    }}'
+        for name, detail in checks
+    )
+    assert out == (
+        f'{{\n  "checks": [\n{entries}\n  ],\n  "passed": true,\n  "suite": "comparison"\n}}\n'
+    )
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    # a record decorator from the standard library would load these at
+    # every start; -S keeps site-packages' .pth files from preloading
+    # modules of their own
+    path = [str(Path(qflag.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = (
+        "import sys\n"
+        "import qflag.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_cache_dir_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QFLAG_CACHE_DIR", str(tmp_path / "env-cache"))
     code, _, err = run(capsys, "table", "--type", "A2", "--parabolic", "2")

@@ -1,7 +1,6 @@
 import json
 import re
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations, permutations, product as iproduct
 from operator import mul
 
@@ -35,9 +34,10 @@ from qflag import (
 )
 from qflag import compare
 from qflag.cli import main
-from qflag.compare import _Context, _context
+from qflag.compare import CheckResult, _Context, _context
 from qflag.degrees import _c1_pairing
 from qflag.quantum import _Engine, _int_product, _level
+from qflag.weyl import WeylElement, _enumerate
 
 P2 = ParabolicSubset.of([2])
 
@@ -745,7 +745,7 @@ def test_product_refuses_a_term_off_the_grading():
     ctx = _context(rs, gr24)
     h = ctx.position[simple_reflection(rs, 2).perm]
     cd = ctx.degree((0,))
-    ctx._degrees[(0,)] = replace(cd, c1=cd.c1 + 1)
+    ctx._degrees[(0,)] = cd._replace(c1=cd.c1 + 1)
     with pytest.raises(RuntimeError, match="breaks the grading"):
         ctx.rows(h, h)
     rs = RootSystem(CartanType.parse("A4"))
@@ -755,9 +755,29 @@ def test_product_refuses_a_term_off_the_grading():
         w for x, w in enumerate(ctx.basis) if w.length == 2 and ctx.representative(x)[1] is None
     )
     cd = ctx.degree((0, 0))
-    ctx._degrees[(0, 0)] = replace(cd, c1=cd.c1 + 1)
+    ctx._degrees[(0, 0)] = cd._replace(c1=cd.c1 + 1)
     with pytest.raises(RuntimeError, match="breaks the grading"):
         parabolic_quantum_product(rs, fl, u, u)
+
+
+def test_comparison_data_and_check_result_are_named_tuples():
+    rs = build_root_system("A2")
+    cd = comparison_data(rs, ParabolicSubset.of([2]), (1,))
+    assert cd._fields == ("d_B", "j_prime", "w_prime", "d_pprime", "c1", "shift")
+    assert (cd.d_B, cd.j_prime, cd.c1) == ((1, 0), ParabolicSubset(), 3)
+    assert repr(cd).startswith("ComparisonData(d_B=(1, 0), j_prime=ParabolicSubset(indices=()), ")
+    assert cd._replace(c1=4) == (*cd[:4], 4, cd.shift) and cd.c1 == 3
+    assert hash(cd) == hash(tuple(cd))
+    result = CheckResult("symmetry", True, "3 triples")
+    assert repr(result) == "CheckResult(name='symmetry', passed=True, detail='3 triples')"
+    assert result._asdict() == {"name": "symmetry", "passed": True, "detail": "3 triples"}
+    assert list(result._asdict()) == ["name", "passed", "detail"]
+    assert result == ("symmetry", True, "3 triples")
+    assert result._replace(name="d=[1]: symmetry").name == "d=[1]: symmetry"
+    for record in (cd, result):
+        with pytest.raises(AttributeError):
+            record.c1 = 0
+        assert not hasattr(record, "__dict__")
 
 
 # (type, parabolic nodes): G/B, Grassmannians, two-step and partial flags
@@ -779,7 +799,8 @@ def test_the_quantum_chevalley_rule_is_the_readout_of_the_divisors(name, j_nodes
     # moves of sigma_{s_i} * sigma_x as terms, each key once, and the quantum
     # moves as the terms off degree 0.  At J = {} the readout reads the Borel
     # ring's level 1, which is the rule itself, so A2 and B3 check only the
-    # bookkeeping of a fresh engine; on G/P the two routes are independent
+    # bookkeeping of a fresh engine; on G/P the two routes are independent,
+    # and on G/B the rule meets its reference in the next test
     ctx =_context(build_root_system(name), ParabolicSubset.of(j_nodes))
     eng = _Engine(ctx.rs, ctx.parabolic, ctx._enumeration, ctx.c1_weights)
     divisors = tuple(eng.by_length[1])
@@ -792,6 +813,52 @@ def test_the_quantum_chevalley_rule_is_the_readout_of_the_divisors(name, j_nodes
             assert terms == ctx.rows(g, x)
             quantum = sorted((shift + y, coefs[t]) for coefs, shift, y in qmoves[x] if coefs[t])
             assert quantum == [(key, a) for key, a in terms if key >= eng.size]
+
+
+def _reflection_perm(rs, g):
+    """The permutation of the root list by s_alpha, alpha the positive root
+    of index g: r -> r - <r, alpha^vee> alpha."""
+    alpha, coroot = rs.positive_roots[g], rs.positive_coroots[g]
+    return tuple(
+        rs._index[tuple(a - rs.pairing(r, coroot) * b for a, b in zip(r, alpha))]
+        for r in sorted(rs._index, key=rs._index.get)
+    )
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "C3", "G2", "D4"])
+def test_the_quantum_chevalley_rule_on_g_mod_b_meets_weyl_group_products(name):
+    # the rule on G/B from products of Weyl group elements, with no engine:
+    # sigma_{s_i} * sigma_x = sum over positive roots alpha of alpha^vee_i
+    # times sigma_{x s_alpha} when l(x s_alpha) = l(x) + 1, and times
+    # q^{alpha^vee} sigma_{x s_alpha} when l(x s_alpha) = l(x) + 1 - 2
+    # ht(alpha^vee), 2 ht(alpha^vee) being c_1 of the degree alpha^vee
+    rs = build_root_system(name)
+    reflections = [WeylElement(rs, _reflection_perm(rs, g)) for g in range(rs.npos)]
+    assert [reflections[g].perm for g in rs._simple_global] == list(rs.simple_perms)
+    eng = _Engine(rs, BOREL, _enumerate(rs, BOREL), (2,) * rs.rank)
+    size = eng.size
+    position = {w.perm: k for k, w in enumerate(eng.elements)}
+    _, _, moves, qmoves = group = (1, tuple(eng.by_length[1]), [], [])
+    eng._grow(group, size)
+    for x, w in enumerate(eng.elements):
+        terms = [[] for _ in range(rs.rank)]
+        quantum = []
+        for s_alpha, coroot in zip(reflections, rs.positive_coroots):
+            y = w * s_alpha
+            if y.length == w.length + 1:
+                key = position[y.perm]
+            elif y.length == w.length + 1 - 2 * sum(coroot):
+                key = eng.pack(coroot) * size + position[y.perm]
+                quantum.append((coroot, position[y.perm]))
+            else:
+                continue
+            for t, a in enumerate(coroot):
+                if a:
+                    terms[t].append((key, a))
+        assert [sorted((x + delta, a) for delta, a in got) for got in moves[x]] == [
+            sorted(want) for want in terms
+        ]
+        assert sorted((d, y) for d, _, y in qmoves[x]) == sorted(quantum)
 
 
 @pytest.mark.parametrize(

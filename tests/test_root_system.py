@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -170,3 +172,59 @@ def test_root_systems_are_interned_per_type():
     assert build_root_system("B2") is build_root_system("B2")
     assert build_root_system("B2") is build_root_system(CartanType("B", 2))
     assert build_root_system("B2") is not build_root_system("C2")
+
+
+def test_cartan_type_and_parabolic_subset_are_values():
+    a2, j = CartanType("A", 2), ParabolicSubset.of([3, 1, 3])
+    assert repr(a2) == "CartanType(series='A', rank=2)"
+    assert repr(j) == "ParabolicSubset(indices=(1, 3))"
+    assert repr(ParabolicSubset()) == "ParabolicSubset(indices=())"
+    assert eval(repr(j)) == j and eval(repr(a2)) == a2
+    assert a2 == CartanType.parse("a2") and hash(a2) == hash(CartanType(rank=2, series="A"))
+    assert j == ParabolicSubset(indices=(1, 3)) and hash(j) == hash(ParabolicSubset((3, 1)))
+    assert a2 != CartanType("A", 3) and j != ParabolicSubset.of([1])
+    # equal only to its own class: not to the tuple of its fields, nor to
+    # another type with the same fields
+    assert a2 != ("A", 2) and j != ((1, 3),) and j != (1, 3)
+    assert len({a2, CartanType("A", 2), CartanType("B", 2)}) == 2
+    assert len(j) == 2 and len(ParabolicSubset()) == 0 and len(ParabolicSubset.full(4)) == 4
+    # a generator of nodes is read once: validated and kept
+    nodes = ParabolicSubset((1, 2))
+    assert ParabolicSubset(i for i in (2, 1)) == ParabolicSubset.of(i for i in (1, 2)) == nodes
+    assert j.free_nodes(4) == (2, 4) and str(j) == "{1,3}" and str(a2) == "A2"
+    assert copy.copy(j) == j and copy.deepcopy(a2) == a2
+    assert pickle.loads(pickle.dumps(j)) == j and pickle.loads(pickle.dumps(a2)) == a2
+    for value, field in [(a2, "series"), (a2, "rank"), (j, "indices")]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.other = 1
+    assert (a2.series, a2.rank, j.indices) == ("A", 2, (1, 3))
+
+
+NODES_MESSAGE = "parabolic node indices must be 1-based positive integers"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: CartanType("H", 3), "unknown Cartan series 'H': expected one of A..G"),
+        (lambda: CartanType("B", 1), "invalid rank 1 for series B (allowed: 2 and up)"),
+        (lambda: CartanType("E", 9), "invalid rank 9 for series E (allowed: 6..8)"),
+        (lambda: CartanType("G", 3), "invalid rank 3 for series G (allowed: 2..2)"),
+        (lambda: CartanType("A", True), "invalid rank True for series A (allowed: 1 and up)"),
+        (lambda: CartanType("B", 2.0), "invalid rank 2.0 for series B (allowed: 2 and up)"),
+        (lambda: CartanType.parse("2A"), "cannot parse Cartan type '2A' (expected e.g. 'A2')"),
+        (lambda: ParabolicSubset((0,)), NODES_MESSAGE),
+        (lambda: ParabolicSubset((True,)), NODES_MESSAGE),
+        (lambda: ParabolicSubset.of(["1"]), NODES_MESSAGE),
+        (lambda: ParabolicSubset.parse("1,x"), "cannot parse parabolic node list '1,x'"),
+        (lambda: ParabolicSubset.parse("0"), "cannot parse parabolic node list '0'"),
+    ],
+)
+def test_cartan_type_and_parabolic_subset_validation_messages(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
