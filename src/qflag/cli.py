@@ -17,11 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
-import shutil
 import signal
 import sys
-import tempfile
 from contextlib import ExitStack
 from functools import cache, partial
 from itertools import product as iter_product
@@ -198,6 +195,9 @@ def _mirrored(n, value):
 
 
 def cmd_table(args):
+    import shutil
+    import tempfile
+
     rs, parabolic = _parse_ring(args)
     type_name = str(rs.cartan_type)
     ctx = _context(rs, parabolic)
@@ -267,6 +267,8 @@ def _suite_associativity(args):
         triples = list(iter_product(range(order), repeat=3))
         how = f"all {len(triples)} triples"
     else:
+        import random
+
         rng = random.Random(0)
         count = args.samples or 200
         triples = [tuple(rng.randrange(order) for _ in range(3)) for _ in range(count)]

@@ -19,11 +19,11 @@ map (lambda_d = d, w'_d = w_J = e).
 The formula only has to supply the products sigma_g * sigma_x of the
 generator classes g of length >= 2 that some G/P spaces need: the divisors'
 products are the quantum Chevalley rule on W^J, and associativity gives
-every other product by the level recursion of `quantum.py`, run on W^J
-(`_CosetEngine`), whose tables recurse only through the minimal
-representatives, not through all of W.  A space whose levels pick divisors
-only never builds the Borel ring for its products, and on it `check --suite
-recursion` compares two independent routes.
+every other product by the level recursion of `quantum.py`, run on W^J by
+an engine given `_Context.rows` as its readout, whose tables recurse only
+through the minimal representatives, not through all of W.  A space whose
+levels pick divisors only never builds the Borel ring for its products, and
+on it `check --suite recursion` compares two independent routes.
 
 Seidel orbits cut the tables further.  For a minuscule node k, one whose
 alpha_k has coefficient 1 in the highest root, let V_k = w_o w_{o,J_k},
@@ -94,36 +94,6 @@ class ComparisonData(namedtuple("ComparisonData", "d_B j_prime w_prime d_pprime 
     __slots__ = ()
 
 
-class _CosetEngine(_Engine):
-    """The level solver on W^J with Peterson's readout for its longer
-    generators.  Its generators are the classes that the factorization of
-    each level completes with unit rows (`quantum._level`): the divisors at
-    level 1, whose moves are the quantum Chevalley rule (`_Engine._grow`),
-    then the few classes of higher length that Borel's presentation of
-    H*(G/P) asks for.  The moves of such a generator g are the terms of
-    sigma_g * sigma_x in Peterson's readout, so a ring whose levels pick
-    divisors only never builds the Borel ring."""
-
-    def __init__(self, ctx):
-        super().__init__(ctx.rs, ctx.parabolic, ctx._enumeration, ctx.c1_weights)
-        self.ctx = ctx
-
-    def _grow(self, group, end):
-        length, gens, moves, qmoves = group
-        if length == 1:
-            return super()._grow(group, end)
-        size = self.size
-        for x in range(len(moves), end):
-            rows = [self.ctx.rows(g, x) for g in gens]
-            moves.append(tuple(tuple((key - x, c) for key, c in terms) for terms in rows))
-            # each quantum term c q^d sigma_y of generator t, as the move
-            # with coefficient c for t and 0 for the others
-            qmoves.append(tuple(
-                (tuple(c if s == t else 0 for s in range(len(gens))), key - key % size, key % size)
-                for t, terms in enumerate(rows) for key, c in terms if key >= size
-            ))
-
-
 class _Context:
     """The data of one G/P that no Schubert class depends on.
 
@@ -145,7 +115,6 @@ class _Context:
         self._readout = {}
         self._representatives = {}  # basis position -> `representative`
         self._orbit_maps = {}  # minuscule node -> `orbit_map`
-        self._grades = {}  # key of `ring` -> l(y) + c_1(d), once `int_terms` checked it
 
     @cached_property
     def engine(self):
@@ -154,8 +123,11 @@ class _Context:
     @cached_property
     def ring(self):
         """The level solver whose tables hold this ring's products: the
-        Borel engine at J = {}, else the instance on W^J."""
-        return _CosetEngine(self) if len(self.parabolic) else self.engine
+        Borel engine at J = {}, else the instance on W^J, which reads the
+        moves of its longer generators off the direct readout `rows`."""
+        if not len(self.parabolic):
+            return self.engine
+        return _Engine(self.rs, self.parabolic, self._enumeration, self.c1_weights, self.rows)
 
     @cached_property
     def c1_weights(self):
@@ -341,10 +313,11 @@ class _Context:
         (`orbit_map`); a key that would leave its class's position or go
         below zero is refused, not carried into another packed field.  The
         term is then checked for positivity and the grading l(y) + c_1(d) =
-        l(i) + l(j), as a solved one is, by `quantum._finalized` unless its
-        key has passed before.  The first faulty term is refused."""
-        ring, grades = self.ring, self._grades
-        size = ring.size
+        l(i) + l(j), as a solved one is, by `quantum._finalized` unless the
+        ring's cache of key grades already holds it at that grade.  The
+        first faulty term is refused."""
+        ring = self.ring
+        size, grades = ring.size, ring.grades
         (ri, k), (rj, l) = self.representative(i), self.representative(j)
         table = _int_product(ring, ri, rj)
         maps = []  # per map, in the order applied: (image, delta, key delta of q^{delta_k(rep)})
@@ -366,7 +339,6 @@ class _Context:
                     raise RuntimeError(f"a derived term of {self.basis[y]!r} wraps its packed key")
             if c < 0 or grades.get(key) != grade:
                 _finalized(ring, ((key, c),), grade)
-                grades[key] = grade
             terms.append((key, c))
         terms.sort()
         return terms

@@ -39,8 +39,8 @@ product of Schubert classes, J. Algebraic Geom. 13 (2004)), read off the
 reflection maps x -> floor(s_beta x), which compose the enumeration's left
 maps x -> floor(s_i x).  On G/B the divisors generate the cohomology, so no
 later level adds a generator.  On G/P they need not: later levels add a few
-classes, and `compare._CosetEngine` reads their products off Peterson's
-comparison formula.
+classes, whose products the engine reads off the readout it is given;
+`compare` gives it Peterson's comparison formula.
 
 The recursion runs on ints.  Element x is its index in the basis, and the
 term q^d sigma_x is the key pd * size + x, where pd packs sum(d) and then
@@ -177,10 +177,13 @@ class _Engine:
     `moves[x]` holds per generator g the (key delta, coefficient) of each
     term of sigma_g * sigma_x, and `qmoves[x]` the quantum terms as
     (coefficient per generator, key delta of q^d, position).  `_grow` fills
-    both lists for the divisors.  A new engine has no generators: `_level`
-    adds each group as the factorization of its level finds it."""
+    both lists: the divisors' by the quantum Chevalley rule, a longer
+    group's off `readout(g, x)`, which gives sigma_g * sigma_x as sorted
+    (key, c) terms; G/B, whose divisors generate, has no readout.  A new
+    engine has no generators: `_level` adds each group as the factorization
+    of its level finds it."""
 
-    def __init__(self, rs, parabolic, enumeration, weights):
+    def __init__(self, rs, parabolic, enumeration, weights, readout=None):
         self.rs = rs
         self.parabolic = parabolic
         self.free = parabolic.free_nodes(rs.rank)
@@ -192,10 +195,12 @@ class _Engine:
         self.size = len(self.elements)
         self.base = self.lengths[-1] + 1  # dim G/P + 1
         self.weights = tuple(weights)  # the grading weight (c_1, d_i) of q_i
+        self.readout = readout
         self.groups = []
         self.reach = -1  # every move table covers the elements of length <= reach
         self.degrees = {}
-        self.q_grades = {}  # packed degree -> (c_1, d)
+        self.q_grades = {}  # packed degree of d -> c_1(d)
+        self.grades = {}  # key of q^d sigma_y -> l(y) + c_1(d), once `_finalized` read it
         self.tables = {}
         self.levels = {}
 
@@ -262,19 +267,33 @@ class _Engine:
         return maps
 
     def _grow(self, group, end):
-        """The moves of the divisors sigma_{s_i}, one per free node i in
-        node order, as level 1 lists them, by the quantum Chevalley rule on
-        W^J (Fulton-Woodward, On the quantum product of Schubert classes, J.
+        """Extend a group's move tables to the positions below `end`.  The
+        moves of the divisors sigma_{s_i}, one per free node i in node
+        order, as level 1 lists them, are the quantum Chevalley rule on W^J
+        (Fulton-Woodward, On the quantum product of Schubert classes, J.
         Algebraic Geom. 13 (2004)): per position x and positive root alpha
         off the Levi, with y = floor(x s_alpha), sigma_{s_i} * sigma_x has
         the term alpha^vee_i sigma_y when l(y) = l(x) + 1, and alpha^vee_i
         q^{d(alpha)} sigma_y when l(y) = l(x) + 1 - c_1(d(alpha)), d(alpha)
-        being alpha^vee on the free nodes.  The divisors generate H*(G/B), so
-        at J = {} a group of any other length means a level lost rank."""
+        being alpha^vee on the free nodes.  A longer generator g's moves are
+        the terms of `readout(g, x)`.  The divisors generate H*(G/B), so
+        without a readout a longer group means a level lost rank."""
         length, gens, moves_of, qmoves_of = group
+        size = self.size
         if length != 1:
-            raise RuntimeError("recursion system is rank deficient")
-        rs, lengths, size = self.rs, self.lengths, self.size
+            if self.readout is None:
+                raise RuntimeError("recursion system is rank deficient")
+            for x in range(len(moves_of), end):
+                rows = [self.readout(g, x) for g in gens]
+                moves_of.append(tuple(tuple((key - x, c) for key, c in terms) for terms in rows))
+                # each quantum term c q^d sigma_y of generator t, as the move
+                # with coefficient c for t and 0 for the others
+                qmoves_of.append(tuple(
+                    (tuple(c if s == t else 0 for s in range(len(gens))), key - key % size, key % size)
+                    for t, terms in enumerate(rows) for key, c in terms if key >= size
+                ))
+            return
+        rs, lengths = self.rs, self.lengths
         # x s_alpha = s_{x(alpha)} x, and s_{-beta} = s_beta: per root index,
         # negative roots included, the map x -> floor(s_beta x)
         maps = self.reflections * 2
@@ -317,21 +336,27 @@ def _engine(rs) -> _Engine:
 
 def _finalized(eng, terms, grade):
     """Check positivity and the grading of int-keyed terms, given as (key,
-    c) pairs.  Every q-shift is an effective degree, so no degree coordinate
-    goes negative; a carry or a borrow between packed fields leaves a sum
-    field that `degree` refuses."""
-    size, lengths, q_grades = eng.size, eng.lengths, eng.q_grades
+    c) pairs, caching each key's grade l(y) + c_1(d) in `eng.grades` and
+    each degree's c_1(d) in `eng.q_grades`, which the misses share.  Every
+    q-shift is an effective degree, so no degree coordinate goes negative; a
+    carry or a borrow between packed fields leaves a sum field that `degree`
+    refuses."""
+    size, grades, q_grades = eng.size, eng.grades, eng.q_grades
     for key, c in terms:
-        pd, x = divmod(key, size)
         if c < 0:
-            raise RuntimeError(f"negative structure constant {c} at {eng.elements[x]}")
-        q_grade = q_grades.get(pd)
-        if q_grade is None:
-            q_grade = q_grades[pd] = sum(map(mul, eng.weights, eng.degree(pd)))
-        if lengths[x] + q_grade != grade:
+            raise RuntimeError(f"negative structure constant {c} at {eng.elements[key % size]}")
+        got = grades.get(key)
+        if got is None:
+            pd, x = divmod(key, size)
+            q_grade = q_grades.get(pd)
+            if q_grade is None:
+                q_grade = q_grades[pd] = sum(map(mul, eng.weights, eng.degree(pd)))
+            got = grades[key] = eng.lengths[x] + q_grade
+        if got != grade:
+            y, d = eng.term(key)
             raise RuntimeError(
-                f"grading violation: term ({format_word(eng.elements[x].word)}, "
-                f"{eng.degree(pd)}) in a degree-{grade} product"
+                f"grading violation: term ({format_word(eng.elements[y].word)}, "
+                f"{d}) in a degree-{grade} product"
             )
 
 
@@ -604,7 +629,4 @@ def _int_product(eng, x, y):
     the table of the later one.  The ring is commutative, so both orders read
     that table: the later factor is never the shorter one, and its table
     recurses only to the shorter length.  The dict is the table's own."""
-    if x > y:
-        x, y = y, x
-    return _products(eng, y, eng.lengths[x])[x]
-
+    return _oriented_product(eng, min(x, y), max(x, y))

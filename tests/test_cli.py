@@ -660,15 +660,17 @@ def test_check_json_lists_each_result_as_name_passed_detail(capsys):
 
 
 def test_importing_the_cli_loads_no_introspection_modules():
-    # a record decorator from the standard library would load these at
-    # every start; -S keeps site-packages' .pth files from preloading
-    # modules of their own
+    # a record decorator from the standard library would load the first
+    # five at every start, and only `table` and the sampled associativity
+    # audit need the last three; -S keeps site-packages' .pth files from
+    # preloading modules of their own
     path = [str(Path(qflag.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     code = (
         "import sys\n"
         "import qflag.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'random', 'shutil',\n"
+        "              'tempfile'} & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                           text=True, timeout=30)

@@ -1,5 +1,6 @@
 import json
 import re
+from bisect import bisect_right
 from collections import Counter
 from itertools import combinations, permutations, product as iproduct
 from operator import mul
@@ -964,6 +965,48 @@ def test_generator_lengths_follow_borels_presentation(name, j_nodes, lengths):
     # Chevalley moves of G/B assume
     free = J.free_nodes(rs.rank)
     assert [ring.elements[g].word for g in ring.generators[: len(free)]] == [(i,) for i in free]
+
+
+@pytest.mark.parametrize(
+    "name, j_nodes, lengths",
+    # Fl(2, 3; 5), Gr(3, 6), and D4/{1,3,4}, whose two length-2 generators
+    # share a group
+    [("A4", (1, 4), [2]), ("A5", (1, 2, 4, 5), [2, 3]), ("D4", (1, 3, 4), [2])],
+)
+def test_a_g_mod_p_ring_reads_its_longer_generators_off_the_readout(name, j_nodes, lengths):
+    # the ring of G/P is the one level solver, given the direct readout:
+    # per longer generator g and grown position x, its moves are the terms
+    # of sigma_g * sigma_x relative to x, and each quantum term c q^d
+    # sigma_y is a quantum move with coefficient c for g alone
+    ctx = _context(build_root_system(name), ParabolicSubset.of(j_nodes))
+    ring, size = ctx.ring, ctx.ring.size
+    assert type(ring) is _Engine
+    for k in sorted(ring.by_length)[1:]:
+        _level(ring, k)
+    longer = [group for group in ring.groups if group[0] > 1]
+    assert [length for length, _, _, _ in longer] == lengths
+    for _, gens, moves, qmoves in longer:
+        assert len(moves) == len(qmoves) == bisect_right(ring.lengths, ring.reach)
+        for x in range(len(moves)):
+            rows = [ctx.rows(g, x) for g in gens]
+            assert moves[x] == tuple(tuple((key - x, c) for key, c in terms) for terms in rows)
+            assert all(sum(map(bool, coefs)) == 1 for coefs, _, _ in qmoves[x])
+            assert sorted(
+                (t, shift + y, a) for coefs, shift, y in qmoves[x] for t, a in enumerate(coefs) if a
+            ) == [(t, key, c) for t, terms in enumerate(rows) for key, c in terms if key >= size]
+    assert any(any(qmoves) for _, _, _, qmoves in longer)
+
+
+def test_a_g_mod_p_level_without_a_readout_is_refused():
+    # the case J != {} of `test_a_borel_level_that_loses_rank_is_refused`:
+    # Fl(2, 3; 5)'s level 2 needs a generator of its own, and with no
+    # readout to give its moves the engine refuses it
+    ctx = _context(build_root_system("A4"), ParabolicSubset.of((1, 4)))
+    eng = _Engine(ctx.rs, ctx.parabolic, ctx._enumeration, ctx.c1_weights)
+    with pytest.raises(RuntimeError, match="recursion system is rank deficient"):
+        _level(eng, 2)
+    assert 2 not in eng.levels
+    assert [length for length, _, _, _ in eng.groups] == [1]
 
 
 @pytest.mark.parametrize(
