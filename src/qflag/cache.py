@@ -3,8 +3,9 @@
 One JSON document per (type, parabolic), format version 1.  The cache file
 is byte for byte the stdout of `table --json`: `write_document`, the one
 schema writer, streams the bytes of json.dumps(doc, indent=2, sort_keys=True)
-and a final newline a block of entries at a time, without running json's
-pure-Python indent encoder and without holding the document.
+and a final newline a row of entries at a time, with one write per row,
+without running json's pure-Python indent encoder and without holding the
+document.
 `terms_encoder` writes each term of an entry as its coefficient followed
 by the text of its key, which it builds once per key.  A fresh table is
 streamed into a new file in the cache directory and renamed onto the cache
@@ -43,7 +44,7 @@ import re
 import sys
 from contextlib import contextmanager
 from functools import cache
-from itertools import chain, islice
+from itertools import chain
 from math import comb, inf
 from operator import mul
 
@@ -96,22 +97,25 @@ def terms_encoder(term_of):
     return encode
 
 
-def write_document(handle, type_name, parabolic, entries):
+def write_document(handle, type_name, parabolic, rows):
     """Write a table document to `handle` as print(json.dumps(doc, indent=2,
-    sort_keys=True)) gives it, a block of entries at a time.  `entries`
-    yields each entry as (u, v, terms), with the terms encoded by a
-    `terms_encoder`; `parabolic` is the list of parabolic nodes."""
+    sort_keys=True)) gives it, a row at a time: each row of `rows` yields
+    its entries as (u, v, terms), with the terms encoded by a
+    `terms_encoder`, and is written with one join and one write; a row may
+    be empty.  `parabolic` is the list of parabolic nodes."""
     words = cache(json.dumps)
-    texts = (
-        f'    {{\n      "terms": {terms},\n      "u": {words(u)},\n'
-        f'      "v": {words(v)}\n    }}'
-        for u, v, terms in entries
-    )
     handle.write('{\n  "entries": ')
     opening = "[\n"
-    while block := list(islice(texts, _BLOCK)):
-        handle.write(opening + ",\n".join(block))
-        opening = ",\n"
+    for row in rows:
+        # an entry's text is never empty, so a row's is empty only without entries
+        text = ",\n".join([
+            f'    {{\n      "terms": {terms},\n      "u": {words(u)},\n'
+            f'      "v": {words(v)}\n    }}'
+            for u, v, terms in row
+        ])
+        if text:
+            handle.write(opening + text)
+            opening = ",\n"
     handle.write("[]" if opening == "[\n" else "\n  ]")
     handle.write(_trailer(type_name, parabolic))
 
@@ -150,7 +154,6 @@ _TERM_TEXT = (
 # the document's trailer, on a rejecting path
 _TRAILER = r',\n  "parabolic": (.*),\n  "type": (.*),\n  "version": (.*)\n\}\n'
 _CHUNK = 1 << 14
-_BLOCK = 32  # entries per write of `write_document`
 _LAYOUT = "not the canonical layout of table --json"
 
 

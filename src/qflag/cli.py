@@ -21,7 +21,7 @@ import signal
 import sys
 from contextlib import ExitStack
 from functools import cache, partial
-from itertools import product as iter_product
+from itertools import product as iter_product, repeat
 
 from . import cache as cache_io
 from .compare import CheckResult, _consistency, _context, comparison_data
@@ -179,19 +179,21 @@ def cmd_mul(args):
 
 
 def _mirrored(n, value):
-    """value(i, j) for every pair of positions below n in row-major order,
-    computed once per unordered pair: the ring is commutative, so entry
-    (j, i) reuses the value of (i, j).  A value is kept only until row j has
-    used it, so at most about a quarter of them are held at once."""
+    """The rows of value(i, j) for every pair of positions below n, row i as
+    the list of its n values in column order, computed once per unordered
+    pair: the ring is commutative, so entry (j, i) reuses the value of
+    (i, j).  A value is kept only until row j has used it, so at most about a
+    quarter of them are held at once, besides the row being yielded."""
     upper = [[] for _ in range(n)]  # upper[j]: the values of (i, j), i < j
     for i in range(n):
-        yield from upper[i]
+        row = upper[i]
         upper[i] = None
         for j in range(i, n):
             got = value(i, j)
             if j > i:
                 upper[j].append(got)
-            yield got
+            row.append(got)
+        yield row
 
 
 def cmd_table(args):
@@ -216,11 +218,8 @@ def cmd_table(args):
         return encode(ctx.int_terms(i, j))
 
     def write(handle):
-        pairs = iter_product(words, repeat=2)
-        cache_io.write_document(
-            handle, type_name, parabolic.indices,
-            ((u, v, terms) for (u, v), terms in zip(pairs, _mirrored(n, entry))),
-        )
+        rows = (zip(repeat(u), words, row) for u, row in zip(words, _mirrored(n, entry)))
+        cache_io.write_document(handle, type_name, parabolic.indices, rows)
 
     # stdout gets nothing until the table is complete and checked: a
     # document is served from the handle it was checked or written through,
@@ -256,7 +255,13 @@ def cmd_table(args):
                     raise RuntimeError(f"a fresh table fails the cache check: {problem}")
         out = doc if args.json else text
         out.seek(0)
-        shutil.copyfileobj(out, sys.stdout)
+        stdout = getattr(sys.stdout, "buffer", None)
+        if stdout is None:  # a text stream, such as io.StringIO under redirect_stdout
+            shutil.copyfileobj(out, sys.stdout)
+        else:
+            # the file's bytes as they stand, after anything printed before
+            sys.stdout.flush()
+            shutil.copyfileobj(out.buffer, stdout)
     return 0
 
 

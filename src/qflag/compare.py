@@ -316,14 +316,16 @@ class _Context:
         l(i) + l(j), as a solved one is, by `quantum._finalized` unless the
         ring's cache of key grades already holds it at that grade.  The
         first faulty term is refused."""
-        ring = self.ring
+        ring, reps, orbit_maps = self.ring, self._representatives, self._orbit_maps
         size, grades = ring.size, ring.grades
-        (ri, k), (rj, l) = self.representative(i), self.representative(j)
+        # the memos are read directly; a miss fills them
+        ri, k = reps.get(i) or self.representative(i)
+        rj, l = reps.get(j) or self.representative(j)
         table = _int_product(ring, ri, rj)
         maps = []  # per map, in the order applied: (image, delta, key delta of q^{delta_k(rep)})
         for m, rep in ((l, rj), (k, ri)):
             if m is not None:
-                image, delta = self.orbit_map(m)
+                image, delta = orbit_maps.get(m) or self.orbit_map(m)
                 maps.append((image, delta, delta[rep] + rep - image[rep]))
         if not maps:
             return sorted(table.items())

@@ -527,8 +527,8 @@ def _level(eng, k):
 def _right_hand_sides(eng, by, k):
     """Per row (g, w') of the length-k system: sigma_g * (sigma_{w'} *
     sigma_v) minus the quantum terms of sigma_g * sigma_{w'} times the known
-    products, as int-keyed dicts, in one pass over each sigma_{w'} * sigma_v
-    per generator group."""
+    products, as int-keyed dicts without zero entries, in one pass over each
+    sigma_{w'} * sigma_v per generator group."""
     size = eng.size
     rhs = []
     for length, gens, moves_of, qmoves_of in eng.groups:
@@ -546,7 +546,11 @@ def _right_hand_sides(eng, by, k):
                     if a:
                         for key, c in by[ws].items():
                             y = key + shift
-                            b[y] = b.get(y, 0) - a * c
+                            got = b.get(y, 0) - a * c
+                            if got:
+                                b[y] = got
+                            else:  # a cancelled entry, which the solve would carry as 0
+                                del b[y]
             rhs.extend(rows)
     return rhs
 
@@ -628,5 +632,12 @@ def _int_product(eng, x, y):
     """sigma_x * sigma_y for element indices x, y, as the int-keyed terms of
     the table of the later one.  The ring is commutative, so both orders read
     that table: the later factor is never the shorter one, and its table
-    recurses only to the shorter length.  The dict is the table's own."""
-    return _oriented_product(eng, min(x, y), max(x, y))
+    recurses only to the shorter length.  A memo hit, a table that already
+    reaches the earlier factor, is read directly; only a miss goes through
+    `_oriented_product`.  The dict is the table's own."""
+    if x > y:
+        x, y = y, x
+    by = eng.tables.get(y)
+    if by is not None and x < len(by):
+        return by[x]
+    return _oriented_product(eng, x, y)

@@ -6,6 +6,7 @@ import json
 import os
 import stat
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,8 +22,11 @@ def reference(doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def encode(doc):
-    """The document as the schema writer streams it."""
+def encode(doc, lengths=()):
+    """The document as the schema writer streams it, its entries fed as rows
+    of the given lengths, then one row of the rest; a row past the last
+    entry is empty.  Each row is an iterator over one shared stream of
+    entries, as the writer consumes it."""
     out = io.StringIO()
     # a term's key is its (word, q-degree)
     terms = terms_encoder(lambda key: key)
@@ -30,7 +34,8 @@ def encode(doc):
         (e["u"], e["v"], terms([((t["w"], tuple(t["q"])), t["c"]) for t in e["terms"]]))
         for e in doc["entries"]
     )
-    write_document(out, doc["type"], doc["parabolic"], entries)
+    rows = [islice(entries, n) for n in lengths] + [entries]
+    write_document(out, doc["type"], doc["parabolic"], rows)
     return out.getvalue()
 
 
@@ -61,14 +66,16 @@ documents = st.fixed_dictionaries(
 
 
 @settings(deadline=None)  # a timing limit would make a slow machine fail it
-@given(documents)
-@example({"version": 1, "type": "A2", "parabolic": [], "entries": []})
+@given(documents, st.lists(st.integers(min_value=0, max_value=3), max_size=6))
+@example({"version": 1, "type": "A2", "parabolic": [], "entries": []}, [])
+@example({"version": 1, "type": "A2", "parabolic": [], "entries": []}, [0, 2])
 @example(
     {"version": 1, "type": "A2", "parabolic": [2],
-     "entries": [{"u": "e", "v": "e", "terms": []}]}
+     "entries": [{"u": "e", "v": "e", "terms": []}]},
+    [0],
 )
-def test_writer_matches_json_indent_encoder(doc):
-    assert encode(doc) == reference(doc)
+def test_writer_matches_json_indent_encoder(doc, lengths):
+    assert encode(doc, lengths) == reference(doc)
 
 
 @pytest.mark.parametrize(

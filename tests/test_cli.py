@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import errno
 import gc
+import io
 import json
 import os
 import shutil
@@ -452,6 +453,25 @@ def test_a_fresh_table_prints_the_bytes_this_command_wrote(tmp_path, capsys, mon
     assert code == 0
     assert out == expected
     assert "cache write" in err
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_a_table_prints_the_same_text_to_any_stdout(tmp_path, capsys, fmt):
+    # a table is copied as bytes to the binary buffer of stdout, after the
+    # text the stream still holds, and as text to a stream without one, such
+    # as an io.StringIO under redirect_stdout
+    args = ["table", "--type", "A2", "--parabolic", "2", *fmt, "--cache-dir"]
+    code, expected, _ = run(capsys, *args, str(tmp_path / "capsys"))
+    assert code == 0
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(args + [str(tmp_path / "text")]) == 0
+    assert out.getvalue() == expected
+    with io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="") as out:
+        with contextlib.redirect_stdout(out):
+            print("before")
+            assert main(args + [str(tmp_path / "bytes")]) == 0
+        out.flush()
+        assert out.buffer.getvalue().decode("utf-8") == "before\n" + expected
 
 
 def test_associativity_suite_audits_the_named_ring(capsys):

@@ -33,7 +33,7 @@ from qflag import (
     simple_reflection,
     star,
 )
-from qflag import compare
+from qflag import compare, quantum
 from qflag.cli import main
 from qflag.compare import CheckResult, _Context, _context
 from qflag.degrees import _c1_pairing
@@ -570,6 +570,55 @@ def test_both_orders_of_a_pair_read_one_product(name, j_nodes, max_degree):
         for i, j in combinations(range(len(ctx.basis)), 2):
             assert _int_product(eng, borel[i], borel[j]) is _int_product(eng, borel[j], borel[i])
             assert ctx.rows(i, j) == ctx.rows(j, i)
+
+
+def test_a_memo_hit_reads_the_table_directly(monkeypatch):
+    # with B3's products warm, a pair that the later factor's table already
+    # reaches is served, in both orders, as that table's own dict, without
+    # `_oriented_product` or `_products` and with no table or level changed;
+    # a pair past the table's level still goes through both
+    ctx = _Context(RootSystem(CartanType.parse("B3")), BOREL)
+    n = len(ctx.basis)
+    for i in range(n):
+        for j in range(n):
+            ctx.int_terms(i, j)
+    ring = ctx.ring
+    # a table of level 0 only, which sigma_e * sigma_y alone builds
+    y = next(y for y in range(n) if y not in ring.tables)
+    _int_product(ring, 0, y)
+    tables = {y: list(by) for y, by in ring.tables.items()}
+    levels = dict(ring.levels)
+
+    class Miss(Exception):
+        pass
+
+    def refused(name):
+        def call(*args):
+            raise Miss(name)
+        return call
+
+    oriented = quantum._oriented_product
+    monkeypatch.setattr(quantum, "_products", refused("_products"))
+    monkeypatch.setattr(quantum, "_oriented_product", refused("_oriented_product"))
+    hits, misses = 0, []
+    for y, by in tables.items():
+        for x in range(y + 1):
+            if x < len(by):
+                assert _int_product(ring, x, y) is by[x]
+                assert _int_product(ring, y, x) is by[x]
+                hits += 1
+            else:
+                misses.append((x, y))
+    assert hits > n and misses
+    assert {y: list(by) for y, by in ring.tables.items()} == tables
+    assert all(ring.tables[y][x] is got for y, by in tables.items() for x, got in enumerate(by))
+    assert ring.levels == levels
+    x, y = misses[0]
+    with pytest.raises(Miss, match="_oriented_product"):
+        _int_product(ring, y, x)
+    monkeypatch.setattr(quantum, "_oriented_product", oriented)
+    with pytest.raises(Miss, match="_products"):
+        _int_product(ring, x, y)
 
 
 def test_classical_check_counts_every_ordering(monkeypatch, capsys):
