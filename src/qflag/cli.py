@@ -255,13 +255,7 @@ def cmd_table(args):
                     raise RuntimeError(f"a fresh table fails the cache check: {problem}")
         out = doc if args.json else text
         out.seek(0)
-        stdout = getattr(sys.stdout, "buffer", None)
-        if stdout is None:  # a text stream, such as io.StringIO under redirect_stdout
-            shutil.copyfileobj(out, sys.stdout)
-        else:
-            # the file's bytes as they stand, after anything printed before
-            sys.stdout.flush()
-            shutil.copyfileobj(out.buffer, stdout)
+        shutil.copyfileobj(out, sys.stdout)
     return 0
 
 

@@ -527,8 +527,8 @@ def _level(eng, k):
 def _right_hand_sides(eng, by, k):
     """Per row (g, w') of the length-k system: sigma_g * (sigma_{w'} *
     sigma_v) minus the quantum terms of sigma_g * sigma_{w'} times the known
-    products, as int-keyed dicts without zero entries, in one pass over each
-    sigma_{w'} * sigma_v per generator group."""
+    products, as int-keyed dicts, in one pass over each sigma_{w'} * sigma_v
+    per generator group."""
     size = eng.size
     rhs = []
     for length, gens, moves_of, qmoves_of in eng.groups:
@@ -546,11 +546,7 @@ def _right_hand_sides(eng, by, k):
                     if a:
                         for key, c in by[ws].items():
                             y = key + shift
-                            got = b.get(y, 0) - a * c
-                            if got:
-                                b[y] = got
-                            else:  # a cancelled entry, which the solve would carry as 0
-                                del b[y]
+                            b[y] = b.get(y, 0) - a * c
             rhs.extend(rows)
     return rhs
 

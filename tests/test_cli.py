@@ -457,9 +457,9 @@ def test_a_fresh_table_prints_the_bytes_this_command_wrote(tmp_path, capsys, mon
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
 def test_a_table_prints_the_same_text_to_any_stdout(tmp_path, capsys, fmt):
-    # a table is copied as bytes to the binary buffer of stdout, after the
-    # text the stream still holds, and as text to a stream without one, such
-    # as an io.StringIO under redirect_stdout
+    # a table reaches any text stream whole and after what was printed
+    # before it: the stdout of the process, an io.StringIO under
+    # redirect_stdout, and a buffered TextIOWrapper
     args = ["table", "--type", "A2", "--parabolic", "2", *fmt, "--cache-dir"]
     code, expected, _ = run(capsys, *args, str(tmp_path / "capsys"))
     assert code == 0
