@@ -128,7 +128,7 @@ def cmd_gw(args):
     note = None
     if all(x >= 0 for x in degree):
         value = ctx.invariant(elements, degree)
-        d_b = list(ctx.degree(degree).d_B)
+        d_b = list(ctx.degrees[degree].d_B)
     else:
         value, d_b, note = 0, None, "non-effective degree"
     route = "comparison" if len(parabolic) else "borel"

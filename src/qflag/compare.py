@@ -54,10 +54,11 @@ composed from them: the dual floor(w_o x), the orbit images floor(V_k x)
 and the candidates floor(V_k^-1 x) of a representative, along reduced
 words, with no Weyl group product.
 
-The readout runs on the Borel engine's packed keys: per packed Borel degree
-it memoizes whether lambda is a lift and, if so, d, c_1(d) and the basis
-position of x w'_d w_J per element index x, filled in as elements come up,
-so each term costs a few dict lookups and no Weyl group product.
+The readout runs on the Borel engine's packed keys, through one memo: per
+Borel key, the key in `ring` of the G/P term it reads as, or -1 when
+lambda is not a lift or x w'_d w_J is not minimal.  The memo's builder
+lifts the degree, permutes x and checks the grading once per key, so a
+term of a Borel product costs one dict lookup and no Weyl group product.
 
 Everything that depends only on (root system, parabolic) and the degree is
 built once, in a memoized context, as one `ComparisonData` record per
@@ -79,7 +80,7 @@ from .degrees import (
     push_degree,
 )
 from .classical import classical_parabolic_invariant
-from .quantum import BOREL, QClass, _Engine, _engine, _finalized, _int_product
+from .quantum import BOREL, QClass, _Engine, _Memo, _engine, _finalized, _int_product
 from .root_system import ParabolicSubset, RootSystem
 from .weyl import WeylElement, _enumerate, longest_element, min_coset_rep
 
@@ -98,7 +99,11 @@ class _Context:
     """The data of one G/P that no Schubert class depends on.
 
     The coset basis is enumerated on first use only, so degree lifts still
-    work on types whose Weyl group is too large to enumerate.
+    work on types whose Weyl group is too large to enumerate.  Every memo
+    is a `quantum._Memo`, filled by its builder only: `degrees`, degree ->
+    `ComparisonData`; `representatives`, basis position -> orbit
+    representative; `orbit_maps`, minuscule node -> orbit map; and
+    `_readout`, Borel key -> G/P key or -1 (`_read_key`).
     """
 
     def __init__(self, rs: RootSystem, parabolic: ParabolicSubset):
@@ -108,13 +113,10 @@ class _Context:
         self.w_o = longest_element(rs, ParabolicSubset.full(rs.rank))
         self.w_J = longest_element(rs, parabolic)
         self.free = parabolic.free_nodes(rs.rank)
-        self._degrees = {}
-        # packed Borel degree -> None when it is not a lift, else
-        # (key of q^d sigma_0 in `ring`, c_1(d), perm of x -> perm of x w'_d w_J,
-        #  {element index x: basis position of x w'_d w_J, or -1 if not minimal})
-        self._readout = {}
-        self._representatives = {}  # basis position -> `representative`
-        self._orbit_maps = {}  # minuscule node -> `orbit_map`
+        self.degrees = _Memo(self._comparison_data)
+        self.representatives = _Memo(self._representative)
+        self.orbit_maps = _Memo(self._orbit_map)
+        self._readout = _Memo(self._read_key)
 
     @cached_property
     def engine(self):
@@ -134,7 +136,7 @@ class _Context:
         """c_1 of the unit degree at each free node; c_1 is linear in the
         degree, so c_1(d) is the sum of d_t times the t-th weight."""
         free = range(len(self.free))
-        return [self.degree(tuple(int(i == t) for i in free)).c1 for t in free]
+        return [self.degrees[tuple(int(i == t) for i in free)].c1 for t in free]
 
     @cached_property
     def _enumeration(self):
@@ -174,67 +176,55 @@ class _Context:
             image = itemgetter(*image)(self.left[i - 1])
         return image
 
-    def degree(self, degree: tuple) -> ComparisonData:
+    def _comparison_data(self, degree):
         """The comparison data of a degree, given as the int tuple that
-        `_as_degree` returns, memoized."""
-        got = self._degrees.get(degree)
-        if got is None:
-            rs, parabolic = self.rs, self.parabolic
-            lift = peterson_lift(rs, parabolic, degree)
-            jp = derived_parabolic(rs, parabolic, lift)
-            w_prime = longest_element(rs, jp)
-            got = ComparisonData(
-                d_B=lift,
-                j_prime=jp,
-                w_prime=w_prime,
-                d_pprime=push_degree(rs, jp, lift),
-                c1=_c1_pairing(rs, parabolic, lift),
-                shift=w_prime * self.w_J,
-            )
-            self._degrees[degree] = got
-        return got
+        `_as_degree` returns, the builder of `degrees`."""
+        rs, parabolic = self.rs, self.parabolic
+        lift = peterson_lift(rs, parabolic, degree)
+        jp = derived_parabolic(rs, parabolic, lift)
+        w_prime = longest_element(rs, jp)
+        return ComparisonData(
+            d_B=lift,
+            j_prime=jp,
+            w_prime=w_prime,
+            d_pprime=push_degree(rs, jp, lift),
+            c1=_c1_pairing(rs, parabolic, lift),
+            shift=w_prime * self.w_J,
+        )
 
-    def _lift_readout(self, pd):
-        """The readout entry of a packed Borel degree, memoized."""
-        lam = self.engine.degree(pd)
+    def _read_key(self, key):
+        """The key in `ring` of the G/P term that the Borel term of `key`,
+        q^lambda sigma_x, reads as, or -1 when it reads as none, the builder
+        of `_readout`: q^d sigma_y when lambda is the lift of its
+        restriction d and y = x w'_d w_J is a minimal representative.  The
+        term must then keep the grading, l(y) + c_1(d) = l(x) + c_1(lambda),
+        the Borel term's grade, which the engine checked; so a graded d has
+        sum(d) <= dim G/P, and its key is q^d sigma_y's."""
+        eng = self.engine
+        pd, x = divmod(key, eng.size)
+        lam = eng.degrees[pd]
         d = tuple(lam[i - 1] for i in self.free)
-        cd = self.degree(d)
-        got = None
-        if lam == cd.d_B:
-            got = (self.ring.pack(d) * self.ring.size, cd.c1, itemgetter(*cd.shift.perm), {})
-        self._readout[pd] = got
-        return got
+        cd = self.degrees[d]
+        if lam != cd.d_B:
+            return -1
+        y = self.position.get(itemgetter(*cd.shift.perm)(eng.elements[x].perm), -1)
+        if y < 0:
+            return -1
+        if self.basis[y].length + cd.c1 != eng.grades[key]:
+            raise RuntimeError(f"G/P term {self.basis[y]!r} q^{d} breaks the grading")
+        return self.ring.pack(d) * self.ring.size + y
 
     def rows(self, i, j):
         """The G/P product of the basis elements at positions i and j by the
-        direct readout, as the int-keyed terms (key, c) of `ring`, sorted,
-        one per term c q^d sigma_y with y a basis position: each term
-        q^lambda sigma_x of the Borel product whose lambda is the lift of its
-        restriction d, and whose x w'_d w_J is a minimal representative y.
-        Only graded terms are kept, and a graded d has sum(d) <= dim G/P, so
-        its key is q^d sigma_y's."""
-        eng, readout, position = self.engine, self._readout, self.position
-        elements, lengths, size = eng.elements, eng.lengths, eng.size
-        borel = self.borel_index
-        grade = lengths[borel[i]] + lengths[borel[j]]
-        terms = []
-        for key, c in _int_product(eng, borel[i], borel[j]).items():
-            pd, x = divmod(key, size)
-            got = readout[pd] if pd in readout else self._lift_readout(pd)
-            if got is None:
-                continue
-            at_d, c1, shifted, ys = got
-            y = ys.get(x)
-            if y is None:
-                y = ys[x] = position.get(shifted(elements[x].perm), -1)
-            if y < 0:
-                continue
-            if lengths[borel[y]] + c1 != grade:
-                d = tuple(eng.degree(pd)[t - 1] for t in self.free)
-                raise RuntimeError(f"G/P term {self.basis[y]!r} q^{d} breaks the grading")
-            terms.append((at_d + y, c))
-        terms.sort()
-        return terms
+        direct readout, as the int-keyed terms (key, c) of `ring`, sorted:
+        each term of the Borel product that `_readout` reads as a G/P
+        term, under that term's key."""
+        readout, borel = self._readout, self.borel_index
+        return sorted(
+            (at, c)
+            for key, c in _int_product(self.engine, borel[i], borel[j]).items()
+            if (at := readout[key]) >= 0
+        )
 
     @cached_property
     def seidel(self):
@@ -251,27 +241,26 @@ class _Context:
             if top[k - 1] == 1
         }
 
-    def representative(self, x):
-        """(z, k) for the basis position x: z is the element of x's orbit,
-        {x} and every floor(V_k^-1 x), that is least by (length, position),
-        and k the minuscule node with x = floor(V_k z), or None when z = x.
+    def _representative(self, x):
+        """(z, k) for the basis position x, the builder of
+        `representatives`: z is the element of x's orbit, {x} and every
+        floor(V_k^-1 x), that is least by (length, position), and k the
+        minuscule node with x = floor(V_k z), or None when z = x.
         floor(V_k^-1 x) walks x through the `left` maps along V_k's word.
         Memoized per position, so a product of two factors builds no orbit
         map when both are their own representatives."""
-        got = self._representatives.get(x)
-        if got is None:
-            basis, left = self.basis, self.left
-            got, least = (x, None), (basis[x].length, x)
-            for k, v_k in self.seidel.items():
-                z = reduce(lambda z, i: left[i - 1][z], v_k.word, x)
-                if (basis[z].length, z) < least:
-                    got, least = (z, k), (basis[z].length, z)
-            self._representatives[x] = got
+        basis, left = self.basis, self.left
+        got, least = (x, None), (basis[x].length, x)
+        for k, v_k in self.seidel.items():
+            z = reduce(lambda z, i: left[i - 1][z], v_k.word, x)
+            if (basis[z].length, z) < least:
+                got, least = (z, k), (basis[z].length, z)
         return got
 
-    def orbit_map(self, k):
-        """(image, delta) of the minuscule node k, per basis position z: the
-        position of floor(V_k z), and the key delta of the map S_k:
+    def _orbit_map(self, k):
+        """(image, delta) of the minuscule node k, the builder of
+        `orbit_maps`, per basis position z: the position of floor(V_k z),
+        and the key delta of the map S_k:
         q^e sigma_z -> q^{e + delta_k(z)} sigma_{floor(V_k z)} on a term at
         z, that is the key delta of q^{delta_k(z)} plus floor(V_k z) - z, where
         delta_k(z) = omega_k^vee - z^-1 omega_k^vee restricted to the free
@@ -280,24 +269,21 @@ class _Context:
         the `left` maps along a reduced word of V_k, and the q-shift follows
         delta_k(s_i u) = delta_k(u) + [i = k] (u^-1 alpha_k)^vee down a left
         descent; minimal representatives are closed under removing one."""
-        got = self._orbit_maps.get(k)
-        if got is None:
-            ring, left, basis, rs = self.ring, self.left, self.basis, self.rs
-            image = self._act(self.seidel[k].word)
-            g_k = rs._simple_global[k - 1]
-            shift = [0] * ring.size
-            for x in range(1, ring.size):
-                i, u = next(
-                    (i, u) for i, u in enumerate(left) if ring.lengths[u[x]] < ring.lengths[x]
-                )
-                u = u[x]
-                shift[x] = shift[u]
-                if i == k - 1:
-                    coroot = rs.positive_coroots[basis[u].perm.index(g_k)]
-                    shift[x] += ring.pack([coroot[t - 1] for t in self.free]) * ring.size
-            delta = tuple(s + y - z for z, (s, y) in enumerate(zip(shift, image)))
-            got = self._orbit_maps[k] = (image, delta)
-        return got
+        ring, left, basis, rs = self.ring, self.left, self.basis, self.rs
+        image = self._act(self.seidel[k].word)
+        g_k = rs._simple_global[k - 1]
+        shift = [0] * ring.size
+        for x in range(1, ring.size):
+            i, u = next(
+                (i, u) for i, u in enumerate(left) if ring.lengths[u[x]] < ring.lengths[x]
+            )
+            u = u[x]
+            shift[x] = shift[u]
+            if i == k - 1:
+                coroot = rs.positive_coroots[basis[u].perm.index(g_k)]
+                shift[x] += ring.pack([coroot[t - 1] for t in self.free]) * ring.size
+        delta = tuple(s + y - z for z, (s, y) in enumerate(zip(shift, image)))
+        return image, delta
 
     def int_terms(self, i, j):
         """The product of the basis elements at positions i and j, as the
@@ -310,22 +296,21 @@ class _Context:
         terms of their table, which `quantum._finalized` checked when they
         were solved.  Else one pass maps each term through S_l and then S_k,
         per map key -> key + delta[z] less the key delta of q^{delta_k(rep)}
-        (`orbit_map`); a key that would leave its class's position or go
+        (`orbit_maps`); a key that would leave its class's position or go
         below zero is refused, not carried into another packed field.  The
         term is then checked for positivity and the grading l(y) + c_1(d) =
-        l(i) + l(j), as a solved one is, by `quantum._finalized` unless the
-        ring's cache of key grades already holds it at that grade.  The
-        first faulty term is refused."""
-        ring, reps, orbit_maps = self.ring, self._representatives, self._orbit_maps
+        l(i) + l(j) against the ring's memo of key grades, and a faulty one
+        goes to `quantum._finalized`, which refuses it as it refuses a
+        solved one.  The first faulty term is refused."""
+        ring, reps, orbit_maps = self.ring, self.representatives, self.orbit_maps
         size, grades = ring.size, ring.grades
-        # the memos are read directly; a miss fills them
-        ri, k = reps.get(i) or self.representative(i)
-        rj, l = reps.get(j) or self.representative(j)
+        ri, k = reps[i]
+        rj, l = reps[j]
         table = _int_product(ring, ri, rj)
         maps = []  # per map, in the order applied: (image, delta, key delta of q^{delta_k(rep)})
         for m, rep in ((l, rj), (k, ri)):
             if m is not None:
-                image, delta = orbit_maps.get(m) or self.orbit_map(m)
+                image, delta = orbit_maps[m]
                 maps.append((image, delta, delta[rep] + rep - image[rep]))
         if not maps:
             return sorted(table.items())
@@ -339,7 +324,7 @@ class _Context:
                 z = key % size
                 if key < 0 or z != y:
                     raise RuntimeError(f"a derived term of {self.basis[y]!r} wraps its packed key")
-            if c < 0 or grades.get(key) != grade:
+            if c < 0 or grades[key] != grade:
                 _finalized(ring, ((key, c),), grade)
             terms.append((key, c))
         terms.sort()
@@ -365,7 +350,7 @@ class _Context:
         """Invariant of minimal representatives at an effective degree: 0 off
         the grading sum(l(w_i)) = dim G/P + c_1(d), else the coefficient of
         q^d on the dual of the last class in the G/P product of the others."""
-        if sum(w.length for w in classes) != self.flag_dimension + self.degree(degree).c1:
+        if sum(w.length for w in classes) != self.flag_dimension + self.degrees[degree].c1:
             return 0
         zero = (0,) * len(self.free)
         first, *middle, last = (self.position[w.perm] for w in classes)
@@ -388,7 +373,7 @@ def comparison_data(rs: RootSystem, parabolic: ParabolicSubset, degree) -> Compa
     degree = _as_degree(rs, parabolic, degree)
     if any(x < 0 for x in degree):
         raise ValueError(f"degree {degree} is not effective")
-    return _context(rs, parabolic).degree(degree)
+    return _context(rs, parabolic).degrees[degree]
 
 
 def parabolic_gw_invariant(rs: RootSystem, parabolic: ParabolicSubset, classes, degree) -> int:
@@ -509,18 +494,15 @@ def _consistency(rs, parabolic, degree, reads) -> tuple:
     if any(x < 0 for x in degree):
         return ()
     ctx = _context(rs, parabolic)
-    cd = ctx.degree(degree)
+    cd = ctx.degrees[degree]
     target = ctx.flag_dimension + cd.c1
     at_pprime = _context(rs, cd.j_prime)
-    relift = at_pprime.degree(cd.d_pprime)
+    relift = at_pprime.degrees[cd.d_pprime]
     stable = relift.d_B == cd.d_B and relift.j_prime == cd.j_prime
     # every triple has length sum `target`, so the grading at P' is one test;
     # off it every value at P' is 0
     graded_pprime = target == at_pprime.flag_dimension + relift.c1
-    basis = ctx.basis
-    by_length = {}
-    for k, c in enumerate(basis):
-        by_length.setdefault(c.length, []).append(k)
+    basis, by_length = ctx.basis, ctx.ring.by_length
     # per class z, the key of q^d sigma_{dual(z)} in the rows at P, and that
     # of q^{d''} sigma_{dual(z)} at P'; only graded triples are looked up,
     # and a graded degree has sum(d) <= dim, so it packs into its fields

@@ -51,10 +51,10 @@ gives q_i the weight (c_1, d_i), which is 2 on G/B and at least 2 on every
 G/P, and every term of a product of degree l(u) + l(v) <= 2 dim has l(x) +
 (c_1, d) = l(u) + l(v); so sum(d) <= dim, no field of pd exceeds dim or
 carries into the next, and keys sort by (sum(d), d, x), the order of
-`QClass.sorted_terms`.  `degree` refuses a pd whose sum field is not the
-sum of its coordinates, which is what a borrow or a carry between fields
-leaves.  Terms become `QClass`es or (basis position, degree) dicts only on
-the way out, in `compare._Context`, which reads both rings alike:
+`QClass.sorted_terms`.  `_Engine._unpack` refuses a pd whose sum field is
+not the sum of its coordinates, which is what a borrow or a carry between
+fields leaves.  Terms become `QClass`es or (basis position, degree) dicts
+only on the way out, in `compare._Context`, which reads both rings alike:
 `quantum_product` is `parabolic_quantum_product` at J = {}.
 
 Products are memoized per longer factor, in one engine per ring:
@@ -77,7 +77,7 @@ by constructing its own `RootSystem(...)` directly.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from math import gcd
 from operator import itemgetter, mul
 
@@ -164,6 +164,23 @@ def format_terms(rows) -> str:
     return " + ".join(bits) or "0"
 
 
+class _Memo(dict):
+    """A memo: a dict whose `__missing__` computes an entry with the one
+    builder it was given, `build(key)`, and keeps it.  A reader only indexes
+    it, and only the builder computes an entry; `in` and `.get` never
+    build, and a builder that raises stores nothing."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        got = self[key] = self.build(key)
+        return got
+
+
 class _Engine:
     """The int tables of the quantum ring of G/P for one parabolic J: the
     basis W^J as its enumeration lists it (`weyl._enumerate`; elements with
@@ -180,8 +197,14 @@ class _Engine:
     both lists: the divisors' by the quantum Chevalley rule, a longer
     group's off `readout(g, x)`, which gives sigma_g * sigma_x as sorted
     (key, c) terms; G/B, whose divisors generate, has no readout.  A new
-    engine has no generators: `_level` adds each group as the factorization
-    of its level finds it."""
+    engine has no generators: `_factor_level` adds each group as the
+    factorization of its level finds it.
+
+    Every memo of the engine but the per-factor `tables` is a `_Memo`,
+    filled by its builder only: `degrees`, packed degree -> degree vector
+    (`_unpack`); `q_grades`, packed degree of d -> c_1(d); `grades`, key of
+    q^d sigma_y -> l(y) + c_1(d) (`_grade`), which `_finalized` checks; and
+    `levels`, length k -> the factored length-k system (`_factor_level`)."""
 
     def __init__(self, rs, parabolic, enumeration, weights, readout=None):
         self.rs = rs
@@ -198,11 +221,11 @@ class _Engine:
         self.readout = readout
         self.groups = []
         self.reach = -1  # every move table covers the elements of length <= reach
-        self.degrees = {}
-        self.q_grades = {}  # packed degree of d -> c_1(d)
-        self.grades = {}  # key of q^d sigma_y -> l(y) + c_1(d), once `_finalized` read it
+        self.degrees = _Memo(self._unpack)
+        self.q_grades = _Memo(lambda pd: sum(map(mul, self.weights, self.degrees[pd])))
+        self.grades = _Memo(self._grade)
         self.tables = {}
-        self.levels = {}
+        self.levels = _Memo(partial(_factor_level, self))
 
     @property
     def generators(self):
@@ -218,32 +241,35 @@ class _Engine:
                 self._grow(group, end)
 
     def pack(self, d):
-        """The int packing of a degree vector, sum(d) first, as `degree`
+        """The int packing of a degree vector, sum(d) first, as `_unpack`
         reads it back."""
         pd = sum(d)
         for a in d:
             pd = pd * self.base + a
         return pd
 
-    def degree(self, pd):
-        """The degree vector packed as pd, memoized; a pd whose sum field is
-        not the sum of its coordinates is refused."""
-        d = self.degrees.get(pd)
-        if d is None:
-            digits, rest = [], pd
-            for _ in self.weights:
-                rest, a = divmod(rest, self.base)
-                digits.append(a)
-            d = tuple(reversed(digits))
-            if rest != sum(d):
-                raise RuntimeError(f"packed degree {pd} has sum field {rest} over coordinates {d}")
-            self.degrees[pd] = d
+    def _unpack(self, pd):
+        """The degree vector packed as pd, the builder of `degrees`; a pd
+        whose sum field is not the sum of its coordinates is refused."""
+        digits, rest = [], pd
+        for _ in self.weights:
+            rest, a = divmod(rest, self.base)
+            digits.append(a)
+        d = tuple(reversed(digits))
+        if rest != sum(d):
+            raise RuntimeError(f"packed degree {pd} has sum field {rest} over coordinates {d}")
         return d
+
+    def _grade(self, key):
+        """l(y) + c_1(d) for the key of q^d sigma_y, the builder of
+        `grades`."""
+        pd, y = divmod(key, self.size)
+        return self.lengths[y] + self.q_grades[pd]
 
     def term(self, key):
         """(y, d) for the key of the term q^d sigma_y."""
         pd, y = divmod(key, self.size)
-        return y, self.degree(pd)
+        return y, self.degrees[pd]
 
     @cached_property
     def reflections(self):
@@ -336,23 +362,15 @@ def _engine(rs) -> _Engine:
 
 def _finalized(eng, terms, grade):
     """Check positivity and the grading of int-keyed terms, given as (key,
-    c) pairs, caching each key's grade l(y) + c_1(d) in `eng.grades` and
-    each degree's c_1(d) in `eng.q_grades`, which the misses share.  Every
-    q-shift is an effective degree, so no degree coordinate goes negative; a
-    carry or a borrow between packed fields leaves a sum field that `degree`
-    refuses."""
-    size, grades, q_grades = eng.size, eng.grades, eng.q_grades
+    c) pairs, against each key's grade l(y) + c_1(d) in `eng.grades`.
+    Every q-shift is an effective degree, so no degree coordinate goes
+    negative; a carry or a borrow between packed fields leaves a sum field
+    that `_Engine._unpack` refuses."""
+    grades = eng.grades
     for key, c in terms:
         if c < 0:
-            raise RuntimeError(f"negative structure constant {c} at {eng.elements[key % size]}")
-        got = grades.get(key)
-        if got is None:
-            pd, x = divmod(key, size)
-            q_grade = q_grades.get(pd)
-            if q_grade is None:
-                q_grade = q_grades[pd] = sum(map(mul, eng.weights, eng.degree(pd)))
-            got = grades[key] = eng.lengths[x] + q_grade
-        if got != grade:
+            raise RuntimeError(f"negative structure constant {c} at {eng.elements[key % eng.size]}")
+        if grades[key] != grade:
             y, d = eng.term(key)
             raise RuntimeError(
                 f"grading violation: term ({format_word(eng.elements[y].word)}, "
@@ -500,28 +518,26 @@ def _unread_rows(k, rows, inverse):
     return tuple(r for r in range(len(rows)) if r not in read)
 
 
-def _level(eng, k):
+def _factor_level(eng, k):
     """The length-k system shared by every right factor, its exact left
-    inverse and the rows the inverse does not read (`_unread_rows`).  Levels
-    1..k-1 are built first, so the shorter generators are chosen by then;
-    the classes of the columns that the factorization completes with unit
-    rows become the generators of length k, and their unit rows, which
-    `_level_rows` lists last and in the same order, join the system."""
-    got = eng.levels.get(k)
-    if got is None:
-        for j in range(1, k):
-            _level(eng, j)
-        eng.extend_moves(k - 1)
+    inverse and the rows the inverse does not read (`_unread_rows`), the
+    builder of `eng.levels`.  Levels 1..k-1 are built first, so the shorter
+    generators are chosen by then; the classes of the columns that the
+    factorization completes with unit rows become the generators of length
+    k, and their unit rows, which `_level_rows` lists last and in the same
+    order, join the system."""
+    for j in range(1, k):
+        eng.levels[j]
+    eng.extend_moves(k - 1)
+    rows = _level_rows(eng, k)
+    inverse, added = _left_inverse(rows, len(eng.by_length[k]))
+    if added:
+        group = (k, tuple(eng.by_length[k][c] for c in added), [], [])
+        # its move tables as long as the other groups'
+        eng._grow(group, bisect_right(eng.lengths, eng.reach))
+        eng.groups.append(group)
         rows = _level_rows(eng, k)
-        inverse, added = _left_inverse(rows, len(eng.by_length[k]))
-        if added:
-            group = (k, tuple(eng.by_length[k][c] for c in added), [], [])
-            # its move tables as long as the other groups'
-            eng._grow(group, bisect_right(eng.lengths, eng.reach))
-            eng.groups.append(group)
-            rows = _level_rows(eng, k)
-        got = eng.levels[k] = (rows, inverse, _unread_rows(k, rows, inverse))
-    return got
+    return rows, inverse, _unread_rows(k, rows, inverse)
 
 
 def _right_hand_sides(eng, by, k):
@@ -567,7 +583,7 @@ def _solve_level(eng, by, k):
     checked against the rows the inverse does not read.  The rows it reads
     hold for every exact solution, as `_unread_rows` checked once, so every
     row of the system holds."""
-    rows, inverse, unread = _level(eng, k)
+    rows, inverse, unread = eng.levels[k]
     rhs = _right_hand_sides(eng, by, k)
     sol = []
     for x, (den, comb) in zip(eng.by_length[k], inverse):

@@ -352,7 +352,7 @@ def test_a_cache_hit_lifts_only_the_unit_degrees(tmp_path, capsys, monkeypatch):
     with open(tmp_path / "B3-borel.json", encoding="utf-8", newline="") as handle:
         assert check_document(handle, ctx, words) is None
     assert sorted(lifted) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    assert set(ctx._degrees) == set(lifted)
+    assert set(ctx.degrees) == set(lifted)
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])

@@ -538,7 +538,7 @@ def test_associativity_audit_counts_a_failing_triple(capsys, monkeypatch):
     # is read off sigma_{s1} * sigma_{s1}.  One more in a coefficient of it,
     # in s1's own table, taken to the top level first, so that no level of
     # it reads the corruption and the two recursions still agree
-    assert sorted({ctx.representative(x)[0] for x in range(ring.size)}) == [0, 1, 2, 4]
+    assert sorted({ctx.representatives[x][0] for x in range(ring.size)}) == [0, 1, 2, 4]
     _oriented_product(ring, ring.size - 1, s1)
     corrupted = ring.tables[s1][s1]
     corrupted[next(iter(corrupted))] += 1
@@ -565,7 +565,7 @@ def test_associativity_audit_reads_one_side_off_the_readout(capsys, monkeypatch)
     # sigma_e * sigma_{s1} and sigma_{s1} * sigma_{s1}, and any value of
     # the last gives an associative ring.  a * (b * c) is read by the direct
     # readout, which reads that entry only for the pair (s1, s1) itself
-    assert sorted({ctx.representative(x)[0] for x in range(ring.size)}) == [0, 1]
+    assert sorted({ctx.representatives[x][0] for x in range(ring.size)}) == [0, 1]
     _oriented_product(ring, ring.size - 1, s1)
     corrupted = ring.tables[s1][s1]
     corrupted[next(iter(corrupted))] += 1
@@ -607,7 +607,7 @@ def test_recursion_suite_catches_one_bad_table_entry(capsys, monkeypatch):
     rs = RootSystem(CartanType.parse("A2"))
     monkeypatch.setattr(cli, "build_root_system", lambda ctype: rs)
     ctx = _context(rs, ParabolicSubset.of([2]))
-    assert all(ctx.representative(x)[0] == 0 for x in range(3))
+    assert all(ctx.representatives[x][0] == 0 for x in range(3))
     ctx.int_terms(0, 0)
     corrupted = ctx.ring.tables[0][0]
     corrupted[next(iter(corrupted))] += 1

@@ -37,7 +37,7 @@ from qflag import compare, quantum
 from qflag.cli import main
 from qflag.compare import CheckResult, _Context, _context
 from qflag.degrees import _c1_pairing
-from qflag.quantum import _Engine, _int_product, _level
+from qflag.quantum import _Engine, _int_product
 from qflag.weyl import WeylElement, _enumerate
 
 P2 = ParabolicSubset.of([2])
@@ -224,7 +224,7 @@ def test_product_keys_sort_in_the_order_of_sorted_terms(name, j_nodes):
     ring, basis, n = ctx.ring, ctx.basis, len(ctx.basis)
     tied = 0  # products with two degrees of one sum, ordered by d itself
     for i, j in iproduct(range(n), repeat=2):
-        got = [((basis[key % n], ring.degree(key // n)), c) for key, c in ctx.int_terms(i, j)]
+        got = [((basis[key % n], ring.degrees[key // n]), c) for key, c in ctx.int_terms(i, j)]
         assert got == QClass(rs, J, dict(got)).sorted_terms()
         sums = Counter(sum(d) for d in {d for (_, d), _ in got})
         tied += any(count > 1 for count in sums.values())
@@ -418,7 +418,7 @@ def _ordered_triple_counts(rs, parabolic, degree):
     """(graded, asymmetric, mismatched) by brute force: every ordered triple
     (x, y, z) read off the rows of (x, y) in that order, at P and at P'."""
     ctx = _context(rs, parabolic)
-    cd = ctx.degree(degree)
+    cd = ctx.degrees[degree]
     at_pprime = _context(rs, cd.j_prime)
     target = ctx.flag_dimension + cd.c1
     lengths = [w.length for w in ctx.basis]
@@ -427,7 +427,7 @@ def _ordered_triple_counts(rs, parabolic, degree):
     values = {}
 
     def unpacked(ring, terms):
-        return {(key % ring.size, ring.degree(key // ring.size)): c for key, c in terms}
+        return {(key % ring.size, ring.degrees[key // ring.size]): c for key, c in terms}
 
     for x, y in iproduct(range(n), repeat=2):
         at_p = unpacked(ctx.ring, ctx.rows(x, y))
@@ -454,7 +454,7 @@ def test_consistency_report_counts_the_orderings_of_a_repeated_class(monkeypatch
     rs = build_root_system("A3")
     degree = (0, 1)
     at_p = _context(rs, P2)
-    cd = at_p.degree(degree)
+    cd = at_p.degrees[degree]
     at_pprime = _context(rs, cd.j_prime)
     assert all(r.passed for r in check_comparison_consistency(rs, P2, degree))
     target = at_p.flag_dimension + cd.c1
@@ -621,6 +621,42 @@ def test_a_memo_hit_reads_the_table_directly(monkeypatch):
         _int_product(ring, x, y)
 
 
+@pytest.mark.parametrize("name, j_nodes", [("A4", (1, 4)), ("B3", ())])
+def test_a_second_pass_reads_every_memo_directly(name, j_nodes):
+    # one pass of `int_terms` and `rows` over every ordered pair, counting
+    # the builder calls of the product layer's memos; then every builder
+    # raises, and a second pass, which reads the memos only, gives the same
+    # terms.  Each memo holds one entry per builder call of the first pass,
+    # so no entry was built twice
+    ctx = _Context(RootSystem(CartanType.parse(name)), ParabolicSubset.of(j_nodes))
+    memos = [ctx.representatives, ctx.orbit_maps, ctx._readout]
+    # at J = {} the ring is the Borel engine
+    for ring in dict.fromkeys((ctx.engine, ctx.ring)):
+        memos += [ring.degrees, ring.grades]
+    calls = [0] * len(memos)
+
+    def counted(t, build):
+        def call(key):
+            calls[t] += 1
+            return build(key)
+        return call
+
+    for t, memo in enumerate(memos):
+        memo.build = counted(t, memo.build)
+    n = len(ctx.basis)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    first = [(ctx.int_terms(i, j), ctx.rows(i, j)) for i, j in pairs]
+    assert all(calls)
+    assert [len(memo) for memo in memos] == calls
+
+    def refused(key):
+        raise AssertionError(f"a second pass built {key!r}")
+
+    for memo in memos:
+        memo.build = refused
+    assert [(ctx.int_terms(i, j), ctx.rows(i, j)) for i, j in pairs] == first
+
+
 def test_classical_check_counts_every_ordering(monkeypatch, capsys):
     # an oracle off by one on one unordered triple of three distinct classes
     # on Gr(2, 4) fails the degree-zero check on each of its six orderings
@@ -670,7 +706,7 @@ def test_c1_is_linear_in_the_degree(name, j_nodes):
     free = len(ctx.free)
     for degree in iproduct(range(4), repeat=free):
         if sum(degree) <= 3:
-            assert ctx.degree(degree).c1 == sum(map(mul, degree, ctx.c1_weights))
+            assert ctx.degrees[degree].c1 == sum(map(mul, degree, ctx.c1_weights))
 
 
 def test_min_rep_preserved_through_dual_map():
@@ -794,18 +830,18 @@ def test_product_refuses_a_term_off_the_grading():
     gr24 = ParabolicSubset.of([1, 3])
     ctx = _context(rs, gr24)
     h = ctx.position[simple_reflection(rs, 2).perm]
-    cd = ctx.degree((0,))
-    ctx._degrees[(0,)] = cd._replace(c1=cd.c1 + 1)
+    cd = ctx.degrees[(0,)]
+    ctx.degrees[(0,)] = cd._replace(c1=cd.c1 + 1)
     with pytest.raises(RuntimeError, match="breaks the grading"):
         ctx.rows(h, h)
     rs = RootSystem(CartanType.parse("A4"))
     fl = ParabolicSubset.of([1, 4])
     ctx = _context(rs, fl)
     u = next(
-        w for x, w in enumerate(ctx.basis) if w.length == 2 and ctx.representative(x)[1] is None
+        w for x, w in enumerate(ctx.basis) if w.length == 2 and ctx.representatives[x][1] is None
     )
-    cd = ctx.degree((0, 0))
-    ctx._degrees[(0, 0)] = cd._replace(c1=cd.c1 + 1)
+    cd = ctx.degrees[(0, 0)]
+    ctx.degrees[(0, 0)] = cd._replace(c1=cd.c1 + 1)
     with pytest.raises(RuntimeError, match="breaks the grading"):
         parabolic_quantum_product(rs, fl, u, u)
 
@@ -1008,7 +1044,7 @@ def test_generator_lengths_follow_borels_presentation(name, j_nodes, lengths):
     J = ParabolicSubset.of(j_nodes)
     ring = _context(rs, J).ring
     for k in sorted(ring.by_length)[1:]:
-        _level(ring, k)
+        ring.levels[k]
     assert [ring.lengths[g] for g in ring.generators] == lengths
     # the divisors come first, in the order of their nodes, which the
     # Chevalley moves of G/B assume
@@ -1031,7 +1067,7 @@ def test_a_g_mod_p_ring_reads_its_longer_generators_off_the_readout(name, j_node
     ring, size = ctx.ring, ctx.ring.size
     assert type(ring) is _Engine
     for k in sorted(ring.by_length)[1:]:
-        _level(ring, k)
+        ring.levels[k]
     longer = [group for group in ring.groups if group[0] > 1]
     assert [length for length, _, _, _ in longer] == lengths
     for _, gens, moves, qmoves in longer:
@@ -1053,7 +1089,7 @@ def test_a_g_mod_p_level_without_a_readout_is_refused():
     ctx = _context(build_root_system("A4"), ParabolicSubset.of((1, 4)))
     eng = _Engine(ctx.rs, ctx.parabolic, ctx._enumeration, ctx.c1_weights)
     with pytest.raises(RuntimeError, match="recursion system is rank deficient"):
-        _level(eng, 2)
+        eng.levels[2]
     assert 2 not in eng.levels
     assert [length for length, _, _, _ in eng.groups] == [1]
 
@@ -1087,4 +1123,4 @@ def test_index_maps_match_the_coset_formulas(name, j_nodes):
         candidates = [(x, None)] + [(floor(v * w), k) for k, v in inverses.items()]
         # the first least by (length, position): x itself, then by node
         least = min(candidates, key=lambda c: (basis[c[0]].length, c[0]))
-        assert ctx.representative(x) == least
+        assert ctx.representatives[x] == least

@@ -27,7 +27,7 @@ from qflag import (
 from qflag import quantum
 from qflag.cli import main
 from qflag.compare import _context
-from qflag.quantum import _engine, _left_inverse, _level, _oriented_product, _unread_rows
+from qflag.quantum import _Memo, _engine, _left_inverse, _oriented_product, _unread_rows
 from qflag.root_system import CartanType, RootSystem
 
 
@@ -212,7 +212,7 @@ def test_qclass_formatting():
 
 
 def _level_systems(eng):
-    return {k: _level(eng, k)[:2] for k in sorted(eng.by_length) if k >= 1}
+    return {k: eng.levels[k][:2] for k in sorted(eng.by_length) if k >= 1}
 
 
 # the largest denominator of each type's level inverses; the denominators
@@ -290,7 +290,7 @@ def test_a_tampered_level_inverse_is_refused_at_factorization(monkeypatch):
     # inverse no longer gives den * e_col, and level 2 is refused when it is
     # factored, before any right factor reads it
     _, eng = _private_engine("B3")
-    _level(eng, 1)
+    eng.levels[1]
     factor = quantum._left_inverse
 
     def tampered(rows, ncols):
@@ -301,7 +301,7 @@ def test_a_tampered_level_inverse_is_refused_at_factorization(monkeypatch):
     monkeypatch.setattr(quantum, "_left_inverse", tampered)
     last = len(eng.by_length[2]) - 1
     with pytest.raises(RuntimeError, match=f"level 2 is not exact on column {last}$"):
-        _level(eng, 2)
+        eng.levels[2]
     assert 2 not in eng.levels
 
 
@@ -321,7 +321,7 @@ def test_a_borel_level_that_loses_rank_is_refused():
     # its own has lost rank: keep only the quantum moves of the length-1
     # classes before level 2 is factored, and its rows are all zero
     _, eng = _private_engine("A2")
-    _level(eng, 1)
+    eng.levels[1]
     eng.extend_moves(1)
     moves_of = eng.groups[0][2]
     for x in eng.by_length[1]:
@@ -330,7 +330,7 @@ def test_a_borel_level_that_loses_rank_is_refused():
             for moves in moves_of[x]
         )
     with pytest.raises(RuntimeError, match="rank deficient"):
-        _level(eng, 2)
+        eng.levels[2]
     assert len(eng.groups) == 1
 
 
@@ -360,7 +360,7 @@ def test_corrupted_chevalley_coefficient_breaks_consistency():
     # a class of length 2 that is its own orbit representative, so that the
     # product of it with itself is read off its own table
     ctx = _context(rs, BOREL)
-    x = next(x for x in eng.by_length[2] if ctx.representative(x) == (x, None))
+    x = next(x for x in eng.by_length[2] if ctx.representatives[x] == (x, None))
     _corrupt_move(eng, x, 0)
     # level 1 of x's own table reads the corrupted move, and the identity
     # system passes it on; level 2 checks every one of its rows
@@ -394,10 +394,10 @@ def test_an_inconsistent_row_of_a_later_generator_group_is_named(monkeypatch):
     ring = ctx.ring
     # the first class of length 3 that is its own orbit representative, so
     # that w * w solves level 3 of its own table
-    w = next(ring.elements[x] for x in ring.by_length[3] if ctx.representative(x)[1] is None)
+    w = next(ring.elements[x] for x in ring.by_length[3] if ctx.representatives[x][1] is None)
     parabolic_quantum_product(rs, J, ring.elements[ring.by_length[2][0]], w)
     assert [ring.lengths[g] for g in ring.generators] == [1, 1, 2]
-    rows, inverse, _ = _level(ring, 3)
+    rows, inverse, _ = ring.levels[3]
     assert len(rows) == 10
     assert not {8, 9} & {r for _, comb in inverse for r, _ in comb}
     solve = quantum._right_hand_sides
@@ -419,7 +419,7 @@ def test_levels_are_built_in_order_whichever_is_asked_first():
     # picks, not all five length-3 classes
     rs = RootSystem(CartanType.parse("A4"))
     ring = _context(rs, ParabolicSubset.of([1, 4])).ring
-    _level(ring, 3)
+    ring.levels[3]
     assert sorted(ring.levels) == [1, 2, 3]
     assert [ring.lengths[g] for g in ring.generators] == [1, 1, 2]
 
@@ -520,7 +520,7 @@ def test_borel_generators_are_the_divisors(name):
 
 
 def _representatives(ctx):
-    return {ctx.representative(x)[0] for x in range(len(ctx.basis))}
+    return {ctx.representatives[x][0] for x in range(len(ctx.basis))}
 
 
 def test_levels_are_shared_by_every_product(tmp_path, capsys):
@@ -545,7 +545,7 @@ def test_levels_are_shared_by_every_product(tmp_path, capsys):
     capsys.readouterr()
     # w_o * w_o is read off the table of w_o's representative, which is
     # shorter than w_o
-    rep, k = _context(rs, BOREL).representative(eng.index[w_o.perm])
+    rep, k = _context(rs, BOREL).representatives[eng.index[w_o.perm]]
     assert k is not None and eng.lengths[rep] < w_o.length
     assert rep in eng.tables
     assert eng.levels == levels
@@ -573,9 +573,9 @@ def test_each_table_recurses_to_its_own_length(tmp_path, capsys):
     capsys.readouterr()
     # s1 is its own representative and comes before w_o's, so w_o * s1 is
     # read off the table of w_o's representative, up to level 1
-    rep, _ = ctx.representative(eng.index[w_o.perm])
+    rep, _ = ctx.representatives[eng.index[w_o.perm]]
     s1 = eng.index[simple_reflection(rs, 1).perm]
-    assert ctx.representative(s1) == (s1, None) and s1 < rep
+    assert ctx.representatives[s1] == (s1, None) and s1 < rep
     assert list(eng.tables) == [rep]
     assert len(eng.tables[rep]) == bisect_right(eng.lengths, 1)
 
@@ -596,9 +596,9 @@ def test_every_in_range_degree_packs_and_reads_back(name, j_nodes):
     r, base = len(ring.weights), ring.base
     degrees = [d for d in iproduct(range(base), repeat=r) if sum(d) < base]
     packed = [ring.pack(d) for d in degrees]
-    assert [ring.degree(pd) for pd in packed] == degrees
+    assert [ring.degrees[pd] for pd in packed] == degrees
     # the sum field is the highest, then d_1, ..., d_r
-    assert [ring.degree(pd) for pd in sorted(packed)] == sorted(
+    assert [ring.degrees[pd] for pd in sorted(packed)] == sorted(
         degrees, key=lambda d: (sum(d), d)
     )
     top = base**r  # one in the sum field
@@ -607,7 +607,7 @@ def test_every_in_range_degree_packs_and_reads_back(name, j_nodes):
         bad = [pd + top, pd - top] + ([pd - 1] if d[-1] == 0 and any(d) else [])
         for wrong in bad:
             with pytest.raises(RuntimeError, match="sum field"):
-                ring.degree(wrong)
+                ring.degrees[wrong]
 
 
 @settings(max_examples=200, deadline=None)
@@ -620,3 +620,33 @@ def test_the_packing_is_linear(data):
     a, b, k = data.draw(vector), data.draw(vector), data.draw(st.integers(-5, 5))
     assert ring.pack([x + y for x, y in zip(a, b)]) == ring.pack(a) + ring.pack(b)
     assert ring.pack([k * x for x in a]) == k * ring.pack(a)
+
+
+def test_a_memo_calls_its_builder_once_per_key():
+    calls = []
+
+    def square(key):
+        calls.append(key)
+        return key * key
+
+    memo = _Memo(square)
+    assert [memo[3], memo[4], memo[3], memo[4]] == [9, 16, 9, 16]
+    assert calls == [3, 4]
+    # `in` and `.get` read what the memo holds and never build
+    assert 5 not in memo
+    assert memo.get(5) is None and memo.get(5, 0) == 0
+    assert calls == [3, 4] and memo == {3: 9, 4: 16}
+
+
+def test_a_builder_that_raises_stores_nothing():
+    # one more in the sum field of q1's packed degree: `_unpack` refuses it
+    # on each subscript alike, and the memo keeps no entry for it
+    _, eng = _private_engine("A3")
+    wrong = eng.pack((1, 0, 0)) + eng.base**3
+    errors = []
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match=r"sum field 2 over coordinates \(1, 0, 0\)$") as info:
+            eng.degrees[wrong]
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert wrong not in eng.degrees

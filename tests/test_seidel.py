@@ -78,7 +78,7 @@ def test_the_closed_form_holds_in_the_plain_readout(name, j_nodes):
         j_k = ParabolicSubset.of(i for i in range(1, rs.rank + 1) if i != k)
         v_k = w_o * longest_element(rs, j_k)
         top = position[min_coset_rep(v_k, J).perm]
-        image, delta = ctx.orbit_map(k)
+        image, delta = ctx.orbit_maps[k]
         for x, u in enumerate(basis):
             full = _delta(rs, k, u)
             d = tuple(full[i - 1] for i in free)
@@ -91,12 +91,12 @@ def test_the_closed_form_holds_in_the_plain_readout(name, j_nodes):
 def test_each_representative_is_least_in_its_orbit(name, j_nodes):
     ctx = _context(build_root_system(name), ParabolicSubset.of(j_nodes))
     lengths, n = ctx.ring.lengths, len(ctx.basis)
-    images = {k: ctx.orbit_map(k)[0] for k in ctx.seidel}
+    images = {k: ctx.orbit_maps[k][0] for k in ctx.seidel}
     for x in range(n):
         # the V_k and the identity form a group, so the orbit of x is x and
         # its images
         orbit = {x, *(image[x] for image in images.values())}
-        rep, k = ctx.representative(x)
+        rep, k = ctx.representatives[x]
         assert rep == min(orbit, key=lambda z: (lengths[z], z))
         assert x == (rep if k is None else images[k][rep])
 
@@ -104,7 +104,7 @@ def test_each_representative_is_least_in_its_orbit(name, j_nodes):
 def test_a_type_without_minuscule_nodes_keeps_every_factor():
     ctx = _context(build_root_system("G2"), BOREL)
     assert ctx.seidel == {}
-    assert all(ctx.representative(x) == (x, None) for x in range(len(ctx.basis)))
+    assert all(ctx.representatives[x] == (x, None) for x in range(len(ctx.basis)))
 
 
 def test_a_product_of_representatives_builds_no_orbit_map():
@@ -113,9 +113,9 @@ def test_a_product_of_representatives_builds_no_orbit_map():
     rs = RootSystem(CartanType.parse("D4"))
     ctx = _context(rs, BOREL)
     s1 = ctx.position[rs.simple_perms[0]]
-    assert ctx.representative(s1) == (s1, None)
+    assert ctx.representatives[s1] == (s1, None)
     ctx.int_terms(s1, s1)
-    assert ctx._orbit_maps == {}
+    assert ctx.orbit_maps == {}
 
 
 # (corruption, the error it raises), by id.  A corruption is taken off the
@@ -145,7 +145,7 @@ ONE_Q_LESS = (lambda size, base, rank: size * (base**rank + 1), "grading violati
 def _first_applied(ctx, i, j):
     """(node, representative) of the orbit map applied first in sigma_i *
     sigma_j: the later factor's, unless it is its own representative."""
-    (ri, k), (rj, l) = ctx.representative(i), ctx.representative(j)
+    (ri, k), (rj, l) = ctx.representatives[i], ctx.representatives[j]
     return (l, rj) if l is not None else (k, ri)
 
 
@@ -165,19 +165,19 @@ def _corrupted(name, corruption, words=None):
     if words:
         i, j = (ctx.position[from_word(rs, w).perm] for w in words)
     else:
-        i = next(x for x in range(ring.size) if ctx.representative(x)[1] is not None)
-        k = ctx.representative(i)[1]
+        i = next(x for x in range(ring.size) if ctx.representatives[x][1] is not None)
+        k = ctx.representatives[i][1]
         if name == "A3":
             j = ctx.position[rs.simple_perms[0]]
-            assert ctx.representative(j) == (j, None)
+            assert ctx.representatives[j] == (j, None)
         else:
-            j = next(y for y in range(ring.size) if ctx.representative(y)[1] not in (None, k))
+            j = next(y for y in range(ring.size) if ctx.representatives[y][1] not in (None, k))
     assert ctx.int_terms(i, j) == ctx.rows(i, j)
     node, z = _first_applied(ctx, i, j)
-    image, delta = ctx.orbit_map(node)
+    image, delta = ctx.orbit_maps[node]
     delta = list(delta)
     delta[z] += corruption(ring.size, ring.base, rs.rank)
-    ctx._orbit_maps[node] = (image, tuple(delta))
+    ctx.orbit_maps[node] = (image, tuple(delta))
     return ctx, i, j
 
 
@@ -187,8 +187,8 @@ def _first_wrap(ctx, i, j):
     packed field, or None."""
     size = ctx.ring.size
     node, rep = _first_applied(ctx, i, j)
-    image, delta = ctx.orbit_map(node)
-    ri, rj = ctx.representative(i)[0], ctx.representative(j)[0]
+    image, delta = ctx.orbit_maps[node]
+    ri, rj = ctx.representatives[i][0], ctx.representatives[j][0]
     for key in _int_product(ctx.ring, ri, rj):
         z = key % size
         moved = key + delta[z] - (delta[rep] + rep - image[rep])
