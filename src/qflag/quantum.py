@@ -46,7 +46,10 @@ The recursion runs on ints.  Element x is its index in the basis, and the
 term q^d sigma_x is the key pd * size + x, where pd packs sum(d) and then
 the coordinates d_1, ..., d_r, each a digit in base B = dim + 1 below the
 one before: pd = ((sum(d) B + d_1) B + ...) B + d_r.  The packing is
-linear, so a generator move of x adds a fixed int to the key.  The grading
+linear, so a generator move of x adds a fixed int to the key.  Per
+generator group, the moves of x are one flat tuple of (generator, key
+delta, coefficient) triples in generator order, which the right-hand sides
+walk with one loop per term of a known product.  The grading
 gives q_i the weight (c_1, d_i), which is 2 on G/B and at least 2 on every
 G/P, and every term of a product of degree l(u) + l(v) <= 2 dim has l(x) +
 (c_1, d) = l(u) + l(v); so sum(d) <= dim, no field of pd exceeds dim or
@@ -78,6 +81,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cache, cached_property, partial
+from itertools import chain
 from math import gcd
 from operator import itemgetter, mul
 
@@ -191,14 +195,16 @@ class _Engine:
 
     Generators come in groups of one length, kept in `groups` by length as
     (length, generator positions, moves, qmoves), where per position x
-    `moves[x]` holds per generator g the (key delta, coefficient) of each
-    term of sigma_g * sigma_x, and `qmoves[x]` the quantum terms as
-    (coefficient per generator, key delta of q^d, position).  `_grow` fills
-    both lists: the divisors' by the quantum Chevalley rule, a longer
-    group's off `readout(g, x)`, which gives sigma_g * sigma_x as sorted
-    (key, c) terms; G/B, whose divisors generate, has no readout.  A new
-    engine has no generators: `_factor_level` adds each group as the
-    factorization of its level finds it.
+    `moves[x]` is one flat tuple of (t, key delta, coefficient) triples, a
+    triple per term of sigma_g * sigma_x for the t-th generator g of the
+    group, listed generator by generator in order, and `qmoves[x]` holds the
+    quantum terms as (coefficient per generator, key delta of q^d,
+    position).  `_grow` fills both lists: the divisors' by the quantum
+    Chevalley rule, a longer group's off `readout(g, x)`, which gives
+    sigma_g * sigma_x as sorted (key, c) terms; G/B, whose divisors
+    generate, has no readout.  A new engine has no generators:
+    `_factor_level` adds each group as the factorization of its level finds
+    it.
 
     Every memo of the engine but the per-factor `tables` is a `_Memo`,
     filled by its builder only: `degrees`, packed degree -> degree vector
@@ -293,17 +299,19 @@ class _Engine:
         return maps
 
     def _grow(self, group, end):
-        """Extend a group's move tables to the positions below `end`.  The
-        moves of the divisors sigma_{s_i}, one per free node i in node
-        order, as level 1 lists them, are the quantum Chevalley rule on W^J
-        (Fulton-Woodward, On the quantum product of Schubert classes, J.
-        Algebraic Geom. 13 (2004)): per position x and positive root alpha
-        off the Levi, with y = floor(x s_alpha), sigma_{s_i} * sigma_x has
-        the term alpha^vee_i sigma_y when l(y) = l(x) + 1, and alpha^vee_i
-        q^{d(alpha)} sigma_y when l(y) = l(x) + 1 - c_1(d(alpha)), d(alpha)
-        being alpha^vee on the free nodes.  A longer generator g's moves are
-        the terms of `readout(g, x)`.  The divisors generate H*(G/B), so
-        without a readout a longer group means a level lost rank."""
+        """Extend a group's move tables to the positions below `end`, one
+        flat tuple of (t, key delta, coefficient) triples per position, in
+        generator order.  The moves of the divisors sigma_{s_i}, one per
+        free node i in node order, as level 1 lists them, are the quantum
+        Chevalley rule on W^J (Fulton-Woodward, On the quantum product of
+        Schubert classes, J. Algebraic Geom. 13 (2004)): per position x and
+        positive root alpha off the Levi, with y = floor(x s_alpha),
+        sigma_{s_i} * sigma_x has the term alpha^vee_i sigma_y when l(y) =
+        l(x) + 1, and alpha^vee_i q^{d(alpha)} sigma_y when l(y) = l(x) + 1
+        - c_1(d(alpha)), d(alpha) being alpha^vee on the free nodes.  A
+        longer generator g's moves are the terms of `readout(g, x)`.  The
+        divisors generate H*(G/B), so without a readout a longer group means
+        a level lost rank."""
         length, gens, moves_of, qmoves_of = group
         size = self.size
         if length != 1:
@@ -311,7 +319,9 @@ class _Engine:
                 raise RuntimeError("recursion system is rank deficient")
             for x in range(len(moves_of), end):
                 rows = [self.readout(g, x) for g in gens]
-                moves_of.append(tuple(tuple((key - x, c) for key, c in terms) for terms in rows))
+                moves_of.append(tuple(
+                    (t, key - x, c) for t, terms in enumerate(rows) for key, c in terms
+                ))
                 # each quantum term c q^d sigma_y of generator t, as the move
                 # with coefficient c for t and 0 for the others
                 qmoves_of.append(tuple(
@@ -348,8 +358,8 @@ class _Engine:
                 else:
                     continue
                 for t, a in feeds:
-                    per_divisor[t].append((delta, a))
-            moves_of.append(tuple(map(tuple, per_divisor)))
+                    per_divisor[t].append((t, delta, a))
+            moves_of.append(tuple(chain.from_iterable(per_divisor)))
             qmoves_of.append(tuple(qmoves))
 
 
@@ -482,15 +492,16 @@ def _level_rows(eng, k):
     """The rows of the length-k system, per generator group, w'-major and
     generator-minor: for each generator g of length l <= k and w' of length
     k - l, the classical coefficients of sigma_g * sigma_{w'} as sparse
-    (column, int) pairs over the length-k elements."""
+    (column, int) pairs over the length-k elements: the triples of the flat
+    move tuple of w' whose generator is g and whose key stays below size."""
     first, size = eng.by_length[k][0], eng.size
     # a classical move keeps the key below size: its degree part is zero
     return tuple(
-        tuple((x + delta - first, a) for delta, a in moves if x + delta < size)
-        for length, _, moves_of, _ in eng.groups
+        tuple((x + delta - first, a) for s, delta, a in moves_of[x] if s == t and x + delta < size)
+        for length, gens, moves_of, _ in eng.groups
         if length <= k
         for x in eng.by_length[k - length]
-        for moves in moves_of[x]
+        for t in range(len(gens))
     )
 
 
@@ -553,10 +564,10 @@ def _right_hand_sides(eng, by, k):
         for wp in eng.by_length[k - length]:
             rows = [{} for _ in gens]
             for key, c in by[wp].items():
-                for b, moves in zip(rows, moves_of[key % size]):
-                    for delta, a in moves:
-                        y = key + delta
-                        b[y] = b.get(y, 0) + c * a
+                for t, delta, a in moves_of[key % size]:
+                    b = rows[t]
+                    y = key + delta
+                    b[y] = b.get(y, 0) + c * a
             for coefs, shift, ws in qmoves_of[wp]:
                 for b, a in zip(rows, coefs):
                     if a:
@@ -582,15 +593,25 @@ def _solve_level(eng, by, k):
     left inverse applied to the right-hand sides, divided exactly, then
     checked against the rows the inverse does not read.  The rows it reads
     hold for every exact solution, as `_unread_rows` checked once, so every
-    row of the system holds."""
+    row of the system holds.  A column that reads one row with a
+    coefficient equal to its denominator is that row's right-hand side
+    less its zero entries; any other column seeds its sum from its first
+    row, and one whose denominator is 1 needs no division."""
     rows, inverse, unread = eng.levels[k]
     rhs = _right_hand_sides(eng, by, k)
     sol = []
     for x, (den, comb) in zip(eng.by_length[k], inverse):
-        acc = {}
-        for r, a in comb:
+        (r, a), *rest = comb
+        if a == den and not rest:
+            sol.append({key: c for key, c in rhs[r].items() if c})
+            continue
+        acc = {key: a * c for key, c in rhs[r].items()}
+        for r, a in rest:
             for key, c in rhs[r].items():
                 acc[key] = acc.get(key, 0) + a * c
+        if den == 1:
+            sol.append({key: c for key, c in acc.items() if c})
+            continue
         terms = {}
         for key, c in acc.items():
             q, rem = divmod(c, den)

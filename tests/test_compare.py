@@ -895,7 +895,7 @@ def test_the_quantum_chevalley_rule_is_the_readout_of_the_divisors(name, j_nodes
     eng._grow(group, eng.size)
     for x in range(eng.size):
         for t, g in enumerate(divisors):
-            terms = sorted((x + delta, a) for delta, a in moves[x][t])
+            terms = sorted((x + delta, a) for s, delta, a in moves[x] if s == t)
             assert terms == ctx.rows(g, x)
             quantum = sorted((shift + y, coefs[t]) for coefs, shift, y in qmoves[x] if coefs[t])
             assert quantum == [(key, a) for key, a in terms if key >= eng.size]
@@ -941,9 +941,9 @@ def test_the_quantum_chevalley_rule_on_g_mod_b_meets_weyl_group_products(name):
             for t, a in enumerate(coroot):
                 if a:
                     terms[t].append((key, a))
-        assert [sorted((x + delta, a) for delta, a in got) for got in moves[x]] == [
-            sorted(want) for want in terms
-        ]
+        assert [
+            sorted((x + delta, a) for s, delta, a in moves[x] if s == t) for t in range(rs.rank)
+        ] == [sorted(want) for want in terms]
         assert sorted((d, y) for d, _, y in qmoves[x]) == sorted(quantum)
 
 
@@ -1074,7 +1074,9 @@ def test_a_g_mod_p_ring_reads_its_longer_generators_off_the_readout(name, j_node
         assert len(moves) == len(qmoves) == bisect_right(ring.lengths, ring.reach)
         for x in range(len(moves)):
             rows = [ctx.rows(g, x) for g in gens]
-            assert moves[x] == tuple(tuple((key - x, c) for key, c in terms) for terms in rows)
+            assert moves[x] == tuple(
+                (t, key - x, c) for t, terms in enumerate(rows) for key, c in terms
+            )
             assert all(sum(map(bool, coefs)) == 1 for coefs, _, _ in qmoves[x])
             assert sorted(
                 (t, shift + y, a) for coefs, shift, y in qmoves[x] for t, a in enumerate(coefs) if a

@@ -325,10 +325,7 @@ def test_a_borel_level_that_loses_rank_is_refused():
     eng.extend_moves(1)
     moves_of = eng.groups[0][2]
     for x in eng.by_length[1]:
-        moves_of[x] = tuple(
-            tuple((delta, a) for delta, a in moves if x + delta >= eng.size)
-            for moves in moves_of[x]
-        )
+        moves_of[x] = tuple((t, delta, a) for t, delta, a in moves_of[x] if x + delta >= eng.size)
     with pytest.raises(RuntimeError, match="rank deficient"):
         eng.levels[2]
     assert len(eng.groups) == 1
@@ -346,12 +343,10 @@ def _corrupt_move(eng, x, t):
     move table that the right-hand sides read; the level systems, already
     factored, keep the true coefficient."""
     moves_of = eng.groups[0][2]
-    moves = list(moves_of[x][t])
-    u = next(u for u, (delta, _) in enumerate(moves) if x + delta < eng.size)
-    moves[u] = (moves[u][0], moves[u][1] + 1)
-    per_generator = list(moves_of[x])
-    per_generator[t] = tuple(moves)
-    moves_of[x] = tuple(per_generator)
+    moves = list(moves_of[x])
+    u = next(u for u, (s, delta, _) in enumerate(moves) if s == t and x + delta < eng.size)
+    moves[u] = (t, moves[u][1], moves[u][2] + 1)
+    moves_of[x] = tuple(moves)
 
 
 def test_corrupted_chevalley_coefficient_breaks_consistency():
@@ -441,6 +436,91 @@ def test_corrupted_chevalley_coefficient_breaks_integrality():
     # product never extends that table, so read it off the table directly
     with pytest.raises(RuntimeError, match="non-integer structure constant"):
         _oriented_product(eng, eng.by_length[k][j], eng.index[identity(rs).perm])
+
+
+def _reference_solve(eng, by, k):
+    """The length-k left inverse applied with no shortcut: per column, the
+    sum of coefficient * right-hand side over every row it reads, divided
+    exactly by its denominator, zero entries dropped."""
+    _, inverse, _ = eng.levels[k]
+    rhs = quantum._right_hand_sides(eng, by, k)
+    sol = []
+    for den, comb in inverse:
+        acc = {}
+        for r, a in comb:
+            for key, c in rhs[r].items():
+                acc[key] = acc.get(key, 0) + a * c
+        assert all(c % den == 0 for c in acc.values())
+        sol.append({key: c // den for key, c in acc.items() if c})
+    return sol
+
+
+def _column_kind(den, comb):
+    """Which path of `_solve_level` a column of a level inverse takes."""
+    if len(comb) == 1 and comb[0][1] == den:
+        return "one row"
+    return "denominator 1" if den == 1 else "divided"
+
+
+# G/B of types whose level inverses have denominators 2 (B3, C3, D4) and up
+# to 32 (F4), and Fl(2, 3; 5) = A4/{1,4}, whose length-2 generator's moves
+# are read off the comparison formula; every level's columns take their
+# paths whatever the right factor, so it is a class of length 3, whose F4
+# table takes a quarter of the time of a class of length 12
+SOLVE_SPACES = [("B3", ()), ("C3", ()), ("D4", ()), ("F4", ()), ("A4", (1, 4))]
+
+
+@pytest.mark.parametrize("name, j_nodes", SOLVE_SPACES)
+def test_the_level_solve_is_the_left_inverse_applied_and_divided(name, j_nodes):
+    ring = _context(build_root_system(name), ParabolicSubset.of(j_nodes)).ring
+    top = ring.lengths[-1]
+    by = quantum._products(ring, ring.by_length[3][-1], top)
+    kinds = set()
+    for k in sorted(ring.by_length)[1:]:
+        sol = quantum._solve_level(ring, by, k)
+        first = ring.by_length[k][0]
+        assert sol == _reference_solve(ring, by, k) == by[first : first + len(sol)]
+        kinds.update(_column_kind(den, comb) for den, comb in ring.levels[k][1])
+    # Fl(2, 3; 5)'s level inverses have denominator 1 only
+    paths = {"one row", "denominator 1", "divided"}
+    assert kinds == (paths - {"divided"} if name == "A4" else paths)
+    # each flat move tuple lists its generators in order
+    for _, gens, moves_of, _ in ring.groups:
+        assert len(moves_of) == ring.size
+        for moves in moves_of:
+            ts = [t for t, _, _ in moves]
+            assert ts == sorted(ts) and set(ts) <= set(range(len(gens)))
+
+
+# D4's levels have denominators 2 too, but each of its one-row columns reads
+# its row at its denominator
+@pytest.mark.parametrize("name", ["B3", "C3", "F4"])
+def test_one_more_on_a_one_row_column_off_its_denominator_is_not_integral(
+    name, monkeypatch
+):
+    # a column that reads one row r with coefficient a != den takes the
+    # divided path: a and den are coprime and den > 1, so one more on any
+    # entry of b_r leaves a * (b + 1) / den a fraction
+    eng = _engine(build_root_system(name))
+    k, r = next(
+        (k, comb[0][0])
+        for k in sorted(eng.by_length)[1:]
+        for den, comb in eng.levels[k][1]
+        if len(comb) == 1 and comb[0][1] != den
+    )
+    by = quantum._products(eng, eng.index[identity(eng.rs).perm], k - 1)
+    quantum._solve_level(eng, by, k)
+    right_hand_sides = quantum._right_hand_sides
+
+    def one_more(eng, by, k):
+        rhs = right_hand_sides(eng, by, k)
+        key = next(iter(rhs[r]))
+        rhs[r][key] += 1
+        return rhs
+
+    monkeypatch.setattr(quantum, "_right_hand_sides", one_more)
+    with pytest.raises(RuntimeError, match="non-integer structure constant"):
+        quantum._solve_level(eng, by, k)
 
 
 def _tamper_with_solved_products(monkeypatch, tamper, engine=None):
