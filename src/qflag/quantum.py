@@ -48,8 +48,9 @@ the coordinates d_1, ..., d_r, each a digit in base B = dim + 1 below the
 one before: pd = ((sum(d) B + d_1) B + ...) B + d_r.  The packing is
 linear, so a generator move of x adds a fixed int to the key.  Per
 generator group, the moves of x are one flat tuple of (generator, key
-delta, coefficient) triples in generator order, which the right-hand sides
-walk with one loop per term of a known product.  The grading
+delta, coefficient) triples, its one move table: the right-hand sides walk
+it with one loop per term of a known product, and read the quantum terms
+of sigma_g * sigma_x off its triples that leave degree 0.  The grading
 gives q_i the weight (c_1, d_i), which is 2 on G/B and at least 2 on every
 G/P, and every term of a product of degree l(u) + l(v) <= 2 dim has l(x) +
 (c_1, d) = l(u) + l(v); so sum(d) <= dim, no field of pd exceeds dim or
@@ -81,7 +82,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cache, cached_property, partial
-from itertools import chain
 from math import gcd
 from operator import itemgetter, mul
 
@@ -194,17 +194,15 @@ class _Engine:
     keyed as the module docstring describes.  G/B is the case J = {}.
 
     Generators come in groups of one length, kept in `groups` by length as
-    (length, generator positions, moves, qmoves), where per position x
-    `moves[x]` is one flat tuple of (t, key delta, coefficient) triples, a
-    triple per term of sigma_g * sigma_x for the t-th generator g of the
-    group, listed generator by generator in order, and `qmoves[x]` holds the
-    quantum terms as (coefficient per generator, key delta of q^d,
-    position).  `_grow` fills both lists: the divisors' by the quantum
-    Chevalley rule, a longer group's off `readout(g, x)`, which gives
-    sigma_g * sigma_x as sorted (key, c) terms; G/B, whose divisors
-    generate, has no readout.  A new engine has no generators:
-    `_factor_level` adds each group as the factorization of its level finds
-    it.
+    (length, generator positions, moves), where per position x `moves[x]`
+    is one flat tuple of (t, key delta, coefficient) triples, a triple per
+    term of sigma_g * sigma_x for the t-th generator g of the group; a
+    triple with x + delta >= size is a quantum term.  `_grow` fills the
+    list: the divisors' by the quantum Chevalley rule, a longer group's off
+    `readout(g, x)`, which gives sigma_g * sigma_x as sorted (key, c)
+    terms; G/B, whose divisors generate, has no readout.  A new engine has
+    no generators: `_factor_level` adds each group as the factorization of
+    its level finds it.
 
     Every memo of the engine but the per-factor `tables` is a `_Memo`,
     filled by its builder only: `degrees`, packed degree -> degree vector
@@ -235,7 +233,7 @@ class _Engine:
 
     @property
     def generators(self):
-        return tuple(g for _, gens, _, _ in self.groups for g in gens)
+        return tuple(g for _, gens, _ in self.groups for g in gens)
 
     def extend_moves(self, length):
         """Extend every group's move tables to every element of length <=
@@ -300,67 +298,55 @@ class _Engine:
 
     def _grow(self, group, end):
         """Extend a group's move tables to the positions below `end`, one
-        flat tuple of (t, key delta, coefficient) triples per position, in
-        generator order.  The moves of the divisors sigma_{s_i}, one per
-        free node i in node order, as level 1 lists them, are the quantum
-        Chevalley rule on W^J (Fulton-Woodward, On the quantum product of
-        Schubert classes, J. Algebraic Geom. 13 (2004)): per position x and
+        flat tuple of (t, key delta, coefficient) triples per position.  The
+        moves of the divisors sigma_{s_i}, one per free node i in node order,
+        as level 1 lists them, are the quantum Chevalley rule on W^J
+        (Fulton-Woodward, On the quantum product of Schubert classes, J.
+        Algebraic Geom. 13 (2004)), listed root by root: per position x and
         positive root alpha off the Levi, with y = floor(x s_alpha),
         sigma_{s_i} * sigma_x has the term alpha^vee_i sigma_y when l(y) =
         l(x) + 1, and alpha^vee_i q^{d(alpha)} sigma_y when l(y) = l(x) + 1
         - c_1(d(alpha)), d(alpha) being alpha^vee on the free nodes.  A
-        longer generator g's moves are the terms of `readout(g, x)`.  The
-        divisors generate H*(G/B), so without a readout a longer group means
-        a level lost rank."""
-        length, gens, moves_of, qmoves_of = group
-        size = self.size
+        longer generator g's moves are the terms of `readout(g, x)`, listed
+        generator by generator.  The divisors generate H*(G/B), so without a
+        readout a longer group means a level lost rank."""
+        length, gens, moves_of = group
         if length != 1:
             if self.readout is None:
                 raise RuntimeError("recursion system is rank deficient")
             for x in range(len(moves_of), end):
-                rows = [self.readout(g, x) for g in gens]
                 moves_of.append(tuple(
-                    (t, key - x, c) for t, terms in enumerate(rows) for key, c in terms
-                ))
-                # each quantum term c q^d sigma_y of generator t, as the move
-                # with coefficient c for t and 0 for the others
-                qmoves_of.append(tuple(
-                    (tuple(c if s == t else 0 for s in range(len(gens))), key - key % size, key % size)
-                    for t, terms in enumerate(rows) for key, c in terms if key >= size
+                    (t, key - x, c) for t, g in enumerate(gens) for key, c in self.readout(g, x)
                 ))
             return
-        rs, lengths = self.rs, self.lengths
+        rs, lengths, size = self.rs, self.lengths, self.size
         # x s_alpha = s_{x(alpha)} x, and s_{-beta} = s_beta: per root index,
         # negative roots included, the map x -> floor(s_beta x)
         maps = self.reflections * 2
         levi = set(rs.parabolic_root_indices(self.parabolic))
         # per positive root alpha off the Levi: its index, the key delta of
         # q^{d(alpha)}, the length drop c_1(d(alpha)) - 1 of a quantum move,
-        # d(alpha), which is also alpha^vee_i per divisor, and the divisors
-        # (t, alpha^vee_i) it feeds
+        # and the divisors it feeds as (t, alpha^vee_i), the nonzero
+        # coordinates of d(alpha)
         roots = []
         for g, cor in enumerate(rs.positive_coroots):
             if g not in levi:
                 d = tuple(cor[i - 1] for i in self.free)
                 feeds = [(t, a) for t, a in enumerate(d) if a]
-                roots.append((g, self.pack(d) * size, sum(map(mul, self.weights, d)) - 1, d, feeds))
+                roots.append((g, self.pack(d) * size, sum(map(mul, self.weights, d)) - 1, feeds))
         for x in range(len(moves_of), end):
             lx, perm = lengths[x], self.elements[x].perm
-            per_divisor = [[] for _ in gens]
-            qmoves = []
-            for g, shift, drop, d, feeds in roots:
+            moves = []
+            for g, shift, drop, feeds in roots:
                 y = maps[perm[g]][x]
                 if lengths[y] == lx + 1:
                     delta = y - x
                 elif lengths[y] == lx - drop:
                     delta = shift + y - x
-                    qmoves.append((d, shift, y))
                 else:
                     continue
-                for t, a in feeds:
-                    per_divisor[t].append((t, delta, a))
-            moves_of.append(tuple(chain.from_iterable(per_divisor)))
-            qmoves_of.append(tuple(qmoves))
+                moves += [(t, delta, a) for t, a in feeds]
+            moves_of.append(tuple(moves))
 
 
 @cache
@@ -492,17 +478,22 @@ def _level_rows(eng, k):
     """The rows of the length-k system, per generator group, w'-major and
     generator-minor: for each generator g of length l <= k and w' of length
     k - l, the classical coefficients of sigma_g * sigma_{w'} as sparse
-    (column, int) pairs over the length-k elements: the triples of the flat
-    move tuple of w' whose generator is g and whose key stays below size."""
+    (column, int) pairs over the length-k elements, in the order of the
+    flat move tuple of w', which one pass splits by generator."""
     first, size = eng.by_length[k][0], eng.size
-    # a classical move keeps the key below size: its degree part is zero
-    return tuple(
-        tuple((x + delta - first, a) for s, delta, a in moves_of[x] if s == t and x + delta < size)
-        for length, gens, moves_of, _ in eng.groups
-        if length <= k
-        for x in eng.by_length[k - length]
-        for t in range(len(gens))
-    )
+    rows = []
+    for length, gens, moves_of in eng.groups:
+        if length > k:
+            break
+        for x in eng.by_length[k - length]:
+            split = [[] for _ in gens]
+            for t, delta, a in moves_of[x]:
+                # a classical move keeps the key below size: its degree part
+                # is zero
+                if x + delta < size:
+                    split[t].append((x + delta - first, a))
+            rows += map(tuple, split)
+    return tuple(rows)
 
 
 def _unread_rows(k, rows, inverse):
@@ -543,7 +534,7 @@ def _factor_level(eng, k):
     rows = _level_rows(eng, k)
     inverse, added = _left_inverse(rows, len(eng.by_length[k]))
     if added:
-        group = (k, tuple(eng.by_length[k][c] for c in added), [], [])
+        group = (k, tuple(eng.by_length[k][c] for c in added), [])
         # its move tables as long as the other groups'
         eng._grow(group, bisect_right(eng.lengths, eng.reach))
         eng.groups.append(group)
@@ -555,10 +546,12 @@ def _right_hand_sides(eng, by, k):
     """Per row (g, w') of the length-k system: sigma_g * (sigma_{w'} *
     sigma_v) minus the quantum terms of sigma_g * sigma_{w'} times the known
     products, as int-keyed dicts, in one pass over each sigma_{w'} * sigma_v
-    per generator group."""
+    per generator group.  The quantum terms are the moves of w' that leave
+    degree 0: a key wp + delta >= size is q^d sigma_{ws}, ws = (wp + delta)
+    % size, and the product by sigma_{ws} shifts by wp + delta - ws."""
     size = eng.size
     rhs = []
-    for length, gens, moves_of, qmoves_of in eng.groups:
+    for length, gens, moves_of in eng.groups:
         if length > k:
             break
         for wp in eng.by_length[k - length]:
@@ -568,19 +561,21 @@ def _right_hand_sides(eng, by, k):
                     b = rows[t]
                     y = key + delta
                     b[y] = b.get(y, 0) + c * a
-            for coefs, shift, ws in qmoves_of[wp]:
-                for b, a in zip(rows, coefs):
-                    if a:
-                        for key, c in by[ws].items():
-                            y = key + shift
-                            b[y] = b.get(y, 0) - a * c
+            for t, delta, a in moves_of[wp]:
+                if wp + delta >= size:
+                    ws = (wp + delta) % size
+                    shift = wp + delta - ws
+                    b = rows[t]
+                    for key, c in by[ws].items():
+                        y = key + shift
+                        b[y] = b.get(y, 0) - a * c
             rhs.extend(rows)
     return rhs
 
 
 def _row_name(eng, k, r):
     """Row r of the length-k system as the words (w', g)."""
-    for length, gens, _, _ in eng.groups:
+    for length, gens, _ in eng.groups:
         block = len(eng.by_length[k - length]) * len(gens)
         if r < block:
             wp, g = eng.by_length[k - length][r // len(gens)], gens[r % len(gens)]

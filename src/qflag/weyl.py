@@ -31,8 +31,9 @@ from math import prod
 
 from .root_system import ParabolicSubset, RootSystem
 
-# The cap on |W| for full enumeration: covers the classical types up to
-# rank 6 plus F4, G2 and E6.  E7 and E8 are refused with a clear message.
+# The cap on |W| for full enumeration: covers A1-A7, B2-B6, C2-C6, D3-D6,
+# G2, F4 and E6 (|W(A7)| = 40,320, |W(B7)| = 645,120).  Larger groups, E7
+# and E8 among them, are refused with a clear message.
 DEFAULT_MAX_WEYL_ORDER = 60_000
 
 

@@ -883,7 +883,8 @@ def test_the_quantum_chevalley_rule_is_the_readout_of_the_divisors(name, j_nodes
     # Fulton-Woodward's rule on W^J, as `_Engine._grow` runs it, against
     # Peterson's readout of the Borel product, on every divisor product: the
     # moves of sigma_{s_i} * sigma_x as terms, each key once, and the quantum
-    # moves as the terms off degree 0.  At J = {} the readout reads the Borel
+    # moves, the triples that leave degree 0, as the terms off degree 0, each
+    # of grade l(x) + 1.  At J = {} the readout reads the Borel
     # ring's level 1, which is the rule itself, so A2 and B3 check only the
     # bookkeeping of a fresh engine; on G/P the two routes are independent,
     # and on G/B the rule meets its reference in the next test
@@ -891,14 +892,16 @@ def test_the_quantum_chevalley_rule_is_the_readout_of_the_divisors(name, j_nodes
     eng = _Engine(ctx.rs, ctx.parabolic, ctx._enumeration, ctx.c1_weights)
     divisors = tuple(eng.by_length[1])
     assert [ctx.basis[g].word for g in divisors] == [(i,) for i in ctx.free]
-    _, _, moves, qmoves = group = (1, divisors, [], [])
+    _, _, moves = group = (1, divisors, [])
     eng._grow(group, eng.size)
-    for x in range(eng.size):
+    size = eng.size
+    for x in range(size):
         for t, g in enumerate(divisors):
             terms = sorted((x + delta, a) for s, delta, a in moves[x] if s == t)
             assert terms == ctx.rows(g, x)
-            quantum = sorted((shift + y, coefs[t]) for coefs, shift, y in qmoves[x] if coefs[t])
-            assert quantum == [(key, a) for key, a in terms if key >= eng.size]
+            quantum = sorted((x + delta, a) for s, delta, a in moves[x] if s == t and x + delta >= size)
+            assert quantum == [(key, a) for key, a in ctx.rows(g, x) if key >= size]
+            assert all(eng.grades[key] == eng.lengths[x] + 1 for key, _ in quantum)
 
 
 def _reflection_perm(rs, g):
@@ -924,7 +927,7 @@ def test_the_quantum_chevalley_rule_on_g_mod_b_meets_weyl_group_products(name):
     eng = _Engine(rs, BOREL, _enumerate(rs, BOREL), (2,) * rs.rank)
     size = eng.size
     position = {w.perm: k for k, w in enumerate(eng.elements)}
-    _, _, moves, qmoves = group = (1, tuple(eng.by_length[1]), [], [])
+    _, _, moves = group = (1, tuple(eng.by_length[1]), [])
     eng._grow(group, size)
     for x, w in enumerate(eng.elements):
         terms = [[] for _ in range(rs.rank)]
@@ -944,7 +947,14 @@ def test_the_quantum_chevalley_rule_on_g_mod_b_meets_weyl_group_products(name):
         assert [
             sorted((x + delta, a) for s, delta, a in moves[x] if s == t) for t in range(rs.rank)
         ] == [sorted(want) for want in terms]
-        assert sorted((d, y) for d, _, y in qmoves[x]) == sorted(quantum)
+        # the quantum moves, the triples that leave degree 0, are one per
+        # root and divisor: q^{alpha^vee} sigma_{x s_alpha} with coefficient
+        # alpha^vee_i for the i-th divisor
+        qterms = {eng.term(x + delta) for _, delta, _ in moves[x] if x + delta >= size}
+        assert sorted((d, y) for y, d in qterms) == sorted(quantum)
+        assert all(
+            a == eng.term(x + delta)[1][t] for t, delta, a in moves[x] if x + delta >= size
+        )
 
 
 @pytest.mark.parametrize(
@@ -1062,26 +1072,27 @@ def test_a_g_mod_p_ring_reads_its_longer_generators_off_the_readout(name, j_node
     # the ring of G/P is the one level solver, given the direct readout:
     # per longer generator g and grown position x, its moves are the terms
     # of sigma_g * sigma_x relative to x, and each quantum term c q^d
-    # sigma_y is a quantum move with coefficient c for g alone
+    # sigma_y is the one triple of g that leaves degree 0 at its key
     ctx = _context(build_root_system(name), ParabolicSubset.of(j_nodes))
     ring, size = ctx.ring, ctx.ring.size
     assert type(ring) is _Engine
     for k in sorted(ring.by_length)[1:]:
         ring.levels[k]
     longer = [group for group in ring.groups if group[0] > 1]
-    assert [length for length, _, _, _ in longer] == lengths
-    for _, gens, moves, qmoves in longer:
-        assert len(moves) == len(qmoves) == bisect_right(ring.lengths, ring.reach)
+    assert [length for length, _, _ in longer] == lengths
+    for _, gens, moves in longer:
+        assert len(moves) == bisect_right(ring.lengths, ring.reach)
         for x in range(len(moves)):
             rows = [ctx.rows(g, x) for g in gens]
             assert moves[x] == tuple(
                 (t, key - x, c) for t, terms in enumerate(rows) for key, c in terms
             )
-            assert all(sum(map(bool, coefs)) == 1 for coefs, _, _ in qmoves[x])
             assert sorted(
-                (t, shift + y, a) for coefs, shift, y in qmoves[x] for t, a in enumerate(coefs) if a
+                (t, x + delta, a) for t, delta, a in moves[x] if x + delta >= size
             ) == [(t, key, c) for t, terms in enumerate(rows) for key, c in terms if key >= size]
-    assert any(any(qmoves) for _, _, _, qmoves in longer)
+    assert any(
+        x + delta >= size for _, _, moves in longer for x, m in enumerate(moves) for _, delta, _ in m
+    )
 
 
 def test_a_g_mod_p_level_without_a_readout_is_refused():
@@ -1093,7 +1104,7 @@ def test_a_g_mod_p_level_without_a_readout_is_refused():
     with pytest.raises(RuntimeError, match="recursion system is rank deficient"):
         eng.levels[2]
     assert 2 not in eng.levels
-    assert [length for length, _, _, _ in eng.groups] == [1]
+    assert [length for length, _, _ in eng.groups] == [1]
 
 
 @pytest.mark.parametrize(

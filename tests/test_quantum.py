@@ -438,6 +438,37 @@ def test_corrupted_chevalley_coefficient_breaks_integrality():
         _oriented_product(eng, eng.by_length[k][j], eng.index[identity(rs).perm])
 
 
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_every_corrupted_quantum_move_breaks_the_solve(name):
+    # one more on the coefficient of a quantum move, a triple that leaves
+    # degree 0, of the divisors' move table after every level is factored:
+    # the right-hand sides read it both as a move of a term and as a quantum
+    # term of sigma_g * sigma_{w'}, and the table of a top-length factor
+    # reaches every position, so its solve refuses each such corruption
+    _, eng = _private_engine(name)
+    for k in sorted(eng.by_length)[1:]:
+        eng.levels[k]
+    top = eng.lengths[-1]
+    eng.extend_moves(top)
+    v, size, moves_of = eng.by_length[top][0], eng.size, eng.groups[0][2]
+    corrupted = 0
+    for x, moves in enumerate(moves_of):
+        for u, (t, delta, a) in enumerate(moves):
+            if x + delta < size:
+                continue
+            moves_of[x] = moves[:u] + ((t, delta, a + 1),) + moves[u + 1 :]
+            with pytest.raises(
+                RuntimeError, match="^(recursion system is inconsistent|non-integer structure)"
+            ):
+                quantum._products(eng, v, top)
+            moves_of[x] = moves
+            eng.tables.clear()
+            corrupted += 1
+    assert corrupted > 0
+    # restored, the table solves to the top
+    assert len(quantum._products(eng, v, top)) == size
+
+
 def _reference_solve(eng, by, k):
     """The length-k left inverse applied with no shortcut: per column, the
     sum of coefficient * right-hand side over every row it reads, divided
@@ -484,12 +515,35 @@ def test_the_level_solve_is_the_left_inverse_applied_and_divided(name, j_nodes):
     # Fl(2, 3; 5)'s level inverses have denominator 1 only
     paths = {"one row", "denominator 1", "divided"}
     assert kinds == (paths - {"divided"} if name == "A4" else paths)
-    # each flat move tuple lists its generators in order
-    for _, gens, moves_of, _ in ring.groups:
+    # each group's flat move tuples cover the basis and name its generators
+    for _, gens, moves_of in ring.groups:
         assert len(moves_of) == ring.size
         for moves in moves_of:
-            ts = [t for t, _, _ in moves]
-            assert ts == sorted(ts) and set(ts) <= set(range(len(gens)))
+            assert {t for t, _, _ in moves} <= set(range(len(gens)))
+
+
+def _reference_level_rows(eng, k):
+    """The rows of the length-k system with each generator's row filtered
+    off the whole flat move tuple of w', one pass per generator."""
+    first, size = eng.by_length[k][0], eng.size
+    return tuple(
+        tuple((x + delta - first, a) for s, delta, a in moves_of[x] if s == t and x + delta < size)
+        for length, gens, moves_of in eng.groups
+        if length <= k
+        for x in eng.by_length[k - length]
+        for t in range(len(gens))
+    )
+
+
+@pytest.mark.parametrize("name, j_nodes", [("B3", ()), ("D4", ()), ("F4", ()), ("A4", (1, 4))])
+def test_level_rows_split_each_move_tuple_as_a_filter_per_generator_does(name, j_nodes):
+    # one pass over each move tuple gives the rows, their order and the
+    # order of the entries within each row that one filter per generator
+    # gives, so the factorization makes the same pivots
+    ring = _context(build_root_system(name), ParabolicSubset.of(j_nodes)).ring
+    for k in sorted(ring.by_length)[1:]:
+        rows = ring.levels[k][0]
+        assert rows == quantum._level_rows(ring, k) == _reference_level_rows(ring, k)
 
 
 # D4's levels have denominators 2 too, but each of its one-row columns reads
